@@ -30,14 +30,12 @@ from .gheat import (
 from .scenario import (
     EstimateWithError,
     FeedbackControl,
-    GBMPath,
     ScenarioControl,
     ScenarioError,
     YoungReport,
     capacity_mc,
     random_young_trial,
     sample_controls,
-    simulate_gbm,
     terminal_functional,
     upper_expectation_mc,
     upper_semigroup_mc,
@@ -46,6 +44,7 @@ from .scenario import (
 from .coupling import (
     CouplingError,
     CouplingSchedule,
+    ClipSample,
     PathBundle,
     SlackReport,
     coupling_success_check,

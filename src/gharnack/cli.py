@@ -2,9 +2,9 @@
 checkers, and emit deterministic CSV/JSON reports.
 
 Exit codes: 0 all checks pass, 1 at least one inequality violated beyond
-tolerance, 2 configuration or validation error. Outputs are a pure function
-of (config bytes, seed); the --threads flag only parallelizes independent
-checks and must not change any byte of the output.
+tolerance, 2 configuration or validation error, 3 internal error (any other
+exception, reported on one line). Outputs are a pure function of
+(config bytes, seed).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -31,16 +30,6 @@ from .harnack import HarnackError
 
 _SWEEP_FRACTIONS = (0.2, 0.1, 0.05, 0.025)
 _EXPORT_PATHS = 128
-
-
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -71,7 +60,7 @@ def _validate_model(cfg: RunConfig):
     return report
 
 
-def run_gheat(cfg: RunConfig, threads: int):
+def run_gheat(cfg: RunConfig):
     u, tol = solve_with_tolerance(_UNIT_COEFFS, cfg.band, cfg.payoff,
                                   cfg.grid.horizon, cfg.pde)
     entry = {"kind": "gheat", "payoff": cfg.payoff.name, "x": cfg.check_x,
@@ -79,7 +68,7 @@ def run_gheat(cfg: RunConfig, threads: int):
     return [entry], {"grid_u": u}, []
 
 
-def run_semigroup(cfg: RunConfig, threads: int):
+def run_semigroup(cfg: RunConfig):
     _validate_model(cfg)
     u, tol = solve_with_tolerance(cfg.coeffs, cfg.band, cfg.payoff,
                                   cfg.grid.horizon, cfg.pde)
@@ -91,7 +80,7 @@ def run_semigroup(cfg: RunConfig, threads: int):
     return entries, {"grid_u": u}, []
 
 
-def run_scenario(cfg: RunConfig, threads: int):
+def run_scenario(cfg: RunConfig):
     """Sup-over-controls MC against the PDE oracle, plus Young trials."""
     T = cfg.grid.horizon
     u, tol = solve_with_tolerance(_UNIT_COEFFS, cfg.band, cfg.payoff, T, cfg.pde)
@@ -120,29 +109,30 @@ def run_scenario(cfg: RunConfig, threads: int):
     return [entry, young_entry], {}, [("upper_expectation", est)]
 
 
-def run_coupling(cfg: RunConfig, threads: int):
+def run_coupling(cfg: RunConfig):
     _validate_model(cfg)
     T = cfg.grid.horizon
     schedule = cpl.make_schedule(cfg.alpha, cfg.coeffs, cfg.band, T)
     controls = _controls_for(cfg)
     x0, y0 = cfg.check_x, cfg.check_y
+    w = sc.scaled_increments(cfg.seed, cfg.n_paths, cfg.grid)
 
-    entropy = cpl.entropy_bound_check(cfg.coeffs, schedule, x0, y0, controls,
-                                      cfg.n_paths, cfg.seed, cfg.clip_epsilon)
+    def bundle(control, clip_epsilon, rows=w):
+        return cpl.simulate_coupled(cfg.coeffs, schedule, x0, y0, control,
+                                    cfg.seed, clip_epsilon, rows)
+
+    # One bundle in memory at a time: keep only its clip-node sample.
+    at_clip = [bundle(control, cfg.clip_epsilon).at_clip()
+               for control in controls]
+    entropy = cpl.entropy_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
     entries = [{"kind": "entropy", **_slack_dict(entropy)}]
     if cfg.coeffs.kappa2 > cfg.coeffs.kappa1:
-        moment = cpl.moment_bound_check(cfg.coeffs, schedule, x0, y0, controls,
-                                        cfg.n_paths, cfg.seed, cfg.clip_epsilon)
+        moment = cpl.moment_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
         entries.append({"kind": "moment", **_slack_dict(moment)})
 
-    def sweep_bundles():
-        for frac in _SWEEP_FRACTIONS:
-            for control in controls:
-                yield cpl.simulate_coupled(cfg.coeffs, schedule, x0, y0,
-                                           control, cfg.seed, frac * T,
-                                           n_paths=cfg.n_paths)
-
-    trend = cpl.coupling_success_check(sweep_bundles())
+    trend = cpl.coupling_success_check(
+        bundle(control, frac * T)
+        for frac in _SWEEP_FRACTIONS for control in controls)
     entries.append({
         "kind": "coupling_trend", "fitted_C": trend.fitted_C,
         "theory_C": trend.theory_C,
@@ -151,12 +141,10 @@ def run_coupling(cfg: RunConfig, threads: int):
         "rows": [dataclasses.asdict(r) for r in trend.rows],
     })
 
-    export = [
-        cpl.simulate_coupled(cfg.coeffs, schedule, x0, y0, control, cfg.seed,
-                             cfg.clip_epsilon,
-                             n_paths=min(cfg.n_paths, _EXPORT_PATHS))
-        for control in controls
-    ]
+    # Row p of the increments is path p's own stream, so the export paths
+    # are the first rows of the bundles above.
+    export = [bundle(control, cfg.clip_epsilon, w[:_EXPORT_PATHS])
+              for control in controls]
     qv_pass = all(cpl.girsanov_shifted_qv_check(b) for b in export)
     entries.append({"kind": "shifted_qv", "passed": qv_pass,
                     "discrepancy": max(cpl.shifted_qv_discrepancy(b)
@@ -171,22 +159,21 @@ def _slack_dict(report) -> dict:
     return d
 
 
-def run_harnack(cfg: RunConfig, threads: int):
+def run_harnack(cfg: RunConfig):
     _validate_model(cfg)
     T = cfg.grid.horizon
-    jobs = [lambda: hk.check_log_harnack(cfg.coeffs, cfg.band, cfg.payoff,
-                                         cfg.check_x, cfg.check_y, T, cfg.pde)]
+    reports = [hk.check_log_harnack(cfg.coeffs, cfg.band, cfg.payoff,
+                                    cfg.check_x, cfg.check_y, T, cfg.pde)]
     if cfg.coeffs.kappa2 > cfg.coeffs.kappa1:
-        jobs.append(lambda: hk.check_power_harnack(
+        reports.append(hk.check_power_harnack(
             cfg.coeffs, cfg.band, cfg.payoff, cfg.check_x, cfg.check_y, T,
             cfg.check_p, cfg.pde))
-    jobs.append(lambda: hk.lipschitz_transport_check(
+    reports.append(hk.lipschitz_transport_check(
         cfg.coeffs, cfg.band, cfg.payoff, cfg.check_x, cfg.check_y, T, cfg.pde))
-    reports = _parallel_map(lambda job: job(), jobs, threads)
     return [r.to_dict() for r in reports], {"harnack_rows": reports}, []
 
 
-def run_gradient(cfg: RunConfig, threads: int):
+def run_gradient(cfg: RunConfig):
     _validate_model(cfg)
     grid_alpha = hk.make_alpha_grid(cfg.coeffs, cfg.alpha_grid_size)
     report = hk.check_gradient_estimate(cfg.coeffs, cfg.band, cfg.payoff,
@@ -194,14 +181,14 @@ def run_gradient(cfg: RunConfig, threads: int):
     return [report.to_dict()], {"harnack_rows": [report]}, []
 
 
-def run_suite(cfg: RunConfig, threads: int):
+def run_suite(cfg: RunConfig):
     entries = []
     artifacts = {}
     estimates = []
     runners = (run_semigroup, run_scenario, run_coupling, run_harnack,
                run_gradient)
-    results = _parallel_map(lambda r: r(cfg, 1), runners, threads)
-    for sub_entries, sub_art, sub_est in results:
+    for runner in runners:
+        sub_entries, sub_art, sub_est = runner(cfg)
         entries.extend(sub_entries)
         rows = sub_art.pop("harnack_rows", None)
         if rows:
@@ -243,10 +230,15 @@ def main(argv=None) -> int:
                        help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=0,
-                       help="0 = auto; never changes results")
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
+
+def _run(args) -> int:
     config_path = args.config or bundled_config_path()
     try:
         cfg = parse_run_config(config_path, seed_override=args.seed)
@@ -258,7 +250,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        entries, artifacts, estimates = _RUNNERS[args.command](cfg, args.threads)
+        entries, artifacts, estimates = _RUNNERS[args.command](cfg)
     except (ModelError, PdeError, ScenarioError, CouplingError, HarnackError,
             ConfigError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -266,8 +258,8 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "report.json",
-                  json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    report = json.dumps(entries, indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(out / "report.json", report + "\n")
     if estimates:
         _atomic_write(out / "estimates.csv", _estimate_rows(estimates))
     if "grid_u" in artifacts:

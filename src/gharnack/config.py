@@ -65,16 +65,19 @@ def _get(sec, key: str, cast, default=None):
         raise ConfigError(field, "missing entry")
     raw = sec[key].strip()
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(field, f"cannot parse {raw!r}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(field, f"must be finite, got {raw!r}")
+    return value
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("every value must be finite")
+    return values
 
 
 def _coefficient(sec, role: str):
@@ -192,9 +195,6 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         seed = int(seed_override)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("run.seed", "seed must fit in 64 bits")
-
-    if not math.isfinite(check_x) or not math.isfinite(check_y):
-        raise ConfigError("check.x", "check points must be finite")
 
     return RunConfig(coeffs=coeffs, band=band, grid=grid, pde=pde, alpha=alpha,
                      clip_epsilon=clip_epsilon, n_paths=n_paths,

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .model import ModelCoefficients, TimeGrid, VolatilityBand
-from .scenario import Control, scaled_increments
+from .scenario import Control, euler_step, sup_over_controls
 
 _STIFF_G_DT = 1e3
 _MAX_HALVINGS = 10
@@ -143,6 +143,28 @@ def moment_bound_value(schedule: CouplingSchedule, kappa1: float, kappa2: float,
 
 
 @dataclass(frozen=True)
+class ClipSample:
+    """One bundle at its clip node: (m, |x - y|, log m) of the included
+    paths, and the number of paths the stiff-step guard excluded."""
+
+    m: np.ndarray
+    gap: np.ndarray
+    log_m: np.ndarray
+    n_excluded: int
+
+    @property
+    def n_paths(self) -> int:
+        return self.m.size + self.n_excluded
+
+    def require_included(self, label: str) -> "ClipSample":
+        if self.m.size == 0:
+            raise CouplingError(
+                f"{label}: all {self.n_excluded} paths were excluded by the "
+                "stiff-step guard")
+        return self
+
+
+@dataclass(frozen=True)
 class PathBundle:
     """Coupled sample paths under one scenario control (rows = paths)."""
 
@@ -180,13 +202,14 @@ class PathBundle:
     def included(self) -> np.ndarray:
         return ~self.stiff_mask
 
-    def at_clip(self):
-        """(m, |x - y|, log m) for included paths at the clip node."""
+    def at_clip(self) -> ClipSample:
+        """The included paths at the clip node."""
         keep = self.included()
         j = self.clip_index
         logm = self.log_m_path[keep, j]
         gap = np.abs(self.x_path[keep, j] - self.y_path[keep, j])
-        return np.exp(logm), gap, logm
+        return ClipSample(m=np.exp(logm), gap=gap, log_m=logm,
+                          n_excluded=self.n_stiff)
 
 
 def _bridge_split(total: np.ndarray, n_sub: int, dt_sub: float,
@@ -198,15 +221,16 @@ def _bridge_split(total: np.ndarray, n_sub: int, dt_sub: float,
 
 def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
                      x0: float, y0: float, control: Control, seed: int,
-                     clip_epsilon: float, n_paths: int = 1) -> PathBundle:
-    """Euler-Maruyama for the coupled pair under one scenario control.
+                     clip_epsilon: float, w: np.ndarray) -> PathBundle:
+    """Euler-Maruyama for the coupled pair under one scenario control, driven
+    by the sqrt(dt)-scaled increments `w` (one row per path).
 
     X follows the base dynamics; Y carries the attracting drift
     sigma(Y) g d<B> with g = (X - Y)/(lambda sigma(X)); the density is
     advanced in log space, log M += -g dB - g^2 d<B> / 2. Steps with
     |g| dt beyond the overflow threshold are retried with locally halved
     substeps (Brownian-bridge noise); still-stiff paths are excluded and
-    counted.
+    counted. `seed` keys the bridge noise of the retried steps.
     """
     grid = control.grid
     T = grid.horizon
@@ -216,11 +240,14 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
         )
     if abs(T - schedule.T) > 1e-12 * max(1.0, T):
         raise CouplingError("control grid horizon differs from schedule horizon")
-    n_steps = grid.n_steps
+    n_paths, n_steps = w.shape
+    if n_steps != grid.n_steps:
+        raise CouplingError(
+            f"w has {n_steps} columns, the grid has {grid.n_steps} steps")
     dt = grid.dt
     clip_index = int(np.searchsorted(grid.nodes, T - clip_epsilon, side="right")) - 1
 
-    w = scaled_increments(seed, n_paths, grid)
+    w = w.view()  # made read-only below; the caller's array stays writable
     levels = np.empty((n_paths, n_steps))
     x = np.full(n_paths, float(x0))
     y = np.full(n_paths, float(y0))
@@ -237,21 +264,15 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     lam_nodes = schedule.value(grid.nodes)
 
     def one_step(xs, ys, lms, t, lam_t, lv, dW, dt_loc, with_g):
-        gamma = lv * lv
         dB = lv * dW
-        dqv = gamma * dt_loc
+        dqv = lv * lv * dt_loc
         if with_g:
             g = (xs - ys) / (lam_t * coeffs.sigma(t, xs))
         else:
             g = np.zeros_like(xs)
-        b_x = coeffs.b(t, xs)
-        b_y = coeffs.b(t, ys)
-        h_x = coeffs.h(t, xs)
-        h_y = coeffs.h(t, ys)
-        s_x = coeffs.sigma(t, xs)
-        s_y = coeffs.sigma(t, ys)
-        xn = xs + b_x * dt_loc + h_x * dqv + s_x * dB
-        yn = ys + b_y * dt_loc + h_y * dqv + s_y * dB + s_y * g * dqv
+        xn = euler_step(coeffs, t, xs, dt_loc, dqv, dB)
+        yn = (euler_step(coeffs, t, ys, dt_loc, dqv, dB)
+              + coeffs.sigma(t, ys) * g * dqv)
         lmn = lms - g * dB - 0.5 * g * g * dqv
         return xn, yn, lmn, g
 
@@ -352,59 +373,44 @@ class SlackReport:
     stiff_excluded: int
 
 
-def _sup_over_controls(coeffs, schedule, x0, y0, controls, n_paths, seed,
-                       clip_epsilon, stat):
-    best_mean = -math.inf
-    best_se = 0.0
-    best_id = 0
-    stiff_total = 0
-    for k, control in enumerate(controls):
-        bundle = simulate_coupled(coeffs, schedule, x0, y0, control, seed,
-                                  clip_epsilon, n_paths=n_paths)
-        stiff_total += bundle.n_stiff
-        m, gap, logm = bundle.at_clip()
-        vals = stat(m, gap, logm)
-        mean = float(np.mean(vals))
-        if mean > best_mean:
-            best_mean = mean
-            best_id = k
-            best_se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) \
-                if vals.size > 1 else 0.0
-    return best_mean, best_se, best_id, stiff_total
+def _sup_stat(samples: Sequence[ClipSample], stat) -> tuple[float, float, int]:
+    return sup_over_controls(
+        stat(sample.require_included(f"control {k}"))
+        for k, sample in enumerate(samples))
 
 
 def entropy_bound_check(coeffs: ModelCoefficients, schedule: CouplingSchedule,
-                        x0: float, y0: float, controls: Sequence[Control],
-                        n_paths: int, seed: int,
-                        clip_epsilon: float) -> SlackReport:
-    """sup over controls of mean(M log M) at the clip vs the entropy bound."""
-    est, se, best_id, stiff = _sup_over_controls(
-        coeffs, schedule, x0, y0, controls, n_paths, seed, clip_epsilon,
-        stat=lambda m, gap, logm: m * logm)
+                        x0: float, y0: float,
+                        samples: Sequence[ClipSample]) -> SlackReport:
+    """sup over controls of mean(M log M) at the clip vs the entropy bound.
+
+    `samples` holds the at-clip sample of one bundle per control, all
+    started at (x0, y0) on the same increments.
+    """
+    est, se, best_id = _sup_stat(samples, lambda s: s.m * s.log_m)
     bound = entropy_bound_value(schedule, coeffs.kappa1, x0, y0)
     slack = bound - est
     return SlackReport(kind="entropy", bound=bound, estimate=est, std_error=se,
                        slack=slack, passed=slack >= -3.0 * se,
-                       best_control_id=best_id, n_paths=n_paths,
-                       n_controls=len(controls), stiff_excluded=stiff)
+                       best_control_id=best_id, n_paths=samples[0].n_paths,
+                       n_controls=len(samples),
+                       stiff_excluded=sum(s.n_excluded for s in samples))
 
 
 def moment_bound_check(coeffs: ModelCoefficients, schedule: CouplingSchedule,
-                       x0: float, y0: float, controls: Sequence[Control],
-                       n_paths: int, seed: int,
-                       clip_epsilon: float) -> SlackReport:
-    """sup over controls of mean(M^(1+a)) at the clip vs the printed bound."""
+                       x0: float, y0: float,
+                       samples: Sequence[ClipSample]) -> SlackReport:
+    """sup over controls of mean(M^(1+a)) at the clip vs the printed bound;
+    `samples` as for `entropy_bound_check`."""
     a = moment_exponent_a(schedule.alpha, coeffs.kappa1, coeffs.kappa2)
-    est, se, best_id, stiff = _sup_over_controls(
-        coeffs, schedule, x0, y0, controls, n_paths, seed, clip_epsilon,
-        stat=lambda m, gap, logm: np.exp((1.0 + a) * logm))
+    est, se, best_id = _sup_stat(samples, lambda s: np.exp((1.0 + a) * s.log_m))
     bound = moment_bound_value(schedule, coeffs.kappa1, coeffs.kappa2, x0, y0)
     rel_se = se / est if est > 0.0 else 0.0
     passed = est <= bound * (1.0 + 3.0 * rel_se)
     return SlackReport(kind="moment", bound=bound, estimate=est, std_error=se,
                        slack=bound - est, passed=passed, best_control_id=best_id,
-                       n_paths=n_paths, n_controls=len(controls),
-                       stiff_excluded=stiff)
+                       n_paths=samples[0].n_paths, n_controls=len(samples),
+                       stiff_excluded=sum(s.n_excluded for s in samples))
 
 
 @dataclass(frozen=True)
@@ -447,8 +453,11 @@ def coupling_success_check(bundles: Iterable[PathBundle]) -> CouplingTrendReport
     """
     per_clip: dict[float, dict] = {}
     theory_C = None
-    for bundle in bundles:
-        m, gap, _ = bundle.at_clip()
+    for k, bundle in enumerate(bundles):
+        eps = bundle.clip_epsilon
+        sample = bundle.at_clip().require_included(
+            f"bundle {k} (clip_epsilon {eps:g})")
+        m, gap = sample.m, sample.gap
         wsum = float(np.sum(m))
         wmean = float(np.sum(m * gap) / wsum)
         se = float(np.std(m * gap, ddof=1) / math.sqrt(m.size) / (wsum / m.size)) \
@@ -457,7 +466,6 @@ def coupling_success_check(bundles: Iterable[PathBundle]) -> CouplingTrendReport
         lam_clip = float(bundle.schedule.value(bundle.clip_time))
         if theory_C is None:
             theory_C = abs(bundle.x0 - bundle.y0) / math.sqrt(bundle.schedule.lambda0)
-        eps = bundle.clip_epsilon
         cur = per_clip.get(eps)
         # sup over controls at each clip time
         if cur is None or wmean > cur["wmean"]:

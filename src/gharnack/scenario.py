@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import streams
-from .gheat import PolicyTable
+from .gheat import _UNIT_COEFFS, PolicyTable
 from .model import ModelCoefficients, Payoff, TimeGrid, VolatilityBand
 
 
@@ -64,16 +64,6 @@ Control = ScenarioControl | FeedbackControl
 
 
 @dataclass(frozen=True)
-class GBMPath:
-    """One synthesized path of (W increments, B, <B>) on a shared grid."""
-
-    grid: TimeGrid
-    w_increments: np.ndarray
-    b_path: np.ndarray
-    qv_path: np.ndarray
-
-
-@dataclass(frozen=True)
 class PathBatch:
     """Vectorized bundle of paths under one control (rows = paths)."""
 
@@ -81,11 +71,19 @@ class PathBatch:
     w: np.ndarray        # (n_paths, n_steps) sqrt(dt)-scaled normals
     levels: np.ndarray   # (n_paths, n_steps) realized levels
     b_path: np.ndarray   # (n_paths, n_steps + 1)
-    qv_path: np.ndarray  # (n_paths, n_steps + 1)
 
     @property
     def n_paths(self) -> int:
         return self.b_path.shape[0]
+
+    @property
+    def qv_path(self) -> np.ndarray:
+        """Quadratic variation <B>, (n_paths, n_steps + 1), accumulated
+        step by step from the realized levels."""
+        qv = np.zeros_like(self.b_path)
+        np.cumsum(self.levels * self.levels * self.grid.dt, axis=1,
+                  out=qv[:, 1:])
+        return qv
 
     def terminal(self) -> np.ndarray:
         return self.b_path[:, -1]
@@ -151,23 +149,40 @@ def sample_controls(strategy: str, band: VolatilityBand, grid: TimeGrid,
     raise ScenarioError(f"unknown control strategy {strategy!r}")
 
 
-def _simulate_batch(control: Control, grid: TimeGrid, w: np.ndarray) -> PathBatch:
+def euler_step(coeffs: ModelCoefficients, t: float, x: np.ndarray, dt: float,
+               dqv: np.ndarray, dB: np.ndarray) -> np.ndarray:
+    """One Euler step of dX = b dt + h d<B> + sigma dB, with the increments
+    dqv = level^2 dt and dB = level dW of the driving path."""
+    return x + coeffs.b(t, x) * dt + coeffs.h(t, x) * dqv + coeffs.sigma(t, x) * dB
+
+
+def simulate_state_batch(coeffs: ModelCoefficients, control: Control, x0: float,
+                         w: np.ndarray, grid: TimeGrid
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Euler paths of the controlled state equation; feedback levels read the
+    simulated state. Returns the paths (n_paths, n_steps + 1) and the
+    realized levels (n_paths, n_steps)."""
     n_paths, n_steps = w.shape
     dt = grid.dt
-    b = np.zeros((n_paths, n_steps + 1))
-    qv = np.zeros((n_paths, n_steps + 1))
+    x = np.empty((n_paths, n_steps + 1))
+    x[:, 0] = x0
     levels = np.empty((n_paths, n_steps))
-    state = b[:, 0]
     for j in range(n_steps):
-        lv = np.asarray(control.level(j, float(grid.nodes[j]), state), dtype=float)
+        t = float(grid.nodes[j])
+        xj = x[:, j]
+        lv = np.asarray(control.level(j, t, xj), dtype=float)
         levels[:, j] = lv
-        b[:, j + 1] = b[:, j] + lv * w[:, j]
-        qv[:, j + 1] = qv[:, j] + lv * lv * dt
-        state = b[:, j + 1]
-    w_view = w.copy()
-    for arr in (w_view, levels, b, qv):
+        x[:, j + 1] = euler_step(coeffs, t, xj, dt, lv * lv * dt, lv * w[:, j])
+    return x, levels
+
+
+def _simulate_batch(control: Control, grid: TimeGrid, w: np.ndarray) -> PathBatch:
+    """B-paths: the state equation with b = h = 0 and sigma = 1, from 0."""
+    b, levels = simulate_state_batch(_UNIT_COEFFS, control, 0.0, w, grid)
+    w_view = w.view()
+    for arr in (w_view, levels, b):
         arr.setflags(write=False)
-    return PathBatch(grid=grid, w=w_view, levels=levels, b_path=b, qv_path=qv)
+    return PathBatch(grid=grid, w=w_view, levels=levels, b_path=b)
 
 
 def scaled_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
@@ -175,13 +190,25 @@ def scaled_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
     return streams.normal_matrix(seed, n_paths, grid.n_steps) * math.sqrt(grid.dt)
 
 
-def simulate_gbm(control: Control, seed: int) -> GBMPath:
-    """Single path under the control; deterministic in (control, seed)."""
-    grid = control.grid
-    w = scaled_increments(seed, 1, grid)
-    batch = _simulate_batch(control, grid, w)
-    return GBMPath(grid=grid, w_increments=batch.w[0], b_path=batch.b_path[0],
-                   qv_path=batch.qv_path[0])
+def sup_over_controls(samples: Iterable) -> tuple[float, float, int]:
+    """Max over controls of the sample mean.
+
+    `samples` yields one array of per-path values per control. Returns the
+    largest mean, the winning control's standard error and its index; the
+    first control wins a tie.
+    """
+    best_mean = -math.inf
+    best_se = 0.0
+    best_id = 0
+    for k, vals in enumerate(samples):
+        vals = np.asarray(vals, dtype=float)
+        mean = float(np.mean(vals))
+        if mean > best_mean:
+            best_mean = mean
+            best_id = k
+            best_se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) \
+                if vals.size > 1 else 0.0
+    return best_mean, best_se, best_id
 
 
 def upper_expectation_mc(functional: Callable[[PathBatch], np.ndarray],
@@ -200,17 +227,9 @@ def upper_expectation_mc(functional: Callable[[PathBatch], np.ndarray],
         raise ScenarioError("need at least one control")
     grid = controls[0].grid
     w = scaled_increments(seed, n_paths, grid)
-    best_mean = -math.inf
-    best_id = 0
-    best_se = 0.0
-    for k, control in enumerate(controls):
-        vals = np.asarray(functional(_simulate_batch(control, grid, w)), dtype=float)
-        mean = float(np.mean(vals))
-        if mean > best_mean:
-            best_mean = mean
-            best_id = k
-            best_se = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
-    return EstimateWithError(value=best_mean, std_error=best_se, n_paths=n_paths,
+    value, se, best_id = sup_over_controls(
+        functional(_simulate_batch(control, grid, w)) for control in controls)
+    return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
                              n_controls=len(controls), best_control_id=best_id)
 
 
@@ -236,27 +255,6 @@ def terminal_functional(payoff: Payoff) -> Callable[[PathBatch], np.ndarray]:
     return functional
 
 
-def simulate_state_batch(coeffs: ModelCoefficients, control: Control, x0: float,
-                         w: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Euler paths of the controlled state equation; feedback levels read the
-    simulated state. Returns (n_paths, n_steps + 1)."""
-    n_paths, n_steps = w.shape
-    dt = grid.dt
-    x = np.full((n_paths, n_steps + 1), float(x0))
-    for j in range(n_steps):
-        t = float(grid.nodes[j])
-        xj = x[:, j]
-        lv = np.asarray(control.level(j, t, xj), dtype=float)
-        gamma = lv * lv
-        x[:, j + 1] = (
-            xj
-            + coeffs.b(t, xj) * dt
-            + coeffs.h(t, xj) * gamma * dt
-            + coeffs.sigma(t, xj) * lv * w[:, j]
-        )
-    return x
-
-
 def upper_semigroup_mc(coeffs: ModelCoefficients, band: VolatilityBand,
                        payoff: Payoff, x0: float, grid: TimeGrid, n_paths: int,
                        seed: int, policy: PolicyTable | None = None,
@@ -270,18 +268,10 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, band: VolatilityBand,
     if n_paths < 100:
         raise ScenarioError(f"n_paths must be >= 100, got {n_paths}")
     w = scaled_increments(seed, n_paths, grid)
-    best_mean = -math.inf
-    best_id = 0
-    best_se = 0.0
-    for k, control in enumerate(controls):
-        x = simulate_state_batch(coeffs, control, x0, w, grid)
-        vals = np.asarray(payoff.f(x[:, -1]), dtype=float)
-        mean = float(np.mean(vals))
-        if mean > best_mean:
-            best_mean = mean
-            best_id = k
-            best_se = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
-    return EstimateWithError(value=best_mean, std_error=best_se, n_paths=n_paths,
+    value, se, best_id = sup_over_controls(
+        payoff.f(simulate_state_batch(coeffs, control, x0, w, grid)[0][:, -1])
+        for control in controls)
+    return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
                              n_controls=len(controls), best_control_id=best_id)
 
 

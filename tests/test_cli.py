@@ -93,11 +93,34 @@ class TestCliExitCodes:
     def test_violated_inequality_is_exit_1(self, tmp_path, monkeypatch):
         from gharnack import cli
 
-        def broken(cfg, threads):
+        def broken(cfg):
             return [{"kind": "synthetic", "passed": False}], {}, []
 
         monkeypatch.setitem(cli._RUNNERS, "gradient", broken)
         assert run(["gradient", "--out", tmp_path / "o"]) == 1
+
+    def test_internal_error_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        from gharnack import cli
+
+        def broken(cfg):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setitem(cli._RUNNERS, "gradient", broken)
+        assert run(["gradient", "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: synthetic fault\n"
+
+    @pytest.mark.parametrize("field,old,new", [
+        ("model.K", "K = 1.1", "K = nan"),
+        ("check.p", "p = 2.0", "p = nan"),
+        ("grid.x_max", "x_max = 8", "x_max = inf"),
+    ])
+    def test_non_finite_value_names_the_field(self, tmp_path, capsys, field,
+                                              old, new):
+        bad = tmp_path / "nonfinite.cfg"
+        bad.write_text(CFG.read_text().replace(old, new))
+        assert run(["gheat", "--config", bad, "--out", tmp_path / "o"]) == 2
+        assert f"[{field}]" in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -136,8 +159,8 @@ class TestSubcommands:
 class TestDeterminism:
     def test_repeat_run_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["coupling", "--out", a, "--threads", "1"]) == 0
-        assert run(["coupling", "--out", b, "--threads", "2"]) == 0
+        assert run(["coupling", "--out", a]) == 0
+        assert run(["coupling", "--out", b]) == 0
         for name in ("report.json", "paths.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 

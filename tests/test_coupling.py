@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 import gharnack as g
 from gharnack.coupling import CouplingError, shifted_qv_discrepancy
+from gharnack.scenario import scaled_increments
 
 mp.dps = 30
 
@@ -141,6 +142,20 @@ class TestMomentExponent:
             g.moment_exponent_a(0.5, 1.0, 1.0)
 
 
+def coupled(coeffs, schedule, x0, y0, control, seed, clip_epsilon, n_paths):
+    """One bundle on the first n_paths rows of the seed's increments."""
+    w = scaled_increments(seed, n_paths, control.grid)
+    return g.simulate_coupled(coeffs, schedule, x0, y0, control, seed,
+                              clip_epsilon, w)
+
+
+def at_clip(coeffs, schedule, x0, y0, controls, n_paths, seed, clip_epsilon):
+    """Clip-node samples of one bundle per control, on shared increments."""
+    w = scaled_increments(seed, n_paths, controls[0].grid)
+    return [g.simulate_coupled(coeffs, schedule, x0, y0, c, seed, clip_epsilon,
+                               w).at_clip() for c in controls]
+
+
 @pytest.fixture(scope="module")
 def acc_setup(multiplicative_model, pinched_band):
     schedule = g.make_schedule(0.81, multiplicative_model, pinched_band, 1.0)
@@ -152,8 +167,8 @@ def acc_setup(multiplicative_model, pinched_band):
 class TestSimulateCoupled:
     def test_equal_starts_stay_coupled(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = g.simulate_coupled(coeffs, schedule, 0.4, 0.4, controls[2],
-                                    seed=21, clip_epsilon=0.01, n_paths=64)
+        bundle = coupled(coeffs, schedule, 0.4, 0.4, controls[2],
+                         seed=21, clip_epsilon=0.01, n_paths=64)
         assert np.array_equal(bundle.x_path, bundle.y_path)
         assert np.all(bundle.g_path == 0.0)
         assert np.all(bundle.log_m_path == 0.0)
@@ -161,8 +176,8 @@ class TestSimulateCoupled:
 
     def test_g_bound_every_step(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[4],
-                                    seed=22, clip_epsilon=0.01, n_paths=256)
+        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[4],
+                         seed=22, clip_epsilon=0.01, n_paths=256)
         lam = schedule.value(grid.nodes)
         for j in range(bundle.clip_index):
             gap = np.abs(bundle.x_path[:, j] - bundle.y_path[:, j])
@@ -173,8 +188,8 @@ class TestSimulateCoupled:
         coeffs, band, schedule, grid, controls = acc_setup
         medians = []
         for eps in (0.2, 0.1, 0.05):
-            bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[2],
-                                        seed=23, clip_epsilon=eps, n_paths=1024)
+            bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[2],
+                             seed=23, clip_epsilon=eps, n_paths=1024)
             j = bundle.clip_index
             medians.append(float(np.median(
                 np.abs(bundle.x_path[:, j] - bundle.y_path[:, j]))))
@@ -187,9 +202,9 @@ class TestSimulateCoupled:
         fine_controls = g.sample_controls("constants", band, fine_grid, 5, seed=3)
         medians = []
         for eps in (0.2, 0.05):
-            bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
-                                        fine_controls[2], seed=23,
-                                        clip_epsilon=eps, n_paths=512)
+            bundle = coupled(coeffs, schedule, 0.0, 0.5,
+                             fine_controls[2], seed=23,
+                             clip_epsilon=eps, n_paths=512)
             j = bundle.clip_index
             medians.append(float(np.median(
                 np.abs(bundle.x_path[:, j] - bundle.y_path[:, j]))))
@@ -199,22 +214,22 @@ class TestSimulateCoupled:
         coeffs, band, schedule, grid, controls = acc_setup
         for eps in (0.0, -0.1, 0.3):
             with pytest.raises(CouplingError):
-                g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[0],
-                                   seed=1, clip_epsilon=eps)
+                coupled(coeffs, schedule, 0.0, 0.5, controls[0],
+                        seed=1, clip_epsilon=eps, n_paths=1)
 
     def test_bit_reproducible(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        b1 = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[1],
-                                seed=31, clip_epsilon=0.01, n_paths=32)
-        b2 = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[1],
-                                seed=31, clip_epsilon=0.01, n_paths=32)
+        b1 = coupled(coeffs, schedule, 0.0, 0.5, controls[1],
+                     seed=31, clip_epsilon=0.01, n_paths=32)
+        b2 = coupled(coeffs, schedule, 0.0, 0.5, controls[1],
+                     seed=31, clip_epsilon=0.01, n_paths=32)
         assert np.array_equal(b1.x_path, b2.x_path)
         assert np.array_equal(b1.log_m_path, b2.log_m_path)
 
     def test_density_positive_and_martingale_proxy(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[3],
-                                    seed=33, clip_epsilon=0.01, n_paths=8192)
+        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[3],
+                         seed=33, clip_epsilon=0.01, n_paths=8192)
         assert np.all(bundle.m_path > 0.0)
         assert np.all(bundle.log_m_path[:, 0] == 0.0)
         quarter = grid.n_steps // 4
@@ -227,15 +242,15 @@ class TestSimulateCoupled:
 class TestShiftedQv:
     def test_zero_shift_exact(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = g.simulate_coupled(coeffs, schedule, 0.2, 0.2, controls[0],
-                                    seed=41, clip_epsilon=0.01, n_paths=64)
+        bundle = coupled(coeffs, schedule, 0.2, 0.2, controls[0],
+                         seed=41, clip_epsilon=0.01, n_paths=64)
         assert shifted_qv_discrepancy(bundle) == 0.0
         assert g.girsanov_shifted_qv_check(bundle)
 
     def test_bounded_shift_within_tolerance(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[-1],
-                                    seed=42, clip_epsilon=0.01, n_paths=512)
+        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[-1],
+                         seed=42, clip_epsilon=0.01, n_paths=512)
         assert g.girsanov_shifted_qv_check(bundle)
 
     def test_refinement_halves_discrepancy(self, acc_setup):
@@ -243,10 +258,10 @@ class TestShiftedQv:
         fine_grid = g.TimeGrid(1.0, 1024)
         fine_control = g.sample_controls("constants", band, fine_grid, 5,
                                          seed=3)[-1]
-        coarse = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[-1],
-                                    seed=43, clip_epsilon=0.01, n_paths=512)
-        fine = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, fine_control,
-                                  seed=43, clip_epsilon=0.01, n_paths=512)
+        coarse = coupled(coeffs, schedule, 0.0, 0.5, controls[-1],
+                         seed=43, clip_epsilon=0.01, n_paths=512)
+        fine = coupled(coeffs, schedule, 0.0, 0.5, fine_control,
+                       seed=43, clip_epsilon=0.01, n_paths=512)
         ratio = shifted_qv_discrepancy(coarse) / shifted_qv_discrepancy(fine)
         assert 1.5 <= ratio <= 2.7
 
@@ -254,8 +269,10 @@ class TestShiftedQv:
 class TestEntropyBound:
     def test_equal_starts_zero_slack(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        report = g.entropy_bound_check(coeffs, schedule, 0.3, 0.3, controls,
-                                       512, seed=51, clip_epsilon=0.01)
+        report = g.entropy_bound_check(
+            coeffs, schedule, 0.3, 0.3,
+            at_clip(coeffs, schedule, 0.3, 0.3, controls, 512,
+                    seed=51, clip_epsilon=0.01))
         assert report.estimate == 0.0
         assert report.bound == 0.0
         assert report.slack == 0.0
@@ -278,8 +295,10 @@ class TestEntropyBound:
 
     def test_estimate_below_bound(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        report = g.entropy_bound_check(coeffs, schedule, 0.0, 0.5, controls,
-                                       2048, seed=52, clip_epsilon=0.01)
+        report = g.entropy_bound_check(
+            coeffs, schedule, 0.0, 0.5,
+            at_clip(coeffs, schedule, 0.0, 0.5, controls, 2048,
+                    seed=52, clip_epsilon=0.01))
         assert report.passed
         assert report.slack >= -3.0 * report.std_error
         assert report.stiff_excluded == 0
@@ -288,8 +307,10 @@ class TestEntropyBound:
 class TestMomentBound:
     def test_equal_starts_equality(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        report = g.moment_bound_check(coeffs, schedule, -0.2, -0.2, controls,
-                                      512, seed=61, clip_epsilon=0.01)
+        report = g.moment_bound_check(
+            coeffs, schedule, -0.2, -0.2,
+            at_clip(coeffs, schedule, -0.2, -0.2, controls, 512,
+                    seed=61, clip_epsilon=0.01))
         assert report.estimate == pytest.approx(1.0, abs=1e-14)
         assert report.bound == pytest.approx(1.0, abs=1e-14)
         assert report.passed
@@ -303,8 +324,10 @@ class TestMomentBound:
 
     def test_estimate_below_bound(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        report = g.moment_bound_check(coeffs, schedule, 0.0, 0.5, controls,
-                                      2048, seed=62, clip_epsilon=0.01)
+        report = g.moment_bound_check(
+            coeffs, schedule, 0.0, 0.5,
+            at_clip(coeffs, schedule, 0.0, 0.5, controls, 2048,
+                    seed=62, clip_epsilon=0.01))
         assert report.passed
 
     def test_equal_kappas_rejected(self, ou_model, unit_band):
@@ -313,16 +336,18 @@ class TestMomentBound:
         grid = g.TimeGrid(1.0, 64)
         controls = g.sample_controls("constants", unit_band, grid, 1, seed=0)
         with pytest.raises(CouplingError, match="entropy|log-Harnack"):
-            g.moment_bound_check(coeffs, schedule, 0.0, 0.5, controls, 512,
-                                 seed=63, clip_epsilon=0.05)
+            g.moment_bound_check(
+                coeffs, schedule, 0.0, 0.5,
+                at_clip(coeffs, schedule, 0.0, 0.5, controls, 512,
+                        seed=63, clip_epsilon=0.05))
 
 
 class TestCouplingSuccess:
     def test_equal_starts_all_zero(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
         bundles = [
-            g.simulate_coupled(coeffs, schedule, 0.1, 0.1, c, seed=71,
-                               clip_epsilon=eps, n_paths=128)
+            coupled(coeffs, schedule, 0.1, 0.1, c, seed=71,
+                    clip_epsilon=eps, n_paths=128)
             for eps in (0.2, 0.1) for c in controls[:2]
         ]
         report = g.coupling_success_check(bundles)
@@ -335,9 +360,9 @@ class TestCouplingSuccess:
         def bundles():
             for eps in (0.2, 0.1, 0.05, 0.025):
                 for c in controls:
-                    yield g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c,
-                                             seed=72, clip_epsilon=eps,
-                                             n_paths=1024)
+                    yield coupled(coeffs, schedule, 0.0, 0.5, c,
+                                  seed=72, clip_epsilon=eps,
+                                  n_paths=1024)
 
         report = g.coupling_success_check(bundles())
         assert report.strictly_decreasing
@@ -353,12 +378,34 @@ class TestCouplingSuccess:
         assert lams[-1] < 0.02
 
 
+class TestAllPathsExcluded:
+    def test_error_names_the_control_and_count(self, multiplicative_model,
+                                                pinched_band):
+        # alpha next to the cap makes lambda tiny, so every path turns stiff
+        coeffs = multiplicative_model
+        cap = 2.0 * coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
+        schedule = g.make_schedule(cap * (1.0 - 1e-6), coeffs, pinched_band, 1.0)
+        grid = g.TimeGrid(1.0, 8)
+        controls = g.sample_controls("constants", pinched_band, grid, 2, seed=3)
+        w = scaled_increments(5, 4, grid)
+        bundles = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 5, 0.25, w)
+                   for c in controls]
+        assert [b.n_stiff for b in bundles] == [4, 4]
+        samples = [b.at_clip() for b in bundles]
+        with pytest.raises(CouplingError, match="control 0: all 4 paths"):
+            g.entropy_bound_check(coeffs, schedule, 0.0, 0.5, samples)
+        with pytest.raises(CouplingError, match="control 0: all 4 paths"):
+            g.moment_bound_check(coeffs, schedule, 0.0, 0.5, samples)
+        with pytest.raises(CouplingError, match=r"bundle 0 .*: all 4 paths"):
+            g.coupling_success_check(bundles)
+
+
 class TestBundleExport:
     def test_csv_columns(self, acc_setup, tmp_path):
         coeffs, band, schedule, grid, controls = acc_setup
         bundles = [
-            g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, seed=81,
-                               clip_epsilon=0.01, n_paths=4)
+            coupled(coeffs, schedule, 0.0, 0.5, c, seed=81,
+                    clip_epsilon=0.01, n_paths=4)
             for c in controls[:2]
         ]
         path = tmp_path / "paths.csv"

@@ -12,6 +12,12 @@ def grid():
     return g.TimeGrid(1.0, 128)
 
 
+def first_path(control, seed):
+    """One-path batch under the control: row 0 of the seed's increments."""
+    return _simulate_batch(control, control.grid,
+                           scaled_increments(seed, 1, control.grid))
+
+
 class TestSampleControls:
     def test_constants_include_endpoints(self, wide_band, grid):
         controls = g.sample_controls("constants", wide_band, grid, 2, seed=0)
@@ -55,36 +61,38 @@ class TestSampleControls:
 
 
 class TestSimulateGbm:
+    """Single B-paths, read as row 0 of a PathBatch."""
+
     def test_unit_control_reproduces_wiener(self, grid):
         band = g.VolatilityBand(1.0, 1.0)
         (control,) = g.sample_controls("constants", band, grid, 1, seed=0)
-        path = g.simulate_gbm(control, seed=4)
-        assert path.b_path[0] == 0.0
-        assert np.allclose(path.b_path[1:], np.cumsum(path.w_increments))
+        path = first_path(control, seed=4)
+        assert path.b_path[0, 0] == 0.0
+        assert np.allclose(path.b_path[0, 1:], np.cumsum(path.w[0]))
 
     def test_constant_upper_control_qv_exact(self, wide_band, grid):
         controls = g.sample_controls("constants", wide_band, grid, 2, seed=0)
-        path = g.simulate_gbm(controls[1], seed=4)
+        path = first_path(controls[1], seed=4)
         expect = wide_band.sigma_upper ** 2 * grid.nodes
-        assert np.allclose(path.qv_path, expect, atol=1e-12)
+        assert np.allclose(path.qv_path[0], expect, atol=1e-12)
 
     def test_qv_sandwich_every_pair(self, wide_band, grid):
         controls = g.sample_controls("random", wide_band, grid, 3, seed=7)
         lo2, hi2 = wide_band.sigma_lower ** 2, wide_band.sigma_upper ** 2
         for control in controls:
-            path = g.simulate_gbm(control, seed=11)
-            assert path.qv_path[0] == 0.0
-            assert np.all(np.diff(path.qv_path) >= 0.0)
+            qv = first_path(control, seed=11).qv_path[0]
+            assert qv[0] == 0.0
+            assert np.all(np.diff(qv) >= 0.0)
             for i in range(0, grid.n_steps, 17):
                 for j in range(i + 1, grid.n_steps + 1, 29):
-                    inc = path.qv_path[j] - path.qv_path[i]
+                    inc = qv[j] - qv[i]
                     span = grid.nodes[j] - grid.nodes[i]
                     assert lo2 * span - 1e-12 <= inc <= hi2 * span + 1e-12
 
     def test_deterministic_given_control_and_seed(self, wide_band, grid):
         (control,) = g.sample_controls("bang_bang", wide_band, grid, 1, seed=0)
-        p1 = g.simulate_gbm(control, seed=123)
-        p2 = g.simulate_gbm(control, seed=123)
+        p1 = first_path(control, seed=123)
+        p2 = first_path(control, seed=123)
         assert np.array_equal(p1.b_path, p2.b_path)
         assert np.array_equal(p1.qv_path, p2.qv_path)
 
@@ -285,5 +293,5 @@ class TestCounterBasedStreams:
     def test_batch_matches_single_path(self, wide_band, grid):
         (control,) = g.sample_controls("bang_bang", wide_band, grid, 1, seed=0)
         batch = _simulate_batch(control, grid, scaled_increments(5, 3, grid))
-        single = g.simulate_gbm(control, seed=5)
-        assert np.array_equal(batch.b_path[0], single.b_path)
+        single = first_path(control, seed=5)
+        assert np.array_equal(batch.b_path[0], single.b_path[0])
