@@ -116,14 +116,21 @@ def run_coupling(cfg: RunConfig):
     controls = _controls_for(cfg)
     x0, y0 = cfg.check_x, cfg.check_y
     w = sc.scaled_increments(cfg.seed, cfg.n_paths, cfg.grid)
+    sweep = [frac * T for frac in _SWEEP_FRACTIONS]
+    # One run per control at the smallest clip serves every clip node.
+    run_epsilon = min(cfg.clip_epsilon, *sweep)
 
-    def bundle(control, clip_epsilon, rows=w):
-        return cpl.simulate_coupled(cfg.coeffs, schedule, x0, y0, control,
-                                    cfg.seed, clip_epsilon, rows)
+    def read(control):
+        # One bundle in memory at a time: keep its clip samples and a copy
+        # of the export rows. Row p of the increments is path p's own
+        # stream, so the export paths are the bundle's first rows.
+        bundle = cpl.simulate_coupled(cfg.coeffs, schedule, x0, y0, control,
+                                      cfg.seed, run_epsilon, w)
+        return (bundle.at_clip(cfg.clip_epsilon),
+                [bundle.at_clip(eps) for eps in sweep],
+                bundle.head(_EXPORT_PATHS))
 
-    # One bundle in memory at a time: keep only its clip-node sample.
-    at_clip = [bundle(control, cfg.clip_epsilon).at_clip()
-               for control in controls]
+    at_clip, sweep_samples, export = zip(*[read(c) for c in controls])
     entropy = cpl.entropy_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
     entries = [{"kind": "entropy", **_slack_dict(entropy)}]
     if cfg.coeffs.kappa2 > cfg.coeffs.kappa1:
@@ -131,8 +138,7 @@ def run_coupling(cfg: RunConfig):
         entries.append({"kind": "moment", **_slack_dict(moment)})
 
     trend = cpl.coupling_success_check(
-        bundle(control, frac * T)
-        for frac in _SWEEP_FRACTIONS for control in controls)
+        schedule, x0, y0, [s for samples in sweep_samples for s in samples])
     entries.append({
         "kind": "coupling_trend", "fitted_C": trend.fitted_C,
         "theory_C": trend.theory_C,
@@ -141,14 +147,11 @@ def run_coupling(cfg: RunConfig):
         "rows": [dataclasses.asdict(r) for r in trend.rows],
     })
 
-    # Row p of the increments is path p's own stream, so the export paths
-    # are the first rows of the bundles above.
-    export = [bundle(control, cfg.clip_epsilon, w[:_EXPORT_PATHS])
-              for control in controls]
-    qv_pass = all(cpl.girsanov_shifted_qv_check(b) for b in export)
+    qv_pass = all(cpl.girsanov_shifted_qv_check(b, cfg.clip_epsilon)
+                  for b in export)
     entries.append({"kind": "shifted_qv", "passed": qv_pass,
-                    "discrepancy": max(cpl.shifted_qv_discrepancy(b)
-                                       for b in export),
+                    "discrepancy": max(cpl.shifted_qv_discrepancy(
+                        b, cfg.clip_epsilon) for b in export),
                     "tolerance": 10.0 * cfg.grid.dt * T})
     return entries, {"paths": export}, []
 
@@ -265,7 +268,8 @@ def _run(args) -> int:
     if "grid_u" in artifacts:
         artifacts["grid_u"].to_csv(out / "grid_u.csv")
     if "paths" in artifacts:
-        cpl.export_bundle_csv(artifacts["paths"], out / "paths.csv")
+        cpl.export_bundle_csv(artifacts["paths"], out / "paths.csv",
+                              cfg.clip_epsilon)
     if "harnack_rows" in artifacts:
         rows = [hk.CSV_HEADER]
         rows.extend(r.csv_row() for r in artifacts["harnack_rows"])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .model import (
     make_payoff,
 )
 from .gheat import PdeConfig, PdeError
+from .coupling import bundle_nbytes
 
 
 class ConfigError(ValueError):
@@ -167,6 +169,14 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     n_paths = _get(cpl, "n_paths", int)
     if n_paths < 100:
         raise ConfigError("coupling.n_paths", f"need >= 100, got {n_paths}")
+    need = bundle_nbytes(n_paths, n_steps)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            "coupling.n_paths",
+            f"{n_paths} paths x {n_steps} steps need {need / 2 ** 30:.3g} GiB "
+            f"of coupled path arrays, more than the {have / 2 ** 30:.3g} GiB "
+            "of physical memory")
     n_controls = _get(cpl, "n_controls", int)
     if n_controls < 1:
         raise ConfigError("coupling.n_controls", f"need >= 1, got {n_controls}")

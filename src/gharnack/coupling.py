@@ -7,10 +7,19 @@ The attracting drift g = (X - Y) / (lambda * sigma(X)) has a 1/lambda
 singularity at the horizon; simulation clips at T - epsilon and continues with
 g frozen to zero (both processes then share identical noise), mirroring the
 L^2 extension of the drift to the full interval.
+
+Simulate at the smallest clip, read earlier nodes: every statistic is read at
+the clip node of its epsilon, and before that node g is active whatever the
+clip, so a bundle simulated at a smaller epsilon holds the same (x, y, log M)
+there, bit for bit. The stiff-step bridge noise is drawn in step order, so it
+too has drawn the same values up to that node. A clip sweep therefore needs
+one bundle per control, simulated at the smallest epsilon of the sweep; after
+the node of a larger epsilon, its g counts as zero.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -142,11 +151,31 @@ def moment_bound_value(schedule: CouplingSchedule, kappa1: float, kappa2: float,
     return math.exp(exponent)
 
 
+def _clip_index(grid: TimeGrid, clip_epsilon: float) -> int:
+    """The last grid node at or before T - clip_epsilon."""
+    T = grid.horizon
+    if not 0.0 < clip_epsilon <= T / 4.0:
+        raise CouplingError(
+            f"clip_epsilon must lie in (0, T/4], got {clip_epsilon} (T={T:g})"
+        )
+    return int(np.searchsorted(grid.nodes, T - clip_epsilon, side="right")) - 1
+
+
+def bundle_nbytes(n_paths: int, n_steps: int) -> int:
+    """Bytes of the per-path arrays of one bundle (w, levels, x, y, g and
+    log m), each at most n_steps + 1 doubles a path."""
+    return 6 * n_paths * (n_steps + 1) * 8
+
+
 @dataclass(frozen=True)
 class ClipSample:
-    """One bundle at its clip node: (m, |x - y|, log m) of the included
-    paths, and the number of paths the stiff-step guard excluded."""
+    """One bundle at the clip node of `epsilon`: (m, |x - y|, log m) of the
+    paths still included there, the number the stiff-step guard had excluded
+    by then, and the node's time and lambda."""
 
+    epsilon: float
+    clip_time: float
+    lambda_at_clip: float
     m: np.ndarray
     gap: np.ndarray
     log_m: np.ndarray
@@ -181,7 +210,9 @@ class PathBundle:
     y_path: np.ndarray
     g_path: np.ndarray
     log_m_path: np.ndarray
-    stiff_mask: np.ndarray  # paths excluded by the overflow guard
+    # Step during which the overflow guard excluded each path, n_steps if
+    # never: a path excluded during step j is still included at node j.
+    stiff_step: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -193,23 +224,49 @@ class PathBundle:
 
     @property
     def n_stiff(self) -> int:
-        return int(self.stiff_mask.sum())
+        return int(np.count_nonzero(self.stiff_step < self.grid.n_steps))
 
-    @property
-    def clip_time(self) -> float:
-        return float(self.grid.nodes[self.clip_index])
+    def node(self, epsilon: float | None = None) -> int:
+        """Grid index of the clip node of `epsilon` (default: the bundle's
+        own). An epsilon below the bundle's own raises: its node may lie
+        past the bundle's clip, where g was already frozen."""
+        if epsilon is None:
+            return self.clip_index
+        if epsilon < self.clip_epsilon:
+            raise CouplingError(
+                f"clip_epsilon {epsilon:g} lies below the bundle's own "
+                f"{self.clip_epsilon:g}, where g was already frozen")
+        return _clip_index(self.grid, epsilon)
 
-    def included(self) -> np.ndarray:
-        return ~self.stiff_mask
+    def included(self, epsilon: float | None = None) -> np.ndarray:
+        """Paths not excluded by the clip node of `epsilon`."""
+        return self.stiff_step >= self.node(epsilon)
 
-    def at_clip(self) -> ClipSample:
-        """The included paths at the clip node."""
-        keep = self.included()
-        j = self.clip_index
+    def at_clip(self, epsilon: float | None = None) -> ClipSample:
+        """The included paths at the clip node of `epsilon` (default: the
+        bundle's own clip)."""
+        j = self.node(epsilon)
+        keep = self.included(epsilon)
         logm = self.log_m_path[keep, j]
         gap = np.abs(self.x_path[keep, j] - self.y_path[keep, j])
-        return ClipSample(m=np.exp(logm), gap=gap, log_m=logm,
-                          n_excluded=self.n_stiff)
+        t = float(self.grid.nodes[j])
+        return ClipSample(
+            epsilon=self.clip_epsilon if epsilon is None else float(epsilon),
+            clip_time=t, lambda_at_clip=float(self.schedule.value(t)),
+            m=np.exp(logm), gap=gap, log_m=logm,
+            n_excluded=keep.size - int(np.count_nonzero(keep)))
+
+    def head(self, n_paths: int) -> "PathBundle":
+        """A copy of the first `n_paths` rows, holding no reference to this
+        bundle's arrays. A bundle simulated on those rows of `w` alone has
+        the same paths, unless a later row drew stiff-step bridge noise
+        before one of them did."""
+        rows = {name: np.array(getattr(self, name)[:n_paths])
+                for name in ("w", "levels", "x_path", "y_path", "g_path",
+                             "log_m_path", "stiff_step")}
+        for arr in rows.values():
+            arr.setflags(write=False)
+        return dataclasses.replace(self, **rows)
 
 
 def _bridge_split(total: np.ndarray, n_sub: int, dt_sub: float,
@@ -229,15 +286,13 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     sigma(Y) g d<B> with g = (X - Y)/(lambda sigma(X)); the density is
     advanced in log space, log M += -g dB - g^2 d<B> / 2. Steps with
     |g| dt beyond the overflow threshold are retried with locally halved
-    substeps (Brownian-bridge noise); still-stiff paths are excluded and
-    counted. `seed` keys the bridge noise of the retried steps.
+    substeps (Brownian-bridge noise); a still-stiff path is excluded, and
+    the step recorded in `stiff_step`. `seed` keys the bridge noise of the
+    retried steps.
     """
     grid = control.grid
     T = grid.horizon
-    if not 0.0 < clip_epsilon <= T / 4.0:
-        raise CouplingError(
-            f"clip_epsilon must lie in (0, T/4], got {clip_epsilon} (T={T:g})"
-        )
+    clip_index = _clip_index(grid, clip_epsilon)
     if abs(T - schedule.T) > 1e-12 * max(1.0, T):
         raise CouplingError("control grid horizon differs from schedule horizon")
     n_paths, n_steps = w.shape
@@ -245,7 +300,6 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
         raise CouplingError(
             f"w has {n_steps} columns, the grid has {grid.n_steps} steps")
     dt = grid.dt
-    clip_index = int(np.searchsorted(grid.nodes, T - clip_epsilon, side="right")) - 1
 
     w = w.view()  # made read-only below; the caller's array stays writable
     levels = np.empty((n_paths, n_steps))
@@ -258,7 +312,7 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     logm_path = np.zeros((n_paths, n_steps + 1))
     x_path[:, 0] = x
     y_path[:, 0] = y
-    stiff = np.zeros(n_paths, dtype=bool)
+    stiff_step = np.full(n_paths, n_steps)
     bridge_rng = None
 
     lam_nodes = schedule.value(grid.nodes)
@@ -266,13 +320,14 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     def one_step(xs, ys, lms, t, lam_t, lv, dW, dt_loc, with_g):
         dB = lv * dW
         dqv = lv * lv * dt_loc
+        sx = coeffs.sigma(t, xs)
+        sy = coeffs.sigma(t, ys)
         if with_g:
-            g = (xs - ys) / (lam_t * coeffs.sigma(t, xs))
+            g = (xs - ys) / (lam_t * sx)
         else:
             g = np.zeros_like(xs)
-        xn = euler_step(coeffs, t, xs, dt_loc, dqv, dB)
-        yn = (euler_step(coeffs, t, ys, dt_loc, dqv, dB)
-              + coeffs.sigma(t, ys) * g * dqv)
+        xn = euler_step(coeffs, t, xs, sx, dt_loc, dqv, dB)
+        yn = euler_step(coeffs, t, ys, sy, dt_loc, dqv, dB) + sy * g * dqv
         lmn = lms - g * dB - 0.5 * g * g * dqv
         return xn, yn, lmn, g
 
@@ -291,7 +346,7 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
             if bridge_rng is None:
                 bridge_rng = np.random.default_rng(
                     np.random.Philox(key=np.array([seed, 1 << 32], dtype=np.uint64)))
-            idx = np.nonzero(trouble & ~stiff)[0]
+            idx = np.nonzero(trouble & (stiff_step == n_steps))[0]
             for p in idx:
                 ok = False
                 for halving in range(1, _MAX_HALVINGS + 1):
@@ -320,7 +375,7 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
                         ok = True
                         break
                 if not ok:
-                    stiff[p] = True
+                    stiff_step[p] = j
                     xn[p], yn[p], lmn[p] = x[p], y[p], logm[p]  # frozen
 
         x, y, logm = xn, yn, lmn
@@ -328,33 +383,43 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
         y_path[:, j + 1] = y
         logm_path[:, j + 1] = logm
 
-    for arr in (w, levels, x_path, y_path, g_path, logm_path, stiff):
+    for arr in (w, levels, x_path, y_path, g_path, logm_path, stiff_step):
         arr.setflags(write=False)
     return PathBundle(grid=grid, control=control, schedule=schedule, x0=float(x0),
                       y0=float(y0), clip_epsilon=float(clip_epsilon),
                       clip_index=clip_index, w=w, levels=levels, x_path=x_path,
                       y_path=y_path, g_path=g_path, log_m_path=logm_path,
-                      stiff_mask=stiff)
+                      stiff_step=stiff_step)
 
 
-def shifted_qv_discrepancy(bundle: PathBundle) -> float:
-    """Mean over paths of |QV(B_hat) - QV(B)| up to the horizon.
+def shifted_qv_discrepancy(bundle: PathBundle,
+                           clip_epsilon: float | None = None) -> float:
+    """Mean over paths of |QV(B_hat) - QV(B)| up to the horizon, with g
+    clipped at `clip_epsilon` (default: the bundle's own clip).
 
     The shifted increments dB_hat = dB + g d<B> must accumulate the same
     quadratic variation as B; the discrete mismatch is the Euler cross term
-    and shrinks linearly with the step size.
+    and shrinks linearly with the step size. After the clip node g is
+    exactly zero, so every term there is exactly zero.
     """
+    j = bundle.node(clip_epsilon)
     dt = bundle.grid.dt
     dB = bundle.levels * bundle.w
     dqv = bundle.levels ** 2 * dt
-    dBh = dB + bundle.g_path[:, :-1] * dqv
+    g = bundle.g_path[:, :-1].copy()
+    g[:, j:] = 0.0
+    dBh = dB + g * dqv
     disc = np.abs(np.sum(dBh ** 2 - dB ** 2, axis=1))
-    return float(np.mean(disc[bundle.included()]))
+    return float(np.mean(disc[bundle.included(clip_epsilon)]))
 
 
-def girsanov_shifted_qv_check(bundle: PathBundle, rate: float = 10.0) -> bool:
-    """Pass iff the shifted-QV mismatch stays below rate * dt per unit time."""
-    return shifted_qv_discrepancy(bundle) <= rate * bundle.grid.dt * bundle.grid.horizon
+def girsanov_shifted_qv_check(bundle: PathBundle,
+                              clip_epsilon: float | None = None,
+                              rate: float = 10.0) -> bool:
+    """Pass iff the shifted-QV mismatch, g clipped at `clip_epsilon`, stays
+    below rate * dt per unit time."""
+    return (shifted_qv_discrepancy(bundle, clip_epsilon)
+            <= rate * bundle.grid.dt * bundle.grid.horizon)
 
 
 @dataclass(frozen=True)
@@ -443,36 +508,36 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[np.searchsorted(cum, 0.5 * cum[-1])])
 
 
-def coupling_success_check(bundles: Iterable[PathBundle]) -> CouplingTrendReport:
+def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
+                           samples: Iterable[ClipSample]) -> CouplingTrendReport:
     """Check the coupling-success proxy over a clip sweep.
 
     The entropy argument forces the M-weighted second moment of the gap at
     time s below |x-y|^2 lambda(s)/lambda(0), so the M-weighted mean gap must
     decrease with the clip and stay under C sqrt(lambda) for
-    C = |x-y|/sqrt(lambda(0)). Consumes the bundles one at a time.
+    C = |x-y|/sqrt(lambda(0)). `samples` holds one clip sample per
+    (epsilon, control), each control's bundles started at (x0, y0); within
+    one epsilon they come in control order, and the first control wins a tie.
     """
     per_clip: dict[float, dict] = {}
-    theory_C = None
-    for k, bundle in enumerate(bundles):
-        eps = bundle.clip_epsilon
-        sample = bundle.at_clip().require_included(
-            f"bundle {k} (clip_epsilon {eps:g})")
+    theory_C = abs(float(x0) - float(y0)) / math.sqrt(schedule.lambda0)
+    for k, sample in enumerate(samples):
+        eps = sample.epsilon
+        sample.require_included(f"bundle {k} (clip_epsilon {eps:g})")
         m, gap = sample.m, sample.gap
         wsum = float(np.sum(m))
         wmean = float(np.sum(m * gap) / wsum)
         se = float(np.std(m * gap, ddof=1) / math.sqrt(m.size) / (wsum / m.size)) \
             if m.size > 1 else 0.0
         med = _weighted_median(gap, m)
-        lam_clip = float(bundle.schedule.value(bundle.clip_time))
-        if theory_C is None:
-            theory_C = abs(bundle.x0 - bundle.y0) / math.sqrt(bundle.schedule.lambda0)
         cur = per_clip.get(eps)
         # sup over controls at each clip time
         if cur is None or wmean > cur["wmean"]:
             per_clip[eps] = {"wmean": wmean, "med": med, "se": se,
-                             "lam": lam_clip, "time": bundle.clip_time}
+                             "lam": sample.lambda_at_clip,
+                             "time": sample.clip_time}
     if not per_clip:
-        raise CouplingError("no bundles supplied")
+        raise CouplingError("no samples supplied")
 
     rows = []
     for eps in sorted(per_clip, reverse=True):
@@ -492,13 +557,15 @@ def coupling_success_check(bundles: Iterable[PathBundle]) -> CouplingTrendReport
                                passed=decreasing and bounded)
 
 
-def export_bundle_csv(bundles: Sequence[PathBundle], path) -> None:
-    """Per-path summaries at the clip node."""
+def export_bundle_csv(bundles: Sequence[PathBundle], path,
+                      clip_epsilon: float | None = None) -> None:
+    """Per-path summaries at the clip node of `clip_epsilon` (default: each
+    bundle's own clip)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("control_id,path_id,clip_time,x,y,abs_gap,m,log_m\n")
         for cid, bundle in enumerate(bundles):
-            j = bundle.clip_index
-            t = bundle.clip_time
+            j = bundle.node(clip_epsilon)
+            t = float(bundle.grid.nodes[j])
             for p in range(bundle.n_paths):
                 xv = float(bundle.x_path[p, j])
                 yv = float(bundle.y_path[p, j])

@@ -149,11 +149,13 @@ def sample_controls(strategy: str, band: VolatilityBand, grid: TimeGrid,
     raise ScenarioError(f"unknown control strategy {strategy!r}")
 
 
-def euler_step(coeffs: ModelCoefficients, t: float, x: np.ndarray, dt: float,
-               dqv: np.ndarray, dB: np.ndarray) -> np.ndarray:
+def euler_step(coeffs: ModelCoefficients, t: float, x: np.ndarray,
+               sigma_x: np.ndarray, dt: float, dqv: np.ndarray,
+               dB: np.ndarray) -> np.ndarray:
     """One Euler step of dX = b dt + h d<B> + sigma dB, with the increments
-    dqv = level^2 dt and dB = level dW of the driving path."""
-    return x + coeffs.b(t, x) * dt + coeffs.h(t, x) * dqv + coeffs.sigma(t, x) * dB
+    dqv = level^2 dt and dB = level dW of the driving path; `sigma_x` is
+    sigma(t, x), which the caller evaluates once and may reuse."""
+    return x + coeffs.b(t, x) * dt + coeffs.h(t, x) * dqv + sigma_x * dB
 
 
 def simulate_state_batch(coeffs: ModelCoefficients, control: Control, x0: float,
@@ -172,7 +174,8 @@ def simulate_state_batch(coeffs: ModelCoefficients, control: Control, x0: float,
         xj = x[:, j]
         lv = np.asarray(control.level(j, t, xj), dtype=float)
         levels[:, j] = lv
-        x[:, j + 1] = euler_step(coeffs, t, xj, dt, lv * lv * dt, lv * w[:, j])
+        x[:, j + 1] = euler_step(coeffs, t, xj, coeffs.sigma(t, xj), dt,
+                                 lv * lv * dt, lv * w[:, j])
     return x, levels
 
 

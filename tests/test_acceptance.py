@@ -168,14 +168,13 @@ def test_criterion_06_coupling_success_trend():
         coeffs, band, schedule, grid, controls = _acceptance_coupling_setup()
         T = grid.horizon
         w = scaled_increments(406, 2 ** 13, grid)
-
-        def bundles():
-            for frac in (0.2, 0.1, 0.05, 0.025):
-                for control in controls:
-                    yield g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
-                                             control, 406, frac * T, w)
-
-        trend = g.coupling_success_check(bundles())
+        sweep = [frac * T for frac in (0.2, 0.1, 0.05, 0.025)]
+        samples = []
+        for control in controls:
+            bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, control,
+                                        406, min(sweep), w)
+            samples.extend(bundle.at_clip(eps) for eps in sweep)
+        trend = g.coupling_success_check(schedule, 0.0, 0.5, samples)
         means = [r.weighted_mean for r in trend.rows]
         assert all(a > b for a, b in zip(means, means[1:]))
         assert trend.bounded

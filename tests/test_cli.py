@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -121,6 +123,25 @@ class TestCliExitCodes:
         bad.write_text(CFG.read_text().replace(old, new))
         assert run(["gheat", "--config", bad, "--out", tmp_path / "o"]) == 2
         assert f"[{field}]" in capsys.readouterr().err
+
+    def test_oversized_paths_are_exit_2_before_any_work(self, tmp_path,
+                                                        capsys):
+        big = tmp_path / "big.cfg"
+        big.write_text(CFG.read_text().replace("n_paths = 2048",
+                                               "n_paths = 10000000000000"))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = run(["suite", "--config", big, "--out", tmp_path / "o"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "[coupling.n_paths]" in capsys.readouterr().err
+        assert elapsed < 5.0
+        assert peak < 16 * 2 ** 20
+        assert not (tmp_path / "o").exists()
 
 
 class TestSubcommands:

@@ -6,6 +6,7 @@ from mpmath import mp
 from scipy.integrate import solve_ivp
 
 import gharnack as g
+from gharnack import coupling
 from gharnack.coupling import CouplingError, shifted_qv_discrepancy
 from gharnack.scenario import scaled_increments
 
@@ -154,6 +155,18 @@ def at_clip(coeffs, schedule, x0, y0, controls, n_paths, seed, clip_epsilon):
     w = scaled_increments(seed, n_paths, controls[0].grid)
     return [g.simulate_coupled(coeffs, schedule, x0, y0, c, seed, clip_epsilon,
                                w).at_clip() for c in controls]
+
+
+def sweep(coeffs, schedule, x0, y0, controls, n_paths, seed, epsilons):
+    """Clip samples of a sweep, (epsilon, control) in control-major order:
+    one bundle per control, simulated at the smallest clip."""
+    w = scaled_increments(seed, n_paths, controls[0].grid)
+    samples = []
+    for c in controls:
+        bundle = g.simulate_coupled(coeffs, schedule, x0, y0, c, seed,
+                                    min(epsilons), w)
+        samples.extend(bundle.at_clip(eps) for eps in epsilons)
+    return samples
 
 
 @pytest.fixture(scope="module")
@@ -345,26 +358,17 @@ class TestMomentBound:
 class TestCouplingSuccess:
     def test_equal_starts_all_zero(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundles = [
-            coupled(coeffs, schedule, 0.1, 0.1, c, seed=71,
-                    clip_epsilon=eps, n_paths=128)
-            for eps in (0.2, 0.1) for c in controls[:2]
-        ]
-        report = g.coupling_success_check(bundles)
+        samples = sweep(coeffs, schedule, 0.1, 0.1, controls[:2], 128,
+                        seed=71, epsilons=(0.2, 0.1))
+        report = g.coupling_success_check(schedule, 0.1, 0.1, samples)
         assert all(r.weighted_mean == 0.0 for r in report.rows)
         assert all(r.weighted_median == 0.0 for r in report.rows)
 
     def test_sweep_trend_and_bound(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-
-        def bundles():
-            for eps in (0.2, 0.1, 0.05, 0.025):
-                for c in controls:
-                    yield coupled(coeffs, schedule, 0.0, 0.5, c,
-                                  seed=72, clip_epsilon=eps,
-                                  n_paths=1024)
-
-        report = g.coupling_success_check(bundles())
+        samples = sweep(coeffs, schedule, 0.0, 0.5, controls, 1024, seed=72,
+                        epsilons=(0.2, 0.1, 0.05, 0.025))
+        report = g.coupling_success_check(schedule, 0.0, 0.5, samples)
         assert report.strictly_decreasing
         assert report.bounded
         assert report.passed
@@ -397,7 +401,94 @@ class TestAllPathsExcluded:
         with pytest.raises(CouplingError, match="control 0: all 4 paths"):
             g.moment_bound_check(coeffs, schedule, 0.0, 0.5, samples)
         with pytest.raises(CouplingError, match=r"bundle 0 .*: all 4 paths"):
-            g.coupling_success_check(bundles)
+            g.coupling_success_check(schedule, 0.0, 0.5, samples)
+
+
+SWEEP = (0.2, 0.1, 0.05, 0.025)
+
+
+@pytest.fixture
+def late_exclusion(monkeypatch):
+    """Guard settings under which alpha = 1.55 and level 1.1 exclude about
+    half the paths in step 61 of 64, between the clip nodes of 0.05 (node
+    60) and 0.025 (node 62): no retry, and a threshold above |g| dt at every
+    earlier step (at most 0.73) and near its median in step 61."""
+    monkeypatch.setattr(coupling, "_STIFF_G_DT", 3.2)
+    monkeypatch.setattr(coupling, "_MAX_HALVINGS", 0)
+
+
+class TestOnePassSweep:
+    """A bundle simulated at the smallest clip holds every larger clip's
+    node exactly as a bundle simulated at that clip does."""
+
+    @staticmethod
+    def make_case(coeffs, band, alpha):
+        schedule = g.make_schedule(alpha, coeffs, band, 1.0)
+        grid = g.TimeGrid(1.0, 64)
+        controls = g.sample_controls("constants", band, grid, 2, seed=3)
+        return schedule, controls, scaled_increments(91, 256, grid)
+
+    @staticmethod
+    def assert_same(one_pass, separate):
+        for name in ("m", "gap", "log_m"):
+            assert getattr(one_pass, name).tobytes() == \
+                getattr(separate, name).tobytes(), name
+        for name in ("epsilon", "clip_time", "lambda_at_clip", "n_excluded"):
+            assert getattr(one_pass, name) == getattr(separate, name), name
+
+    @pytest.mark.parametrize("alpha", [0.81, 1.55])
+    def test_nodes_match_separate_bundles(self, multiplicative_model,
+                                          pinched_band, late_exclusion, alpha):
+        coeffs = multiplicative_model
+        schedule, controls, w = self.make_case(coeffs, pinched_band, alpha)
+        for c in controls:
+            run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 91,
+                                     min(SWEEP), w)
+            for eps in SWEEP:
+                alone = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 91,
+                                           eps, w)
+                self.assert_same(run.at_clip(eps), alone.at_clip())
+                assert shifted_qv_discrepancy(run, eps) == \
+                    shifted_qv_discrepancy(alone)
+
+    def test_path_excluded_between_nodes(self, multiplicative_model,
+                                         pinched_band, late_exclusion):
+        coeffs = multiplicative_model
+        schedule, controls, w = self.make_case(coeffs, pinched_band, 1.55)
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[1], 91,
+                                 0.025, w)
+        late = np.nonzero(run.stiff_step == 61)[0]
+        assert 0 < late.size < 256 and run.n_stiff == late.size
+        assert np.all(run.included(0.05)[late])
+        assert not np.any(run.included(0.025)[late])
+        assert run.at_clip(0.05).n_excluded == 0
+        assert run.at_clip(0.025).n_excluded == late.size
+        assert run.at_clip(0.025).m.size == 256 - late.size
+
+    def test_clip_below_the_bundles_own_rejected(self, acc_setup):
+        coeffs, band, schedule, grid, controls = acc_setup
+        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[0], seed=92,
+                         clip_epsilon=0.05, n_paths=8)
+        bundle.at_clip(0.1)
+        for eps in (0.025, 0.049):
+            with pytest.raises(CouplingError, match="below the bundle"):
+                bundle.at_clip(eps)
+            with pytest.raises(CouplingError, match="below the bundle"):
+                shifted_qv_discrepancy(bundle, eps)
+
+    def test_head_is_a_copy_of_a_smaller_bundle(self, acc_setup):
+        coeffs, band, schedule, grid, controls = acc_setup
+        big = coupled(coeffs, schedule, 0.0, 0.5, controls[3], seed=93,
+                      clip_epsilon=0.025, n_paths=256)
+        small = coupled(coeffs, schedule, 0.0, 0.5, controls[3], seed=93,
+                        clip_epsilon=0.025, n_paths=64)
+        head = big.head(64)
+        for name in ("w", "levels", "x_path", "y_path", "g_path",
+                     "log_m_path", "stiff_step"):
+            assert getattr(head, name).tobytes() == \
+                getattr(small, name).tobytes(), name
+            assert not np.shares_memory(getattr(head, name),
+                                        getattr(big, name))
 
 
 class TestBundleExport:
