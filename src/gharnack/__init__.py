@@ -21,11 +21,13 @@ from .gheat import (
     PdeConfig,
     PdeError,
     PolicyTable,
+    Semigroups,
     auto_pde_config,
     feedback_optimal_control,
     solve_g_heat,
     solve_g_hjb,
-    solve_with_tolerance,
+    solve_semigroups,
+    solve_stack,
 )
 from .scenario import (
     EstimateWithError,

@@ -22,7 +22,7 @@ from . import coupling as cpl
 from . import harnack as hk
 from . import scenario as sc
 from .config import ConfigError, RunConfig, parse_run_config
-from .gheat import _UNIT_COEFFS, PdeError, solve_g_heat, solve_with_tolerance
+from .gheat import _UNIT_COEFFS, PdeError, Semigroups, solve_semigroups
 from .model import ModelError, default_state_domain, validate_coefficients
 from .scenario import ScenarioError
 from .coupling import CouplingError
@@ -61,20 +61,40 @@ def _validate_model(cfg: RunConfig):
 
 
 def run_gheat(cfg: RunConfig):
-    u, tol = solve_with_tolerance(_UNIT_COEFFS, cfg.band, cfg.payoff,
-                                  cfg.grid.horizon, cfg.pde)
+    heat = solve_semigroups(_UNIT_COEFFS, cfg.band, cfg.grid.horizon, cfg.pde,
+                            [cfg.payoff])
+    u = heat.fine[cfg.payoff]
     entry = {"kind": "gheat", "payoff": cfg.payoff.name, "x": cfg.check_x,
-             "value": float(u(cfg.check_x)), "tolerance": tol(cfg.check_x)}
+             "value": float(u(cfg.check_x)),
+             "tolerance": heat.tolerance(cfg.payoff, cfg.check_x)}
     return [entry], {"grid_u": u}, []
 
 
-def run_semigroup(cfg: RunConfig):
+def solve_model(cfg: RunConfig, harnack: bool = False):
+    """The model semigroup of one run: validate the coefficients, then solve
+    P_T f, and for the Harnack checks P_T log f and (when kappa2 > kappa1)
+    P_T f^p, in one stacked pass on each of the two grids.
+
+    Returns the Semigroups and the (log f, f^p) Payoff keys of its rows, None
+    where not solved.
+    """
     _validate_model(cfg)
-    u, tol = solve_with_tolerance(cfg.coeffs, cfg.band, cfg.payoff,
-                                  cfg.grid.horizon, cfg.pde)
+    log_f = f_p = None
+    if harnack:
+        log_f = hk.log_payoff(cfg.payoff)
+        if cfg.coeffs.kappa2 > cfg.coeffs.kappa1:
+            f_p = hk.power_payoff(cfg.coeffs, cfg.payoff, cfg.check_p)
+    payoffs = [q for q in (cfg.payoff, log_f, f_p) if q is not None]
+    semigroups = solve_semigroups(cfg.coeffs, cfg.band, cfg.grid.horizon,
+                                  cfg.pde, payoffs)
+    return semigroups, log_f, f_p
+
+
+def run_semigroup(cfg: RunConfig, semigroups: Semigroups):
+    u = semigroups.fine[cfg.payoff]
     entries = [
         {"kind": "semigroup", "payoff": cfg.payoff.name, "x": pt,
-         "value": float(u(pt)), "tolerance": tol(pt)}
+         "value": float(u(pt)), "tolerance": semigroups.tolerance(cfg.payoff, pt)}
         for pt in (cfg.check_x, cfg.check_y)
     ]
     return entries, {"grid_u": u}, []
@@ -82,14 +102,14 @@ def run_semigroup(cfg: RunConfig):
 
 def run_scenario(cfg: RunConfig):
     """Sup-over-controls MC against the PDE oracle, plus Young trials."""
-    T = cfg.grid.horizon
-    u, tol = solve_with_tolerance(_UNIT_COEFFS, cfg.band, cfg.payoff, T, cfg.pde)
-    pde_value = float(u(0.0))
-    pde_tol = tol(0.0)
-    _, policy = solve_g_heat(cfg.payoff, cfg.band, T, cfg.pde,
-                             policy_times=cfg.grid.nodes[:-1])
+    # The fine G-heat pass records the feedback policy the controls follow.
+    heat = solve_semigroups(_UNIT_COEFFS, cfg.band, cfg.grid.horizon, cfg.pde,
+                            [cfg.payoff], policy_times=cfg.grid.nodes[:-1])
+    pde_value = float(heat.fine[cfg.payoff](0.0))
+    pde_tol = heat.tolerance(cfg.payoff, 0.0)
     controls = sc.sample_controls("feedback", cfg.band, cfg.grid,
-                                  cfg.n_controls, cfg.seed, policy=policy)
+                                  cfg.n_controls, cfg.seed,
+                                  policy=heat.policy[cfg.payoff])
     est = sc.upper_expectation_mc(sc.terminal_functional(cfg.payoff), controls,
                                   cfg.n_paths, cfg.seed)
     band_width = 3.0 * est.std_error + pde_tol
@@ -162,36 +182,33 @@ def _slack_dict(report) -> dict:
     return d
 
 
-def run_harnack(cfg: RunConfig):
-    _validate_model(cfg)
-    T = cfg.grid.horizon
-    reports = [hk.check_log_harnack(cfg.coeffs, cfg.band, cfg.payoff,
-                                    cfg.check_x, cfg.check_y, T, cfg.pde)]
-    if cfg.coeffs.kappa2 > cfg.coeffs.kappa1:
-        reports.append(hk.check_power_harnack(
-            cfg.coeffs, cfg.band, cfg.payoff, cfg.check_x, cfg.check_y, T,
-            cfg.check_p, cfg.pde))
-    reports.append(hk.lipschitz_transport_check(
-        cfg.coeffs, cfg.band, cfg.payoff, cfg.check_x, cfg.check_y, T, cfg.pde))
+def run_harnack(cfg: RunConfig, semigroups: Semigroups, log_f, f_p):
+    """Log-Harnack, power-Harnack (when f_p is solved) and Lipschitz
+    certificates, read from the rows of f, log f and f^p in `semigroups`."""
+    x, y = cfg.check_x, cfg.check_y
+    reports = [hk.check_log_harnack(semigroups, cfg.payoff, log_f, x, y)]
+    if f_p is not None:
+        reports.append(hk.check_power_harnack(semigroups, cfg.payoff, f_p, x,
+                                              y, cfg.check_p))
+    reports.append(hk.lipschitz_transport_check(semigroups, cfg.payoff, x, y))
     return [r.to_dict() for r in reports], {"harnack_rows": reports}, []
 
 
-def run_gradient(cfg: RunConfig):
-    _validate_model(cfg)
+def run_gradient(cfg: RunConfig, semigroups: Semigroups):
     grid_alpha = hk.make_alpha_grid(cfg.coeffs, cfg.alpha_grid_size)
-    report = hk.check_gradient_estimate(cfg.coeffs, cfg.band, cfg.payoff,
-                                        cfg.grid.horizon, cfg.pde, grid_alpha)
+    report = hk.check_gradient_estimate(semigroups, cfg.payoff, grid_alpha)
     return [report.to_dict()], {"harnack_rows": [report]}, []
 
 
 def run_suite(cfg: RunConfig):
+    semigroups, log_f, f_p = solve_model(cfg, harnack=True)
+    results = [run_semigroup(cfg, semigroups), run_scenario(cfg),
+               run_coupling(cfg), run_harnack(cfg, semigroups, log_f, f_p),
+               run_gradient(cfg, semigroups)]
     entries = []
     artifacts = {}
     estimates = []
-    runners = (run_semigroup, run_scenario, run_coupling, run_harnack,
-               run_gradient)
-    for runner in runners:
-        sub_entries, sub_art, sub_est = runner(cfg)
+    for sub_entries, sub_art, sub_est in results:
         entries.extend(sub_entries)
         rows = sub_art.pop("harnack_rows", None)
         if rows:
@@ -203,11 +220,11 @@ def run_suite(cfg: RunConfig):
 
 _RUNNERS = {
     "gheat": run_gheat,
-    "semigroup": run_semigroup,
+    "semigroup": lambda cfg: run_semigroup(cfg, solve_model(cfg)[0]),
     "scenario": run_scenario,
     "coupling": run_coupling,
-    "harnack": run_harnack,
-    "gradient": run_gradient,
+    "harnack": lambda cfg: run_harnack(cfg, *solve_model(cfg, harnack=True)),
+    "gradient": lambda cfg: run_gradient(cfg, solve_model(cfg)[0]),
     "suite": run_suite,
 }
 

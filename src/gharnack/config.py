@@ -22,7 +22,7 @@ from .model import (
     make_coefficient,
     make_payoff,
 )
-from .gheat import PdeConfig, PdeError
+from .gheat import PdeConfig, PdeError, solve_nbytes
 from .coupling import bundle_nbytes
 
 
@@ -51,6 +51,14 @@ class RunConfig:
     alpha_grid_size: int
     payoff: Payoff
     seed: int
+
+
+# Rows of the largest stacked PDE solve a run makes: f, log f and f^p.
+_STACK_ROWS = 3
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
@@ -146,6 +154,16 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         )
     except PdeError as exc:
         raise ConfigError("grid.n_space", str(exc)) from exc
+    # Every pass holds at most the largest stack, each row with a policy
+    # record at the n_steps times of the scenario runner's pass.
+    need = solve_nbytes(_STACK_ROWS, pde.n_space, n_steps)
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(
+            "grid.n_space",
+            f"{pde.n_space} intervals need {need / 2 ** 30:.3g} GiB of PDE "
+            f"working set, more than the {have / 2 ** 30:.3g} GiB of physical "
+            "memory")
 
     cpl = _section(cp, "coupling")
     alpha_raw = _get(cpl, "alpha", str, default="auto")
@@ -170,7 +188,6 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     if n_paths < 100:
         raise ConfigError("coupling.n_paths", f"need >= 100, got {n_paths}")
     need = bundle_nbytes(n_paths, n_steps)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
             "coupling.n_paths",

@@ -400,9 +400,16 @@ def shifted_qv_discrepancy(bundle: PathBundle,
     The shifted increments dB_hat = dB + g d<B> must accumulate the same
     quadratic variation as B; the discrete mismatch is the Euler cross term
     and shrinks linearly with the step size. After the clip node g is
-    exactly zero, so every term there is exactly zero.
+    exactly zero, so every term there is exactly zero. Raises CouplingError
+    when the stiff-step guard excluded every path by that clip node.
     """
     j = bundle.node(clip_epsilon)
+    keep = bundle.included(clip_epsilon)
+    if not keep.any():
+        eps = bundle.clip_epsilon if clip_epsilon is None else clip_epsilon
+        raise CouplingError(
+            f"shifted QV at clip_epsilon {eps:g}: all {keep.size} paths were "
+            "excluded by the stiff-step guard")
     dt = bundle.grid.dt
     dB = bundle.levels * bundle.w
     dqv = bundle.levels ** 2 * dt
@@ -410,7 +417,7 @@ def shifted_qv_discrepancy(bundle: PathBundle,
     g[:, j:] = 0.0
     dBh = dB + g * dqv
     disc = np.abs(np.sum(dBh ** 2 - dB ** 2, axis=1))
-    return float(np.mean(disc[bundle.included(clip_epsilon)]))
+    return float(np.mean(disc[keep]))
 
 
 def girsanov_shifted_qv_check(bundle: PathBundle,

@@ -118,19 +118,19 @@ class PolicyTable:
                         self.band.sigma_lower)
 
 
-def _pad_linear(u: np.ndarray) -> np.ndarray:
-    """Ghost nodes by linear extrapolation; forces u_xx = 0 at the boundary."""
-    left = 2.0 * u[0] - u[1]
-    right = 2.0 * u[-1] - u[-2]
-    return np.concatenate(([left], u, [right]))
+def _fill_ghosts(up: np.ndarray) -> None:
+    """Ghost nodes of padded rows by linear extrapolation; forces u_xx = 0 at
+    the boundary."""
+    up[..., 0] = 2.0 * up[..., 1] - up[..., 2]
+    up[..., -1] = 2.0 * up[..., -2] - up[..., -3]
 
 
-def _hamiltonian_argument(u: np.ndarray, dx: float, h_vec: np.ndarray,
+def _hamiltonian_argument(up: np.ndarray, dx: float, two_h: np.ndarray,
                           sig2_vec: np.ndarray) -> np.ndarray:
-    up = _pad_linear(u)
-    d1c = (up[2:] - up[:-2]) / (2.0 * dx)
-    d2 = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / (dx * dx)
-    return 2.0 * h_vec * d1c + sig2_vec * d2
+    """2 h u_x + sigma^2 u_xx by central differences on ghost-padded rows."""
+    d1c = (up[..., 2:] - up[..., :-2]) / (2.0 * dx)
+    d2 = (up[..., 2:] - 2.0 * up[..., 1:-1] + up[..., :-2]) / (dx * dx)
+    return two_h * d1c + sig2_vec * d2
 
 
 def _upper_wins(a: np.ndarray, u: np.ndarray, dx: float, h_vec: np.ndarray,
@@ -138,10 +138,10 @@ def _upper_wins(a: np.ndarray, u: np.ndarray, dx: float, h_vec: np.ndarray,
     """Tie-tolerant maximizer mask: ties at zero curvature break high.
 
     The finite differences carry rounding noise of order eps * |u| / dx^2, so
-    the zero test uses that scale; either choice leaves the solution unchanged
-    where G vanishes.
+    the zero test uses that scale, taken per row of `u`; either choice leaves
+    the solution unchanged where G vanishes.
     """
-    umax = float(np.max(np.abs(u))) if u.size else 0.0
+    umax = np.max(np.abs(u), axis=-1, keepdims=True)
     noise = np.finfo(float).eps * umax * (
         8.0 * float(np.max(sig2_vec)) / (dx * dx)
         + 8.0 * float(np.max(np.abs(h_vec))) / dx
@@ -149,14 +149,23 @@ def _upper_wins(a: np.ndarray, u: np.ndarray, dx: float, h_vec: np.ndarray,
     return a >= -64.0 * noise
 
 
+def _coefficient_vectors(coeffs: ModelCoefficients, xs: np.ndarray):
+    """b, h and sigma^2 on the nodes. The coefficients are time-homogeneous
+    (see ModelCoefficients), so one evaluation serves every time level."""
+    b_vec = np.asarray(coeffs.b(0.0, xs), dtype=float)
+    h_vec = np.asarray(coeffs.h(0.0, xs), dtype=float)
+    sig2 = np.asarray(coeffs.sigma(0.0, xs), dtype=float) ** 2
+    return b_vec, h_vec, sig2
+
+
 def feedback_optimal_control(u_next: GridFunction, coeffs: ModelCoefficients,
                              band: VolatilityBand) -> np.ndarray:
     """Per-node maximizer of the scenario Hamiltonian, in {lower, upper}."""
-    xs = u_next.x_nodes
-    t = u_next.time_stamp
-    h_vec = np.asarray(coeffs.h(t, xs), dtype=float)
-    sig2 = np.asarray(coeffs.sigma(t, xs), dtype=float) ** 2
-    a = _hamiltonian_argument(u_next.values, u_next.dx, h_vec, sig2)
+    _, h_vec, sig2 = _coefficient_vectors(coeffs, u_next.x_nodes)
+    up = np.empty(len(u_next.values) + 2)
+    up[1:-1] = u_next.values
+    _fill_ghosts(up)
+    a = _hamiltonian_argument(up, u_next.dx, 2.0 * h_vec, sig2)
     hi = _upper_wins(a, u_next.values, u_next.dx, h_vec, sig2)
     return np.where(hi, band.sigma_upper, band.sigma_lower)
 
@@ -168,16 +177,28 @@ _UNIT_COEFFS = ModelCoefficients(
     K=0.0, kappa1=1.0, kappa2=1.0,
 )
 
+# Arrays alive at once in a step of `solve_stack`, each of about n_space
+# doubles: per stacked row, the padded row and the step's temporaries (at
+# most 12); per node, the grid and the coefficient vectors (6).
+_ROW_ARRAYS = 12
+_NODE_ARRAYS = 6
+
+
+def solve_nbytes(n_rows: int, n_space: int, n_policy_times: int) -> int:
+    """Bytes of the working set of one stacked solve of `n_rows` payoffs: the
+    rows, the step's temporaries and the coefficient vectors, plus a policy
+    record of n_policy_times x (n_space + 1) booleans per row."""
+    return ((n_rows * _ROW_ARRAYS + _NODE_ARRAYS) * (n_space + 3) * 8
+            + n_rows * n_policy_times * (n_space + 1))
+
 
 def _cfl_time_step(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
                    cfg: PdeConfig) -> tuple[float, int]:
     xs = cfg.nodes()
     dx = cfg.dx
-    bmax = sigmax = hmax = 0.0
-    for t in np.linspace(0.0, T, 5):
-        bmax = max(bmax, float(np.max(np.abs(coeffs.b(float(t), xs)))))
-        hmax = max(hmax, float(np.max(np.abs(coeffs.h(float(t), xs)))))
-        sigmax = max(sigmax, float(np.max(np.abs(coeffs.sigma(float(t), xs)))))
+    bmax = float(np.max(np.abs(coeffs.b(0.0, xs))))
+    hmax = float(np.max(np.abs(coeffs.h(0.0, xs))))
+    sigmax = float(np.max(np.abs(coeffs.sigma(0.0, xs))))
     if hmax > 0.0 and dx > coeffs.kappa1 ** 2 / hmax:
         raise PdeError(
             f"dx={dx:g} too coarse for the quadratic-variation drift: "
@@ -191,67 +212,90 @@ def _cfl_time_step(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
     return T / n_t, n_t
 
 
-def solve_g_hjb(coeffs: ModelCoefficients, band: VolatilityBand, payoff: Payoff,
+def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
                 T: float, cfg: PdeConfig, policy_times: np.ndarray | None = None):
-    """Backward solve of the semigroup PDE; returns u(0, .).
+    """Backward solve of the semigroup PDE for a stack of terminal payoffs in
+    one explicit time-stepping pass; returns u(0, .) of each payoff, in order,
+    and their PolicyTables (None without `policy_times`).
 
-    With `policy_times` given, also returns the PolicyTable of bang-bang
-    maximizers recorded at (the PDE levels nearest to) those times.
+    Every row takes the same CFL step and the same operations as a stack of
+    that row alone, so each row is bit-identical to its single solve. With
+    `policy_times` given, each row records its bang-bang maximizers at (the
+    PDE levels nearest to) those times. Each row passes its own comparison
+    post-check against its own payoff range.
     """
     if T <= 0.0:
         raise PdeError(f"horizon must be positive, got {T}")
+    payoffs = list(payoffs)
     xs = cfg.nodes()
-    payoff.check_bounds_on(xs)
+    for payoff in payoffs:
+        payoff.check_bounds_on(xs)
     dx = cfg.dx
     dt, n_t = _cfl_time_step(coeffs, band, T, cfg)
+    b_vec, h_vec, sig2 = _coefficient_vectors(coeffs, xs)
+    two_h = 2.0 * h_vec
+    upwind = b_vec >= 0.0
 
-    u = np.asarray(payoff.f(xs), dtype=float).copy()
-    lo_bound, hi_bound = float(u.min()), float(u.max())
+    # Rows live in one buffer with a ghost node at each end; u is a view.
+    up = np.empty((len(payoffs), len(xs) + 2))
+    for row, payoff in zip(up, payoffs):
+        row[1:-1] = payoff.f(xs)
+    u = up[:, 1:-1]
+    lo_bound, hi_bound = u.min(axis=1), u.max(axis=1)
 
     record = None
     if policy_times is not None:
         policy_times = np.asarray(policy_times, dtype=float)
         # control on [t_{i-1}, t_i) is derived from u at level i
         level_of_time = np.clip(np.ceil(policy_times / dt - 1e-12).astype(int), 1, n_t)
-        record = np.zeros((len(policy_times), len(xs)), dtype=bool)
+        record = np.zeros((len(payoffs), len(policy_times), len(xs)), dtype=bool)
 
     up2 = band.sigma_upper ** 2
     lo2 = band.sigma_lower ** 2
     for i in range(n_t, 0, -1):
-        t_i = i * dt
-        b_vec = np.asarray(coeffs.b(t_i, xs), dtype=float)
-        h_vec = np.asarray(coeffs.h(t_i, xs), dtype=float)
-        sig2 = np.asarray(coeffs.sigma(t_i, xs), dtype=float) ** 2
-
-        a = _hamiltonian_argument(u, dx, h_vec, sig2)
+        _fill_ghosts(up)
+        a = _hamiltonian_argument(up, dx, two_h, sig2)
         if record is not None:
             hits = np.nonzero(level_of_time == i)[0]
             if hits.size:
                 hi = _upper_wins(a, u, dx, h_vec, sig2)
                 for k in hits:
-                    record[k] = hi
+                    record[:, k] = hi
         g_val = 0.5 * (up2 * np.maximum(a, 0.0) - lo2 * np.maximum(-a, 0.0))
 
-        upad = _pad_linear(u)
-        fwd = (upad[2:] - upad[1:-1]) / dx
-        bwd = (upad[1:-1] - upad[:-2]) / dx
-        advect = b_vec * np.where(b_vec >= 0.0, fwd, bwd)
+        fwd = (up[:, 2:] - u) / dx
+        bwd = (u - up[:, :-2]) / dx
+        advect = b_vec * np.where(upwind, fwd, bwd)
 
-        u = u + dt * (advect + g_val)
+        u += dt * (advect + g_val)
 
-    tol = 1e-8 * (1.0 + abs(lo_bound) + abs(hi_bound))
-    if u.min() < lo_bound - tol or u.max() > hi_bound + tol:
-        raise PdeError(
-            "comparison post-check failed (scheme instability): solution "
-            f"range [{u.min():.6g}, {u.max():.6g}] leaves payoff range "
-            f"[{lo_bound:.6g}, {hi_bound:.6g}]"
-        )
+    tol = 1e-8 * (1.0 + np.abs(lo_bound) + np.abs(hi_bound))
+    for payoff, row, lo, hi, eps in zip(payoffs, u, lo_bound, hi_bound, tol):
+        if row.min() < lo - eps or row.max() > hi + eps:
+            raise PdeError(
+                f"comparison post-check failed (scheme instability) for "
+                f"payoff {payoff.name!r}: solution range "
+                f"[{row.min():.6g}, {row.max():.6g}] leaves payoff range "
+                f"[{lo:.6g}, {hi:.6g}]"
+            )
 
-    result = GridFunction(x_nodes=xs, values=u, time_stamp=0.0)
+    results = [GridFunction(x_nodes=xs, values=row.copy(), time_stamp=0.0)
+               for row in u]
     if record is None:
-        return result
-    policy = PolicyTable(times=policy_times, x_nodes=xs, hi_mask=record, band=band)
-    return result, policy
+        return results, None
+    return results, [PolicyTable(times=policy_times, x_nodes=xs, hi_mask=mask,
+                                 band=band) for mask in record]
+
+
+def solve_g_hjb(coeffs: ModelCoefficients, band: VolatilityBand, payoff: Payoff,
+                T: float, cfg: PdeConfig, policy_times: np.ndarray | None = None):
+    """Backward solve of the semigroup PDE for one payoff; returns u(0, .).
+
+    With `policy_times` given, also returns the PolicyTable of bang-bang
+    maximizers recorded at (the PDE levels nearest to) those times.
+    """
+    (u,), policies = solve_stack(coeffs, band, [payoff], T, cfg, policy_times)
+    return u if policies is None else (u, policies[0])
 
 
 def solve_g_heat(payoff: Payoff, band: VolatilityBand, T: float, cfg: PdeConfig,
@@ -260,17 +304,38 @@ def solve_g_heat(payoff: Payoff, band: VolatilityBand, T: float, cfg: PdeConfig,
     return solve_g_hjb(_UNIT_COEFFS, band, payoff, T, cfg, policy_times=policy_times)
 
 
-def solve_with_tolerance(coeffs: ModelCoefficients, band: VolatilityBand,
-                         payoff: Payoff, T: float, cfg: PdeConfig):
-    """Fine-grid solve plus a two-grid Richardson error estimate.
+@dataclass(frozen=True)
+class Semigroups:
+    """P_T of several terminal payoffs under one model: u(0, .) of each on a
+    fine grid and on its coarsened grid, from one stacked solve per grid.
 
-    Returns (u_fine, tol) where tol(x) bounds the fine-grid error by the
-    coarse/fine difference (conservative for a first-order scheme).
+    Rows are keyed by the Payoff objects they were solved for; `policy`
+    holds the fine-grid PolicyTables when the solve recorded them.
     """
-    fine = solve_g_hjb(coeffs, band, payoff, T, cfg)
-    coarse = solve_g_hjb(coeffs, band, payoff, T, cfg.coarsened())
 
-    def tol(x) -> float:
-        return float(np.max(np.abs(fine(x) - coarse(x)))) + 1e-12
+    coeffs: ModelCoefficients
+    band: VolatilityBand
+    T: float
+    fine: dict
+    coarse: dict
+    policy: dict | None = None
 
-    return fine, tol
+    def tolerance(self, payoff: Payoff, x) -> float:
+        """Two-grid Richardson estimate of the fine-grid error at x: the
+        coarse/fine difference (conservative for a first-order scheme)."""
+        return float(np.max(np.abs(self.fine[payoff](x)
+                                   - self.coarse[payoff](x)))) + 1e-12
+
+
+def solve_semigroups(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
+                     cfg: PdeConfig, payoffs,
+                     policy_times: np.ndarray | None = None) -> Semigroups:
+    """Solve every payoff on `cfg` and on `cfg.coarsened()`, one stacked pass
+    per grid; the fine pass records the policies at `policy_times`."""
+    payoffs = list(payoffs)
+    fine, policies = solve_stack(coeffs, band, payoffs, T, cfg, policy_times)
+    coarse, _ = solve_stack(coeffs, band, payoffs, T, cfg.coarsened())
+    return Semigroups(
+        coeffs, band, T, dict(zip(payoffs, fine)), dict(zip(payoffs, coarse)),
+        None if policies is None else dict(zip(payoffs, policies)))
+

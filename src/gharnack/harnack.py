@@ -2,7 +2,8 @@
 inequality, the power-Harnack inequality, and the sup-norm gradient bound.
 
 Both sides of every inequality default to the finite-difference solver (Monte
-Carlo noise would drown small slack); the MC estimator is available as a
+Carlo noise would drown small slack), read from semigroups the caller solved
+once per grid for all certificates; the MC estimator is available as a
 cross-check channel. Every report carries a tolerance from a two-grid
 Richardson difference and never a bare point estimate.
 """
@@ -10,12 +11,12 @@ Richardson difference and never a bare point estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .coupling import make_schedule
-from .gheat import PdeConfig, solve_g_hjb, solve_with_tolerance
+from .gheat import Semigroups
 from .model import ModelCoefficients, Payoff, TimeGrid, VolatilityBand
 from .scenario import upper_semigroup_mc
 
@@ -130,96 +131,30 @@ def make_alpha_grid(coeffs: ModelCoefficients, n: int = 33) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # certificates
+#
+# The PDE channel reads P_T from a Semigroups object the caller solved once
+# for every payoff it needs; rows are looked up by the Payoff objects the
+# caller solved (f, and log f or f^p as built by `log_payoff` and
+# `power_payoff`).
 
-def check_log_harnack(coeffs: ModelCoefficients, band: VolatilityBand,
-                      payoff: Payoff, x: float, y: float, T: float,
-                      cfg: PdeConfig, method: str = "pde",
-                      mc_grid: TimeGrid | None = None, mc_paths: int = 4096,
-                      seed: int = 0) -> HarnackReport:
-    """P_T log f(y) <= log P_T f(x) + c |x - y|^2 with the printed constant."""
+def _require_floor(payoff: Payoff) -> None:
     if not payoff.strictly_positive:
         raise HarnackError(
             f"payoff {payoff.name!r} has no positive lower bound; "
             "log f is unbounded below"
         )
-    coef = log_harnack_constant(coeffs.K, band.sigma_lower, coeffs.kappa1,
-                                coeffs.kappa2, T)
-    alpha_star = coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
-    coef_generic = log_harnack_constant_generic(coeffs, band, T, alpha_star)
-
-    if method == "pde":
-        u_log, tol_log = solve_with_tolerance(coeffs, band, payoff.log(), T, cfg)
-        u_f, tol_f = solve_with_tolerance(coeffs, band, payoff, T, cfg)
-        lhs = float(u_log(y))
-        pf_x = float(u_f(x))
-        tolerance = tol_log(y) + tol_f(x) / max(pf_x - tol_f(x),
-                                                payoff.lower_bound)
-        err_lhs = err_f = 0.0
-    elif method == "mc":
-        if mc_grid is None:
-            raise HarnackError("mc method needs a time grid")
-        est_log = upper_semigroup_mc(coeffs, band, payoff.log(), y, mc_grid,
-                                     mc_paths, seed)
-        est_f = upper_semigroup_mc(coeffs, band, payoff, x, mc_grid, mc_paths,
-                                   seed)
-        lhs = est_log.value
-        pf_x = est_f.value
-        err_lhs, err_f = est_log.std_error, est_f.std_error
-        tolerance = 3.0 * (err_lhs + err_f / max(pf_x - 3.0 * err_f,
-                                                 payoff.lower_bound))
-    else:
-        raise HarnackError(f"unknown method {method!r}")
-
-    rhs = math.log(pf_x) + coef * (x - y) ** 2
-    slack = rhs - lhs
-    return HarnackReport(
-        kind="log", x=float(x), y=float(y), T=float(T), p=None, a=None, q=None,
-        C=None, lhs=lhs, rhs=rhs, slack=slack, method=method,
-        tolerance=tolerance, passed=slack >= -tolerance, alpha=alpha_star,
-        extras={"constant_printed": coef, "constant_generic_alpha": coef_generic},
-    )
 
 
-def check_log_harnack_grid(coeffs: ModelCoefficients, band: VolatilityBand,
-                           payoff: Payoff, xs, ys, T: float,
-                           cfg: PdeConfig) -> list[HarnackReport]:
-    """Log-Harnack certificates on a grid of (x, y) cells, sharing the two
-    semigroup solves across all cells."""
-    if not payoff.strictly_positive:
-        raise HarnackError(
-            f"payoff {payoff.name!r} has no positive lower bound; "
-            "log f is unbounded below"
-        )
-    coef = log_harnack_constant(coeffs.K, band.sigma_lower, coeffs.kappa1,
-                                coeffs.kappa2, T)
-    alpha_star = coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
-    u_log, tol_log = solve_with_tolerance(coeffs, band, payoff.log(), T, cfg)
-    u_f, tol_f = solve_with_tolerance(coeffs, band, payoff, T, cfg)
-    reports = []
-    for x in np.asarray(xs, dtype=float):
-        pf_x = float(u_f(x))
-        log_term = math.log(pf_x)
-        tol_x = tol_f(x) / max(pf_x - tol_f(x), payoff.lower_bound)
-        for y in np.asarray(ys, dtype=float):
-            lhs = float(u_log(y))
-            rhs = log_term + coef * (x - y) ** 2
-            tolerance = tol_log(y) + tol_x
-            slack = rhs - lhs
-            reports.append(HarnackReport(
-                kind="log", x=float(x), y=float(y), T=float(T), p=None,
-                a=None, q=None, C=None, lhs=lhs, rhs=rhs, slack=slack,
-                method="pde", tolerance=tolerance,
-                passed=slack >= -tolerance, alpha=alpha_star,
-                extras={"constant_printed": coef}))
-    return reports
+def log_payoff(payoff: Payoff) -> Payoff:
+    """log f, for a payoff with a positive lower bound."""
+    _require_floor(payoff)
+    return payoff.log()
 
 
-def check_power_harnack(coeffs: ModelCoefficients, band: VolatilityBand,
-                        payoff: Payoff, x: float, y: float, T: float, p: float,
-                        cfg: PdeConfig, method: str = "pde",
-                        mc_grid: TimeGrid | None = None, mc_paths: int = 4096,
-                        seed: int = 0) -> HarnackReport:
-    """(P_T f(y))^p <= P_T f^p(x) exp(c_p |x - y|^2) for admissible p."""
+def _check_power_admissible(coeffs: ModelCoefficients, payoff: Payoff,
+                            p: float) -> float:
+    """Threshold of the power-Harnack inequality, after checking that p and
+    the payoff are admissible."""
     if coeffs.kappa2 <= coeffs.kappa1:
         raise HarnackError(
             "power-Harnack needs kappa2 > kappa1 strictly; the constant's "
@@ -234,25 +169,110 @@ def check_power_harnack(coeffs: ModelCoefficients, band: VolatilityBand,
         )
     if payoff.lower_bound < 0.0:
         raise HarnackError("power-Harnack needs a nonnegative payoff")
+    return threshold
 
+
+def power_payoff(coeffs: ModelCoefficients, payoff: Payoff, p: float) -> Payoff:
+    """f^p, for a power p and a payoff the power-Harnack check admits."""
+    _check_power_admissible(coeffs, payoff, p)
+    return payoff.power(p)
+
+
+def _log_report(x: float, y: float, T: float, lhs: float, log_pf_x: float,
+                coef: float, tolerance: float, method: str,
+                alpha: float) -> HarnackReport:
+    rhs = log_pf_x + coef * (x - y) ** 2
+    slack = rhs - lhs
+    return HarnackReport(
+        kind="log", x=float(x), y=float(y), T=float(T), p=None, a=None, q=None,
+        C=None, lhs=lhs, rhs=rhs, slack=slack, method=method,
+        tolerance=tolerance, passed=slack >= -tolerance, alpha=alpha,
+        extras={"constant_printed": coef},
+    )
+
+
+def _log_constant(P: Semigroups, payoff: Payoff) -> float:
+    _require_floor(payoff)
+    coeffs = P.coeffs
+    return log_harnack_constant(coeffs.K, P.band.sigma_lower, coeffs.kappa1,
+                                coeffs.kappa2, P.T)
+
+
+def check_log_harnack_grid(P: Semigroups, payoff: Payoff, log_f: Payoff,
+                           xs, ys) -> list[HarnackReport]:
+    """Log-Harnack certificates P_T log f(y) <= log P_T f(x) + c |x - y|^2
+    on a grid of (x, y) cells, all read from the rows of f and log f in P."""
+    coef = _log_constant(P, payoff)
+    alpha_star = P.coeffs.kappa1 ** 2 / P.coeffs.kappa2 ** 2
+    u_log, u_f = P.fine[log_f], P.fine[payoff]
+    reports = []
+    for x in np.asarray(xs, dtype=float).tolist():
+        pf_x = float(u_f(x))
+        log_term = math.log(pf_x)
+        tol_f = P.tolerance(payoff, x)
+        tol_x = tol_f / max(pf_x - tol_f, payoff.lower_bound)
+        for y in np.asarray(ys, dtype=float).tolist():
+            reports.append(_log_report(
+                x, y, P.T, float(u_log(y)), log_term, coef,
+                P.tolerance(log_f, y) + tol_x, "pde", alpha_star))
+    return reports
+
+
+def check_log_harnack(P: Semigroups, payoff: Payoff, log_f: Payoff, x: float,
+                      y: float, method: str = "pde",
+                      mc_grid: TimeGrid | None = None, mc_paths: int = 4096,
+                      seed: int = 0) -> HarnackReport:
+    """P_T log f(y) <= log P_T f(x) + c |x - y|^2 with the printed constant:
+    the 1 x 1 case of `check_log_harnack_grid`, or its Monte Carlo cross-check
+    with `method="mc"`. The report also carries the constant at a free alpha."""
+    if method == "pde":
+        report = check_log_harnack_grid(P, payoff, log_f, [x], [y])[0]
+    elif method == "mc":
+        coef = _log_constant(P, payoff)
+        if mc_grid is None:
+            raise HarnackError("mc method needs a time grid")
+        est_log = upper_semigroup_mc(P.coeffs, P.band, log_f, y, mc_grid,
+                                     mc_paths, seed)
+        est_f = upper_semigroup_mc(P.coeffs, P.band, payoff, x, mc_grid,
+                                   mc_paths, seed)
+        err_f = est_f.std_error
+        tolerance = 3.0 * (est_log.std_error + err_f / max(
+            est_f.value - 3.0 * err_f, payoff.lower_bound))
+        report = _log_report(x, y, P.T, est_log.value, math.log(est_f.value),
+                             coef, tolerance, "mc",
+                             P.coeffs.kappa1 ** 2 / P.coeffs.kappa2 ** 2)
+    else:
+        raise HarnackError(f"unknown method {method!r}")
+    generic = log_harnack_constant_generic(P.coeffs, P.band, P.T, report.alpha)
+    return replace(report, extras={**report.extras,
+                                   "constant_generic_alpha": generic})
+
+
+def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,
+                        y: float, p: float, method: str = "pde",
+                        mc_grid: TimeGrid | None = None, mc_paths: int = 4096,
+                        seed: int = 0) -> HarnackReport:
+    """(P_T f(y))^p <= P_T f^p(x) exp(c_p |x - y|^2) for admissible p, with
+    `f_p` the row of f^p in P."""
+    coeffs, band, T = P.coeffs, P.band, P.T
+    threshold = _check_power_admissible(coeffs, payoff, p)
     exponent = power_harnack_exponent(p, coeffs.K, band.sigma_lower,
                                       coeffs.kappa1, coeffs.kappa2, T)
     exponent_moment = power_harnack_exponent_moment_route(p, coeffs, band, T)
     blowup = math.exp(exponent * (x - y) ** 2)
 
     if method == "pde":
-        u_f, tol_f = solve_with_tolerance(coeffs, band, payoff, T, cfg)
-        u_fp, tol_fp = solve_with_tolerance(coeffs, band, payoff.power(p), T, cfg)
-        pf_y = float(u_f(y))
-        pfp_x = float(u_fp(x))
-        tolerance = p * max(pf_y, 0.0) ** (p - 1.0) * tol_f(y) + blowup * tol_fp(x)
+        pf_y = float(P.fine[payoff](y))
+        pfp_x = float(P.fine[f_p](x))
+        tolerance = (p * max(pf_y, 0.0) ** (p - 1.0) * P.tolerance(payoff, y)
+                     + blowup * P.tolerance(f_p, x))
     elif method == "mc":
         if mc_grid is None:
             raise HarnackError("mc method needs a time grid")
         est_f = upper_semigroup_mc(coeffs, band, payoff, y, mc_grid, mc_paths,
                                    seed)
-        est_fp = upper_semigroup_mc(coeffs, band, payoff.power(p), x, mc_grid,
-                                    mc_paths, seed)
+        est_fp = upper_semigroup_mc(coeffs, band, f_p, x, mc_grid, mc_paths,
+                                    seed)
         pf_y, pfp_x = est_f.value, est_fp.value
         tolerance = 3.0 * (p * max(pf_y, 0.0) ** (p - 1.0) * est_f.std_error
                            + blowup * est_fp.std_error)
@@ -272,19 +292,17 @@ def check_power_harnack(coeffs: ModelCoefficients, band: VolatilityBand,
     )
 
 
-def check_gradient_estimate(coeffs: ModelCoefficients, band: VolatilityBand,
-                            payoff: Payoff, T: float, cfg: PdeConfig,
+def check_gradient_estimate(P: Semigroups, payoff: Payoff,
                             alpha_grid: np.ndarray | None = None) -> HarnackReport:
-    """Finite-difference sup-gradient of the semigroup against the envelope
-    over alpha of 2 ||f|| / (kappa1 sqrt(alpha lambda0))."""
+    """Finite-difference sup-gradient of P_T f against the envelope over
+    alpha of 2 ||f|| / (kappa1 sqrt(alpha lambda0))."""
+    coeffs, band, T = P.coeffs, P.band, P.T
     if alpha_grid is None:
         alpha_grid = make_alpha_grid(coeffs)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
 
-    u_fine = solve_g_hjb(coeffs, band, payoff, T, cfg)
-    u_coarse = solve_g_hjb(coeffs, band, payoff, T, cfg.coarsened())
-    lhs = u_fine.max_abs_gradient()
-    tolerance = abs(lhs - u_coarse.max_abs_gradient()) + 1e-12
+    lhs = P.fine[payoff].max_abs_gradient()
+    tolerance = abs(lhs - P.coarse[payoff].max_abs_gradient()) + 1e-12
 
     best_rhs = math.inf
     best_alpha = float(alpha_grid[0])
@@ -305,23 +323,23 @@ def check_gradient_estimate(coeffs: ModelCoefficients, band: VolatilityBand,
     )
 
 
-def lipschitz_transport_check(coeffs: ModelCoefficients, band: VolatilityBand,
-                              payoff: Payoff, x: float, y: float, T: float,
-                              cfg: PdeConfig,
+def lipschitz_transport_check(P: Semigroups, payoff: Payoff, x: float,
+                              y: float,
                               alpha: float | None = None) -> HarnackReport:
     """|P_T f(y) - P_T f(x)| against the two-term |x-y| + |x-y|^2 bound."""
+    coeffs, T = P.coeffs, P.T
     if alpha is None:
         alpha = coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
-    schedule = make_schedule(alpha, coeffs, band, T)
+    schedule = make_schedule(alpha, coeffs, P.band, T)
     gap = abs(x - y)
     k1 = coeffs.kappa1
     rhs = payoff.sup_norm * (
         2.0 * gap / (k1 * math.sqrt(alpha * schedule.lambda0))
         + gap ** 2 / (alpha * k1 ** 2 * schedule.lambda0)
     )
-    u_f, tol_f = solve_with_tolerance(coeffs, band, payoff, T, cfg)
+    u_f = P.fine[payoff]
     lhs = abs(float(u_f(y)) - float(u_f(x)))
-    tolerance = tol_f(x) + tol_f(y)
+    tolerance = P.tolerance(payoff, x) + P.tolerance(payoff, y)
     slack = rhs - lhs
     return HarnackReport(
         kind="lipschitz", x=float(x), y=float(y), T=float(T), p=None, a=None,

@@ -79,6 +79,9 @@ class ModelCoefficients:
     joint Lipschitz constant K and diffusion bounds kappa1 <= sigma <= kappa2.
 
     Callables take (t, x) with x a scalar or array and broadcast over x.
+    They must be time-homogeneous: the value may not depend on t. Every
+    catalog entry of `make_coefficient` ignores t, and the PDE solvers
+    evaluate each coefficient once per solve, not once per time step.
     """
 
     b: Coefficient

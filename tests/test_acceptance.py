@@ -15,6 +15,7 @@ from gharnack.scenario import scaled_increments
 mp.dps = 30
 
 BUMP = g.make_payoff("shifted_bump", (0.1,))
+LOG_BUMP = BUMP.log()
 
 
 def _model(name):
@@ -88,18 +89,18 @@ def test_criterion_02_oracle_agreement():
             g.make_coefficient("constant", (0.0,)),
             g.make_coefficient("constant", (1.0,)), 0.0, 1.0, 1.0)
         two_sided = {"quadratic", "neg_quadratic", "call"}
-        for name in ("quadratic", "neg_quadratic", "call", "gauss_bump",
-                     "cosine", "tanh_step"):
-            payoff = g.make_payoff(name)
-            u, tol = g.solve_with_tolerance(heat, band, payoff, T, cfg)
-            pde = float(u(0.0))
-            _, policy = g.solve_g_heat(payoff, band, T, cfg,
-                                       policy_times=grid.nodes[:-1])
+        payoffs = {name: g.make_payoff(name)
+                   for name in ("quadratic", "neg_quadratic", "call",
+                                "gauss_bump", "cosine", "tanh_step")}
+        solved = g.solve_semigroups(heat, band, T, cfg, payoffs.values(),
+                                    policy_times=grid.nodes[:-1])
+        for name, payoff in payoffs.items():
+            pde = float(solved.fine[payoff](0.0))
             controls = g.sample_controls("feedback", band, grid, 5, seed=202,
-                                         policy=policy)
+                                         policy=solved.policy[payoff])
             est = g.upper_expectation_mc(g.terminal_functional(payoff),
                                          controls, 2 ** 14, seed=202)
-            width = 3.0 * est.std_error + tol(0.0)
+            width = 3.0 * est.std_error + solved.tolerance(payoff, 0.0)
             assert est.value <= pde + width, name
             if name in two_sided:
                 assert abs(est.value - pde) <= width, name
@@ -188,8 +189,8 @@ def test_criterion_07_log_harnack_certificate():
         cfg = g.PdeConfig(-8.0, 8.0, 800)
         for name in OU_FAMILY:
             coeffs, band = _model(name)
-            reports = g.check_log_harnack_grid(coeffs, band, BUMP, pts, pts,
-                                               1.0, cfg)
+            P = g.solve_semigroups(coeffs, band, 1.0, cfg, [BUMP, LOG_BUMP])
+            reports = g.check_log_harnack_grid(P, BUMP, LOG_BUMP, pts, pts)
             assert len(reports) == 25
             for report in reports:
                 assert report.slack >= -report.tolerance, (name, report)
@@ -205,9 +206,11 @@ def test_criterion_08_power_harnack_certificate(tmp_path):
         assert round(threshold, 6) == round(independent, 6)
         assert abs(threshold - 1.293165) < 5e-7
         cfg = g.PdeConfig(-8.0, 8.0, 800)
-        for p in (1.5, 2.0, 4.0):
-            report = g.check_power_harnack(coeffs, band, BUMP, 0.0, 0.5, 1.0,
-                                           p, cfg)
+        powers = {p: BUMP.power(p) for p in (1.5, 2.0, 4.0)}
+        P = g.solve_semigroups(coeffs, band, 1.0, cfg,
+                               [BUMP, *powers.values()])
+        for p, f_p in powers.items():
+            report = g.check_power_harnack(P, BUMP, f_p, 0.0, 0.5, p)
             assert report.slack >= -report.tolerance
             assert report.passed
         # inadmissible p must be refused at the CLI with exit code 2
@@ -224,7 +227,8 @@ def test_criterion_09_gradient_estimate():
         cfg = g.PdeConfig(-8.0, 8.0, 800)
         for name in OU_FAMILY:
             coeffs, band = _model(name)
-            report = g.check_gradient_estimate(coeffs, band, BUMP, 1.0, cfg)
+            P = g.solve_semigroups(coeffs, band, 1.0, cfg, [BUMP])
+            report = g.check_gradient_estimate(P, BUMP)
             assert report.lhs <= report.rhs + report.tolerance, name
             assert report.passed
 
@@ -235,7 +239,8 @@ def test_criterion_09_gradient_estimate():
             g.make_coefficient("constant", (1.0,)), 1.0, 1.0, 1.0)
         unit = g.VolatilityBand(1.0, 1.0)
         payoff = g.make_payoff("gauss_bump")
-        report = g.check_gradient_estimate(heat, unit, payoff, 1.0, cfg)
+        report = g.check_gradient_estimate(
+            g.solve_semigroups(heat, unit, 1.0, cfg, [payoff]), payoff)
         nodes, weights = np.polynomial.hermite_e.hermegauss(120)
 
         def kernel_gradient(x):

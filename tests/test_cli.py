@@ -144,6 +144,46 @@ class TestCliExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+    def test_oversized_pde_is_exit_2_before_any_work(self, tmp_path, capsys):
+        big = tmp_path / "big.cfg"
+        big.write_text(CFG.read_text().replace("n_space = 400",
+                                               "n_space = 10000000000000"))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = run(["suite", "--config", big, "--out", tmp_path / "o"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[grid.n_space]" in err and "physical memory" in err
+        assert elapsed < 5.0
+        assert peak < 16 * 2 ** 20
+        assert not (tmp_path / "o").exists()
+
+
+class TestStackedSolves:
+    @pytest.mark.parametrize("command,passes", [
+        ("harnack", 2), ("suite", 4), ("scenario", 2),
+    ])
+    def test_one_stepping_pass_per_model_and_grid(self, tmp_path, monkeypatch,
+                                                  command, passes):
+        from gharnack import gheat
+
+        calls = []
+        stepping = gheat.solve_stack
+
+        def counted(coeffs, band, payoffs, *args, **kwargs):
+            calls.append(len(list(payoffs)))
+            return stepping(coeffs, band, payoffs, *args, **kwargs)
+
+        monkeypatch.setattr(gheat, "solve_stack", counted)
+        assert run([command, "--out", tmp_path / "o"]) == 0
+        assert len(calls) == passes, calls
+
+
 class TestSubcommands:
     @pytest.mark.parametrize("command,files", [
         ("gheat", ("report.json", "grid_u.csv")),

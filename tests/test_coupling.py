@@ -465,6 +465,25 @@ class TestOnePassSweep:
         assert run.at_clip(0.025).n_excluded == late.size
         assert run.at_clip(0.025).m.size == 256 - late.size
 
+    def test_shifted_qv_with_every_path_excluded(self, multiplicative_model,
+                                                 pinched_band, late_exclusion):
+        # a bundle of only the rows excluded in step 61 keeps every path at
+        # the node of 0.05 and none at the node of 0.025
+        coeffs = multiplicative_model
+        schedule, controls, w = self.make_case(coeffs, pinched_band, 1.55)
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[1], 91,
+                                 0.025, w)
+        late = np.nonzero(run.stiff_step == 61)[0]
+        alone = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[1],
+                                   91, 0.025, w[late])
+        assert np.all(alone.stiff_step == 61)
+        assert math.isfinite(shifted_qv_discrepancy(alone, 0.05))
+        with pytest.raises(CouplingError,
+                           match=f"clip_epsilon 0.025: all {late.size} paths"):
+            shifted_qv_discrepancy(alone, 0.025)
+        with pytest.raises(CouplingError, match="clip_epsilon 0.025"):
+            g.girsanov_shifted_qv_check(alone)
+
     def test_clip_below_the_bundles_own_rejected(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
         bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[0], seed=92,

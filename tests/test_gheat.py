@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import gharnack as g
-from gharnack.gheat import PdeError
+from gharnack import gheat
+from gharnack.cli import bundled_config_path
+from gharnack.gheat import _UNIT_COEFFS, PdeError
 
 from conftest import heat_semigroup_oracle, ou_semigroup_oracle
 
@@ -157,6 +159,96 @@ class TestFeedbackControl:
         assert late[0] == wide_band.sigma_lower
 
 
+def reference_solve(coeffs, band, payoff, T, cfg, policy_times=None):
+    """The explicit scheme for one payoff written step by step: coefficients
+    evaluated at every time level, ghost nodes by concatenation, and the
+    tie-tolerant policy record. Returns u(0, .) and the policy mask."""
+    xs = cfg.nodes()
+    dx = cfg.dx
+    dt, n_t = gheat._cfl_time_step(coeffs, band, T, cfg)
+    u = np.asarray(payoff.f(xs), dtype=float).copy()
+    record = level_of_time = None
+    if policy_times is not None:
+        level_of_time = np.clip(
+            np.ceil(policy_times / dt - 1e-12).astype(int), 1, n_t)
+        record = np.zeros((len(policy_times), len(xs)), dtype=bool)
+    up2, lo2 = band.sigma_upper ** 2, band.sigma_lower ** 2
+    for i in range(n_t, 0, -1):
+        t_i = i * dt
+        b = np.asarray(coeffs.b(t_i, xs), dtype=float)
+        h = np.asarray(coeffs.h(t_i, xs), dtype=float)
+        sig2 = np.asarray(coeffs.sigma(t_i, xs), dtype=float) ** 2
+        up = np.concatenate(([2.0 * u[0] - u[1]], u, [2.0 * u[-1] - u[-2]]))
+        d1c = (up[2:] - up[:-2]) / (2.0 * dx)
+        d2 = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / (dx * dx)
+        a = 2.0 * h * d1c + sig2 * d2
+        if record is not None and np.any(level_of_time == i):
+            noise = np.finfo(float).eps * float(np.max(np.abs(u))) * (
+                8.0 * float(np.max(sig2)) / (dx * dx)
+                + 8.0 * float(np.max(np.abs(h))) / dx)
+            record[level_of_time == i] = a >= -64.0 * noise
+        g_val = 0.5 * (up2 * np.maximum(a, 0.0) - lo2 * np.maximum(-a, 0.0))
+        fwd = (up[2:] - up[1:-1]) / dx
+        bwd = (up[1:-1] - up[:-2]) / dx
+        u = u + dt * (b * np.where(b >= 0.0, fwd, bwd) + g_val)
+    return u, record
+
+
+class TestStackedSolve:
+    """One stacked pass gives every row exactly what a solve of that row
+    alone gives."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        cfg = g.parse_run_config(bundled_config_path())
+        assert cfg.pde.n_space == 400
+        f = cfg.payoff
+        return cfg, [f, f.log(), f.power(cfg.check_p)]
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_rows_equal_single_solves_bitwise(self, bundled, coarse):
+        cfg, payoffs = bundled
+        grid = cfg.pde.coarsened() if coarse else cfg.pde
+        T = cfg.grid.horizon
+        rows, policies = g.solve_stack(cfg.coeffs, cfg.band, payoffs, T, grid)
+        assert policies is None
+        for payoff, row in zip(payoffs, rows):
+            single = g.solve_g_hjb(cfg.coeffs, cfg.band, payoff, T, grid)
+            ref, _ = reference_solve(cfg.coeffs, cfg.band, payoff, T, grid)
+            assert row.values.tobytes() == single.values.tobytes(), payoff.name
+            assert row.values.tobytes() == ref.tobytes(), payoff.name
+
+    def test_policy_equals_separate_policy_solve(self, bundled):
+        cfg, payoffs = bundled
+        times = cfg.grid.nodes[:-1]
+        T = cfg.grid.horizon
+        solved = g.solve_semigroups(_UNIT_COEFFS, cfg.band, T, cfg.pde,
+                                    payoffs, policy_times=times)
+        for payoff in payoffs:
+            u, policy = g.solve_g_heat(payoff, cfg.band, T, cfg.pde,
+                                       policy_times=times)
+            ref, mask = reference_solve(_UNIT_COEFFS, cfg.band, payoff, T,
+                                        cfg.pde, times)
+            assert solved.policy[payoff].hi_mask.tobytes() == mask.tobytes()
+            assert policy.hi_mask.tobytes() == mask.tobytes()
+            assert solved.fine[payoff].values.tobytes() == ref.tobytes()
+            assert u.values.tobytes() == ref.tobytes()
+        assert not np.all(solved.policy[payoffs[0]].hi_mask)
+        assert np.any(solved.policy[payoffs[0]].hi_mask)
+
+    def test_rows_keyed_by_payoff_object(self, wide_band):
+        # equal names, different functions: each object keeps its own row
+        cfg = g.PdeConfig(-4, 4, 64)
+        a = g.Payoff(lambda x: np.cos(x), -1.0, 1.0, name="same")
+        b = g.Payoff(lambda x: np.cos(2.0 * x), -1.0, 1.0, name="same")
+        solved = g.solve_semigroups(_UNIT_COEFFS, wide_band, 1.0, cfg, [a, b])
+        assert len(solved.fine) == len(solved.coarse) == 2
+        assert solved.fine[a].values.tobytes() == \
+            g.solve_g_heat(a, wide_band, 1.0, cfg).values.tobytes()
+        assert solved.fine[b].values.tobytes() == \
+            g.solve_g_heat(b, wide_band, 1.0, cfg).values.tobytes()
+
+
 class TestConfigRejections:
     def test_cfl_must_be_unit_interval(self):
         with pytest.raises(PdeError):
@@ -214,8 +306,9 @@ class TestGridFunctionExport:
 
     def test_two_grid_tolerance_covers_error(self, unit_band, heat_model):
         T = 1.0
-        u, tol = g.solve_with_tolerance(heat_model, unit_band,
-                                        g.make_payoff("gauss_bump"), T,
-                                        g.PdeConfig(-8, 8, 800))
+        payoff = g.make_payoff("gauss_bump")
+        solved = g.solve_semigroups(heat_model, unit_band, T,
+                                    g.PdeConfig(-8, 8, 800), [payoff])
         exact = heat_semigroup_oracle(lambda z: np.exp(-z ** 2), 0.4, T)
-        assert abs(u(0.4) - exact) <= tol(0.4)
+        assert abs(solved.fine[payoff](0.4) - exact) <= \
+            solved.tolerance(payoff, 0.4)

@@ -10,6 +10,7 @@ from gharnack.harnack import (
     HarnackError,
     log_harnack_constant,
     log_harnack_constant_generic,
+    log_payoff,
     power_harnack_exponent,
     power_threshold,
 )
@@ -19,13 +20,27 @@ from conftest import ou_semigroup_oracle
 mp.dps = 30
 
 BUMP = g.make_payoff("shifted_bump", (0.1,))
+LOG_BUMP = BUMP.log()
+BUMP_SQ = BUMP.power(2.0)
+
+
+def solved(coeffs, band, cfg, *payoffs):
+    """P_1 of the payoffs on cfg and its coarsened grid."""
+    return g.solve_semigroups(coeffs, band, 1.0, cfg, payoffs)
+
+
+def unsolved(coeffs, band):
+    """The model alone, for checks that fail or sample before reading a row."""
+    return g.Semigroups(coeffs, band, 1.0, {}, {})
 
 
 class TestLogHarnack:
     def test_ou_closed_form_oracle(self, ou_model, unit_band, pde_cfg):
         # both sides from the OU Gaussian semigroup; inequality strictly holds
         T, x, y = 1.0, 0.0, 0.5
-        report = g.check_log_harnack(ou_model, unit_band, BUMP, x, y, T, pde_cfg)
+        report = g.check_log_harnack(
+            solved(ou_model, unit_band, pde_cfg, BUMP, LOG_BUMP), BUMP,
+            LOG_BUMP, x, y)
         f = lambda z: 0.1 + np.exp(-z ** 2)
         lhs_oracle = ou_semigroup_oracle(lambda z: np.log(f(z)), y, T)
         rhs_oracle = math.log(ou_semigroup_oracle(f, x, T)) + \
@@ -36,8 +51,9 @@ class TestLogHarnack:
         assert report.passed
 
     def test_diagonal_slack_is_jensen_gap(self, ou_model, unit_band, pde_cfg):
-        report = g.check_log_harnack(ou_model, unit_band, BUMP, 0.3, 0.3, 1.0,
-                                     pde_cfg)
+        report = g.check_log_harnack(
+            solved(ou_model, unit_band, pde_cfg, BUMP, LOG_BUMP), BUMP,
+            LOG_BUMP, 0.3, 0.3)
         assert report.slack >= 0.0
         assert report.passed
 
@@ -45,17 +61,21 @@ class TestLogHarnack:
                                               coarse_cfg):
         c = 0.7
         payoff = g.make_payoff("constant", (c,))
-        report = g.check_log_harnack(ou_model, unit_band, payoff, 0.0, 0.5,
-                                     1.0, coarse_cfg)
+        log_c = payoff.log()
+        report = g.check_log_harnack(
+            solved(ou_model, unit_band, coarse_cfg, payoff, log_c), payoff,
+            log_c, 0.0, 0.5)
         penalty = report.extras["constant_printed"] * 0.25
         assert report.lhs == pytest.approx(math.log(c), abs=1e-10)
         assert report.slack == pytest.approx(penalty, abs=1e-9)
 
     def test_rejects_payoff_without_floor(self, ou_model, unit_band, coarse_cfg):
+        gauss = g.make_payoff("gauss_bump")
         with pytest.raises(HarnackError):
-            g.check_log_harnack(ou_model, unit_band,
-                                g.make_payoff("gauss_bump"), 0.0, 0.5, 1.0,
-                                coarse_cfg)
+            log_payoff(gauss)
+        with pytest.raises(HarnackError):
+            g.check_log_harnack(solved(ou_model, unit_band, coarse_cfg, gauss),
+                                gauss, None, 0.0, 0.5)
 
     def test_printed_constant_equals_generic_at_star_alpha(
             self, multiplicative_model, pinched_band):
@@ -76,10 +96,11 @@ class TestLogHarnack:
 
     def test_mc_cross_check_agrees(self, ou_model, unit_band, pde_cfg):
         T, x, y = 1.0, 0.0, 0.5
-        pde = g.check_log_harnack(ou_model, unit_band, BUMP, x, y, T, pde_cfg)
-        mc = g.check_log_harnack(ou_model, unit_band, BUMP, x, y, T, pde_cfg,
-                                 method="mc", mc_grid=g.TimeGrid(T, 128),
-                                 mc_paths=4096, seed=7)
+        P = solved(ou_model, unit_band, pde_cfg, BUMP, LOG_BUMP)
+        pde = g.check_log_harnack(P, BUMP, LOG_BUMP, x, y)
+        mc = g.check_log_harnack(P, BUMP, LOG_BUMP, x, y, method="mc",
+                                 mc_grid=g.TimeGrid(T, 128), mc_paths=4096,
+                                 seed=7)
         assert mc.method == "mc"
         assert mc.passed
         assert mc.lhs == pytest.approx(pde.lhs, abs=mc.tolerance + pde.tolerance + 0.02)
@@ -94,9 +115,11 @@ class TestPowerHarnack:
 
     def test_certificate_passes_admissible_p(self, multiplicative_model,
                                              pinched_band, coarse_cfg):
-        for p in (1.5, 2.0, 4.0):
-            report = g.check_power_harnack(multiplicative_model, pinched_band,
-                                           BUMP, 0.0, 0.5, 1.0, p, coarse_cfg)
+        powers = {p: BUMP.power(p) for p in (1.5, 2.0, 4.0)}
+        P = solved(multiplicative_model, pinched_band, coarse_cfg, BUMP,
+                   *powers.values())
+        for p, f_p in powers.items():
+            report = g.check_power_harnack(P, BUMP, f_p, 0.0, 0.5, p)
             assert report.passed
             assert report.a == pytest.approx(1.0 / (p - 1.0))
             assert report.q == pytest.approx(1.0 + math.sqrt(p))
@@ -104,15 +127,18 @@ class TestPowerHarnack:
 
     def test_diagonal_holder_nonnegative(self, multiplicative_model,
                                          pinched_band, coarse_cfg):
-        report = g.check_power_harnack(multiplicative_model, pinched_band,
-                                       BUMP, 0.2, 0.2, 1.0, 2.0, coarse_cfg)
+        report = g.check_power_harnack(
+            solved(multiplicative_model, pinched_band, coarse_cfg, BUMP,
+                   BUMP_SQ), BUMP, BUMP_SQ, 0.2, 0.2, 2.0)
         assert report.slack >= -1e-12
 
     def test_constant_payoff(self, multiplicative_model, pinched_band,
                              coarse_cfg):
         payoff = g.make_payoff("constant", (0.5,))
-        report = g.check_power_harnack(multiplicative_model, pinched_band,
-                                       payoff, 0.0, 0.5, 1.0, 2.0, coarse_cfg)
+        squared = payoff.power(2.0)
+        report = g.check_power_harnack(
+            solved(multiplicative_model, pinched_band, coarse_cfg, payoff,
+                   squared), payoff, squared, 0.0, 0.5, 2.0)
         assert report.lhs == pytest.approx(0.25, abs=1e-10)
         assert report.rhs > report.lhs
 
@@ -121,27 +147,30 @@ class TestPowerHarnack:
         threshold = power_threshold(0.9, 1.0)
         for p in (1.2, threshold):
             with pytest.raises(HarnackError, match="threshold"):
-                g.check_power_harnack(multiplicative_model, pinched_band, BUMP,
-                                      0.0, 0.5, 1.0, p, coarse_cfg)
+                g.check_power_harnack(
+                    unsolved(multiplicative_model, pinched_band), BUMP,
+                    BUMP.power(p), 0.0, 0.5, p)
 
     def test_rejects_equal_kappas(self, ou_model, unit_band, coarse_cfg):
         with pytest.raises(HarnackError, match="kappa2 > kappa1"):
-            g.check_power_harnack(ou_model, unit_band, BUMP, 0.0, 0.5, 1.0,
-                                  2.0, coarse_cfg)
+            g.check_power_harnack(unsolved(ou_model, unit_band), BUMP,
+                                  BUMP_SQ, 0.0, 0.5, 2.0)
 
     def test_rhs_grows_toward_threshold(self, multiplicative_model,
                                         pinched_band, coarse_cfg):
         threshold = power_threshold(0.9, 1.0)
-        ps = [threshold + 0.02, 1.4, 1.7, 2.2]
-        rhs = [g.check_power_harnack(multiplicative_model, pinched_band, BUMP,
-                                     0.0, 0.5, 1.0, p, coarse_cfg).rhs
-               for p in ps]
+        powers = {p: BUMP.power(p) for p in (threshold + 0.02, 1.4, 1.7, 2.2)}
+        P = solved(multiplicative_model, pinched_band, coarse_cfg, BUMP,
+                   *powers.values())
+        rhs = [g.check_power_harnack(P, BUMP, f_p, 0.0, 0.5, p).rhs
+               for p, f_p in powers.items()]
         assert all(a > b for a, b in zip(rhs, rhs[1:]))
 
     def test_mc_cross_check_channel(self, multiplicative_model, pinched_band,
                                     coarse_cfg):
-        report = g.check_power_harnack(multiplicative_model, pinched_band,
-                                       BUMP, 0.0, 0.5, 1.0, 2.0, coarse_cfg,
+        report = g.check_power_harnack(unsolved(multiplicative_model,
+                                                pinched_band),
+                                       BUMP, BUMP_SQ, 0.0, 0.5, 2.0,
                                        method="mc",
                                        mc_grid=g.TimeGrid(1.0, 128),
                                        mc_paths=2048, seed=19)
@@ -152,8 +181,9 @@ class TestPowerHarnack:
                                                pinched_band, coarse_cfg):
         # the two routes to the exponential constant disagree; reports carry
         # both so the gap stays visible
-        report = g.check_power_harnack(multiplicative_model, pinched_band,
-                                       BUMP, 0.0, 0.5, 1.0, 2.0, coarse_cfg)
+        report = g.check_power_harnack(
+            solved(multiplicative_model, pinched_band, coarse_cfg, BUMP,
+                   BUMP_SQ), BUMP, BUMP_SQ, 0.0, 0.5, 2.0)
         assert report.extras["exponent_printed"] == pytest.approx(
             power_harnack_exponent(2.0, 1.1, 0.9, 0.9, 1.0, 1.0), rel=1e-12)
         assert report.extras["exponent_moment_route"] > \
@@ -164,8 +194,9 @@ class TestGradientEstimate:
     def test_constant_payoff_zero_gradient(self, multiplicative_model,
                                            pinched_band, coarse_cfg):
         payoff = g.make_payoff("constant", (1.0,))
-        report = g.check_gradient_estimate(multiplicative_model, pinched_band,
-                                           payoff, 1.0, coarse_cfg)
+        report = g.check_gradient_estimate(
+            solved(multiplicative_model, pinched_band, coarse_cfg, payoff),
+            payoff)
         assert report.lhs == pytest.approx(0.0, abs=1e-10)
         assert report.passed
 
@@ -179,8 +210,8 @@ class TestGradientEstimate:
 
     def test_envelope_minimum_at_star_alpha(self, multiplicative_model,
                                             pinched_band, coarse_cfg):
-        report = g.check_gradient_estimate(multiplicative_model, pinched_band,
-                                           BUMP, 1.0, coarse_cfg)
+        report = g.check_gradient_estimate(
+            solved(multiplicative_model, pinched_band, coarse_cfg, BUMP), BUMP)
         assert report.alpha == pytest.approx(0.81, rel=1e-12)
         assert report.passed
 
@@ -188,8 +219,8 @@ class TestGradientEstimate:
         T = 1.0
         cfg = g.PdeConfig(-8, 8, 800)
         payoff = g.make_payoff("gauss_bump")
-        report = g.check_gradient_estimate(heat_model, unit_band, payoff, T,
-                                           cfg)
+        report = g.check_gradient_estimate(
+            solved(heat_model, unit_band, cfg, payoff), payoff)
         nodes, weights = np.polynomial.hermite_e.hermegauss(120)
 
         def kernel_gradient(x):
@@ -203,42 +234,40 @@ class TestGradientEstimate:
         assert report.passed
 
     def test_resolution_change_within_tolerance(self, heat_model, unit_band):
-        T = 1.0
         payoff = g.make_payoff("gauss_bump")
-        r1 = g.check_gradient_estimate(heat_model, unit_band, payoff, T,
-                                       g.PdeConfig(-8, 8, 400))
-        r2 = g.check_gradient_estimate(heat_model, unit_band, payoff, T,
-                                       g.PdeConfig(-8, 8, 800))
+        r1, r2 = (g.check_gradient_estimate(
+            solved(heat_model, unit_band, g.PdeConfig(-8, 8, n), payoff),
+            payoff) for n in (400, 800))
         assert abs(r2.lhs - r1.lhs) <= r1.tolerance
 
 
 class TestLipschitzTransport:
     def test_diagonal_zero(self, ou_model, unit_band, coarse_cfg):
-        report = g.lipschitz_transport_check(ou_model, unit_band, BUMP, 0.4,
-                                             0.4, 1.0, coarse_cfg)
+        report = g.lipschitz_transport_check(
+            solved(ou_model, unit_band, coarse_cfg, BUMP), BUMP, 0.4, 0.4)
         assert report.lhs == pytest.approx(0.0, abs=1e-12)
         assert report.rhs == 0.0
 
     def test_bound_symmetric_under_swap(self, ou_model, unit_band, coarse_cfg):
-        fwd = g.lipschitz_transport_check(ou_model, unit_band, BUMP, 0.0, 0.5,
-                                          1.0, coarse_cfg)
-        rev = g.lipschitz_transport_check(ou_model, unit_band, BUMP, 0.5, 0.0,
-                                          1.0, coarse_cfg)
+        P = solved(ou_model, unit_band, coarse_cfg, BUMP)
+        fwd = g.lipschitz_transport_check(P, BUMP, 0.0, 0.5)
+        rev = g.lipschitz_transport_check(P, BUMP, 0.5, 0.0)
         assert fwd.rhs == pytest.approx(rev.rhs, rel=1e-14)
         assert fwd.lhs == pytest.approx(rev.lhs, rel=1e-12)
 
     def test_ou_separations_pass(self, ou_model, unit_band, pde_cfg):
+        P = solved(ou_model, unit_band, pde_cfg, BUMP)
         for gap in (0.1, 0.5, 1.0):
-            report = g.lipschitz_transport_check(ou_model, unit_band, BUMP,
-                                                 0.0, gap, 1.0, pde_cfg)
+            report = g.lipschitz_transport_check(P, BUMP, 0.0, gap)
             assert report.passed
             assert report.slack > 0.0
 
 
 class TestReportSurface:
     def test_csv_row_shape(self, ou_model, unit_band, coarse_cfg):
-        report = g.check_log_harnack(ou_model, unit_band, BUMP, 0.0, 0.5, 1.0,
-                                     coarse_cfg)
+        report = g.check_log_harnack(
+            solved(ou_model, unit_band, coarse_cfg, BUMP, LOG_BUMP), BUMP,
+            LOG_BUMP, 0.0, 0.5)
         cells = report.csv_row().split(",")
         assert len(cells) == len(CSV_HEADER.split(","))
         assert cells[0] == "log"
@@ -247,17 +276,17 @@ class TestReportSurface:
 
     def test_slack_bit_reproducible(self, multiplicative_model, pinched_band,
                                     coarse_cfg):
-        r1 = g.check_power_harnack(multiplicative_model, pinched_band, BUMP,
-                                   0.0, 0.5, 1.0, 2.0, coarse_cfg)
-        r2 = g.check_power_harnack(multiplicative_model, pinched_band, BUMP,
-                                   0.0, 0.5, 1.0, 2.0, coarse_cfg)
+        r1, r2 = (g.check_power_harnack(
+            solved(multiplicative_model, pinched_band, coarse_cfg, BUMP,
+                   BUMP_SQ), BUMP, BUMP_SQ, 0.0, 0.5, 2.0) for _ in range(2))
         assert r1.slack == r2.slack
         assert r1.csv_row() == r2.csv_row()
 
     def test_to_dict_json_clean(self, ou_model, unit_band, coarse_cfg):
         import json
 
-        report = g.check_log_harnack(ou_model, unit_band, BUMP, 0.0, 0.5, 1.0,
-                                     coarse_cfg)
+        report = g.check_log_harnack(
+            solved(ou_model, unit_band, coarse_cfg, BUMP, LOG_BUMP), BUMP,
+            LOG_BUMP, 0.0, 0.5)
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert "constant_printed" in text

@@ -146,17 +146,16 @@ class TestUpperExpectation:
             g.make_coefficient("constant", (0.0,)),
             g.make_coefficient("constant", (0.0,)),
             g.make_coefficient("constant", (1.0,)), 0.0, 1.0, 1.0)
-        for name in ("gauss_bump", "cosine"):
-            payoff = g.make_payoff(name)
-            u, tol = g.solve_with_tolerance(heat, wide_band, payoff, 1.0, cfg)
-            _, policy = g.solve_g_heat(payoff, wide_band, 1.0, cfg,
-                                       policy_times=grid.nodes[:-1])
+        payoffs = [g.make_payoff(name) for name in ("gauss_bump", "cosine")]
+        solved = g.solve_semigroups(heat, wide_band, 1.0, cfg, payoffs,
+                                    policy_times=grid.nodes[:-1])
+        for payoff in payoffs:
             controls = g.sample_controls("feedback", wide_band, grid, 3,
-                                         seed=13, policy=policy)
+                                         seed=13, policy=solved.policy[payoff])
             est = g.upper_expectation_mc(g.terminal_functional(payoff),
                                          controls, 2 ** 13, seed=13)
-            assert abs(est.value - float(u(0.0))) <= \
-                3.0 * est.std_error + tol(0.0)
+            assert abs(est.value - float(solved.fine[payoff](0.0))) <= \
+                3.0 * est.std_error + solved.tolerance(payoff, 0.0)
 
 
 class TestSemigroupEstimator:
@@ -168,15 +167,14 @@ class TestSemigroupEstimator:
         grid = g.TimeGrid(T, 256)
         cfg = g.PdeConfig(-8, 8, 400)
         payoff = g.make_payoff("gauss_bump")
-        u, tol = g.solve_with_tolerance(ou_model, band, payoff, T, cfg)
-        _, policy = g.solve_g_hjb(ou_model, band, payoff, T, cfg,
-                                  policy_times=grid.nodes[:-1])
+        solved = g.solve_semigroups(ou_model, band, T, cfg, [payoff],
+                                    policy_times=grid.nodes[:-1])
         est = g.upper_semigroup_mc(ou_model, band, payoff, 0.3, grid,
-                                   2 ** 13, seed=29, policy=policy,
-                                   n_controls=4)
+                                   2 ** 13, seed=29,
+                                   policy=solved.policy[payoff], n_controls=4)
         assert est.best_control_id == 0  # the feedback control wins
-        assert abs(est.value - float(u(0.3))) <= \
-            3.0 * est.std_error + tol(0.3)
+        assert abs(est.value - float(solved.fine[payoff](0.3))) <= \
+            3.0 * est.std_error + solved.tolerance(payoff, 0.3)
 
     def test_constants_only_lower_bound(self, ou_model, unit_band):
         grid = g.TimeGrid(1.0, 128)
