@@ -22,7 +22,7 @@ from .model import (
     make_coefficient,
     make_payoff,
 )
-from .gheat import PdeConfig, PdeError, solve_nbytes
+from .gheat import _UNIT_COEFFS, PdeConfig, PdeError, _cfl_time_step, solve_nbytes
 from .coupling import bundle_nbytes
 
 
@@ -55,6 +55,13 @@ class RunConfig:
 
 # Rows of the largest stacked PDE solve a run makes: f, log f and f^p.
 _STACK_ROWS = 3
+
+# Node-steps (explicit time steps x space intervals) one stepping pass may
+# take. The CFL step shrinks with dx^2, so n_t grows with n_space^2; at the
+# 75-100 ns a node-step of a 3-row pass (2-vCPU x86 VM, numpy 2.4), 10^10
+# node-steps is about a quarter of an hour, reached near n_space = 11000 on
+# the bundled model.
+_MAX_NODE_STEPS = 10 ** 10
 
 
 def _physical_memory() -> int:
@@ -164,6 +171,18 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
             f"{pde.n_space} intervals need {need / 2 ** 30:.3g} GiB of PDE "
             f"working set, more than the {have / 2 ** 30:.3g} GiB of physical "
             "memory")
+    # The G-heat oracle steps the unit coefficients, the semigroup the model.
+    try:
+        n_t = max(_cfl_time_step(c, band, T, pde)[1]
+                  for c in (coeffs, _UNIT_COEFFS))
+    except PdeError as exc:
+        raise ConfigError("grid.n_space", str(exc)) from exc
+    if n_t * pde.n_space > _MAX_NODE_STEPS:
+        raise ConfigError(
+            "grid.n_space",
+            f"{pde.n_space} intervals need {n_t} explicit time steps, "
+            f"{n_t * pde.n_space:.3g} node-steps a pass, more than the "
+            f"budget of {_MAX_NODE_STEPS:.0e}")
 
     cpl = _section(cp, "coupling")
     alpha_raw = _get(cpl, "alpha", str, default="auto")

@@ -195,7 +195,11 @@ class ClipSample:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Coupled sample paths under one scenario control (rows = paths)."""
+    """Coupled sample paths under one scenario control (rows = paths).
+
+    `w` is path-major: row p is path p's own stream. `levels` and the four
+    path arrays are transposed views of the kernel's time-major buffers, so
+    a column (one time node) is contiguous and a row (one path) is strided."""
 
     grid: TimeGrid
     control: Control
@@ -205,11 +209,11 @@ class PathBundle:
     clip_epsilon: float
     clip_index: int
     w: np.ndarray          # (n_paths, n_steps) sqrt(dt)-scaled normals
-    levels: np.ndarray     # (n_paths, n_steps)
-    x_path: np.ndarray     # (n_paths, n_steps + 1)
-    y_path: np.ndarray
-    g_path: np.ndarray
-    log_m_path: np.ndarray
+    levels: np.ndarray     # (n_paths, n_steps), time-major view
+    x_path: np.ndarray     # (n_paths, n_steps + 1), time-major view
+    y_path: np.ndarray     # as x_path
+    g_path: np.ndarray     # as x_path
+    log_m_path: np.ndarray  # as x_path
     # Step during which the overflow guard excluded each path, n_steps if
     # never: a path excluded during step j is still included at node j.
     stiff_step: np.ndarray
@@ -258,9 +262,10 @@ class PathBundle:
 
     def head(self, n_paths: int) -> "PathBundle":
         """A copy of the first `n_paths` rows, holding no reference to this
-        bundle's arrays. A bundle simulated on those rows of `w` alone has
-        the same paths, unless a later row drew stiff-step bridge noise
-        before one of them did."""
+        bundle's arrays; each copy keeps its source's memory layout, so the
+        path arrays stay time-major. A bundle simulated on those rows of `w`
+        alone has the same paths, unless a later row drew stiff-step bridge
+        noise before one of them did."""
         rows = {name: np.array(getattr(self, name)[:n_paths])
                 for name in ("w", "levels", "x_path", "y_path", "g_path",
                              "log_m_path", "stiff_step")}
@@ -302,16 +307,15 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     dt = grid.dt
 
     w = w.view()  # made read-only below; the caller's array stays writable
-    levels = np.empty((n_paths, n_steps))
-    x = np.full(n_paths, float(x0))
-    y = np.full(n_paths, float(y0))
-    logm = np.zeros(n_paths)
-    x_path = np.empty((n_paths, n_steps + 1))
-    y_path = np.empty((n_paths, n_steps + 1))
-    g_path = np.zeros((n_paths, n_steps + 1))
-    logm_path = np.zeros((n_paths, n_steps + 1))
-    x_path[:, 0] = x
-    y_path[:, 0] = y
+    # Time-major buffers: step j reads row j and writes row j + 1.
+    levels = np.empty((n_steps, n_paths))
+    x_path = np.empty((n_steps + 1, n_paths))
+    y_path = np.empty((n_steps + 1, n_paths))
+    g_path = np.zeros((n_steps + 1, n_paths))
+    logm_path = np.zeros((n_steps + 1, n_paths))
+    x_path[0] = x0
+    y_path[0] = y0
+    x, y, logm = x_path[0], y_path[0], logm_path[0]
     stiff_step = np.full(n_paths, n_steps)
     bridge_rng = None
 
@@ -336,10 +340,10 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
         with_g = j < clip_index
         lam_t = float(lam_nodes[j]) if with_g else math.inf
         lv = np.asarray(control.level(j, t, x), dtype=float)
-        levels[:, j] = lv
+        levels[j] = lv
 
         xn, yn, lmn, g = one_step(x, y, logm, t, lam_t, lv, w[:, j], dt, with_g)
-        g_path[:, j] = g
+        g_path[j] = g
 
         trouble = np.abs(g) * dt > _STIFF_G_DT
         if trouble.any():
@@ -379,17 +383,17 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
                     xn[p], yn[p], lmn[p] = x[p], y[p], logm[p]  # frozen
 
         x, y, logm = xn, yn, lmn
-        x_path[:, j + 1] = x
-        y_path[:, j + 1] = y
-        logm_path[:, j + 1] = logm
+        x_path[j + 1] = x
+        y_path[j + 1] = y
+        logm_path[j + 1] = logm
 
     for arr in (w, levels, x_path, y_path, g_path, logm_path, stiff_step):
         arr.setflags(write=False)
     return PathBundle(grid=grid, control=control, schedule=schedule, x0=float(x0),
                       y0=float(y0), clip_epsilon=float(clip_epsilon),
-                      clip_index=clip_index, w=w, levels=levels, x_path=x_path,
-                      y_path=y_path, g_path=g_path, log_m_path=logm_path,
-                      stiff_step=stiff_step)
+                      clip_index=clip_index, w=w, levels=levels.T,
+                      x_path=x_path.T, y_path=y_path.T, g_path=g_path.T,
+                      log_m_path=logm_path.T, stiff_step=stiff_step)
 
 
 def shifted_qv_discrepancy(bundle: PathBundle,
@@ -416,7 +420,10 @@ def shifted_qv_discrepancy(bundle: PathBundle,
     g = bundle.g_path[:, :-1].copy()
     g[:, j:] = 0.0
     dBh = dB + g * dqv
-    disc = np.abs(np.sum(dBh ** 2 - dB ** 2, axis=1))
+    # levels is a transposed view, and numpy takes the layout of an
+    # elementwise result from its operands; a C-ordered operand sums each
+    # path in the pairwise order of a contiguous row, whatever that layout.
+    disc = np.abs(np.sum(np.ascontiguousarray(dBh ** 2 - dB ** 2), axis=1))
     return float(np.mean(disc[keep]))
 
 

@@ -65,12 +65,16 @@ Control = ScenarioControl | FeedbackControl
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Vectorized bundle of paths under one control (rows = paths)."""
+    """Vectorized bundle of paths under one control (rows = paths).
+
+    `w` is path-major: row p is path p's own stream. `levels` and `b_path`
+    are transposed views of the kernel's time-major buffers, so a column
+    (one time node) is contiguous and a row (one path) is strided."""
 
     grid: TimeGrid
     w: np.ndarray        # (n_paths, n_steps) sqrt(dt)-scaled normals
-    levels: np.ndarray   # (n_paths, n_steps) realized levels
-    b_path: np.ndarray   # (n_paths, n_steps + 1)
+    levels: np.ndarray   # (n_paths, n_steps) realized levels, time-major view
+    b_path: np.ndarray   # (n_paths, n_steps + 1), time-major view
 
     @property
     def n_paths(self) -> int:
@@ -163,20 +167,21 @@ def simulate_state_batch(coeffs: ModelCoefficients, control: Control, x0: float,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Euler paths of the controlled state equation; feedback levels read the
     simulated state. Returns the paths (n_paths, n_steps + 1) and the
-    realized levels (n_paths, n_steps)."""
+    realized levels (n_paths, n_steps), transposed views of time-major
+    buffers: each step reads and writes one contiguous row."""
     n_paths, n_steps = w.shape
     dt = grid.dt
-    x = np.empty((n_paths, n_steps + 1))
-    x[:, 0] = x0
-    levels = np.empty((n_paths, n_steps))
+    x = np.empty((n_steps + 1, n_paths))
+    x[0] = x0
+    levels = np.empty((n_steps, n_paths))
     for j in range(n_steps):
         t = float(grid.nodes[j])
-        xj = x[:, j]
+        xj = x[j]
         lv = np.asarray(control.level(j, t, xj), dtype=float)
-        levels[:, j] = lv
-        x[:, j + 1] = euler_step(coeffs, t, xj, coeffs.sigma(t, xj), dt,
-                                 lv * lv * dt, lv * w[:, j])
-    return x, levels
+        levels[j] = lv
+        x[j + 1] = euler_step(coeffs, t, xj, coeffs.sigma(t, xj), dt,
+                              lv * lv * dt, lv * w[:, j])
+    return x.T, levels.T
 
 
 def _simulate_batch(control: Control, grid: TimeGrid, w: np.ndarray) -> PathBatch:

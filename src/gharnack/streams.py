@@ -22,12 +22,22 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Standard-normal increments, one row per path, one column per step.
 
-    Row p depends only on (seed, p), so the first k rows of a taller matrix
-    equal the matrix of height k.
+    Row p is the first n_steps normals of the stream (seed, PATH_SPACE + p),
+    so it depends only on (seed, p) and the first k rows of a taller matrix
+    equal the matrix of height k. One generator serves every row: before
+    each row its state is reset to that of a fresh generator on the row's
+    key (counter 0, empty buffer), which draws the same numbers without
+    building a generator per row.
     """
     out = np.empty((n_paths, n_steps), dtype=float)
+    gen = _generator(seed, PATH_SPACE)
+    bits = gen.bit_generator
+    fresh = bits.state
+    key = fresh["state"]["key"]
     for p in range(n_paths):
-        out[p] = _generator(seed, PATH_SPACE + p).standard_normal(n_steps)
+        key[1] = PATH_SPACE + p
+        bits.state = fresh
+        out[p] = gen.standard_normal(n_steps)
     return out
 
 

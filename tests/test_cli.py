@@ -54,6 +54,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="model.K"):
             parse_run_config(p)
 
+    @pytest.mark.parametrize("n_space", [800, 4000])
+    def test_pde_step_budget_admits_fine_grids(self, tmp_path, n_space):
+        p = tmp_path / "fine.cfg"
+        p.write_text(CFG.read_text().replace("n_space = 400",
+                                             f"n_space = {n_space}"))
+        assert parse_run_config(p).pde.n_space == n_space
+
+    def test_grid_too_coarse_for_h_names_n_space(self, tmp_path):
+        # |h| up to 2 needs dx <= kappa1^2 / 2 = 0.405; 20 intervals give 0.8
+        text = (CFG.read_text()
+                .replace("h_params = 0, 0.05, 1", "h_params = 0, 2, 1")
+                .replace("K = 1.1", "K = 3.1")
+                .replace("n_space = 400", "n_space = 20"))
+        p = tmp_path / "coarse.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=r"grid\.n_space.*too coarse"):
+            parse_run_config(p)
+
     def test_clip_epsilon_window(self, tmp_path):
         text = CFG.read_text().replace("clip_epsilon = 0.01",
                                        "clip_epsilon = 0.5")
@@ -143,6 +161,21 @@ class TestCliExitCodes:
         assert peak < 16 * 2 ** 20
         assert not (tmp_path / "o").exists()
 
+    def test_pde_step_count_is_exit_2_before_any_work(self, tmp_path, capsys):
+        # 10^5 intervals fit in memory but need about 5.9e7 explicit steps
+        big = tmp_path / "steps.cfg"
+        big.write_text(CFG.read_text().replace("n_space = 400",
+                                               "n_space = 100000"))
+        start = time.perf_counter()
+        code = run(["harnack", "--config", big, "--out", tmp_path / "o"])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[grid.n_space]" in err and "node-steps" in err
+        assert "59145003 explicit time steps" in err
+        assert elapsed < 5.0
+        assert not (tmp_path / "o").exists()
+
 
     def test_oversized_pde_is_exit_2_before_any_work(self, tmp_path, capsys):
         big = tmp_path / "big.cfg"
@@ -161,6 +194,21 @@ class TestCliExitCodes:
         assert "[grid.n_space]" in err and "physical memory" in err
         assert elapsed < 5.0
         assert peak < 16 * 2 ** 20
+        assert not (tmp_path / "o").exists()
+
+    def test_pde_step_count_is_exit_2_before_any_work(self, tmp_path, capsys):
+        # 10^5 intervals fit in memory but need about 5.9e7 explicit steps
+        big = tmp_path / "steps.cfg"
+        big.write_text(CFG.read_text().replace("n_space = 400",
+                                               "n_space = 100000"))
+        start = time.perf_counter()
+        code = run(["harnack", "--config", big, "--out", tmp_path / "o"])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[grid.n_space]" in err and "node-steps" in err
+        assert "59145003 explicit time steps" in err
+        assert elapsed < 5.0
         assert not (tmp_path / "o").exists()
 
 

@@ -527,3 +527,171 @@ class TestBundleExport:
         cells = lines[1].split(",")
         assert cells[0] == "0" and cells[1] == "0"
         assert float(cells[6]) == pytest.approx(math.exp(float(cells[7])))
+
+
+def reference_coupled(coeffs, schedule, x0, y0, control, seed, clip_epsilon,
+                      w):
+    """The coupled Euler loop written path-major, one strided column per
+    step, with the kernel's stiff-step retry and guard settings read at call
+    time. Returns the arrays by PathBundle field name."""
+    grid = control.grid
+    n_paths, n_steps = w.shape
+    dt = grid.dt
+    clip_index = coupling._clip_index(grid, clip_epsilon)
+    stiff_g_dt, max_halvings = coupling._STIFF_G_DT, coupling._MAX_HALVINGS
+    levels = np.empty((n_paths, n_steps))
+    x = np.full(n_paths, float(x0))
+    y = np.full(n_paths, float(y0))
+    logm = np.zeros(n_paths)
+    x_path = np.empty((n_paths, n_steps + 1))
+    y_path = np.empty((n_paths, n_steps + 1))
+    g_path = np.zeros((n_paths, n_steps + 1))
+    logm_path = np.zeros((n_paths, n_steps + 1))
+    x_path[:, 0] = x
+    y_path[:, 0] = y
+    stiff_step = np.full(n_paths, n_steps)
+    bridge_rng = None
+    lam_nodes = schedule.value(grid.nodes)
+
+    def euler(t, xs, sx, dt_loc, dqv, dB):
+        return xs + coeffs.b(t, xs) * dt_loc + coeffs.h(t, xs) * dqv + sx * dB
+
+    def one_step(xs, ys, lms, t, lam_t, lv, dW, dt_loc, with_g):
+        dB = lv * dW
+        dqv = lv * lv * dt_loc
+        sx = coeffs.sigma(t, xs)
+        sy = coeffs.sigma(t, ys)
+        g = (xs - ys) / (lam_t * sx) if with_g else np.zeros_like(xs)
+        xn = euler(t, xs, sx, dt_loc, dqv, dB)
+        yn = euler(t, ys, sy, dt_loc, dqv, dB) + sy * g * dqv
+        lmn = lms - g * dB - 0.5 * g * g * dqv
+        return xn, yn, lmn, g
+
+    for j in range(n_steps):
+        t = float(grid.nodes[j])
+        with_g = j < clip_index
+        lam_t = float(lam_nodes[j]) if with_g else math.inf
+        lv = np.asarray(control.level(j, t, x), dtype=float)
+        levels[:, j] = lv
+        xn, yn, lmn, g = one_step(x, y, logm, t, lam_t, lv, w[:, j], dt, with_g)
+        g_path[:, j] = g
+        trouble = np.abs(g) * dt > stiff_g_dt
+        if trouble.any():
+            if bridge_rng is None:
+                bridge_rng = np.random.default_rng(np.random.Philox(
+                    key=np.array([seed, 1 << 32], dtype=np.uint64)))
+            for p in np.nonzero(trouble & (stiff_step == n_steps))[0]:
+                ok = False
+                for halving in range(1, max_halvings + 1):
+                    n_sub = 2 ** halving
+                    dt_sub = dt / n_sub
+                    raw = bridge_rng.standard_normal((1, n_sub)) * \
+                        math.sqrt(dt_sub)
+                    sub_w = (raw - raw.mean(axis=1, keepdims=True)
+                             + w[p:p + 1, j][:, None] / n_sub)[0]
+                    xs, ys, lms = (x[p:p + 1].copy(), y[p:p + 1].copy(),
+                                   logm[p:p + 1].copy())
+                    fine = True
+                    for s in range(n_sub):
+                        ts = t + s * dt_sub
+                        lam_s = float(schedule.value(ts)) if with_g else math.inf
+                        xs2, ys2, lms2, g_s = one_step(
+                            xs, ys, lms, ts, lam_s, lv[p:p + 1],
+                            sub_w[s:s + 1], dt_sub, with_g)
+                        if abs(float(g_s[0])) * dt_sub > stiff_g_dt:
+                            fine = False
+                            break
+                        xs, ys, lms = xs2, ys2, lms2
+                    if fine:
+                        xn[p], yn[p], lmn[p] = xs[0], ys[0], lms[0]
+                        ok = True
+                        break
+                if not ok:
+                    stiff_step[p] = j
+                    xn[p], yn[p], lmn[p] = x[p], y[p], logm[p]
+        x, y, logm = xn, yn, lmn
+        x_path[:, j + 1] = x
+        y_path[:, j + 1] = y
+        logm_path[:, j + 1] = logm
+    return {"w": w, "levels": levels, "x_path": x_path, "y_path": y_path,
+            "g_path": g_path, "log_m_path": logm_path,
+            "stiff_step": stiff_step}
+
+
+def reference_shifted_qv(arrays, dt, j, keep):
+    """shifted_qv_discrepancy on path-major arrays."""
+    dB = arrays["levels"] * arrays["w"]
+    dqv = arrays["levels"] ** 2 * dt
+    g = arrays["g_path"][:, :-1].copy()
+    g[:, j:] = 0.0
+    disc = np.abs(np.sum((dB + g * dqv) ** 2 - dB ** 2, axis=1))
+    return float(np.mean(disc[keep]))
+
+
+@pytest.fixture
+def frequent_retry(monkeypatch):
+    """A guard threshold under which alpha = 1.55 and level 1.1 retry every
+    path in steps 0 and 61 of 64 with bridge substeps."""
+    monkeypatch.setattr(coupling, "_STIFF_G_DT", 0.3)
+
+
+class TestTimeMajorCoupledKernel:
+    """The time-major coupled kernel gives, bit for bit, what the path-major
+    loop gives, with and without stiff steps."""
+
+    FIELDS = ("w", "levels", "x_path", "y_path", "g_path", "log_m_path",
+              "stiff_step")
+
+    @pytest.mark.parametrize("guard", [None, "late_exclusion",
+                                       "frequent_retry"])
+    @pytest.mark.parametrize("control_id", [0, 1])
+    def test_every_array_equals_path_major_loop(self, request,
+                                                 multiplicative_model,
+                                                 pinched_band, guard,
+                                                 control_id):
+        if guard is not None:
+            request.getfixturevalue(guard)
+        coeffs = multiplicative_model
+        alpha = 0.81 if guard is None else 1.55
+        schedule, controls, w = TestOnePassSweep.make_case(
+            coeffs, pinched_band, alpha)
+        control = controls[control_id]
+        bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, control, 91,
+                                    0.025, w)
+        ref = reference_coupled(coeffs, schedule, 0.0, 0.5, control, 91,
+                                0.025, w)
+        for name in self.FIELDS:
+            got = getattr(bundle, name)
+            assert got.shape == ref[name].shape, name
+            assert got.tobytes() == ref[name].tobytes(), name
+            assert not got.flags.writeable, name
+        head = bundle.head(64)
+        for name in self.FIELDS:
+            assert getattr(head, name).tobytes() == \
+                ref[name][:64].tobytes(), name
+        dt = control.grid.dt
+        for eps in SWEEP:
+            j = bundle.node(eps)
+            keep = ref["stiff_step"] >= j
+            if keep.any():
+                assert shifted_qv_discrepancy(bundle, eps) == \
+                    reference_shifted_qv(ref, dt, j, keep)
+                assert shifted_qv_discrepancy(head, eps) == \
+                    reference_shifted_qv(
+                        {k: v[:64] for k, v in ref.items()}, dt, j, keep[:64])
+        if guard == "late_exclusion" and control_id == 1:
+            assert 0 < bundle.n_stiff < 256
+        if guard == "frequent_retry" and control_id == 1:
+            assert bundle.n_stiff == 0
+            assert not np.array_equal(
+                bundle.x_path,
+                g.simulate_coupled(coeffs, schedule, 0.0, 0.5, control, 92,
+                                   0.025, w).x_path)
+
+    def test_time_nodes_are_contiguous_rows(self, acc_setup):
+        coeffs, band, schedule, grid, controls = acc_setup
+        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[2], seed=94,
+                         clip_epsilon=0.01, n_paths=32)
+        for name in ("levels", "x_path", "y_path", "g_path", "log_m_path"):
+            assert getattr(bundle, name).T.flags.c_contiguous, name
+        assert bundle.w.flags.c_contiguous

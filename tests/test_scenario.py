@@ -1,10 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gharnack as g
-from gharnack.scenario import ScenarioError, _simulate_batch, scaled_increments
+from gharnack.cli import bundled_config_path
+from gharnack.gheat import _UNIT_COEFFS
+from gharnack.scenario import (
+    ScenarioError,
+    _simulate_batch,
+    scaled_increments,
+    simulate_state_batch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +301,99 @@ class TestCounterBasedStreams:
         batch = _simulate_batch(control, grid, scaled_increments(5, 3, grid))
         single = first_path(control, seed=5)
         assert np.array_equal(batch.b_path[0], single.b_path[0])
+
+
+def reference_state_batch(coeffs, control, x0, w, grid):
+    """The Euler loop of the state equation written path-major, one strided
+    column per step: x + b dt + h level^2 dt + sigma level dW."""
+    n_paths, n_steps = w.shape
+    dt = grid.dt
+    x = np.empty((n_paths, n_steps + 1))
+    x[:, 0] = x0
+    levels = np.empty((n_paths, n_steps))
+    for j in range(n_steps):
+        t = float(grid.nodes[j])
+        xj = x[:, j]
+        lv = np.asarray(control.level(j, t, xj), dtype=float)
+        levels[:, j] = lv
+        x[:, j + 1] = (xj + coeffs.b(t, xj) * dt + coeffs.h(t, xj) * (lv * lv * dt)
+                       + coeffs.sigma(t, xj) * (lv * w[:, j]))
+    return x, levels
+
+
+class TestTimeMajorKernel:
+    """The time-major kernel gives, bit for bit, what the path-major loop
+    gives, for every kind of control."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        return g.parse_run_config(bundled_config_path())
+
+    @staticmethod
+    def control(kind, coeffs, cfg):
+        if kind != "feedback":
+            return g.sample_controls(kind, cfg.band, cfg.grid, 3, cfg.seed)[1]
+        solved = g.solve_semigroups(coeffs, cfg.band, cfg.grid.horizon,
+                                    g.PdeConfig(-8.0, 8.0, 200), [cfg.payoff],
+                                    policy_times=cfg.grid.nodes[:-1])
+        (control,) = g.sample_controls("feedback", cfg.band, cfg.grid, 1,
+                                       cfg.seed,
+                                       policy=solved.policy[cfg.payoff])
+        assert np.any(solved.policy[cfg.payoff].hi_mask)
+        assert not np.all(solved.policy[cfg.payoff].hi_mask)
+        return control
+
+    @pytest.mark.parametrize("kind", ["constants", "random", "feedback"])
+    @pytest.mark.parametrize("model", ["unit", "bundled"])
+    def test_paths_equal_path_major_loop(self, bundled, model, kind):
+        cfg = bundled
+        coeffs, x0 = (_UNIT_COEFFS, 0.0) if model == "unit" else \
+            (cfg.coeffs, 0.3)
+        control = self.control(kind, coeffs, cfg)
+        w = scaled_increments(cfg.seed, 300, cfg.grid)
+        x, levels = simulate_state_batch(coeffs, control, x0, w, cfg.grid)
+        ref_x, ref_levels = reference_state_batch(coeffs, control, x0, w,
+                                                  cfg.grid)
+        assert x.shape == ref_x.shape and levels.shape == ref_levels.shape
+        assert x.tobytes() == ref_x.tobytes()
+        assert levels.tobytes() == ref_levels.tobytes()
+        # one time node is one contiguous row of the kernel's buffers
+        assert x.T.flags.c_contiguous and levels.T.flags.c_contiguous
+        if kind == "feedback":
+            assert len(np.unique(levels)) == 2
+
+    @pytest.mark.parametrize("kind", ["constants", "random", "feedback"])
+    def test_batch_fields_equal_path_major_loop(self, bundled, kind):
+        cfg = bundled
+        control = self.control(kind, _UNIT_COEFFS, cfg)
+        w = scaled_increments(cfg.seed, 300, cfg.grid)
+        batch = _simulate_batch(control, cfg.grid, w)
+        ref_b, ref_levels = reference_state_batch(_UNIT_COEFFS, control, 0.0,
+                                                  w, cfg.grid)
+        ref_qv = np.zeros_like(ref_b)
+        np.cumsum(ref_levels * ref_levels * cfg.grid.dt, axis=1,
+                  out=ref_qv[:, 1:])
+        assert batch.b_path.tobytes() == ref_b.tobytes()
+        assert batch.levels.tobytes() == ref_levels.tobytes()
+        assert batch.qv_path.tobytes() == ref_qv.tobytes()
+        assert batch.terminal().tobytes() == ref_b[:, -1].tobytes()
+        assert batch.w is not w and np.shares_memory(batch.w, w)
+        for arr in (batch.w, batch.levels, batch.b_path):
+            assert not arr.flags.writeable
+
+
+class TestMemory:
+    def test_upper_expectation_holds_no_copy_of_w(self, wide_band):
+        # w, then one control's paths and levels at a time: about 3 x w
+        n_paths, grid = 4096, g.TimeGrid(1.0, 256)
+        w_nbytes = n_paths * grid.n_steps * 8
+        functional = g.terminal_functional(g.make_payoff("gauss_bump"))
+        for strategy in ("constants", "random"):
+            controls = g.sample_controls(strategy, wide_band, grid, 3, seed=0)
+            tracemalloc.start()
+            try:
+                g.upper_expectation_mc(functional, controls, n_paths, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * w_nbytes + 2 ** 20, (strategy, peak / w_nbytes)
