@@ -23,12 +23,11 @@ from . import harnack as hk
 from . import scenario as sc
 from .config import ConfigError, RunConfig, parse_run_config
 from .gheat import _UNIT_COEFFS, PdeError, Semigroups, solve_semigroups
-from .model import ModelError, default_state_domain, validate_coefficients
+from .model import ModelError
 from .scenario import ScenarioError
 from .coupling import CouplingError
 from .harnack import HarnackError
 
-_SWEEP_FRACTIONS = (0.2, 0.1, 0.05, 0.025)
 _EXPORT_PATHS = 128
 
 
@@ -51,15 +50,6 @@ def _controls_for(cfg: RunConfig, policy=None):
                               cfg.seed, policy=policy)
 
 
-def _validate_model(cfg: RunConfig):
-    domain = default_state_domain(cfg.check_x, cfg.band, cfg.coeffs,
-                                  cfg.grid.horizon)
-    report = validate_coefficients(cfg.coeffs, domain, cfg.grid)
-    if not report.passed:
-        raise ModelError("; ".join(report.violations))
-    return report
-
-
 def run_gheat(cfg: RunConfig):
     heat = solve_semigroups(_UNIT_COEFFS, cfg.band, cfg.grid.horizon, cfg.pde,
                             [cfg.payoff])
@@ -71,14 +61,13 @@ def run_gheat(cfg: RunConfig):
 
 
 def solve_model(cfg: RunConfig, harnack: bool = False):
-    """The model semigroup of one run: validate the coefficients, then solve
-    P_T f, and for the Harnack checks P_T log f and (when kappa2 > kappa1)
-    P_T f^p, in one stacked pass on each of the two grids.
+    """The model semigroup of one run: P_T f, and for the Harnack checks
+    P_T log f and (when kappa2 > kappa1) P_T f^p, in one stacked pass on
+    each of the two grids.
 
     Returns the Semigroups and the (log f, f^p) Payoff keys of its rows, None
     where not solved.
     """
-    _validate_model(cfg)
     log_f = f_p = None
     if harnack:
         log_f = hk.log_payoff(cfg.payoff)
@@ -130,13 +119,12 @@ def run_scenario(cfg: RunConfig):
 
 
 def run_coupling(cfg: RunConfig):
-    _validate_model(cfg)
     T = cfg.grid.horizon
     schedule = cpl.make_schedule(cfg.alpha, cfg.coeffs, cfg.band, T)
     controls = _controls_for(cfg)
     x0, y0 = cfg.check_x, cfg.check_y
     w = sc.scaled_increments(cfg.seed, cfg.n_paths, cfg.grid)
-    sweep = [frac * T for frac in _SWEEP_FRACTIONS]
+    sweep = [frac * T for frac in cpl.SWEEP_FRACTIONS]
     # One run per control at the smallest clip serves every clip node.
     run_epsilon = min(cfg.clip_epsilon, *sweep)
 
@@ -145,7 +133,7 @@ def run_coupling(cfg: RunConfig):
         # of the export rows. Row p of the increments is path p's own
         # stream, so the export paths are the bundle's first rows.
         bundle = cpl.simulate_coupled(cfg.coeffs, schedule, x0, y0, control,
-                                      cfg.seed, run_epsilon, w)
+                                      run_epsilon, w)
         return (bundle.at_clip(cfg.clip_epsilon),
                 [bundle.at_clip(eps) for eps in sweep],
                 bundle.head(_EXPORT_PATHS))

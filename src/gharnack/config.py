@@ -19,11 +19,15 @@ from .model import (
     TimeGrid,
     VolatilityBand,
     coefficient_lipschitz,
+    default_state_domain,
     make_coefficient,
     make_payoff,
+    validate_coefficients,
 )
 from .gheat import _UNIT_COEFFS, PdeConfig, PdeError, _cfl_time_step, solve_nbytes
-from .coupling import bundle_nbytes
+from .coupling import (SWEEP_FRACTIONS, bundle_nbytes, make_schedule,
+                       stability_ratio)
+from .harnack import power_threshold
 
 
 class ConfigError(ValueError):
@@ -203,6 +207,20 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         raise ConfigError("coupling.clip_epsilon",
                           f"must lie in (0, T/10] = (0, {T / 10.0:g}], "
                           f"got {clip_epsilon}")
+    # At the clip run_coupling simulates at; K = 0 has no schedule to check.
+    if K > 0.0:
+        run_epsilon = min(clip_epsilon, min(SWEEP_FRACTIONS) * T)
+        r = stability_ratio(make_schedule(alpha, coeffs, band, T),
+                            band.sigma_upper, grid, run_epsilon)
+        if r > 1.0:
+            # r scales as 1/(cap - alpha), so r = 1 at cap - (cap - alpha) r
+            raise ConfigError(
+                "coupling.alpha",
+                f"alpha = {alpha:g} gives the coupling step ratio r = {r:.4g} "
+                f"> 1 at {n_steps} steps and clip {run_epsilon:g}, where "
+                "explicit Euler no longer contracts the gap; the largest "
+                f"admitted alpha is {cap - (cap - alpha) * r:.6g} (more steps "
+                "admit more)")
     n_paths = _get(cpl, "n_paths", int)
     if n_paths < 100:
         raise ConfigError("coupling.n_paths", f"need >= 100, got {n_paths}")
@@ -223,7 +241,19 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     chk = _section(cp, "check")
     check_x = _get(chk, "x", float, default=0.0)
     check_y = _get(chk, "y", float, default=0.0)
+    for key, value in (("x", check_x), ("y", check_y)):
+        if not pde.x_min < value < pde.x_max:
+            raise ConfigError(f"check.{key}", f"must lie inside the PDE domain "
+                              f"({pde.x_min:g}, {pde.x_max:g}), got {value:g}")
     check_p = _get(chk, "p", float, default=2.0)
+    if kappa2 > kappa1 and not check_p > power_threshold(kappa1, kappa2):
+        raise ConfigError("check.p", f"p = {check_p:g} is at or below the "
+                          "admissible threshold "
+                          f"{power_threshold(kappa1, kappa2):.6f}")
+    report = validate_coefficients(
+        coeffs, default_state_domain(check_x, band, coeffs, T), grid)
+    if not report.passed:
+        raise ConfigError("model.sigma", "; ".join(report.violations))
     alpha_grid_size = _get(chk, "alpha_grid", int, default=33)
     if alpha_grid_size < 1:
         raise ConfigError("check.alpha_grid", "need at least one alpha")

@@ -11,10 +11,14 @@ L^2 extension of the drift to the full interval.
 Simulate at the smallest clip, read earlier nodes: every statistic is read at
 the clip node of its epsilon, and before that node g is active whatever the
 clip, so a bundle simulated at a smaller epsilon holds the same (x, y, log M)
-there, bit for bit. The stiff-step bridge noise is drawn in step order, so it
-too has drawn the same values up to that node. A clip sweep therefore needs
-one bundle per control, simulated at the smallest epsilon of the sweep; after
-the node of a larger epsilon, its g counts as zero.
+there, bit for bit. A clip sweep therefore needs one bundle per control,
+simulated at the smallest epsilon of the sweep; after the node of a larger
+epsilon, its g counts as zero.
+
+Explicit Euler contracts the gap X - Y only while `stability_ratio` stays at
+most 1, so a larger ratio is refused, not simulated. A drift-implicit step for
+Y would admit every alpha, but log M would then no longer be the exact
+discrete Girsanov density of the applied shift.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 from .model import ModelCoefficients, TimeGrid, VolatilityBand
 from .scenario import Control, euler_step, sup_over_controls
 
-_STIFF_G_DT = 1e3
-_MAX_HALVINGS = 10
+# Clip sweep of the coupling-success check, as fractions of the horizon.
+SWEEP_FRACTIONS = (0.2, 0.1, 0.05, 0.025)
 
 
 class CouplingError(ValueError):
@@ -161,6 +165,20 @@ def _clip_index(grid: TimeGrid, clip_epsilon: float) -> int:
     return int(np.searchsorted(grid.nodes, T - clip_epsilon, side="right")) - 1
 
 
+def stability_ratio(schedule: CouplingSchedule, sigma_upper: float,
+                    grid: TimeGrid, clip_epsilon: float) -> float:
+    """Largest r_j = (kappa2/kappa1) sigma_upper^2 dt / lambda(t_j) over the
+    steps j before the clip node of `clip_epsilon`, where g is active (0 if
+    none). Step j multiplies the gap by 1 - rho with rho <= r_j, so while
+    r <= 1 it contracts without a change of sign. r scales as
+    1/(alpha_cap - alpha), as lambda scales with alpha_cap - alpha."""
+    j = _clip_index(grid, clip_epsilon)
+    kappa_ratio = math.sqrt(2.0 / schedule.alpha_cap)  # alpha_cap = 2 k1^2/k2^2
+    lam = schedule.value(grid.nodes[:j])
+    return float(np.max(kappa_ratio * sigma_upper ** 2 * grid.dt / lam,
+                        initial=0.0))
+
+
 def bundle_nbytes(n_paths: int, n_steps: int) -> int:
     """Bytes of the per-path arrays of one bundle (w, levels, x, y, g and
     log m), each at most n_steps + 1 doubles a path."""
@@ -170,7 +188,7 @@ def bundle_nbytes(n_paths: int, n_steps: int) -> int:
 @dataclass(frozen=True)
 class ClipSample:
     """One bundle at the clip node of `epsilon`: (m, |x - y|, log m) of the
-    paths still included there, the number the stiff-step guard had excluded
+    paths still included there, the number the finiteness guard had excluded
     by then, and the node's time and lambda."""
 
     epsilon: float
@@ -189,7 +207,7 @@ class ClipSample:
         if self.m.size == 0:
             raise CouplingError(
                 f"{label}: all {self.n_excluded} paths were excluded by the "
-                "stiff-step guard")
+                "finiteness guard")
         return self
 
 
@@ -214,7 +232,7 @@ class PathBundle:
     y_path: np.ndarray     # as x_path
     g_path: np.ndarray     # as x_path
     log_m_path: np.ndarray  # as x_path
-    # Step during which the overflow guard excluded each path, n_steps if
+    # Step during which the finiteness guard excluded each path, n_steps if
     # never: a path excluded during step j is still included at node j.
     stiff_step: np.ndarray
 
@@ -264,8 +282,7 @@ class PathBundle:
         """A copy of the first `n_paths` rows, holding no reference to this
         bundle's arrays; each copy keeps its source's memory layout, so the
         path arrays stay time-major. A bundle simulated on those rows of `w`
-        alone has the same paths, unless a later row drew stiff-step bridge
-        noise before one of them did."""
+        alone has the same paths."""
         rows = {name: np.array(getattr(self, name)[:n_paths])
                 for name in ("w", "levels", "x_path", "y_path", "g_path",
                              "log_m_path", "stiff_step")}
@@ -274,26 +291,19 @@ class PathBundle:
         return dataclasses.replace(self, **rows)
 
 
-def _bridge_split(total: np.ndarray, n_sub: int, dt_sub: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Subdivide Brownian increments conditionally on their sum."""
-    raw = rng.standard_normal((total.size, n_sub)) * math.sqrt(dt_sub)
-    return raw - raw.mean(axis=1, keepdims=True) + total[:, None] / n_sub
-
-
 def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
-                     x0: float, y0: float, control: Control, seed: int,
+                     x0: float, y0: float, control: Control,
                      clip_epsilon: float, w: np.ndarray) -> PathBundle:
     """Euler-Maruyama for the coupled pair under one scenario control, driven
     by the sqrt(dt)-scaled increments `w` (one row per path).
 
     X follows the base dynamics; Y carries the attracting drift
     sigma(Y) g d<B> with g = (X - Y)/(lambda sigma(X)); the density is
-    advanced in log space, log M += -g dB - g^2 d<B> / 2. Steps with
-    |g| dt beyond the overflow threshold are retried with locally halved
-    substeps (Brownian-bridge noise); a still-stiff path is excluded, and
-    the step recorded in `stiff_step`. `seed` keys the bridge noise of the
-    retried steps.
+    advanced in log space, log M += -g dB - g^2 d<B> / 2. Raises
+    CouplingError when `stability_ratio` exceeds 1 for the control's band.
+    A path whose x, y or log M turns non-finite in step j keeps its values
+    from node j and is excluded, the step recorded in `stiff_step`; each
+    path depends on its own row of `w` alone.
     """
     grid = control.grid
     T = grid.horizon
@@ -304,6 +314,11 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     if n_steps != grid.n_steps:
         raise CouplingError(
             f"w has {n_steps} columns, the grid has {grid.n_steps} steps")
+    r = stability_ratio(schedule, control.band.sigma_upper, grid, clip_epsilon)
+    if r > 1.0:
+        raise CouplingError(f"alpha {schedule.alpha:g} gives the coupling step "
+                            f"ratio r = {r:.3g} > 1 at {n_steps} steps and "
+                            f"clip_epsilon {clip_epsilon:g}")
     dt = grid.dt
 
     w = w.view()  # made read-only below; the caller's array stays writable
@@ -317,70 +332,29 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     y_path[0] = y0
     x, y, logm = x_path[0], y_path[0], logm_path[0]
     stiff_step = np.full(n_paths, n_steps)
-    bridge_rng = None
 
     lam_nodes = schedule.value(grid.nodes)
 
-    def one_step(xs, ys, lms, t, lam_t, lv, dW, dt_loc, with_g):
-        dB = lv * dW
-        dqv = lv * lv * dt_loc
-        sx = coeffs.sigma(t, xs)
-        sy = coeffs.sigma(t, ys)
-        if with_g:
-            g = (xs - ys) / (lam_t * sx)
-        else:
-            g = np.zeros_like(xs)
-        xn = euler_step(coeffs, t, xs, sx, dt_loc, dqv, dB)
-        yn = euler_step(coeffs, t, ys, sy, dt_loc, dqv, dB) + sy * g * dqv
-        lmn = lms - g * dB - 0.5 * g * g * dqv
-        return xn, yn, lmn, g
-
     for j in range(n_steps):
         t = float(grid.nodes[j])
-        with_g = j < clip_index
-        lam_t = float(lam_nodes[j]) if with_g else math.inf
         lv = np.asarray(control.level(j, t, x), dtype=float)
         levels[j] = lv
-
-        xn, yn, lmn, g = one_step(x, y, logm, t, lam_t, lv, w[:, j], dt, with_g)
+        dB = lv * w[:, j]
+        dqv = lv * lv * dt
+        sx = coeffs.sigma(t, x)
+        sy = coeffs.sigma(t, y)
+        g = (x - y) / (float(lam_nodes[j]) * sx) if j < clip_index \
+            else np.zeros_like(x)
         g_path[j] = g
+        xn = euler_step(coeffs, t, x, sx, dt, dqv, dB)
+        yn = euler_step(coeffs, t, y, sy, dt, dqv, dB) + sy * g * dqv
+        lmn = logm - g * dB - 0.5 * g * g * dqv
 
-        trouble = np.abs(g) * dt > _STIFF_G_DT
-        if trouble.any():
-            if bridge_rng is None:
-                bridge_rng = np.random.default_rng(
-                    np.random.Philox(key=np.array([seed, 1 << 32], dtype=np.uint64)))
-            idx = np.nonzero(trouble & (stiff_step == n_steps))[0]
-            for p in idx:
-                ok = False
-                for halving in range(1, _MAX_HALVINGS + 1):
-                    n_sub = 2 ** halving
-                    dt_sub = dt / n_sub
-                    sub_w = _bridge_split(w[p:p + 1, j], n_sub, dt_sub, bridge_rng)[0]
-                    xs = x[p:p + 1].copy()
-                    ys = y[p:p + 1].copy()
-                    lms = logm[p:p + 1].copy()
-                    fine = True
-                    for s in range(n_sub):
-                        ts = t + s * dt_sub
-                        lam_s = float(schedule.value(ts)) if with_g else math.inf
-                        lv_s = lv[p:p + 1]
-                        xs2, ys2, lms2, g_s = one_step(
-                            xs, ys, lms, ts, lam_s, lv_s, sub_w[s:s + 1],
-                            dt_sub, with_g)
-                        if abs(float(g_s[0])) * dt_sub > _STIFF_G_DT:
-                            fine = False
-                            break
-                        xs, ys, lms = xs2, ys2, lms2
-                    if fine:
-                        xn[p] = xs[0]
-                        yn[p] = ys[0]
-                        lmn[p] = lms[0]
-                        ok = True
-                        break
-                if not ok:
-                    stiff_step[p] = j
-                    xn[p], yn[p], lmn[p] = x[p], y[p], logm[p]  # frozen
+        finite = np.isfinite(xn) & np.isfinite(yn) & np.isfinite(lmn)
+        if not finite.all():
+            bad = ~finite
+            stiff_step[bad & (stiff_step == n_steps)] = j
+            xn[bad], yn[bad], lmn[bad] = x[bad], y[bad], logm[bad]  # frozen
 
         x, y, logm = xn, yn, lmn
         x_path[j + 1] = x
@@ -405,7 +379,7 @@ def shifted_qv_discrepancy(bundle: PathBundle,
     quadratic variation as B; the discrete mismatch is the Euler cross term
     and shrinks linearly with the step size. After the clip node g is
     exactly zero, so every term there is exactly zero. Raises CouplingError
-    when the stiff-step guard excluded every path by that clip node.
+    when the finiteness guard excluded every path by that clip node.
     """
     j = bundle.node(clip_epsilon)
     keep = bundle.included(clip_epsilon)
@@ -413,18 +387,15 @@ def shifted_qv_discrepancy(bundle: PathBundle,
         eps = bundle.clip_epsilon if clip_epsilon is None else clip_epsilon
         raise CouplingError(
             f"shifted QV at clip_epsilon {eps:g}: all {keep.size} paths were "
-            "excluded by the stiff-step guard")
-    dt = bundle.grid.dt
-    dB = bundle.levels * bundle.w
-    dqv = bundle.levels ** 2 * dt
-    g = bundle.g_path[:, :-1].copy()
-    g[:, j:] = 0.0
-    dBh = dB + g * dqv
-    # levels is a transposed view, and numpy takes the layout of an
-    # elementwise result from its operands; a C-ordered operand sums each
-    # path in the pairwise order of a contiguous row, whatever that layout.
-    disc = np.abs(np.sum(np.ascontiguousarray(dBh ** 2 - dB ** 2), axis=1))
-    return float(np.mean(disc[keep]))
+            "excluded by the finiteness guard")
+    lv = bundle.levels[keep, :j]
+    dB = lv * bundle.w[keep, :j]
+    dBh = dB + bundle.g_path[keep, :j] * (lv ** 2 * bundle.grid.dt)
+    # Zeros from the clip node on, where g is zero, keep each path's
+    # pairwise summation order over a C-ordered row of n_steps terms.
+    terms = np.zeros((lv.shape[0], bundle.grid.n_steps))
+    terms[:, :j] = dBh ** 2 - dB ** 2
+    return float(np.mean(np.abs(np.sum(terms, axis=1))))
 
 
 def girsanov_shifted_qv_check(bundle: PathBundle,

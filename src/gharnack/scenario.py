@@ -56,6 +56,10 @@ class FeedbackControl:
     grid: TimeGrid
     policy: PolicyTable
 
+    @property
+    def band(self) -> VolatilityBand:
+        return self.policy.band
+
     def level(self, j: int, t: float, state: np.ndarray) -> np.ndarray:
         return self.policy.level_at(t, state)
 
@@ -208,7 +212,8 @@ def sup_over_controls(samples: Iterable) -> tuple[float, float, int]:
     best_mean = -math.inf
     best_se = 0.0
     best_id = 0
-    for k, vals in enumerate(samples):
+    k = 0
+    for vals in samples:
         vals = np.asarray(vals, dtype=float)
         mean = float(np.mean(vals))
         if mean > best_mean:
@@ -216,6 +221,10 @@ def sup_over_controls(samples: Iterable) -> tuple[float, float, int]:
             best_id = k
             best_se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) \
                 if vals.size > 1 else 0.0
+        k += 1
+        # Drop these values (maybe a view of a whole path buffer) before the
+        # next control's are made; enumerate's reused tuple would keep them.
+        del vals
     return best_mean, best_se, best_id
 
 

@@ -140,7 +140,7 @@ def test_criterion_04_entropy_bound():
     with _Budget(4, "entropy bound (M log M)", 120.0):
         coeffs, band, schedule, grid, controls = _acceptance_coupling_setup()
         w = scaled_increments(404, 2 ** 13, grid)
-        samples = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 404, 0.01,
+        samples = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 0.01,
                                       w).at_clip() for c in controls]
         report = g.entropy_bound_check(coeffs, schedule, 0.0, 0.5, samples)
         bound = mp.mpf("0.25") / (2 * mp.mpf("0.81") * mp.mpf("0.81")
@@ -156,7 +156,7 @@ def test_criterion_05_moment_bound():
         a = g.moment_exponent_a(0.81, 0.9, 1.0)
         assert a == pytest.approx(1.6026568, abs=1e-6)
         w = scaled_increments(405, 2 ** 13, grid)
-        samples = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 405, 0.01,
+        samples = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 0.01,
                                       w).at_clip() for c in controls]
         report = g.moment_bound_check(coeffs, schedule, 0.0, 0.5, samples)
         rel = report.std_error / report.estimate
@@ -173,7 +173,7 @@ def test_criterion_06_coupling_success_trend():
         samples = []
         for control in controls:
             bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, control,
-                                        406, min(sweep), w)
+                                        min(sweep), w)
             samples.extend(bundle.at_clip(eps) for eps in sweep)
         trend = g.coupling_success_check(schedule, 0.0, 0.5, samples)
         means = [r.weighted_mean for r in trend.rows]

@@ -72,6 +72,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"grid\.n_space.*too coarse"):
             parse_run_config(p)
 
+    @pytest.mark.parametrize("n_steps,admitted,refused", [
+        (256, 1.18, 1.20),
+        (512, 1.37, 1.38),
+    ])
+    def test_coupling_stability_bound(self, tmp_path, n_steps, admitted,
+                                      refused):
+        # largest admitted alpha at clip 0.01: 1.19 on 256 steps, 1.375 on 512
+        base = CFG.read_text().replace("n_steps = 256", f"n_steps = {n_steps}")
+        p = tmp_path / "alpha.cfg"
+        p.write_text(base.replace("alpha = 0.81", f"alpha = {admitted}"))
+        assert parse_run_config(p).alpha == admitted
+        p.write_text(base.replace("alpha = 0.81", f"alpha = {refused}"))
+        with pytest.raises(ConfigError,
+                           match=r"coupling\.alpha.*r = .*largest admitted "
+                                 r"alpha is 1\.(18|37)"):
+            parse_run_config(p)
+
     def test_clip_epsilon_window(self, tmp_path):
         text = CFG.read_text().replace("clip_epsilon = 0.01",
                                        "clip_epsilon = 0.5")
@@ -141,6 +158,21 @@ class TestCliExitCodes:
         bad.write_text(CFG.read_text().replace(old, new))
         assert run(["gheat", "--config", bad, "--out", tmp_path / "o"]) == 2
         assert f"[{field}]" in capsys.readouterr().err
+
+    def test_alpha_near_cap_is_exit_2_before_any_work(self, tmp_path, capsys):
+        # 0.99 cap = 1.6038 gives r = 26.6 on 256 steps at clip 0.01
+        bad = tmp_path / "alpha.cfg"
+        bad.write_text(CFG.read_text().replace("alpha = 0.81",
+                                               "alpha = 1.6038"))
+        start = time.perf_counter()
+        code = run(["coupling", "--config", bad, "--out", tmp_path / "o"])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[coupling.alpha]" in err and "r = 26.62" in err
+        assert "largest admitted alpha is 1.18875" in err
+        assert elapsed < 5.0
+        assert not (tmp_path / "o").exists()
 
     def test_oversized_paths_are_exit_2_before_any_work(self, tmp_path,
                                                         capsys):

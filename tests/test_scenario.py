@@ -384,16 +384,23 @@ class TestTimeMajorKernel:
 
 class TestMemory:
     def test_upper_expectation_holds_no_copy_of_w(self, wide_band):
-        # w, then one control's paths and levels at a time: about 3 x w
+        # w, then one control's paths and levels at a time: about 3 x w,
+        # also for a functional that returns a view of its batch
         n_paths, grid = 4096, g.TimeGrid(1.0, 256)
         w_nbytes = n_paths * grid.n_steps * 8
-        functional = g.terminal_functional(g.make_payoff("gauss_bump"))
+        functionals = {
+            "copy": g.terminal_functional(g.make_payoff("gauss_bump")),
+            "view": lambda batch: batch.terminal(),
+        }
         for strategy in ("constants", "random"):
             controls = g.sample_controls(strategy, wide_band, grid, 3, seed=0)
-            tracemalloc.start()
-            try:
-                g.upper_expectation_mc(functional, controls, n_paths, seed=1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 3 * w_nbytes + 2 ** 20, (strategy, peak / w_nbytes)
+            for kind, functional in functionals.items():
+                tracemalloc.start()
+                try:
+                    g.upper_expectation_mc(functional, controls, n_paths,
+                                           seed=1)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 3 * w_nbytes + 2 ** 20, \
+                    (strategy, kind, peak / w_nbytes)
