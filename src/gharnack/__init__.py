@@ -34,6 +34,7 @@ from .scenario import (
     FeedbackControl,
     ScenarioControl,
     ScenarioError,
+    TerminalFunctional,
     YoungReport,
     capacity_mc,
     random_young_trial,
@@ -47,6 +48,7 @@ from .coupling import (
     CouplingError,
     CouplingSchedule,
     ClipSample,
+    CoupledRun,
     PathBundle,
     SlackReport,
     coupling_success_check,
@@ -57,6 +59,7 @@ from .coupling import (
     moment_bound_check,
     moment_bound_value,
     moment_exponent_a,
+    simulate_bundle,
     simulate_coupled,
 )
 from .harnack import (

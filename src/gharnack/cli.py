@@ -28,9 +28,6 @@ from .scenario import ScenarioError
 from .coupling import CouplingError
 from .harnack import HarnackError
 
-_EXPORT_PATHS = 128
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -125,28 +122,21 @@ def run_coupling(cfg: RunConfig):
     x0, y0 = cfg.check_x, cfg.check_y
     w = sc.scaled_increments(cfg.seed, cfg.n_paths, cfg.grid)
     sweep = [frac * T for frac in cpl.SWEEP_FRACTIONS]
-    # One run per control at the smallest clip serves every clip node.
-    run_epsilon = min(cfg.clip_epsilon, *sweep)
-
-    def read(control):
-        # One bundle in memory at a time: keep its clip samples and a copy
-        # of the export rows. Row p of the increments is path p's own
-        # stream, so the export paths are the bundle's first rows.
-        bundle = cpl.simulate_coupled(cfg.coeffs, schedule, x0, y0, control,
-                                      run_epsilon, w)
-        return (bundle.at_clip(cfg.clip_epsilon),
-                [bundle.at_clip(eps) for eps in sweep],
-                bundle.head(_EXPORT_PATHS))
-
-    at_clip, sweep_samples, export = zip(*[read(c) for c in controls])
+    # One pass at the smallest clip serves every control and clip node; it
+    # keeps every node only for the export paths, the first rows of w.
+    run = cpl.simulate_coupled(cfg.coeffs, schedule, x0, y0, controls,
+                               [cfg.clip_epsilon, *sweep], w)
+    at_clip = run.at_clip(cfg.clip_epsilon)
+    export = run.heads
     entropy = cpl.entropy_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
     entries = [{"kind": "entropy", **_slack_dict(entropy)}]
     if cfg.coeffs.kappa2 > cfg.coeffs.kappa1:
         moment = cpl.moment_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
         entries.append({"kind": "moment", **_slack_dict(moment)})
 
+    by_clip = [run.at_clip(eps) for eps in sweep]
     trend = cpl.coupling_success_check(
-        schedule, x0, y0, [s for samples in sweep_samples for s in samples])
+        schedule, x0, y0, [s for samples in zip(*by_clip) for s in samples])
     entries.append({
         "kind": "coupling_trend", "fitted_C": trend.fitted_C,
         "theory_C": trend.theory_C,

@@ -12,6 +12,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .model import (
     ModelCoefficients,
     ModelError,
@@ -25,7 +27,7 @@ from .model import (
     validate_coefficients,
 )
 from .gheat import _UNIT_COEFFS, PdeConfig, PdeError, _cfl_time_step, solve_nbytes
-from .coupling import (SWEEP_FRACTIONS, bundle_nbytes, make_schedule,
+from .coupling import (SWEEP_FRACTIONS, make_schedule, run_nbytes,
                        stability_ratio)
 from .harnack import power_threshold
 
@@ -101,6 +103,19 @@ def _floats(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _in_range(field: str, what: str, compute) -> float:
+    """compute(), refused with a ConfigError naming `field` when it leaves
+    the double range: Python float `**` raises OverflowError on a huge
+    finite value where numpy would give inf."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(field, f"{what} leaves the double range")
+    return value
+
+
 def _coefficient(sec, role: str):
     name = _get(sec, role, str)
     params = _get(sec, f"{role}_params", _floats, default=())
@@ -133,6 +148,15 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
                           f"need 0 < kappa1 <= kappa2, got ({kappa1}, {kappa2})")
     if K < 0.0:
         raise ConfigError("model.K", f"K must be nonnegative, got {K}")
+    # Constants of kappa2/kappa1 that the coupling and power-Harnack use.
+    kappas = f"kappa1 = {kappa1:g}, kappa2 = {kappa2:g}"
+    cap = _in_range("model.kappa2", f"{kappas}: the alpha cap",
+                    lambda: 2.0 * kappa1 ** 2 / kappa2 ** 2)
+    threshold = None
+    if kappa2 > kappa1:
+        threshold = _in_range("model.kappa2",
+                              f"{kappas}: the power-Harnack threshold",
+                              lambda: power_threshold(kappa1, kappa2))
     if b_lip + h_lip + s_lip > K * (1.0 + 1e-9) + 1e-12:
         raise ConfigError(
             "model.K",
@@ -148,6 +172,10 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         band = VolatilityBand(lo, hi)
     except ModelError as exc:
         raise ConfigError("band.sigma_lower", str(exc)) from exc
+    # The schedule divides by sigma_lower^2, the PDE multiplies sigma_upper^2.
+    _in_range("band.sigma_lower", f"1/sigma_lower^2 = 1/{lo:g}^2",
+              lambda: 1.0 / lo ** 2)
+    _in_range("band.sigma_upper", f"sigma_upper^2 = {hi:g}^2", lambda: hi ** 2)
 
     grid_sec = _section(cp, "grid")
     T = _get(grid_sec, "horizon", float)
@@ -175,12 +203,20 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
             f"{pde.n_space} intervals need {need / 2 ** 30:.3g} GiB of PDE "
             f"working set, more than the {have / 2 ** 30:.3g} GiB of physical "
             "memory")
+    # The CFL rate squares the largest |sigma| on the grid.
+    sigma_max = float(np.max(np.abs(s_fn(0.0, pde.nodes()))))
+    _in_range("model.sigma_params",
+              f"max |sigma| = {sigma_max:g} on the PDE grid, squared,",
+              lambda: sigma_max ** 2)
     # The G-heat oracle steps the unit coefficients, the semigroup the model.
     try:
         n_t = max(_cfl_time_step(c, band, T, pde)[1]
                   for c in (coeffs, _UNIT_COEFFS))
     except PdeError as exc:
         raise ConfigError("grid.n_space", str(exc)) from exc
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError("grid.n_space", "the explicit CFL rate leaves the "
+                          "double range") from exc
     if n_t * pde.n_space > _MAX_NODE_STEPS:
         raise ConfigError(
             "grid.n_space",
@@ -190,7 +226,6 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
 
     cpl = _section(cp, "coupling")
     alpha_raw = _get(cpl, "alpha", str, default="auto")
-    cap = 2.0 * kappa1 ** 2 / kappa2 ** 2
     if alpha_raw == "auto":
         alpha = kappa1 ** 2 / kappa2 ** 2
     else:
@@ -224,16 +259,19 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     n_paths = _get(cpl, "n_paths", int)
     if n_paths < 100:
         raise ConfigError("coupling.n_paths", f"need >= 100, got {n_paths}")
-    need = bundle_nbytes(n_paths, n_steps)
-    if need > have:
-        raise ConfigError(
-            "coupling.n_paths",
-            f"{n_paths} paths x {n_steps} steps need {need / 2 ** 30:.3g} GiB "
-            f"of coupled path arrays, more than the {have / 2 ** 30:.3g} GiB "
-            "of physical memory")
     n_controls = _get(cpl, "n_controls", int)
     if n_controls < 1:
         raise ConfigError("coupling.n_controls", f"need >= 1, got {n_controls}")
+    # The coupled pass holds the largest path arrays of a run.
+    need = run_nbytes(n_paths, n_steps, n_controls)
+    if need > have:
+        field = "coupling.n_paths" if run_nbytes(n_paths, n_steps, 1) > have \
+            else "coupling.n_controls"
+        raise ConfigError(
+            field,
+            f"{n_controls} controls x {n_paths} paths x {n_steps} steps need "
+            f"{need / 2 ** 30:.3g} GiB of coupled path arrays, more than the "
+            f"{have / 2 ** 30:.3g} GiB of physical memory")
     strategy = _get(cpl, "strategy", str, default="constants")
     if strategy not in ("constants", "bang_bang", "random", "feedback"):
         raise ConfigError("coupling.strategy", f"unknown strategy {strategy!r}")
@@ -246,10 +284,9 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"check.{key}", f"must lie inside the PDE domain "
                               f"({pde.x_min:g}, {pde.x_max:g}), got {value:g}")
     check_p = _get(chk, "p", float, default=2.0)
-    if kappa2 > kappa1 and not check_p > power_threshold(kappa1, kappa2):
+    if threshold is not None and not check_p > threshold:
         raise ConfigError("check.p", f"p = {check_p:g} is at or below the "
-                          "admissible threshold "
-                          f"{power_threshold(kappa1, kappa2):.6f}")
+                          f"admissible threshold {threshold:.6f}")
     report = validate_coefficients(
         coeffs, default_state_domain(check_x, band, coeffs, T), grid)
     if not report.passed:
@@ -264,6 +301,14 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
                              domain=(pde.x_min, pde.x_max))
     except ModelError as exc:
         raise ConfigError("check.payoff", str(exc)) from exc
+    # The Monte Carlo error bar squares deviations of up to 2 sup |f| from
+    # the mean; f^p raises payoff values to p.
+    top = payoff.sup_norm
+    _in_range("check.payoff_params", f"(2 sup |f|)^2 = (2 x {top:g})^2",
+              lambda: (2.0 * top) ** 2)
+    if threshold is not None:
+        _in_range("check.p", f"sup |f|^p = {top:g}^{check_p:g}",
+                  lambda: top ** check_p)
 
     run = _section(cp, "run")
     seed = _get(run, "seed", int)

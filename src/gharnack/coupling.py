@@ -10,10 +10,12 @@ L^2 extension of the drift to the full interval.
 
 Simulate at the smallest clip, read earlier nodes: every statistic is read at
 the clip node of its epsilon, and before that node g is active whatever the
-clip, so a bundle simulated at a smaller epsilon holds the same (x, y, log M)
-there, bit for bit. A clip sweep therefore needs one bundle per control,
-simulated at the smallest epsilon of the sweep; after the node of a larger
-epsilon, its g counts as zero.
+clip, so a run simulated at a smaller epsilon holds the same (x, y, log M)
+there, bit for bit. A clip sweep therefore needs one pass, simulated at the
+smallest epsilon of the sweep; after the node of a larger epsilon, its g
+counts as zero. That pass advances every control at once, a (k controls,
+n_paths) state, and keeps (x, y, log M) only at the clip nodes it is asked
+for, with every node kept only for the first EXPORT_PATHS paths.
 
 Explicit Euler contracts the gap X - Y only while `stability_ratio` stays at
 most 1, so a larger ratio is refused, not simulated. A drift-implicit step for
@@ -23,7 +25,6 @@ discrete Girsanov density of the applied shift.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -31,10 +32,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .model import ModelCoefficients, TimeGrid, VolatilityBand
-from .scenario import Control, euler_step, sup_over_controls
+from .scenario import (_W_BLOCK_STEPS, Control, _level_rows, _time_major,
+                       euler_step, sup_over_controls)
 
 # Clip sweep of the coupling-success check, as fractions of the horizon.
 SWEEP_FRACTIONS = (0.2, 0.1, 0.05, 0.025)
+# Paths of each control whose every node a coupled run keeps: the rows of
+# paths.csv and of the shifted-QV check.
+EXPORT_PATHS = 128
 
 
 class CouplingError(ValueError):
@@ -179,10 +184,20 @@ def stability_ratio(schedule: CouplingSchedule, sigma_upper: float,
                         initial=0.0))
 
 
-def bundle_nbytes(n_paths: int, n_steps: int) -> int:
-    """Bytes of the per-path arrays of one bundle (w, levels, x, y, g and
-    log m), each at most n_steps + 1 doubles a path."""
-    return 6 * n_paths * (n_steps + 1) * 8
+# (k, n_paths) arrays alive at once in a step of the coupled pass: the
+# state, its temporaries and the stiff steps (at most 24), and (x, y, log M)
+# at the clip node of `clip_epsilon` and of each SWEEP_FRACTIONS epsilon.
+_STATE_ROWS = 24 + 3 * (1 + len(SWEEP_FRACTIONS))
+
+
+def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
+    """Bytes of the arrays of one coupled run of the CLI: the increments w
+    and their time-major block, the per-control state rows, and every node
+    of the EXPORT_PATHS export rows (levels, x, y, g, log m)."""
+    n_head = min(n_paths, EXPORT_PATHS)
+    return 8 * (n_paths * (n_steps + _W_BLOCK_STEPS)
+                + _STATE_ROWS * n_controls * n_paths
+                + 5 * (n_steps + 1) * n_controls * n_head)
 
 
 @dataclass(frozen=True)
@@ -211,9 +226,23 @@ class ClipSample:
         return self
 
 
+def _clip_sample(epsilon: float, clip_time: float, lambda_at_clip: float,
+                 x: np.ndarray, y: np.ndarray, log_m: np.ndarray,
+                 included: np.ndarray) -> ClipSample:
+    """The ClipSample of the `included` paths of one control's (x, y, log m)
+    at a clip node."""
+    logm = log_m[included]
+    return ClipSample(epsilon=float(epsilon), clip_time=clip_time,
+                      lambda_at_clip=lambda_at_clip, m=np.exp(logm),
+                      gap=np.abs(x[included] - y[included]), log_m=logm,
+                      n_excluded=included.size - int(np.count_nonzero(included)))
+
+
 @dataclass(frozen=True)
 class PathBundle:
-    """Coupled sample paths under one scenario control (rows = paths).
+    """Coupled sample paths of one control with every node kept (rows =
+    paths): the export rows of a coupled run, or all rows of a one-control
+    run from `simulate_bundle`.
 
     `w` is path-major: row p is path p's own stream. `levels` and the four
     path arrays are transposed views of the kernel's time-major buffers, so
@@ -268,44 +297,52 @@ class PathBundle:
         """The included paths at the clip node of `epsilon` (default: the
         bundle's own clip)."""
         j = self.node(epsilon)
-        keep = self.included(epsilon)
-        logm = self.log_m_path[keep, j]
-        gap = np.abs(self.x_path[keep, j] - self.y_path[keep, j])
         t = float(self.grid.nodes[j])
-        return ClipSample(
-            epsilon=self.clip_epsilon if epsilon is None else float(epsilon),
-            clip_time=t, lambda_at_clip=float(self.schedule.value(t)),
-            m=np.exp(logm), gap=gap, log_m=logm,
-            n_excluded=keep.size - int(np.count_nonzero(keep)))
-
-    def head(self, n_paths: int) -> "PathBundle":
-        """A copy of the first `n_paths` rows, holding no reference to this
-        bundle's arrays; each copy keeps its source's memory layout, so the
-        path arrays stay time-major. A bundle simulated on those rows of `w`
-        alone has the same paths."""
-        rows = {name: np.array(getattr(self, name)[:n_paths])
-                for name in ("w", "levels", "x_path", "y_path", "g_path",
-                             "log_m_path", "stiff_step")}
-        for arr in rows.values():
-            arr.setflags(write=False)
-        return dataclasses.replace(self, **rows)
+        return _clip_sample(
+            self.clip_epsilon if epsilon is None else epsilon, t,
+            float(self.schedule.value(t)), self.x_path[:, j],
+            self.y_path[:, j], self.log_m_path[:, j], self.included(epsilon))
 
 
-def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
-                     x0: float, y0: float, control: Control,
-                     clip_epsilon: float, w: np.ndarray) -> PathBundle:
-    """Euler-Maruyama for the coupled pair under one scenario control, driven
-    by the sqrt(dt)-scaled increments `w` (one row per path).
+@dataclass(frozen=True)
+class CoupledRun:
+    """Coupled paths of k controls from one pass, all started at (x0, y0) on
+    the same increments: each control's ClipSample at every clip epsilon of
+    the run, and a PathBundle of the first EXPORT_PATHS paths of each
+    control."""
+
+    samples: dict          # epsilon -> tuple of ClipSamples, control order
+    heads: tuple           # one PathBundle per control
+
+    def at_clip(self, epsilon: float) -> tuple:
+        """One ClipSample per control, in control order, at the clip node
+        of `epsilon`."""
+        if epsilon not in self.samples:
+            raise CouplingError(
+                f"clip_epsilon {epsilon:g} was not recorded; the run holds "
+                f"{', '.join(f'{e:g}' for e in sorted(self.samples))}")
+        return self.samples[epsilon]
+
+
+def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
+                  x0: float, y0: float, controls: Sequence[Control],
+                  clip_epsilon: float, w: np.ndarray,
+                  read_epsilons: Sequence[float], n_full: int) -> CoupledRun:
+    """The coupled Euler loop for k controls on the shared increments `w`
+    (one row per path), state (k, n_paths), g clipped at `clip_epsilon`.
 
     X follows the base dynamics; Y carries the attracting drift
     sigma(Y) g d<B> with g = (X - Y)/(lambda sigma(X)); the density is
     advanced in log space, log M += -g dB - g^2 d<B> / 2. Raises
-    CouplingError when `stability_ratio` exceeds 1 for the control's band.
-    A path whose x, y or log M turns non-finite in step j keeps its values
-    from node j and is excluded, the step recorded in `stiff_step`; each
-    path depends on its own row of `w` alone.
+    CouplingError when `stability_ratio` exceeds 1 for a control's band.
+    An element whose x, y or log M turns non-finite in step j keeps its
+    values from node j and is excluded, the step recorded in its
+    `stiff_step`; each path depends on its own row of `w` alone.
+
+    Keeps (x, y, log M) of every path at the clip node of each of
+    `read_epsilons`, and every node of the first `n_full` paths.
     """
-    grid = control.grid
+    grid = controls[0].grid
     T = grid.horizon
     clip_index = _clip_index(grid, clip_epsilon)
     if abs(T - schedule.T) > 1e-12 * max(1.0, T):
@@ -314,38 +351,46 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     if n_steps != grid.n_steps:
         raise CouplingError(
             f"w has {n_steps} columns, the grid has {grid.n_steps} steps")
-    r = stability_ratio(schedule, control.band.sigma_upper, grid, clip_epsilon)
+    # r grows with sigma_upper, so the widest band bounds every control's
+    sigma_upper = max(control.band.sigma_upper for control in controls)
+    r = stability_ratio(schedule, sigma_upper, grid, clip_epsilon)
     if r > 1.0:
         raise CouplingError(f"alpha {schedule.alpha:g} gives the coupling step "
                             f"ratio r = {r:.3g} > 1 at {n_steps} steps and "
                             f"clip_epsilon {clip_epsilon:g}")
     dt = grid.dt
+    levels_at, _ = _level_rows(controls, n_paths)
+    shape = (len(controls), n_paths)
+    x = np.full(shape, float(x0))
+    y = np.full(shape, float(y0))
+    logm = np.zeros(shape)
+    g_zero = np.zeros(shape)
+    stiff_step = np.full(shape, n_steps)
+    read = {eps: _clip_index(grid, eps) for eps in read_epsilons}
+    at_nodes = {}          # node -> (x, y, log M) of every path
+    # Time-major: step j reads block j and writes block j + 1.
+    full = [np.zeros((n_steps + 1, len(controls), n_full)) for _ in range(4)]
+    x_full, y_full, g_full, logm_full = full
+    levels_full = np.empty((n_steps, len(controls), n_full))
 
-    w = w.view()  # made read-only below; the caller's array stays writable
-    # Time-major buffers: step j reads row j and writes row j + 1.
-    levels = np.empty((n_steps, n_paths))
-    x_path = np.empty((n_steps + 1, n_paths))
-    y_path = np.empty((n_steps + 1, n_paths))
-    g_path = np.zeros((n_steps + 1, n_paths))
-    logm_path = np.zeros((n_steps + 1, n_paths))
-    x_path[0] = x0
-    y_path[0] = y0
-    x, y, logm = x_path[0], y_path[0], logm_path[0]
-    stiff_step = np.full(n_paths, n_steps)
+    def record(node):
+        x_full[node], y_full[node] = x[:, :n_full], y[:, :n_full]
+        logm_full[node] = logm[:, :n_full]
+        if node in read.values():
+            at_nodes[node] = (x, y, logm)  # each step makes new arrays
 
+    record(0)
     lam_nodes = schedule.value(grid.nodes)
-
-    for j in range(n_steps):
+    for j, wj in enumerate(_time_major(w)):
         t = float(grid.nodes[j])
-        lv = np.asarray(control.level(j, t, x), dtype=float)
-        levels[j] = lv
-        dB = lv * w[:, j]
+        lv = levels_at(j, t, x)
+        levels_full[j] = lv[:, :n_full]
+        dB = lv * wj
         dqv = lv * lv * dt
         sx = coeffs.sigma(t, x)
         sy = coeffs.sigma(t, y)
-        g = (x - y) / (float(lam_nodes[j]) * sx) if j < clip_index \
-            else np.zeros_like(x)
-        g_path[j] = g
+        g = (x - y) / (float(lam_nodes[j]) * sx) if j < clip_index else g_zero
+        g_full[j] = g[:, :n_full]
         xn = euler_step(coeffs, t, x, sx, dt, dqv, dB)
         yn = euler_step(coeffs, t, y, sy, dt, dqv, dB) + sy * g * dqv
         lmn = logm - g * dB - 0.5 * g * g * dqv
@@ -357,17 +402,57 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
             xn[bad], yn[bad], lmn[bad] = x[bad], y[bad], logm[bad]  # frozen
 
         x, y, logm = xn, yn, lmn
-        x_path[j + 1] = x
-        y_path[j + 1] = y
-        logm_path[j + 1] = logm
+        record(j + 1)
 
-    for arr in (w, levels, x_path, y_path, g_path, logm_path, stiff_step):
+    samples = {}
+    for eps, node in read.items():
+        t = float(grid.nodes[node])
+        lam = float(schedule.value(t))
+        xs, ys, logms = at_nodes[node]
+        samples[eps] = tuple(
+            _clip_sample(eps, t, lam, xs[i], ys[i], logms[i],
+                         stiff_step[i] >= node)
+            for i in range(len(controls)))
+    w = w[:n_full].view()  # made read-only below; the caller's stays writable
+    for arr in (w, stiff_step, levels_full, *full):
         arr.setflags(write=False)
-    return PathBundle(grid=grid, control=control, schedule=schedule, x0=float(x0),
-                      y0=float(y0), clip_epsilon=float(clip_epsilon),
-                      clip_index=clip_index, w=w, levels=levels.T,
-                      x_path=x_path.T, y_path=y_path.T, g_path=g_path.T,
-                      log_m_path=logm_path.T, stiff_step=stiff_step)
+    heads = tuple(
+        PathBundle(grid=grid, control=control, schedule=schedule,
+                   x0=float(x0), y0=float(y0),
+                   clip_epsilon=float(clip_epsilon), clip_index=clip_index,
+                   w=w, levels=levels_full[:, i].T, x_path=x_full[:, i].T,
+                   y_path=y_full[:, i].T, g_path=g_full[:, i].T,
+                   log_m_path=logm_full[:, i].T,
+                   stiff_step=stiff_step[i, :n_full])
+        for i, control in enumerate(controls))
+    return CoupledRun(samples=samples, heads=heads)
+
+
+def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
+                     x0: float, y0: float, controls: Sequence[Control],
+                     clip_epsilons: Iterable[float],
+                     w: np.ndarray) -> CoupledRun:
+    """Euler-Maruyama for the coupled pair under every control of a family
+    in one pass, driven by the sqrt(dt)-scaled increments `w` (one row per
+    path), g clipped at the smallest of `clip_epsilons`.
+
+    Keeps (x, y, log M) of every path only at the clip node of each of
+    `clip_epsilons`, and every node only for the first EXPORT_PATHS paths
+    of each control. See `_coupled_pass` for the dynamics, the stability
+    check and the finiteness guard.
+    """
+    epsilons = [float(eps) for eps in clip_epsilons]
+    return _coupled_pass(coeffs, schedule, x0, y0, controls, min(epsilons), w,
+                         epsilons, min(w.shape[0], EXPORT_PATHS))
+
+
+def simulate_bundle(coeffs: ModelCoefficients, schedule: CouplingSchedule,
+                    x0: float, y0: float, control: Control,
+                    clip_epsilon: float, w: np.ndarray) -> PathBundle:
+    """The coupled paths of one control with every node of every path kept:
+    the one-control case of the pass of `simulate_coupled`."""
+    return _coupled_pass(coeffs, schedule, x0, y0, [control], clip_epsilon, w,
+                         (), w.shape[0]).heads[0]
 
 
 def shifted_qv_discrepancy(bundle: PathBundle,
@@ -499,7 +584,8 @@ def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
 
     The entropy argument forces the M-weighted second moment of the gap at
     time s below |x-y|^2 lambda(s)/lambda(0), so the M-weighted mean gap must
-    decrease with the clip and stay under C sqrt(lambda) for
+    decrease strictly with the clip while it is positive (a gap that is
+    exactly 0, as for x = y, stays 0) and stay under C sqrt(lambda) for
     C = |x-y|/sqrt(lambda(0)). `samples` holds one clip sample per
     (epsilon, control), each control's bundles started at (x0, y0); within
     one epsilon they come in control order, and the first control wins a tie.
@@ -532,7 +618,9 @@ def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
                              weighted_median=c["med"], std_error=c["se"],
                              bound=theory_C * math.sqrt(c["lam"])))
     means = [r.weighted_mean for r in rows]
-    decreasing = all(a > b for a, b in zip(means, means[1:]))
+    # Equal starts give gaps that are exactly 0 at every clip, which the
+    # trend admits: no mean increases, and a positive mean must drop.
+    decreasing = all(a > b or a == b == 0.0 for a, b in zip(means, means[1:]))
     bounded = all(r.weighted_mean <= r.bound + 3.0 * r.std_error for r in rows)
     fitted = max((r.weighted_mean / math.sqrt(r.lambda_at_clip) for r in rows
                   if r.lambda_at_clip > 0.0), default=0.0)

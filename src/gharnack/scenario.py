@@ -5,6 +5,12 @@ The representation family is infinite; a finite control family estimates the
 sup from below (one-sided bias), with the PDE solver as the two-sided anchor.
 Common random numbers are shared across controls so the max is stable at a
 fixed seed, and every stream is counter-based per path.
+
+One Euler pass advances every control of a family at once: the state is a
+(k controls, n_paths) array and each step is one numpy operation for all
+controls, the idea of `gheat.solve_stack` applied to paths. A terminal
+functional keeps only the last row of that state; a path functional runs
+the same pass one control at a time with every node kept.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ Control = ScenarioControl | FeedbackControl
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Vectorized bundle of paths under one control (rows = paths).
+    """B-paths of one control with every node kept (rows = paths), for
+    path functionals.
 
     `w` is path-major: row p is path p's own stream. `levels` and `b_path`
     are transposed views of the kernel's time-major buffers, so a column
@@ -166,31 +173,106 @@ def euler_step(coeffs: ModelCoefficients, t: float, x: np.ndarray,
     return x + coeffs.b(t, x) * dt + coeffs.h(t, x) * dqv + sigma_x * dB
 
 
-def simulate_state_batch(coeffs: ModelCoefficients, control: Control, x0: float,
-                         w: np.ndarray, grid: TimeGrid
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler paths of the controlled state equation; feedback levels read the
-    simulated state. Returns the paths (n_paths, n_steps + 1) and the
-    realized levels (n_paths, n_steps), transposed views of time-major
-    buffers: each step reads and writes one contiguous row."""
+# Steps of `w` transposed into the scratch block at a time: 4 MiB at 16384
+# paths, small enough to stay in cache while its rows are read.
+_W_BLOCK_STEPS = 32
+
+
+def _time_major(w: np.ndarray):
+    """The columns w[:, j] of the path-major increments in step order, each
+    as a contiguous row of a time-major scratch block that is refilled every
+    _W_BLOCK_STEPS steps; a row is valid until the block is refilled."""
+    n_paths, n_steps = w.shape
+    block = np.empty((min(_W_BLOCK_STEPS, n_steps), n_paths))
+    for j0 in range(0, n_steps, _W_BLOCK_STEPS):
+        rows = block[:min(_W_BLOCK_STEPS, n_steps - j0)]
+        np.copyto(rows, w[:, j0:j0 + len(rows)].T)
+        yield from rows
+
+
+def _level_rows(controls: Sequence[Control], n_paths: int):
+    """levels(j, t, x): the step-j volatility of each control, one row per
+    control. Open-loop rows come from one (n_steps, k) table as a (k, 1)
+    column; when the family has feedback controls, the column fills a
+    (k, n_paths) buffer and each feedback row is read off its policy at its
+    own state row of x. Returns levels and the table, None when the levels
+    depend on the state."""
+    table = np.zeros((controls[0].grid.n_steps, len(controls)))
+    feedback = []
+    for i, control in enumerate(controls):
+        if isinstance(control, FeedbackControl):
+            feedback.append(i)
+        else:
+            table[:, i] = control.levels
+    if not feedback:
+        return (lambda j, t, x: table[j, :, None]), table
+    lv = np.empty((len(controls), n_paths))
+
+    def levels(j: int, t: float, x: np.ndarray) -> np.ndarray:
+        lv[...] = table[j, :, None]
+        for i in feedback:
+            lv[i] = controls[i].level(j, t, x[i])
+        return lv
+
+    return levels, None
+
+
+def _euler_pass(coeffs: ModelCoefficients, controls: Sequence[Control],
+                x0: float, w: np.ndarray, grid: TimeGrid, keep_nodes: bool):
+    """The Euler loop of the controlled state equation for k controls on
+    the shared increments `w`, state (k, n_paths); feedback levels read the
+    simulated state.
+
+    Returns the terminal state (k, n_paths) or, with `keep_nodes`, the
+    paths (n_steps + 1, k, n_paths) and realized levels (n_steps, k,
+    n_paths), time-major: each step reads and writes one contiguous block.
+    Open-loop levels are a read-only broadcast view of the level table.
+    """
     n_paths, n_steps = w.shape
     dt = grid.dt
-    x = np.empty((n_steps + 1, n_paths))
-    x[0] = x0
-    levels = np.empty((n_steps, n_paths))
-    for j in range(n_steps):
+    levels_at, table = _level_rows(controls, n_paths)
+    x = np.full((len(controls), n_paths), float(x0))
+    if keep_nodes:
+        nodes = np.empty((n_steps + 1,) + x.shape)
+        nodes[0] = x
+        # Open-loop levels are the table, read in place; only levels that
+        # depend on the state are recorded.
+        levels = np.empty((n_steps,) + x.shape) if table is None else \
+            np.broadcast_to(table[:, :, None], (n_steps,) + x.shape)
+    dB = np.empty_like(x)
+    for j, wj in enumerate(_time_major(w)):
         t = float(grid.nodes[j])
-        xj = x[j]
-        lv = np.asarray(control.level(j, t, xj), dtype=float)
-        levels[j] = lv
-        x[j + 1] = euler_step(coeffs, t, xj, coeffs.sigma(t, xj), dt,
-                              lv * lv * dt, lv * w[:, j])
-    return x.T, levels.T
+        lv = levels_at(j, t, x)
+        np.multiply(lv, wj, out=dB)
+        if coeffs is _UNIT_COEFFS:
+            # x + 0 dt + 0 d<B> + 1 dB is x + dB, bit for bit, for finite x
+            x = np.add(x, dB, out=nodes[j + 1] if keep_nodes else x)
+        else:
+            x = euler_step(coeffs, t, x, coeffs.sigma(t, x), dt, lv * lv * dt,
+                           dB)
+            if keep_nodes:
+                nodes[j + 1] = x
+        if keep_nodes and table is None:
+            levels[j] = lv
+    return (nodes, levels) if keep_nodes else x
+
+
+def simulate_state_batch(coeffs: ModelCoefficients,
+                         controls: Sequence[Control], x0: float,
+                         w: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Terminal states X_T of the controlled state equation from x0, one
+    (n_paths,) row per control of a C-contiguous (k, n_paths) array, from
+    one Euler pass that advances every control on the shared increments `w`
+    and keeps no earlier node."""
+    return _euler_pass(coeffs, controls, x0, w, grid, keep_nodes=False)
 
 
 def _simulate_batch(control: Control, grid: TimeGrid, w: np.ndarray) -> PathBatch:
-    """B-paths: the state equation with b = h = 0 and sigma = 1, from 0."""
-    b, levels = simulate_state_batch(_UNIT_COEFFS, control, 0.0, w, grid)
+    """B-paths of one control, every node kept: the state equation with
+    b = h = 0 and sigma = 1, from 0."""
+    b, levels = _euler_pass(_UNIT_COEFFS, [control], 0.0, w, grid,
+                            keep_nodes=True)
+    b, levels = b[:, 0].T, levels[:, 0].T
     w_view = w.view()
     for arr in (w_view, levels, b):
         arr.setflags(write=False)
@@ -198,16 +280,21 @@ def _simulate_batch(control: Control, grid: TimeGrid, w: np.ndarray) -> PathBatc
 
 
 def scaled_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
-    """sqrt(dt)-scaled standard-normal increments, counter-based per path."""
-    return streams.normal_matrix(seed, n_paths, grid.n_steps) * math.sqrt(grid.dt)
+    """sqrt(dt)-scaled standard-normal increments, counter-based per path,
+    scaled in place."""
+    w = streams.normal_matrix(seed, n_paths, grid.n_steps)
+    w *= math.sqrt(grid.dt)
+    return w
 
 
 def sup_over_controls(samples: Iterable) -> tuple[float, float, int]:
     """Max over controls of the sample mean.
 
-    `samples` yields one array of per-path values per control. Returns the
-    largest mean, the winning control's standard error and its index; the
-    first control wins a tie.
+    `samples` yields one array of per-path values per control, such as the
+    rows of a C-contiguous (k, n_paths) array: each row is contiguous, so
+    its mean and standard deviation are those of a 1-D copy, bit for bit.
+    Returns the largest mean, the winning control's standard error and its
+    index; the first control wins a tie.
     """
     best_mean = -math.inf
     best_se = 0.0
@@ -236,7 +323,9 @@ def upper_expectation_mc(functional: Callable[[PathBatch], np.ndarray],
     A biased-low estimate of the sublinear expectation (finite control
     family); the reported std_error is the winning control's. For terminal
     functionals a feedback family approaches the sup; for path-dependent
-    functionals no such guarantee is claimed.
+    functionals no such guarantee is claimed. A `terminal_functional` is
+    read from one stacked pass over all controls; any other functional gets
+    one control's `PathBatch` at a time.
     """
     if n_paths < 100:
         raise ScenarioError(f"n_paths must be >= 100, got {n_paths}")
@@ -244,8 +333,14 @@ def upper_expectation_mc(functional: Callable[[PathBatch], np.ndarray],
         raise ScenarioError("need at least one control")
     grid = controls[0].grid
     w = scaled_increments(seed, n_paths, grid)
-    value, se, best_id = sup_over_controls(
-        functional(_simulate_batch(control, grid, w)) for control in controls)
+    if isinstance(functional, TerminalFunctional):
+        # One pass for every control, keeping only the terminal row.
+        samples = functional.payoff.f(
+            simulate_state_batch(_UNIT_COEFFS, controls, 0.0, w, grid))
+    else:
+        samples = (functional(_simulate_batch(control, grid, w))
+                   for control in controls)
+    value, se, best_id = sup_over_controls(samples)
     return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
                              n_controls=len(controls), best_control_id=best_id)
 
@@ -265,11 +360,19 @@ def capacity_mc(event: Callable[[PathBatch], np.ndarray],
                              best_control_id=est.best_control_id)
 
 
-def terminal_functional(payoff: Payoff) -> Callable[[PathBatch], np.ndarray]:
-    def functional(batch: PathBatch) -> np.ndarray:
-        return np.asarray(payoff.f(batch.terminal()), dtype=float)
+@dataclass(frozen=True)
+class TerminalFunctional:
+    """batch -> f(B_T) for a payoff f; `upper_expectation_mc` recognises it
+    and keeps only the terminal row of each control."""
 
-    return functional
+    payoff: Payoff
+
+    def __call__(self, batch: PathBatch) -> np.ndarray:
+        return np.asarray(self.payoff.f(batch.terminal()), dtype=float)
+
+
+def terminal_functional(payoff: Payoff) -> TerminalFunctional:
+    return TerminalFunctional(payoff)
 
 
 def upper_semigroup_mc(coeffs: ModelCoefficients, band: VolatilityBand,
@@ -286,8 +389,7 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, band: VolatilityBand,
         raise ScenarioError(f"n_paths must be >= 100, got {n_paths}")
     w = scaled_increments(seed, n_paths, grid)
     value, se, best_id = sup_over_controls(
-        payoff.f(simulate_state_batch(coeffs, control, x0, w, grid)[0][:, -1])
-        for control in controls)
+        payoff.f(simulate_state_batch(coeffs, controls, x0, w, grid)))
     return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
                              n_controls=len(controls), best_control_id=best_id)
 

@@ -140,8 +140,8 @@ def test_criterion_04_entropy_bound():
     with _Budget(4, "entropy bound (M log M)", 120.0):
         coeffs, band, schedule, grid, controls = _acceptance_coupling_setup()
         w = scaled_increments(404, 2 ** 13, grid)
-        samples = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 0.01,
-                                      w).at_clip() for c in controls]
+        samples = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls,
+                                     [0.01], w).at_clip(0.01)
         report = g.entropy_bound_check(coeffs, schedule, 0.0, 0.5, samples)
         bound = mp.mpf("0.25") / (2 * mp.mpf("0.81") * mp.mpf("0.81")
                                   * mp.mpf(repr(schedule.lambda0)))
@@ -156,8 +156,8 @@ def test_criterion_05_moment_bound():
         a = g.moment_exponent_a(0.81, 0.9, 1.0)
         assert a == pytest.approx(1.6026568, abs=1e-6)
         w = scaled_increments(405, 2 ** 13, grid)
-        samples = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 0.01,
-                                      w).at_clip() for c in controls]
+        samples = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls,
+                                     [0.01], w).at_clip(0.01)
         report = g.moment_bound_check(coeffs, schedule, 0.0, 0.5, samples)
         rel = report.std_error / report.estimate
         assert report.estimate <= report.bound * (1.0 + 3.0 * rel)
@@ -170,11 +170,9 @@ def test_criterion_06_coupling_success_trend():
         T = grid.horizon
         w = scaled_increments(406, 2 ** 13, grid)
         sweep = [frac * T for frac in (0.2, 0.1, 0.05, 0.025)]
-        samples = []
-        for control in controls:
-            bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, control,
-                                        min(sweep), w)
-            samples.extend(bundle.at_clip(eps) for eps in sweep)
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls, sweep,
+                                 w)
+        samples = [s for eps in sweep for s in run.at_clip(eps)]
         trend = g.coupling_success_check(schedule, 0.0, 0.5, samples)
         means = [r.weighted_mean for r in trend.rows]
         assert all(a > b for a, b in zip(means, means[1:]))

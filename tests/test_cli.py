@@ -159,6 +159,39 @@ class TestCliExitCodes:
         assert run(["gheat", "--config", bad, "--out", tmp_path / "o"]) == 2
         assert f"[{field}]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,old,new", [
+        ("model.kappa2", "kappa2 = 1.0", "kappa2 = 1e300"),
+        ("band.sigma_lower", "sigma_lower = 0.9", "sigma_lower = 1e-300"),
+        ("band.sigma_upper", "sigma_upper = 1.1", "sigma_upper = 1e300"),
+        ("check.p", "p = 2.0", "p = 1e300"),
+        ("model.sigma_params", "sigma_params = 0.95, 0.05, 1",
+         "sigma_params = 1e300, 0.05, 1"),
+        ("check.payoff_params", "payoff_params = 0.1",
+         "payoff_params = 1e300"),
+    ])
+    def test_huge_value_names_the_field(self, tmp_path, capsys, field, old,
+                                        new):
+        # Python float ** raises OverflowError on these; the parser refuses
+        # them before any work
+        bad = tmp_path / "huge.cfg"
+        text = CFG.read_text()
+        assert old in text
+        bad.write_text(text.replace(old, new))
+        assert run(["suite", "--config", bad, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{field}]"), err
+        assert not (tmp_path / "o").exists()
+
+    def test_equal_starts_pass_the_coupling_checks(self, tmp_path):
+        # y = x: every gap is exactly 0 at every clip, an admissible trend
+        same = tmp_path / "same.cfg"
+        same.write_text(CFG.read_text().replace("y = 0.5", "y = 0.0"))
+        assert run(["coupling", "--config", same, "--out", tmp_path / "o"]) == 0
+        entries = json.loads((tmp_path / "o" / "report.json").read_text())
+        trend, = [e for e in entries if e["kind"] == "coupling_trend"]
+        assert trend["passed"] and trend["strictly_decreasing"]
+        assert all(row["weighted_mean"] == 0.0 for row in trend["rows"])
+
     def test_alpha_near_cap_is_exit_2_before_any_work(self, tmp_path, capsys):
         # 0.99 cap = 1.6038 gives r = 26.6 on 256 steps at clip 0.01
         bad = tmp_path / "alpha.cfg"
@@ -208,7 +241,6 @@ class TestCliExitCodes:
         assert elapsed < 5.0
         assert not (tmp_path / "o").exists()
 
-
     def test_oversized_pde_is_exit_2_before_any_work(self, tmp_path, capsys):
         big = tmp_path / "big.cfg"
         big.write_text(CFG.read_text().replace("n_space = 400",
@@ -228,20 +260,6 @@ class TestCliExitCodes:
         assert peak < 16 * 2 ** 20
         assert not (tmp_path / "o").exists()
 
-    def test_pde_step_count_is_exit_2_before_any_work(self, tmp_path, capsys):
-        # 10^5 intervals fit in memory but need about 5.9e7 explicit steps
-        big = tmp_path / "steps.cfg"
-        big.write_text(CFG.read_text().replace("n_space = 400",
-                                               "n_space = 100000"))
-        start = time.perf_counter()
-        code = run(["harnack", "--config", big, "--out", tmp_path / "o"])
-        elapsed = time.perf_counter() - start
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "[grid.n_space]" in err and "node-steps" in err
-        assert "59145003 explicit time steps" in err
-        assert elapsed < 5.0
-        assert not (tmp_path / "o").exists()
 
 
 class TestStackedSolves:
@@ -262,6 +280,55 @@ class TestStackedSolves:
         monkeypatch.setattr(gheat, "solve_stack", counted)
         assert run([command, "--out", tmp_path / "o"]) == 0
         assert len(calls) == passes, calls
+
+
+class TestStackedPaths:
+    def test_one_coupled_pass_per_run(self, tmp_path, monkeypatch):
+        from gharnack import coupling
+
+        calls = []
+        kernel = coupling._coupled_pass
+
+        def counted(coeffs, schedule, x0, y0, controls, *args):
+            calls.append(len(controls))
+            return kernel(coeffs, schedule, x0, y0, controls, *args)
+
+        monkeypatch.setattr(coupling, "_coupled_pass", counted)
+        assert run(["coupling", "--out", tmp_path / "o"]) == 0
+        assert calls == [5]
+
+    def test_one_stacked_pass_per_scenario_run(self, tmp_path, monkeypatch):
+        from gharnack import scenario
+
+        calls = []
+        kernel = scenario._euler_pass
+
+        def counted(coeffs, controls, x0, w, grid, keep_nodes):
+            calls.append((len(controls), keep_nodes))
+            return kernel(coeffs, controls, x0, w, grid, keep_nodes)
+
+        monkeypatch.setattr(scenario, "_euler_pass", counted)
+        assert run(["scenario", "--out", tmp_path / "o"]) == 0
+        assert calls == [(5, False)]
+
+    def test_coupling_run_holds_no_full_paths_of_every_control(self):
+        # 5 controls x 2048 paths x 257 nodes: one (k, n_steps + 1, n_paths)
+        # array is 21 MB, w 4.2 MB, the export rows 6.6 MB in all
+        from gharnack import cli
+        from gharnack.coupling import EXPORT_PATHS
+
+        cfg = parse_run_config(CFG)
+        k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
+        tracemalloc.start()
+        try:
+            cli.run_coupling(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        w_nbytes = n * s * 8
+        export = 5 * (s + 1) * k * EXPORT_PATHS * 8
+        assert peak < w_nbytes + export + 64 * k * n * 8
+        assert peak < k * (s + 1) * n * 8
 
 
 class TestSubcommands:

@@ -1,6 +1,7 @@
 """Config fuzzing: mutate one field of the bundled config at a time and run
 `gharnack suite` on it. Whatever the value, the run ends with a documented
-exit code and no traceback, and a refused config names its field."""
+exit code and no traceback, a refused config names its field, and a huge
+finite value (+-1e300) never ends in an internal error."""
 
 import configparser
 import contextlib
@@ -80,6 +81,10 @@ def test_one_mutated_field_ends_cleanly(mutation):
             code = main(["suite", "--config", str(cfg), "--out",
                          str(Path(tmp) / "o")])
     assert code in (0, 1, 2, 3), (key, value, code)
+    if "1e300" in value:
+        # a huge finite value is bad input, refused at parse time, never
+        # an internal error
+        assert code in (0, 1, 2), (key, value, code, err.getvalue())
     assert "Traceback" not in err.getvalue() + out.getvalue(), (key, value)
     if code == 2:
         assert re.search(r"\[[a-z_]+\.[A-Za-z_0-9]+\]", err.getvalue()), \

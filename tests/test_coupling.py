@@ -146,27 +146,25 @@ class TestMomentExponent:
 def coupled(coeffs, schedule, x0, y0, control, seed, clip_epsilon, n_paths):
     """One bundle on the first n_paths rows of the seed's increments."""
     w = scaled_increments(seed, n_paths, control.grid)
-    return g.simulate_coupled(coeffs, schedule, x0, y0, control, clip_epsilon,
+    return g.simulate_bundle(coeffs, schedule, x0, y0, control, clip_epsilon,
                               w)
 
 
 def at_clip(coeffs, schedule, x0, y0, controls, n_paths, seed, clip_epsilon):
-    """Clip-node samples of one bundle per control, on shared increments."""
+    """Clip-node samples of every control from one stacked run, on shared
+    increments."""
     w = scaled_increments(seed, n_paths, controls[0].grid)
-    return [g.simulate_coupled(coeffs, schedule, x0, y0, c, clip_epsilon,
-                               w).at_clip() for c in controls]
+    return g.simulate_coupled(coeffs, schedule, x0, y0, controls,
+                              [clip_epsilon], w).at_clip(clip_epsilon)
 
 
 def sweep(coeffs, schedule, x0, y0, controls, n_paths, seed, epsilons):
-    """Clip samples of a sweep, (epsilon, control) in control-major order:
-    one bundle per control, simulated at the smallest clip."""
+    """Clip samples of a sweep, (epsilon, control) in control-major order,
+    from one stacked run simulated at the smallest clip."""
     w = scaled_increments(seed, n_paths, controls[0].grid)
-    samples = []
-    for c in controls:
-        bundle = g.simulate_coupled(coeffs, schedule, x0, y0, c,
-                                    min(epsilons), w)
-        samples.extend(bundle.at_clip(eps) for eps in epsilons)
-    return samples
+    run = g.simulate_coupled(coeffs, schedule, x0, y0, controls, epsilons, w)
+    return [s for samples in zip(*(run.at_clip(eps) for eps in epsilons))
+            for s in samples]
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +361,33 @@ class TestCouplingSuccess:
         report = g.coupling_success_check(schedule, 0.1, 0.1, samples)
         assert all(r.weighted_mean == 0.0 for r in report.rows)
         assert all(r.weighted_median == 0.0 for r in report.rows)
+        # gaps that are identically zero form an admissible trend
+        assert report.strictly_decreasing and report.bounded
+        assert report.passed
+
+    @staticmethod
+    def trend_of(schedule, means):
+        """The report of one control whose every path has gap `mean` at the
+        clip node of each epsilon of (0.2, 0.1, 0.05)."""
+        samples = [g.ClipSample(epsilon=eps, clip_time=1.0 - eps,
+                                lambda_at_clip=float(schedule.value(1.0 - eps)),
+                                m=np.ones(4), gap=np.full(4, mean),
+                                log_m=np.zeros(4), n_excluded=0)
+                   for eps, mean in zip((0.2, 0.1, 0.05), means)]
+        return g.coupling_success_check(schedule, 0.0, 0.5, samples)
+
+    @pytest.mark.parametrize("means,decreasing", [
+        ((0.3, 0.2, 0.1), True),
+        ((0.3, 0.1, 0.0), True),
+        ((0.3, 0.3, 0.1), False),    # positive and flat
+        ((0.2, 0.3, 0.1), False),    # positive and rising
+        ((0.0, 0.1, 0.0), False),    # rises from zero
+    ])
+    def test_positive_means_must_drop(self, acc_setup, means, decreasing):
+        coeffs, band, schedule, grid, controls = acc_setup
+        report = self.trend_of(schedule, means)
+        assert report.strictly_decreasing is decreasing
+        assert report.passed is (decreasing and report.bounded)
 
     def test_sweep_trend_and_bound(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
@@ -405,7 +430,7 @@ class TestAllPathsExcluded:
         controls = g.sample_controls("constants", pinched_band, grid, 2, seed=3)
         # every row turns non-finite in step 10, before the clip node of 0.25
         w = poisoned(scaled_increments(5, 4, grid), slice(None), step=10)
-        bundles = [g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, 0.25, w)
+        bundles = [g.simulate_bundle(coeffs, schedule, 0.0, 0.5, c, 0.25, w)
                    for c in controls]
         assert [b.n_stiff for b in bundles] == [4, 4]
         samples = [b.at_clip() for b in bundles]
@@ -454,7 +479,7 @@ class TestStabilityBound:
         # the band's upper level sets r, whatever levels the control uses
         for control in (controls[0], g.FeedbackControl(grid, policy)):
             with pytest.raises(CouplingError, match=r"r = 8\.86"):
-                g.simulate_coupled(coeffs, schedule, 0.0, 0.5, control, 0.025,
+                g.simulate_bundle(coeffs, schedule, 0.0, 0.5, control, 0.025,
                                    w)
 
 
@@ -488,10 +513,10 @@ class TestOnePassSweep:
         if poison:
             w = poisoned(w, LATE_ROWS)
         for c in controls:
-            run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c,
+            run = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, c,
                                      min(SWEEP), w)
             for eps in SWEEP:
-                alone = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, c, eps,
+                alone = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, c, eps,
                                            w)
                 self.assert_same(run.at_clip(eps), alone.at_clip())
                 assert shifted_qv_discrepancy(run, eps) == \
@@ -501,7 +526,7 @@ class TestOnePassSweep:
                                          pinched_band):
         coeffs = multiplicative_model
         schedule, controls, w = self.make_case(coeffs, pinched_band, 0.81)
-        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[1],
+        run = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, controls[1],
                                  0.025, poisoned(w, LATE_ROWS))
         late = np.nonzero(run.stiff_step == 61)[0]
         assert np.array_equal(late, LATE_ROWS) and run.n_stiff == late.size
@@ -519,7 +544,7 @@ class TestOnePassSweep:
         # the node of 0.05 and none at the node of 0.025
         coeffs = multiplicative_model
         schedule, controls, w = self.make_case(coeffs, pinched_band, 0.81)
-        alone = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[1],
+        alone = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, controls[1],
                                    0.025, poisoned(w, LATE_ROWS)[LATE_ROWS])
         assert np.all(alone.stiff_step == 61)
         assert math.isfinite(shifted_qv_discrepancy(alone, 0.05))
@@ -543,22 +568,25 @@ class TestOnePassSweep:
 
     def test_head_is_a_copy_of_a_smaller_bundle(self, acc_setup):
         # each path reads only its own row of w, also when rows past the
-        # head are excluded
+        # head are excluded: the export rows of a stacked run are a
+        # one-control bundle on those rows of w alone
         coeffs, band, schedule, grid, controls = acc_setup
         clean = scaled_increments(93, 256, grid)
         for w in (clean, poisoned(clean, LATE_ROWS)):
-            big = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[3],
-                                     0.025, w)
-            small = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
-                                       controls[3], 0.025, w[:64])
-            assert big.n_stiff == (0 if w is clean else LATE_ROWS.size)
-            head = big.head(64)
-            for name in ("w", "levels", "x_path", "y_path", "g_path",
-                         "log_m_path", "stiff_step"):
-                assert getattr(head, name).tobytes() == \
-                    getattr(small, name).tobytes(), name
-                assert not np.shares_memory(getattr(head, name),
-                                            getattr(big, name))
+            run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls,
+                                     [0.025], w)
+            assert [s.n_excluded for s in run.at_clip(0.025)] == \
+                [0 if w is clean else LATE_ROWS.size] * len(controls)
+            for control, head in zip(controls, run.heads):
+                small = g.simulate_bundle(coeffs, schedule, 0.0, 0.5,
+                                          control, 0.025,
+                                          w[:coupling.EXPORT_PATHS])
+                assert head.n_paths == coupling.EXPORT_PATHS
+                for name in ("w", "levels", "x_path", "y_path", "g_path",
+                             "log_m_path", "stiff_step"):
+                    assert getattr(head, name).tobytes() == \
+                        getattr(small, name).tobytes(), name
+                    assert not getattr(head, name).flags.writeable, name
 
 
 class TestBundleExport:
@@ -647,12 +675,41 @@ def reference_shifted_qv(arrays, dt, j, keep):
 
 
 class TestTimeMajorCoupledKernel:
-    """The time-major coupled kernel gives, bit for bit, what the path-major
-    loop gives, with and without excluded paths."""
+    """The stacked, time-major coupled kernel gives, bit for bit, what the
+    path-major loop gives one control at a time, with and without excluded
+    paths."""
 
     FIELDS = ("w", "levels", "x_path", "y_path", "g_path", "log_m_path",
               "stiff_step")
 
+    @staticmethod
+    def assert_run_matches(run, controls, refs, dt):
+        """Every clip sample and every export row of a stacked run against
+        the path-major loop of each control."""
+        n_head = coupling.EXPORT_PATHS
+        for eps in run.samples:
+            for sample, ref in zip(run.at_clip(eps), refs):
+                j = coupling._clip_index(controls[0].grid, eps)
+                keep = ref["stiff_step"] >= j
+                logm = ref["log_m_path"][keep, j]
+                gap = np.abs(ref["x_path"][keep, j] - ref["y_path"][keep, j])
+                assert sample.log_m.tobytes() == logm.tobytes()
+                assert sample.m.tobytes() == np.exp(logm).tobytes()
+                assert sample.gap.tobytes() == gap.tobytes()
+                assert sample.n_excluded == keep.size - np.count_nonzero(keep)
+        for head, ref in zip(run.heads, refs):
+            for name in TestTimeMajorCoupledKernel.FIELDS:
+                assert getattr(head, name).tobytes() == \
+                    ref[name][:n_head].tobytes(), name
+            head_ref = {k: v[:n_head] for k, v in ref.items()}
+            for eps in SWEEP:
+                j = head.node(eps)
+                assert shifted_qv_discrepancy(head, eps) == \
+                    reference_shifted_qv(head_ref, dt, j,
+                                         head_ref["stiff_step"] >= j)
+
+    # 0 * inf where g is frozen to zero: the guard's event, not an error
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("guard", [None, "late_exclusion"])
     @pytest.mark.parametrize("control_id", [0, 1])
     def test_every_array_equals_path_major_loop(self, multiplicative_model,
@@ -664,28 +721,87 @@ class TestTimeMajorCoupledKernel:
         if guard == "late_exclusion":
             w = poisoned(w, LATE_ROWS)
         control = controls[control_id]
-        bundle = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, control,
-                                    0.025, w)
-        ref = reference_coupled(coeffs, schedule, 0.0, 0.5, control, 0.025, w)
+        bundle = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, control,
+                                   0.025, w)
+        refs = [reference_coupled(coeffs, schedule, 0.0, 0.5, c, 0.025, w)
+                for c in controls]
+        ref = refs[control_id]
         for name in self.FIELDS:
             got = getattr(bundle, name)
             assert got.shape == ref[name].shape, name
             assert got.tobytes() == ref[name].tobytes(), name
             assert not got.flags.writeable, name
-        head = bundle.head(64)
-        for name in self.FIELDS:
-            assert getattr(head, name).tobytes() == \
-                ref[name][:64].tobytes(), name
         dt = control.grid.dt
         for eps in SWEEP:
             j = bundle.node(eps)
             keep = ref["stiff_step"] >= j
             assert shifted_qv_discrepancy(bundle, eps) == \
                 reference_shifted_qv(ref, dt, j, keep)
-            assert shifted_qv_discrepancy(head, eps) == \
-                reference_shifted_qv(
-                    {k: v[:64] for k, v in ref.items()}, dt, j, keep[:64])
         assert bundle.n_stiff == (0 if guard is None else LATE_ROWS.size)
+        # the stacked run of the whole family, from control_id on
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
+                                 controls[control_id:], SWEEP, w)
+        self.assert_run_matches(run, controls[control_id:],
+                                refs[control_id:], dt)
+
+    # 0 * inf where g is frozen to zero: the guard's event, not an error
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_mixed_feedback_family_with_exclusions(self, multiplicative_model,
+                                                   pinched_band):
+        # a feedback row between a bang-bang and a constant control, inf
+        # written into a few rows of w between the clip nodes of 0.05 and
+        # 0.025
+        coeffs = multiplicative_model
+        schedule, controls, w = TestOnePassSweep.make_case(
+            coeffs, pinched_band, 0.81)
+        grid = controls[0].grid
+        hi_mask = np.zeros((grid.n_steps, 5), dtype=bool)
+        hi_mask[:, 2:] = True  # the upper level at states above -4
+        policy = g.PolicyTable(times=grid.nodes[:-1],
+                               x_nodes=np.linspace(-8.0, 8.0, 5),
+                               hi_mask=hi_mask, band=pinched_band)
+        bang_bang = g.sample_controls("bang_bang", pinched_band, grid, 1,
+                                      seed=3)[0]
+        family = [bang_bang, g.FeedbackControl(grid, policy), controls[1]]
+        w = poisoned(w, LATE_ROWS)
+        refs = [reference_coupled(coeffs, schedule, 0.0, 0.5, c, 0.025, w)
+                for c in family]
+        assert len(np.unique(refs[1]["levels"])) == 2
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, family,
+                                 (0.1, *SWEEP), w)
+        self.assert_run_matches(run, family, refs, grid.dt)
+        assert [s.n_excluded for s in run.at_clip(0.025)] == [LATE_ROWS.size] * 3
+        assert [s.n_excluded for s in run.at_clip(0.05)] == [0] * 3
+        with pytest.raises(CouplingError, match="0.3 was not recorded"):
+            run.at_clip(0.3)
+
+    def test_two_clips_on_one_node(self, acc_setup):
+        # 0.01 and 0.0101 share node 506 of 512: each keeps its sample
+        coeffs, band, schedule, grid, controls = acc_setup
+        w = scaled_increments(96, 64, grid)
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[:2],
+                                 [0.0101, 0.01], w)
+        for a, b in zip(run.at_clip(0.01), run.at_clip(0.0101)):
+            assert (a.epsilon, b.epsilon) == (0.01, 0.0101)
+            assert a.clip_time == b.clip_time
+            assert a.log_m.tobytes() == b.log_m.tobytes()
+
+    def test_first_rows_are_a_run_on_those_rows(self, acc_setup):
+        # the per-path stream promise: every statistic of a stacked run on
+        # w[:m] is read off the first m rows of a taller run
+        coeffs, band, schedule, grid, controls = acc_setup
+        w = scaled_increments(95, 300, grid)
+        tall = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls,
+                                  [0.01, 0.1], w)
+        short = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls,
+                                   [0.01, 0.1], w[:200])
+        for eps in (0.01, 0.1):
+            for a, b in zip(tall.at_clip(eps), short.at_clip(eps)):
+                for name in ("m", "gap", "log_m"):
+                    assert getattr(a, name)[:200].tobytes() == \
+                        getattr(b, name).tobytes(), name
+        for a, b in zip(tall.heads, short.heads):
+            assert a.x_path.tobytes() == b.x_path.tobytes()
 
     def test_time_nodes_are_contiguous_rows(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup

@@ -9,6 +9,8 @@ from gharnack.cli import bundled_config_path
 from gharnack.gheat import _UNIT_COEFFS
 from gharnack.scenario import (
     ScenarioError,
+    _W_BLOCK_STEPS,
+    _euler_pass,
     _simulate_batch,
     scaled_increments,
     simulate_state_batch,
@@ -351,16 +353,98 @@ class TestTimeMajorKernel:
             (cfg.coeffs, 0.3)
         control = self.control(kind, coeffs, cfg)
         w = scaled_increments(cfg.seed, 300, cfg.grid)
-        x, levels = simulate_state_batch(coeffs, control, x0, w, cfg.grid)
+        x, levels = _euler_pass(coeffs, [control], x0, w, cfg.grid,
+                                keep_nodes=True)
         ref_x, ref_levels = reference_state_batch(coeffs, control, x0, w,
                                                   cfg.grid)
-        assert x.shape == ref_x.shape and levels.shape == ref_levels.shape
-        assert x.tobytes() == ref_x.tobytes()
-        assert levels.tobytes() == ref_levels.tobytes()
+        assert x.shape == (cfg.grid.n_steps + 1, 1, 300)
+        assert x[:, 0].T.tobytes() == ref_x.tobytes()
+        assert levels[:, 0].T.tobytes() == ref_levels.tobytes()
         # one time node is one contiguous row of the kernel's buffers
-        assert x.T.flags.c_contiguous and levels.T.flags.c_contiguous
+        assert x[:, 0].flags.c_contiguous
+        terminal = simulate_state_batch(coeffs, [control], x0, w, cfg.grid)
+        assert terminal.shape == (1, 300)
+        assert terminal.tobytes() == ref_x[:, -1].tobytes()
         if kind == "feedback":
             assert len(np.unique(levels)) == 2
+
+    @staticmethod
+    def family(kind, coeffs, cfg):
+        if kind == "mixed":
+            # open-loop levels that change with the step beside the
+            # feedback row
+            feedback = TestTimeMajorKernel.control("feedback", coeffs, cfg)
+            return [TestTimeMajorKernel.control("bang_bang", coeffs, cfg),
+                    feedback,
+                    TestTimeMajorKernel.control("random", coeffs, cfg)]
+        return g.sample_controls(kind, cfg.band, cfg.grid, 3, cfg.seed)
+
+    @pytest.mark.parametrize("kind", ["mixed", "bang_bang", "random"])
+    @pytest.mark.parametrize("model", ["unit", "bundled"])
+    def test_stacked_family_equals_path_major_loop(self, bundled, model,
+                                                   kind):
+        # one pass over the family against one path-major loop per control;
+        # 300 paths and 256 steps leave a partial block of w and rows whose
+        # length is no multiple of a SIMD width
+        cfg = bundled
+        coeffs, x0 = (_UNIT_COEFFS, 0.0) if model == "unit" else \
+            (cfg.coeffs, 0.3)
+        controls = self.family(kind, coeffs, cfg)
+        w = scaled_increments(cfg.seed, 300, cfg.grid)[:, :250]
+        grid = g.TimeGrid(cfg.grid.horizon * 250 / 256, 250)
+        assert grid.n_steps % _W_BLOCK_STEPS != 0
+        if kind != "mixed":
+            controls = [g.ScenarioControl(grid, c.levels[:250], c.band)
+                        for c in controls]
+        else:
+            controls = [g.ScenarioControl(grid, controls[0].levels[:250],
+                                          cfg.band),
+                        g.FeedbackControl(grid, controls[1].policy),
+                        g.ScenarioControl(grid, controls[2].levels[:250],
+                                          cfg.band)]
+        terminal = simulate_state_batch(coeffs, controls, x0, w, grid)
+        assert terminal.shape == (3, 300) and terminal.flags.c_contiguous
+        for row, control in zip(terminal, controls):
+            ref_x, _ = reference_state_batch(coeffs, control, x0, w, grid)
+            assert row.tobytes() == ref_x[:, -1].tobytes()
+        # the per-path stream promise: the first m rows are a run on w[:m]
+        head = simulate_state_batch(coeffs, controls, x0, w[:64], grid)
+        assert head.tobytes() == terminal[:, :64].tobytes()
+
+    def test_semigroup_estimate_equals_path_major_loop(self, bundled):
+        # non-unit coefficients, a feedback control and three constants
+        cfg = bundled
+        solved = g.solve_semigroups(cfg.coeffs, cfg.band, cfg.grid.horizon,
+                                    g.PdeConfig(-8.0, 8.0, 200), [cfg.payoff],
+                                    policy_times=cfg.grid.nodes[:-1])
+        policy = solved.policy[cfg.payoff]
+        est = g.upper_semigroup_mc(cfg.coeffs, cfg.band, cfg.payoff, 0.3,
+                                   cfg.grid, 300, seed=17, policy=policy,
+                                   n_controls=4)
+        w = scaled_increments(17, 300, cfg.grid)
+        controls = g.sample_controls("feedback", cfg.band, cfg.grid, 4, 17,
+                                     policy=policy)
+        stats = []
+        for control in controls:
+            ref_x, _ = reference_state_batch(cfg.coeffs, control, 0.3, w,
+                                             cfg.grid)
+            vals = cfg.payoff.f(ref_x[:, -1])
+            stats.append((float(np.mean(vals)),
+                          float(np.std(vals, ddof=1) / math.sqrt(300))))
+        best = max(range(4), key=lambda k: (stats[k][0], -k))
+        assert (est.value, est.std_error, est.best_control_id) == \
+            (*stats[best], best)
+
+    def test_terminal_functional_equals_per_control_batches(self, bundled):
+        # the stacked terminal pass against one PathBatch per control
+        cfg = bundled
+        controls = self.family("mixed", _UNIT_COEFFS, cfg)
+        stacked = g.upper_expectation_mc(g.terminal_functional(cfg.payoff),
+                                         controls, 300, seed=3)
+        per_control = g.upper_expectation_mc(
+            lambda batch: cfg.payoff.f(batch.terminal()), controls, 300,
+            seed=3)
+        assert stacked == per_control
 
     @pytest.mark.parametrize("kind", ["constants", "random", "feedback"])
     def test_batch_fields_equal_path_major_loop(self, bundled, kind):
@@ -383,6 +467,25 @@ class TestTimeMajorKernel:
 
 
 class TestMemory:
+    def test_terminal_functional_keeps_only_terminal_rows(self, wide_band):
+        # w, its time-major block and a few (k, n_paths) rows, never a
+        # control's full paths
+        n_paths, grid = 4096, g.TimeGrid(1.0, 256)
+        w_nbytes = n_paths * grid.n_steps * 8
+        block = _W_BLOCK_STEPS * n_paths * 8
+        functional = g.terminal_functional(g.make_payoff("gauss_bump"))
+        for strategy in ("constants", "random"):
+            controls = g.sample_controls(strategy, wide_band, grid, 5, seed=0)
+            tracemalloc.start()
+            try:
+                g.upper_expectation_mc(functional, controls, n_paths, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            rows = len(controls) * n_paths * 8
+            assert peak <= w_nbytes + block + 4 * rows + 2 ** 16, \
+                (strategy, (peak - w_nbytes - block) / rows)
+
     def test_upper_expectation_holds_no_copy_of_w(self, wide_band):
         # w, then one control's paths and levels at a time: about 3 x w,
         # also for a functional that returns a view of its batch
