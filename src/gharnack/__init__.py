@@ -23,9 +23,7 @@ from .gheat import (
     PolicyTable,
     Semigroups,
     auto_pde_config,
-    feedback_optimal_control,
     solve_g_heat,
-    solve_g_hjb,
     solve_semigroups,
     solve_stack,
 )
@@ -34,12 +32,10 @@ from .scenario import (
     FeedbackControl,
     ScenarioControl,
     ScenarioError,
-    TerminalFunctional,
     YoungReport,
     capacity_mc,
     random_young_trial,
     sample_controls,
-    terminal_functional,
     upper_expectation_mc,
     upper_semigroup_mc,
     young_check,

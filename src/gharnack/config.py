@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
+    COEFFICIENT_NAMES,
+    PAYOFF_NAMES,
     ModelCoefficients,
     ModelError,
     Payoff,
@@ -116,16 +118,22 @@ def _in_range(field: str, what: str, compute) -> float:
     return value
 
 
-def _coefficient(sec, role: str):
-    name = _get(sec, role, str)
+def _catalog(sec, role: str, names, build, default=None):
+    """build(name, params) for the catalog entry named by `role` and the
+    parameters of `role`_params; a ModelError names `role` when the name is
+    not in `names`, `role`_params when it is."""
+    name = _get(sec, role, str, default=default)
     params = _get(sec, f"{role}_params", _floats, default=())
-    field = f"{sec.name}.{role}"
     try:
-        fn = make_coefficient(name, params)
-        lip = coefficient_lipschitz(name, params)
+        return build(name, params)
     except ModelError as exc:
-        raise ConfigError(field, str(exc)) from exc
-    return fn, lip
+        suffix = "_params" if name in names else ""
+        raise ConfigError(f"{sec.name}.{role}{suffix}", str(exc)) from exc
+
+
+def _coefficient(sec, role: str):
+    return _catalog(sec, role, COEFFICIENT_NAMES, lambda name, params: (
+        make_coefficient(name, params), coefficient_lipschitz(name, params)))
 
 
 def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
@@ -176,21 +184,31 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     _in_range("band.sigma_lower", f"1/sigma_lower^2 = 1/{lo:g}^2",
               lambda: 1.0 / lo ** 2)
     _in_range("band.sigma_upper", f"sigma_upper^2 = {hi:g}^2", lambda: hi ** 2)
+    # The rate of the coupling schedule's exponential.
+    _in_range("model.K", f"K = {K:g}: c_K = K (2 + K + 2/sigma_lower^2)",
+              lambda: K * (2.0 + K + 2.0 / lo ** 2))
 
     grid_sec = _section(cp, "grid")
     T = _get(grid_sec, "horizon", float)
     n_steps = _get(grid_sec, "n_steps", int)
+    if n_steps < 1:
+        raise ConfigError("grid.n_steps", f"need >= 1, got {n_steps}")
     try:
         grid = TimeGrid(T, n_steps)
     except ModelError as exc:
         raise ConfigError("grid.horizon", str(exc)) from exc
+    x_min = _get(grid_sec, "x_min", float)
+    x_max = _get(grid_sec, "x_max", float)
+    if not x_min < x_max:
+        raise ConfigError("grid.x_min", f"need x_min < x_max, got "
+                          f"[{x_min:g}, {x_max:g}]")
+    cfl_safety = _get(grid_sec, "cfl_safety", float, default=0.8)
+    if not 0.0 < cfl_safety <= 1.0:
+        raise ConfigError("grid.cfl_safety",
+                          f"must lie in (0, 1], got {cfl_safety:g}")
     try:
-        pde = PdeConfig(
-            x_min=_get(grid_sec, "x_min", float),
-            x_max=_get(grid_sec, "x_max", float),
-            n_space=_get(grid_sec, "n_space", int),
-            cfl_safety=_get(grid_sec, "cfl_safety", float, default=0.8),
-        )
+        pde = PdeConfig(x_min, x_max, _get(grid_sec, "n_space", int),
+                        cfl_safety)
     except PdeError as exc:
         raise ConfigError("grid.n_space", str(exc)) from exc
     # Every pass holds at most the largest stack, each row with a policy
@@ -220,8 +238,8 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     if n_t * pde.n_space > _MAX_NODE_STEPS:
         raise ConfigError(
             "grid.n_space",
-            f"{pde.n_space} intervals need {n_t} explicit time steps, "
-            f"{n_t * pde.n_space:.3g} node-steps a pass, more than the "
+            f"{pde.n_space} intervals need {n_t:.3g} explicit time steps, "
+            f"{float(n_t) * pde.n_space:.3g} node-steps a pass, more than the "
             f"budget of {_MAX_NODE_STEPS:.0e}")
 
     cpl = _section(cp, "coupling")
@@ -294,13 +312,9 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     alpha_grid_size = _get(chk, "alpha_grid", int, default=33)
     if alpha_grid_size < 1:
         raise ConfigError("check.alpha_grid", "need at least one alpha")
-    payoff_name = _get(chk, "payoff", str, default="shifted_bump")
-    payoff_params = _get(chk, "payoff_params", _floats, default=())
-    try:
-        payoff = make_payoff(payoff_name, payoff_params,
-                             domain=(pde.x_min, pde.x_max))
-    except ModelError as exc:
-        raise ConfigError("check.payoff", str(exc)) from exc
+    payoff = _catalog(chk, "payoff", PAYOFF_NAMES, lambda name, params:
+                      make_payoff(name, params, domain=(pde.x_min, pde.x_max)),
+                      default="shifted_bump")
     # The Monte Carlo error bar squares deviations of up to 2 sup |f| from
     # the mean; f^p raises payoff values to p.
     top = payoff.sup_norm

@@ -226,18 +226,6 @@ class ClipSample:
         return self
 
 
-def _clip_sample(epsilon: float, clip_time: float, lambda_at_clip: float,
-                 x: np.ndarray, y: np.ndarray, log_m: np.ndarray,
-                 included: np.ndarray) -> ClipSample:
-    """The ClipSample of the `included` paths of one control's (x, y, log m)
-    at a clip node."""
-    logm = log_m[included]
-    return ClipSample(epsilon=float(epsilon), clip_time=clip_time,
-                      lambda_at_clip=lambda_at_clip, m=np.exp(logm),
-                      gap=np.abs(x[included] - y[included]), log_m=logm,
-                      n_excluded=included.size - int(np.count_nonzero(included)))
-
-
 @dataclass(frozen=True)
 class PathBundle:
     """Coupled sample paths of one control with every node kept (rows =
@@ -292,16 +280,6 @@ class PathBundle:
     def included(self, epsilon: float | None = None) -> np.ndarray:
         """Paths not excluded by the clip node of `epsilon`."""
         return self.stiff_step >= self.node(epsilon)
-
-    def at_clip(self, epsilon: float | None = None) -> ClipSample:
-        """The included paths at the clip node of `epsilon` (default: the
-        bundle's own clip)."""
-        j = self.node(epsilon)
-        t = float(self.grid.nodes[j])
-        return _clip_sample(
-            self.clip_epsilon if epsilon is None else epsilon, t,
-            float(self.schedule.value(t)), self.x_path[:, j],
-            self.y_path[:, j], self.log_m_path[:, j], self.included(epsilon))
 
 
 @dataclass(frozen=True)
@@ -409,10 +387,14 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
         t = float(grid.nodes[node])
         lam = float(schedule.value(t))
         xs, ys, logms = at_nodes[node]
-        samples[eps] = tuple(
-            _clip_sample(eps, t, lam, xs[i], ys[i], logms[i],
-                         stiff_step[i] >= node)
-            for i in range(len(controls)))
+        per_control = []
+        for i, keep in enumerate(stiff_step >= node):
+            lm = logms[i][keep]
+            per_control.append(ClipSample(
+                epsilon=eps, clip_time=t, lambda_at_clip=lam, m=np.exp(lm),
+                gap=np.abs(xs[i][keep] - ys[i][keep]), log_m=lm,
+                n_excluded=keep.size - int(np.count_nonzero(keep))))
+        samples[eps] = tuple(per_control)
     w = w[:n_full].view()  # made read-only below; the caller's stays writable
     for arr in (w, stiff_step, levels_full, *full):
         arr.setflags(write=False)

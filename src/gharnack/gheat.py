@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelCoefficients, Payoff, VolatilityBand, make_coefficient
+from .model import (ModelCoefficients, Payoff, VolatilityBand, g_function,
+                    make_coefficient)
 
 
 class PdeError(ValueError):
@@ -149,27 +150,6 @@ def _upper_wins(a: np.ndarray, u: np.ndarray, dx: float, h_vec: np.ndarray,
     return a >= -64.0 * noise
 
 
-def _coefficient_vectors(coeffs: ModelCoefficients, xs: np.ndarray):
-    """b, h and sigma^2 on the nodes. The coefficients are time-homogeneous
-    (see ModelCoefficients), so one evaluation serves every time level."""
-    b_vec = np.asarray(coeffs.b(0.0, xs), dtype=float)
-    h_vec = np.asarray(coeffs.h(0.0, xs), dtype=float)
-    sig2 = np.asarray(coeffs.sigma(0.0, xs), dtype=float) ** 2
-    return b_vec, h_vec, sig2
-
-
-def feedback_optimal_control(u_next: GridFunction, coeffs: ModelCoefficients,
-                             band: VolatilityBand) -> np.ndarray:
-    """Per-node maximizer of the scenario Hamiltonian, in {lower, upper}."""
-    _, h_vec, sig2 = _coefficient_vectors(coeffs, u_next.x_nodes)
-    up = np.empty(len(u_next.values) + 2)
-    up[1:-1] = u_next.values
-    _fill_ghosts(up)
-    a = _hamiltonian_argument(up, u_next.dx, 2.0 * h_vec, sig2)
-    hi = _upper_wins(a, u_next.values, u_next.dx, h_vec, sig2)
-    return np.where(hi, band.sigma_upper, band.sigma_lower)
-
-
 _UNIT_COEFFS = ModelCoefficients(
     b=make_coefficient("constant", (0.0,)),
     h=make_coefficient("constant", (0.0,)),
@@ -232,7 +212,11 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
         payoff.check_bounds_on(xs)
     dx = cfg.dx
     dt, n_t = _cfl_time_step(coeffs, band, T, cfg)
-    b_vec, h_vec, sig2 = _coefficient_vectors(coeffs, xs)
+    # The coefficients are time-homogeneous (see ModelCoefficients), so one
+    # evaluation on the nodes serves every time level.
+    b_vec = np.asarray(coeffs.b(0.0, xs), dtype=float)
+    h_vec = np.asarray(coeffs.h(0.0, xs), dtype=float)
+    sig2 = np.asarray(coeffs.sigma(0.0, xs), dtype=float) ** 2
     two_h = 2.0 * h_vec
     upwind = b_vec >= 0.0
 
@@ -250,8 +234,6 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
         level_of_time = np.clip(np.ceil(policy_times / dt - 1e-12).astype(int), 1, n_t)
         record = np.zeros((len(payoffs), len(policy_times), len(xs)), dtype=bool)
 
-    up2 = band.sigma_upper ** 2
-    lo2 = band.sigma_lower ** 2
     for i in range(n_t, 0, -1):
         _fill_ghosts(up)
         a = _hamiltonian_argument(up, dx, two_h, sig2)
@@ -261,13 +243,12 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
                 hi = _upper_wins(a, u, dx, h_vec, sig2)
                 for k in hits:
                     record[:, k] = hi
-        g_val = 0.5 * (up2 * np.maximum(a, 0.0) - lo2 * np.maximum(-a, 0.0))
 
         fwd = (up[:, 2:] - u) / dx
         bwd = (u - up[:, :-2]) / dx
         advect = b_vec * np.where(upwind, fwd, bwd)
 
-        u += dt * (advect + g_val)
+        u += dt * (advect + g_function(a, band))
 
     tol = 1e-8 * (1.0 + np.abs(lo_bound) + np.abs(hi_bound))
     for payoff, row, lo, hi, eps in zip(payoffs, u, lo_bound, hi_bound, tol):
@@ -287,21 +268,16 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
                                  band=band) for mask in record]
 
 
-def solve_g_hjb(coeffs: ModelCoefficients, band: VolatilityBand, payoff: Payoff,
-                T: float, cfg: PdeConfig, policy_times: np.ndarray | None = None):
-    """Backward solve of the semigroup PDE for one payoff; returns u(0, .).
+def solve_g_heat(payoff: Payoff, band: VolatilityBand, T: float, cfg: PdeConfig,
+                 policy_times: np.ndarray | None = None):
+    """u_t + G(u_xx) = 0 backward from the terminal payoff; returns u(0, .).
 
     With `policy_times` given, also returns the PolicyTable of bang-bang
     maximizers recorded at (the PDE levels nearest to) those times.
     """
-    (u,), policies = solve_stack(coeffs, band, [payoff], T, cfg, policy_times)
+    (u,), policies = solve_stack(_UNIT_COEFFS, band, [payoff], T, cfg,
+                                 policy_times)
     return u if policies is None else (u, policies[0])
-
-
-def solve_g_heat(payoff: Payoff, band: VolatilityBand, T: float, cfg: PdeConfig,
-                 policy_times: np.ndarray | None = None):
-    """u_t + G(u_xx) = 0 backward from the terminal payoff; returns u(0, .)."""
-    return solve_g_hjb(_UNIT_COEFFS, band, payoff, T, cfg, policy_times=policy_times)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .coupling import make_schedule
 from .gheat import Semigroups
 from .model import ModelCoefficients, Payoff, TimeGrid, VolatilityBand
-from .scenario import upper_semigroup_mc
+from .scenario import sample_controls, upper_semigroup_mc
 
 
 class HarnackError(ValueError):
@@ -231,10 +231,11 @@ def check_log_harnack(P: Semigroups, payoff: Payoff, log_f: Payoff, x: float,
         coef = _log_constant(P, payoff)
         if mc_grid is None:
             raise HarnackError("mc method needs a time grid")
-        est_log = upper_semigroup_mc(P.coeffs, P.band, log_f, y, mc_grid,
-                                     mc_paths, seed)
-        est_f = upper_semigroup_mc(P.coeffs, P.band, payoff, x, mc_grid,
-                                   mc_paths, seed)
+        controls = sample_controls("constants", P.band, mc_grid, 5, seed)
+        est_log = upper_semigroup_mc(P.coeffs, log_f, y, controls, mc_paths,
+                                     seed)
+        est_f = upper_semigroup_mc(P.coeffs, payoff, x, controls, mc_paths,
+                                   seed)
         err_f = est_f.std_error
         tolerance = 3.0 * (est_log.std_error + err_f / max(
             est_f.value - 3.0 * err_f, payoff.lower_bound))
@@ -269,10 +270,10 @@ def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,
     elif method == "mc":
         if mc_grid is None:
             raise HarnackError("mc method needs a time grid")
-        est_f = upper_semigroup_mc(coeffs, band, payoff, y, mc_grid, mc_paths,
+        controls = sample_controls("constants", band, mc_grid, 5, seed)
+        est_f = upper_semigroup_mc(coeffs, payoff, y, controls, mc_paths,
                                    seed)
-        est_fp = upper_semigroup_mc(coeffs, band, f_p, x, mc_grid, mc_paths,
-                                    seed)
+        est_fp = upper_semigroup_mc(coeffs, f_p, x, controls, mc_paths, seed)
         pf_y, pfp_x = est_f.value, est_fp.value
         tolerance = 3.0 * (p * max(pf_y, 0.0) ** (p - 1.0) * est_f.std_error
                            + blowup * est_fp.std_error)

@@ -274,88 +274,105 @@ def _broadcast(value, x):
     return np.full_like(np.asarray(x, dtype=float), value, dtype=float)
 
 
+def _arr(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)
+
+
+def _shifted_bump(lo, hi, m, c0=0.1) -> Payoff:
+    if c0 < 0.1:
+        raise ModelError("shifted_bump requires a floor c0 >= 0.1")
+    return Payoff(lambda x: c0 + np.exp(-_arr(x) ** 2), c0, c0 + 1.0,
+                  strictly_positive=True, name=f"shifted_bump({c0:g})")
+
+
+# name -> (number of parameters, builder of the (t, x) coefficient from
+# them, its exact Lipschitz constant in x from them)
+_COEFFICIENTS = {
+    "constant": (1, lambda c: lambda t, x: _broadcast(c, x),
+                 lambda c: 0.0),
+    "affine": (2, lambda c, s: lambda t, x: c + s * _arr(x),
+               lambda c, s: abs(s)),
+    "sine": (3, lambda c, a, k: lambda t, x: c + a * np.sin(k * _arr(x)),
+             lambda c, a, k: abs(a * k)),
+    "cosine": (3, lambda c, a, k: lambda t, x: c + a * np.cos(k * _arr(x)),
+               lambda c, a, k: abs(a * k)),
+    "tanh": (3, lambda c, a, k: lambda t, x: c + a * np.tanh(k * _arr(x)),
+             lambda c, a, k: abs(a * k)),
+}
+
+# name -> (most parameters, builder of the payoff from the domain's (lo, hi,
+# max |x|) and the parameters; those left out take the builder's defaults)
+_PAYOFFS = {
+    "constant": (1, lambda lo, hi, m, c=1.0: Payoff(
+        lambda x: _broadcast(c, x), c, c, strictly_positive=c > 0.0,
+        name=f"constant({c:g})")),
+    "identity": (0, lambda lo, hi, m: Payoff(_arr, lo, hi, name="identity")),
+    "quadratic": (0, lambda lo, hi, m: Payoff(
+        lambda x: _arr(x) ** 2, 0.0, m * m, name="quadratic")),
+    "neg_quadratic": (0, lambda lo, hi, m: Payoff(
+        lambda x: -_arr(x) ** 2, -m * m, 0.0, name="neg_quadratic")),
+    "abs": (0, lambda lo, hi, m: Payoff(
+        lambda x: np.abs(_arr(x)), 0.0, m, name="abs")),
+    "call": (1, lambda lo, hi, m, strike=0.0: Payoff(
+        lambda x: np.maximum(_arr(x) - strike, 0.0), 0.0,
+        max(hi - strike, 0.0), name=f"call({strike:g})")),
+    "gauss_bump": (0, lambda lo, hi, m: Payoff(
+        lambda x: np.exp(-_arr(x) ** 2), 0.0, 1.0, name="gauss_bump")),
+    "shifted_bump": (1, _shifted_bump),
+    "cosine": (0, lambda lo, hi, m: Payoff(
+        lambda x: np.cos(_arr(x)), -1.0, 1.0, name="cosine")),
+    "tanh_step": (0, lambda lo, hi, m: Payoff(
+        lambda x: 0.5 * (1.0 + np.tanh(_arr(x))), 0.0, 1.0,
+        name="tanh_step")),
+}
+
+COEFFICIENT_NAMES = tuple(_COEFFICIENTS)
+PAYOFF_NAMES = tuple(_PAYOFFS)
+
+
+def _catalog_entry(catalog: dict, kind: str, name: str,
+                   params: Sequence[float], exact: bool):
+    """The catalog's entry for `name` and its parameters as floats; refuses
+    an unknown name, and a parameter count other than the entry's (or, when
+    not `exact`, above it)."""
+    if name not in catalog:
+        raise ModelError(f"unknown {kind} catalog entry {name!r}")
+    entry = catalog[name]
+    p = [float(v) for v in params]
+    if len(p) > entry[0] or (exact and len(p) < entry[0]):
+        raise ModelError(
+            f"{kind} {name!r} takes {'' if exact else 'at most '}{entry[0]} "
+            f"parameter(s), got {len(p)}")
+    return entry, p
+
+
 def make_coefficient(name: str, params: Sequence[float]) -> Coefficient:
     """Build a (t, x) -> array coefficient from the closed-form catalog.
 
     constant(c); affine(intercept, slope); sine(offset, amplitude, frequency);
     cosine(offset, amplitude, frequency); tanh(offset, amplitude, rate).
     """
-    p = [float(v) for v in params]
-    if name == "constant":
-        (c,) = p
-        return lambda t, x: _broadcast(c, x)
-    if name == "affine":
-        intercept, slope = p
-        return lambda t, x: intercept + slope * np.asarray(x, dtype=float)
-    if name == "sine":
-        offset, amp, freq = p
-        return lambda t, x: offset + amp * np.sin(freq * np.asarray(x, dtype=float))
-    if name == "cosine":
-        offset, amp, freq = p
-        return lambda t, x: offset + amp * np.cos(freq * np.asarray(x, dtype=float))
-    if name == "tanh":
-        offset, amp, rate = p
-        return lambda t, x: offset + amp * np.tanh(rate * np.asarray(x, dtype=float))
-    raise ModelError(f"unknown coefficient catalog entry {name!r}")
+    (_, build, _), p = _catalog_entry(_COEFFICIENTS, "coefficient", name,
+                                      params, exact=True)
+    return build(*p)
 
 
 def coefficient_lipschitz(name: str, params: Sequence[float]) -> float:
     """Exact Lipschitz constant of a catalog entry (for config auditing)."""
-    p = [float(v) for v in params]
-    if name == "constant":
-        return 0.0
-    if name == "affine":
-        return abs(p[1])
-    if name in ("sine", "cosine", "tanh"):
-        return abs(p[1] * p[2])
-    raise ModelError(f"unknown coefficient catalog entry {name!r}")
+    (_, _, lipschitz), p = _catalog_entry(_COEFFICIENTS, "coefficient", name,
+                                          params, exact=True)
+    return lipschitz(*p)
 
 
 def make_payoff(name: str, params: Sequence[float] = (),
                 domain: tuple[float, float] = (-8.0, 8.0)) -> Payoff:
-    """Build a payoff from the named catalog; bounds hold on `domain`."""
+    """Build a payoff from the named catalog; bounds hold on `domain`.
+
+    constant(c = 1); call(strike = 0); shifted_bump(floor c0 = 0.1, at
+    least 0.1); identity, quadratic, neg_quadratic, abs, gauss_bump, cosine
+    and tanh_step take none.
+    """
+    (_, build), p = _catalog_entry(_PAYOFFS, "payoff", name, params,
+                                   exact=False)
     lo, hi = domain
-    m = max(abs(lo), abs(hi))
-    p = [float(v) for v in params]
-    if name == "constant":
-        c = p[0] if p else 1.0
-        return Payoff(lambda x: _broadcast(c, x), c, c,
-                      strictly_positive=c > 0.0, name=f"constant({c:g})")
-    if name == "identity":
-        return Payoff(lambda x: np.asarray(x, dtype=float), lo, hi, name="identity")
-    if name == "quadratic":
-        return Payoff(lambda x: np.asarray(x, dtype=float) ** 2, 0.0, m * m,
-                      name="quadratic")
-    if name == "neg_quadratic":
-        return Payoff(lambda x: -np.asarray(x, dtype=float) ** 2, -m * m, 0.0,
-                      name="neg_quadratic")
-    if name == "abs":
-        return Payoff(lambda x: np.abs(np.asarray(x, dtype=float)), 0.0, m,
-                      name="abs")
-    if name == "call":
-        strike = p[0] if p else 0.0
-        return Payoff(lambda x: np.maximum(np.asarray(x, dtype=float) - strike, 0.0),
-                      0.0, max(hi - strike, 0.0), name=f"call({strike:g})")
-    if name == "gauss_bump":
-        return Payoff(lambda x: np.exp(-np.asarray(x, dtype=float) ** 2), 0.0, 1.0,
-                      name="gauss_bump")
-    if name == "shifted_bump":
-        c0 = p[0] if p else 0.1
-        if c0 < 0.1:
-            raise ModelError("shifted_bump requires a floor c0 >= 0.1")
-        return Payoff(lambda x: c0 + np.exp(-np.asarray(x, dtype=float) ** 2),
-                      c0, c0 + 1.0, strictly_positive=True,
-                      name=f"shifted_bump({c0:g})")
-    if name == "cosine":
-        return Payoff(lambda x: np.cos(np.asarray(x, dtype=float)), -1.0, 1.0,
-                      name="cosine")
-    if name == "tanh_step":
-        return Payoff(lambda x: 0.5 * (1.0 + np.tanh(np.asarray(x, dtype=float))),
-                      0.0, 1.0, name="tanh_step")
-    raise ModelError(f"unknown payoff catalog entry {name!r}")
-
-
-PAYOFF_NAMES = (
-    "constant", "identity", "quadratic", "neg_quadratic", "abs", "call",
-    "gauss_bump", "shifted_bump", "cosine", "tanh_step",
-)
+    return build(lo, hi, max(abs(lo), abs(hi)), *p)

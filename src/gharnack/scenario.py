@@ -8,8 +8,8 @@ fixed seed, and every stream is counter-based per path.
 
 One Euler pass advances every control of a family at once: the state is a
 (k controls, n_paths) array and each step is one numpy operation for all
-controls, the idea of `gheat.solve_stack` applied to paths. A terminal
-functional keeps only the last row of that state; a path functional runs
+controls, the idea of `gheat.solve_stack` applied to paths. The semigroup
+estimator keeps only the last row of that state; a path functional runs
 the same pass one control at a time with every node kept.
 """
 
@@ -315,34 +315,39 @@ def sup_over_controls(samples: Iterable) -> tuple[float, float, int]:
     return best_mean, best_se, best_id
 
 
-def upper_expectation_mc(functional: Callable[[PathBatch], np.ndarray],
-                         controls: Sequence[Control], n_paths: int,
-                         seed: int) -> EstimateWithError:
-    """max over controls of the Monte Carlo mean, common random numbers.
-
-    A biased-low estimate of the sublinear expectation (finite control
-    family); the reported std_error is the winning control's. For terminal
-    functionals a feedback family approaches the sup; for path-dependent
-    functionals no such guarantee is claimed. A `terminal_functional` is
-    read from one stacked pass over all controls; any other functional gets
-    one control's `PathBatch` at a time.
-    """
+def _sup_estimate(controls: Sequence[Control], n_paths: int, seed: int,
+                  samples: Callable[[TimeGrid, np.ndarray], Iterable]
+                  ) -> EstimateWithError:
+    """The sup over `controls` of the per-path values `samples(grid, w)`
+    yields for each control on the seed's shared increments `w`."""
     if n_paths < 100:
         raise ScenarioError(f"n_paths must be >= 100, got {n_paths}")
     if not controls:
         raise ScenarioError("need at least one control")
     grid = controls[0].grid
-    w = scaled_increments(seed, n_paths, grid)
-    if isinstance(functional, TerminalFunctional):
-        # One pass for every control, keeping only the terminal row.
-        samples = functional.payoff.f(
-            simulate_state_batch(_UNIT_COEFFS, controls, 0.0, w, grid))
-    else:
-        samples = (functional(_simulate_batch(control, grid, w))
-                   for control in controls)
-    value, se, best_id = sup_over_controls(samples)
+    value, se, best_id = sup_over_controls(
+        samples(grid, scaled_increments(seed, n_paths, grid)))
     return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
                              n_controls=len(controls), best_control_id=best_id)
+
+
+def upper_expectation_mc(functional: Callable[[PathBatch], np.ndarray],
+                         controls: Sequence[Control], n_paths: int,
+                         seed: int) -> EstimateWithError:
+    """max over controls of the Monte Carlo mean of a path functional,
+    common random numbers; the functional gets one control's `PathBatch`
+    (every node kept) at a time.
+
+    A biased-low estimate of the sublinear expectation (finite control
+    family); the reported std_error is the winning control's. No control
+    family is claimed to approach the sup of a path-dependent functional.
+    For f(B_T), `upper_semigroup_mc` on the unit coefficients from 0 keeps
+    only the terminal rows.
+    """
+    return _sup_estimate(
+        controls, n_paths, seed,
+        lambda grid, w: (functional(_simulate_batch(control, grid, w))
+                         for control in controls))
 
 
 def capacity_mc(event: Callable[[PathBatch], np.ndarray],
@@ -360,38 +365,21 @@ def capacity_mc(event: Callable[[PathBatch], np.ndarray],
                              best_control_id=est.best_control_id)
 
 
-@dataclass(frozen=True)
-class TerminalFunctional:
-    """batch -> f(B_T) for a payoff f; `upper_expectation_mc` recognises it
-    and keeps only the terminal row of each control."""
+def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
+                       controls: Sequence[Control], n_paths: int,
+                       seed: int) -> EstimateWithError:
+    """Monte Carlo estimate of the semigroup value at x0: max over controls
+    of the mean of f(X_T), common random numbers, from one Euler pass that
+    advances every control and keeps only the terminal rows.
 
-    payoff: Payoff
-
-    def __call__(self, batch: PathBatch) -> np.ndarray:
-        return np.asarray(self.payoff.f(batch.terminal()), dtype=float)
-
-
-def terminal_functional(payoff: Payoff) -> TerminalFunctional:
-    return TerminalFunctional(payoff)
-
-
-def upper_semigroup_mc(coeffs: ModelCoefficients, band: VolatilityBand,
-                       payoff: Payoff, x0: float, grid: TimeGrid, n_paths: int,
-                       seed: int, policy: PolicyTable | None = None,
-                       n_controls: int = 5) -> EstimateWithError:
-    """Monte Carlo estimate of the semigroup value at x0 (sup over a finite
-    control family of E f(X_T)); a feedback policy, when given, joins the
-    constant controls."""
-    strategy = "feedback" if policy is not None else "constants"
-    controls = sample_controls(strategy, band, grid, n_controls, seed,
-                               policy=policy)
-    if n_paths < 100:
-        raise ScenarioError(f"n_paths must be >= 100, got {n_paths}")
-    w = scaled_increments(seed, n_paths, grid)
-    value, se, best_id = sup_over_controls(
-        payoff.f(simulate_state_batch(coeffs, controls, x0, w, grid)))
-    return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
-                             n_controls=len(controls), best_control_id=best_id)
+    Biased low for a finite family; the reported std_error is the winning
+    control's. A feedback control on the PDE's recorded policy
+    (`sample_controls("feedback", ...)`) approaches the sup.
+    """
+    return _sup_estimate(
+        controls, n_paths, seed,
+        lambda grid, w: payoff.f(
+            simulate_state_batch(coeffs, controls, x0, w, grid)))
 
 
 # ---------------------------------------------------------------------------

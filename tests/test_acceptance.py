@@ -98,8 +98,8 @@ def test_criterion_02_oracle_agreement():
             pde = float(solved.fine[payoff](0.0))
             controls = g.sample_controls("feedback", band, grid, 5, seed=202,
                                          policy=solved.policy[payoff])
-            est = g.upper_expectation_mc(g.terminal_functional(payoff),
-                                         controls, 2 ** 14, seed=202)
+            est = g.upper_semigroup_mc(heat, payoff, 0.0, controls, 2 ** 14,
+                                       seed=202)
             width = 3.0 * est.std_error + solved.tolerance(payoff, 0.0)
             assert est.value <= pde + width, name
             if name in two_sided:

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -160,7 +161,30 @@ class TestCliExitCodes:
         assert f"[{field}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,old,new", [
+        ("model.b_params", "b_params = 0, -1", "b_params = 0"),
+        ("model.sigma_params", "sigma_params = 0.95, 0.05, 1",
+         "sigma_params = 0.95, 0.05, 1, 7"),
+        ("check.payoff_params", "payoff_params = 0.1",
+         "payoff_params = 0.1, 2, 3"),
+        ("model.b", "b = affine", "b = cubic"),
+        ("check.payoff", "payoff = shifted_bump", "payoff = cubic"),
+        ("grid.n_steps", "n_steps = 256", "n_steps = 0"),
+        ("grid.cfl_safety", "cfl_safety = 0.8", "cfl_safety = 1.5"),
+        ("grid.x_min", "x_min = -8", "x_min = 9"),
+    ])
+    def test_bad_value_names_its_field(self, tmp_path, capsys, field, old,
+                                       new):
+        bad = tmp_path / "bad.cfg"
+        text = CFG.read_text()
+        assert old in text
+        bad.write_text(text.replace(old, new))
+        assert run(["suite", "--config", bad, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{field}]"), err
+
+    @pytest.mark.parametrize("field,old,new", [
         ("model.kappa2", "kappa2 = 1.0", "kappa2 = 1e300"),
+        ("model.K", "K = 1.1", "K = 1e300"),
         ("band.sigma_lower", "sigma_lower = 0.9", "sigma_lower = 1e-300"),
         ("band.sigma_upper", "sigma_upper = 1.1", "sigma_upper = 1e300"),
         ("check.p", "p = 2.0", "p = 1e300"),
@@ -168,18 +192,23 @@ class TestCliExitCodes:
          "sigma_params = 1e300, 0.05, 1"),
         ("check.payoff_params", "payoff_params = 0.1",
          "payoff_params = 1e300"),
+        ("grid.n_space", "horizon = 1.0", "horizon = 1e300"),
     ])
     def test_huge_value_names_the_field(self, tmp_path, capsys, field, old,
                                         new):
-        # Python float ** raises OverflowError on these; the parser refuses
-        # them before any work
+        # Python float ** raises OverflowError on these, numpy warns; the
+        # parser refuses them before any work, in one short line
         bad = tmp_path / "huge.cfg"
         text = CFG.read_text()
         assert old in text
         bad.write_text(text.replace(old, new))
-        assert run(["suite", "--config", bad, "--out", tmp_path / "o"]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["suite", "--config", bad, "--out", tmp_path / "o"])
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [{field}]"), err
+        assert len(err) < 240 and err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
 
     def test_equal_starts_pass_the_coupling_checks(self, tmp_path):
@@ -237,7 +266,7 @@ class TestCliExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "[grid.n_space]" in err and "node-steps" in err
-        assert "59145003 explicit time steps" in err
+        assert "5.91e+07 explicit time steps" in err
         assert elapsed < 5.0
         assert not (tmp_path / "o").exists()
 

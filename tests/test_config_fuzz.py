@@ -10,6 +10,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gharnack.cli import bundled_config_path, main
@@ -63,10 +64,9 @@ MUTATIONS = st.sampled_from(KEYS).flatmap(
     lambda key: st.tuples(st.just(key), values_for(key)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(MUTATIONS)
-def test_one_mutated_field_ends_cleanly(mutation):
-    key, value = mutation
+def run_suite(key, value):
+    """Exit code, stderr and stdout of `gharnack suite` on BASE with `key`
+    set to `value`."""
     section, name = key.split(".")
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(BASE)
@@ -80,6 +80,14 @@ def test_one_mutated_field_ends_cleanly(mutation):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             code = main(["suite", "--config", str(cfg), "--out",
                          str(Path(tmp) / "o")])
+    return code, err, out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(MUTATIONS)
+def test_one_mutated_field_ends_cleanly(mutation):
+    key, value = mutation
+    code, err, out = run_suite(key, value)
     assert code in (0, 1, 2, 3), (key, value, code)
     if "1e300" in value:
         # a huge finite value is bad input, refused at parse time, never
@@ -89,3 +97,23 @@ def test_one_mutated_field_ends_cleanly(mutation):
     if code == 2:
         assert re.search(r"\[[a-z_]+\.[A-Za-z_0-9]+\]", err.getvalue()), \
             (key, value, err.getvalue())
+
+
+def wrong_counts(key):
+    """The list of `key` with one entry dropped or one appended. Payoff
+    parameters may be left out (each has a default), so that list only
+    grows."""
+    values = [v.strip() for v in BASE.get(*key.split(".")).split(",")]
+    lists = [values + ["1"]]
+    if key.startswith("model."):
+        lists += [values[:i] + values[i + 1:] for i in range(len(values))]
+    return [", ".join(v) for v in lists]
+
+
+@pytest.mark.parametrize("key,value", [(key, value) for key in LISTS
+                                       for value in wrong_counts(key)])
+def test_wrong_parameter_count_names_the_list(key, value):
+    code, err, _ = run_suite(key, value)
+    assert code == 2, (key, value, code, err.getvalue())
+    assert err.getvalue().startswith(f"config error: [{key}]"), \
+        (key, value, err.getvalue())

@@ -430,10 +430,10 @@ class TestAllPathsExcluded:
         controls = g.sample_controls("constants", pinched_band, grid, 2, seed=3)
         # every row turns non-finite in step 10, before the clip node of 0.25
         w = poisoned(scaled_increments(5, 4, grid), slice(None), step=10)
-        bundles = [g.simulate_bundle(coeffs, schedule, 0.0, 0.5, c, 0.25, w)
-                   for c in controls]
-        assert [b.n_stiff for b in bundles] == [4, 4]
-        samples = [b.at_clip() for b in bundles]
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls, [0.25],
+                                 w)
+        assert [b.n_stiff for b in run.heads] == [4, 4]
+        samples = run.at_clip(0.25)
         with pytest.raises(CouplingError, match="control 0: all 4 paths"):
             g.entropy_bound_check(coeffs, schedule, 0.0, 0.5, samples)
         with pytest.raises(CouplingError, match="control 0: all 4 paths"):
@@ -515,10 +515,14 @@ class TestOnePassSweep:
         for c in controls:
             run = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, c,
                                      min(SWEEP), w)
+            swept = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, [c], SWEEP,
+                                       w)
             for eps in SWEEP:
                 alone = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, c, eps,
                                            w)
-                self.assert_same(run.at_clip(eps), alone.at_clip())
+                (sample,) = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, [c],
+                                               [eps], w).at_clip(eps)
+                self.assert_same(swept.at_clip(eps)[0], sample)
                 assert shifted_qv_discrepancy(run, eps) == \
                     shifted_qv_discrepancy(alone)
 
@@ -526,15 +530,18 @@ class TestOnePassSweep:
                                          pinched_band):
         coeffs = multiplicative_model
         schedule, controls, w = self.make_case(coeffs, pinched_band, 0.81)
+        w = poisoned(w, LATE_ROWS)
         run = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, controls[1],
-                                 0.025, poisoned(w, LATE_ROWS))
+                                 0.025, w)
         late = np.nonzero(run.stiff_step == 61)[0]
         assert np.array_equal(late, LATE_ROWS) and run.n_stiff == late.size
         assert np.all(run.included(0.05)[late])
         assert not np.any(run.included(0.025)[late])
-        assert run.at_clip(0.05).n_excluded == 0
-        assert run.at_clip(0.025).n_excluded == late.size
-        assert run.at_clip(0.025).m.size == 256 - late.size
+        swept = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, [controls[1]],
+                                   [0.05, 0.025], w)
+        assert swept.at_clip(0.05)[0].n_excluded == 0
+        assert swept.at_clip(0.025)[0].n_excluded == late.size
+        assert swept.at_clip(0.025)[0].m.size == 256 - late.size
         assert np.all(np.isfinite(run.x_path)) and \
             np.all(np.isfinite(run.log_m_path))
 
@@ -559,10 +566,10 @@ class TestOnePassSweep:
         coeffs, band, schedule, grid, controls = acc_setup
         bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[0], seed=92,
                          clip_epsilon=0.05, n_paths=8)
-        bundle.at_clip(0.1)
+        bundle.node(0.1)
         for eps in (0.025, 0.049):
             with pytest.raises(CouplingError, match="below the bundle"):
-                bundle.at_clip(eps)
+                bundle.node(eps)
             with pytest.raises(CouplingError, match="below the bundle"):
                 shifted_qv_discrepancy(bundle, eps)
 

@@ -48,8 +48,9 @@ class TestGHeatIdentities:
 class TestHjb:
     def test_ou_gauss_bump_closed_form(self, ou_model, unit_band):
         T = 1.0
-        u = g.solve_g_hjb(ou_model, unit_band, g.make_payoff("gauss_bump"), T,
-                          g.PdeConfig(-8, 8, 800))
+        (u,), _ = g.solve_stack(ou_model, unit_band,
+                                [g.make_payoff("gauss_bump")], T,
+                                g.PdeConfig(-8, 8, 800))
         for x in (0.0, 0.5, -1.2):
             m = x * math.exp(-T)
             v = (1 - math.exp(-2 * T)) / 2
@@ -61,25 +62,27 @@ class TestHjb:
     def test_ou_quadratic_moments(self, ou_model, unit_band):
         # E (x e^-T + sqrt(v) Z)^2 = x^2 e^-2T + v
         T = 0.75
-        u = g.solve_g_hjb(ou_model, unit_band, g.make_payoff("quadratic"), T,
-                          g.PdeConfig(-8, 8, 800))
+        (u,), _ = g.solve_stack(ou_model, unit_band,
+                                [g.make_payoff("quadratic")], T,
+                                g.PdeConfig(-8, 8, 800))
         v = (1 - math.exp(-2 * T)) / 2
         for x in (0.0, 1.0):
             assert u(x) == pytest.approx(x * x * math.exp(-2 * T) + v, abs=8e-3)
 
     def test_constant_fixed_point_any_coefficients(self, multiplicative_model,
                                                    pinched_band):
-        u = g.solve_g_hjb(multiplicative_model, pinched_band,
-                          g.make_payoff("constant", (0.6,)), 1.0,
-                          g.PdeConfig(-8, 8, 200))
+        (u,), _ = g.solve_stack(multiplicative_model, pinched_band,
+                                [g.make_payoff("constant", (0.6,))], 1.0,
+                                g.PdeConfig(-8, 8, 200))
         assert np.max(np.abs(u.values - 0.6)) < 1e-12
 
     def test_comparison_nodewise(self, multiplicative_model, pinched_band):
         cfg = g.PdeConfig(-8, 8, 240)
-        lo = g.solve_g_hjb(multiplicative_model, pinched_band,
-                           g.make_payoff("gauss_bump"), 1.0, cfg)
-        hi = g.solve_g_hjb(multiplicative_model, pinched_band,
-                           g.make_payoff("shifted_bump", (0.1,)), 1.0, cfg)
+        (lo,), _ = g.solve_stack(multiplicative_model, pinched_band,
+                                 [g.make_payoff("gauss_bump")], 1.0, cfg)
+        (hi,), _ = g.solve_stack(multiplicative_model, pinched_band,
+                                 [g.make_payoff("shifted_bump", (0.1,))], 1.0,
+                                 cfg)
         assert np.all(lo.values <= hi.values + 1e-12)
 
     def test_semigroup_sublinearity(self, wide_band):
@@ -116,23 +119,27 @@ class TestHjb:
                            atol=5e-3)
 
 
+def terminal_levels(name, model, band, T=0.01):
+    """The levels `solve_stack` records at the horizon, where u is the
+    payoff `name`, on the 41 nodes of [-2, 2]."""
+    _, (policy,) = g.solve_stack(model, band,
+                                 [g.make_payoff(name, domain=(-2, 2))], T,
+                                 g.PdeConfig(-2, 2, 40), policy_times=[T])
+    assert policy.x_nodes.tolist() == np.linspace(-2, 2, 41).tolist()
+    return policy.level_at(T, policy.x_nodes)
+
+
 class TestFeedbackControl:
     def test_convex_picks_upper(self, heat_model, wide_band):
-        xs = np.linspace(-2, 2, 41)
-        u = g.GridFunction(x_nodes=xs, values=xs ** 2, time_stamp=1.0)
-        levels = g.feedback_optimal_control(u, heat_model, wide_band)
+        levels = terminal_levels("quadratic", heat_model, wide_band)
         assert np.all(levels[1:-1] == wide_band.sigma_upper)
 
     def test_concave_picks_lower(self, heat_model, wide_band):
-        xs = np.linspace(-2, 2, 41)
-        u = g.GridFunction(x_nodes=xs, values=-(xs ** 2), time_stamp=1.0)
-        levels = g.feedback_optimal_control(u, heat_model, wide_band)
+        levels = terminal_levels("neg_quadratic", heat_model, wide_band)
         assert np.all(levels[1:-1] == wide_band.sigma_lower)
 
     def test_linear_tie_breaks_high(self, heat_model, wide_band):
-        xs = np.linspace(-2, 2, 41)
-        u = g.GridFunction(x_nodes=xs, values=xs.copy(), time_stamp=1.0)
-        levels = g.feedback_optimal_control(u, heat_model, wide_band)
+        levels = terminal_levels("identity", heat_model, wide_band)
         assert np.all(levels == wide_band.sigma_upper)
 
     def test_tie_choice_does_not_change_solution(self, wide_band):
@@ -213,7 +220,8 @@ class TestStackedSolve:
         rows, policies = g.solve_stack(cfg.coeffs, cfg.band, payoffs, T, grid)
         assert policies is None
         for payoff, row in zip(payoffs, rows):
-            single = g.solve_g_hjb(cfg.coeffs, cfg.band, payoff, T, grid)
+            (single,), _ = g.solve_stack(cfg.coeffs, cfg.band, [payoff], T,
+                                         grid)
             ref, _ = reference_solve(cfg.coeffs, cfg.band, payoff, T, grid)
             assert row.values.tobytes() == single.values.tobytes(), payoff.name
             assert row.values.tobytes() == ref.tobytes(), payoff.name
@@ -272,8 +280,8 @@ class TestConfigRejections:
             sigma=g.make_coefficient("constant", (1.0,)),
             K=0.0, kappa1=1.0, kappa2=1.0)
         with pytest.raises(PdeError):
-            g.solve_g_hjb(coeffs, wide_band, g.make_payoff("gauss_bump"), 1.0,
-                          g.PdeConfig(-8, 8, 100))
+            g.solve_stack(coeffs, wide_band, [g.make_payoff("gauss_bump")],
+                          1.0, g.PdeConfig(-8, 8, 100))
 
     def test_negative_horizon_rejected(self, wide_band):
         with pytest.raises(PdeError):

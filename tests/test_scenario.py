@@ -140,6 +140,11 @@ class TestUpperExpectation:
         controls = g.sample_controls("constants", wide_band, grid, 2, seed=0)
         with pytest.raises(ScenarioError):
             g.upper_expectation_mc(lambda b: b.terminal(), controls, 50, seed=0)
+        payoff = g.make_payoff("abs")
+        with pytest.raises(ScenarioError, match="n_paths"):
+            g.upper_semigroup_mc(_UNIT_COEFFS, payoff, 0.0, controls, 50, 0)
+        with pytest.raises(ScenarioError, match="at least one control"):
+            g.upper_semigroup_mc(_UNIT_COEFFS, payoff, 0.0, [], 128, 0)
 
     def test_bit_reproducible(self, wide_band, grid):
         controls = g.sample_controls("random", wide_band, grid, 4, seed=8)
@@ -162,8 +167,8 @@ class TestUpperExpectation:
         for payoff in payoffs:
             controls = g.sample_controls("feedback", wide_band, grid, 3,
                                          seed=13, policy=solved.policy[payoff])
-            est = g.upper_expectation_mc(g.terminal_functional(payoff),
-                                         controls, 2 ** 13, seed=13)
+            est = g.upper_semigroup_mc(_UNIT_COEFFS, payoff, 0.0, controls,
+                                       2 ** 13, seed=13)
             assert abs(est.value - float(solved.fine[payoff](0.0))) <= \
                 3.0 * est.std_error + solved.tolerance(payoff, 0.0)
 
@@ -179,18 +184,19 @@ class TestSemigroupEstimator:
         payoff = g.make_payoff("gauss_bump")
         solved = g.solve_semigroups(ou_model, band, T, cfg, [payoff],
                                     policy_times=grid.nodes[:-1])
-        est = g.upper_semigroup_mc(ou_model, band, payoff, 0.3, grid,
-                                   2 ** 13, seed=29,
-                                   policy=solved.policy[payoff], n_controls=4)
+        controls = g.sample_controls("feedback", band, grid, 4, seed=29,
+                                     policy=solved.policy[payoff])
+        est = g.upper_semigroup_mc(ou_model, payoff, 0.3, controls, 2 ** 13,
+                                   seed=29)
         assert est.best_control_id == 0  # the feedback control wins
         assert abs(est.value - float(solved.fine[payoff](0.3))) <= \
             3.0 * est.std_error + solved.tolerance(payoff, 0.3)
 
     def test_constants_only_lower_bound(self, ou_model, unit_band):
         grid = g.TimeGrid(1.0, 128)
-        est = g.upper_semigroup_mc(ou_model, unit_band,
-                                   g.make_payoff("gauss_bump"), 0.0, grid,
-                                   1024, seed=30)
+        controls = g.sample_controls("constants", unit_band, grid, 5, seed=30)
+        est = g.upper_semigroup_mc(ou_model, g.make_payoff("gauss_bump"), 0.0,
+                                   controls, 1024, seed=30)
         assert est.n_controls == 1  # degenerate band collapses the family
         assert 0.0 < est.value < 1.0
 
@@ -417,13 +423,11 @@ class TestTimeMajorKernel:
         solved = g.solve_semigroups(cfg.coeffs, cfg.band, cfg.grid.horizon,
                                     g.PdeConfig(-8.0, 8.0, 200), [cfg.payoff],
                                     policy_times=cfg.grid.nodes[:-1])
-        policy = solved.policy[cfg.payoff]
-        est = g.upper_semigroup_mc(cfg.coeffs, cfg.band, cfg.payoff, 0.3,
-                                   cfg.grid, 300, seed=17, policy=policy,
-                                   n_controls=4)
-        w = scaled_increments(17, 300, cfg.grid)
         controls = g.sample_controls("feedback", cfg.band, cfg.grid, 4, 17,
-                                     policy=policy)
+                                     policy=solved.policy[cfg.payoff])
+        est = g.upper_semigroup_mc(cfg.coeffs, cfg.payoff, 0.3, controls, 300,
+                                   seed=17)
+        w = scaled_increments(17, 300, cfg.grid)
         stats = []
         for control in controls:
             ref_x, _ = reference_state_batch(cfg.coeffs, control, 0.3, w,
@@ -439,8 +443,8 @@ class TestTimeMajorKernel:
         # the stacked terminal pass against one PathBatch per control
         cfg = bundled
         controls = self.family("mixed", _UNIT_COEFFS, cfg)
-        stacked = g.upper_expectation_mc(g.terminal_functional(cfg.payoff),
-                                         controls, 300, seed=3)
+        stacked = g.upper_semigroup_mc(_UNIT_COEFFS, cfg.payoff, 0.0, controls,
+                                       300, seed=3)
         per_control = g.upper_expectation_mc(
             lambda batch: cfg.payoff.f(batch.terminal()), controls, 300,
             seed=3)
@@ -473,12 +477,13 @@ class TestMemory:
         n_paths, grid = 4096, g.TimeGrid(1.0, 256)
         w_nbytes = n_paths * grid.n_steps * 8
         block = _W_BLOCK_STEPS * n_paths * 8
-        functional = g.terminal_functional(g.make_payoff("gauss_bump"))
+        payoff = g.make_payoff("gauss_bump")
         for strategy in ("constants", "random"):
             controls = g.sample_controls(strategy, wide_band, grid, 5, seed=0)
             tracemalloc.start()
             try:
-                g.upper_expectation_mc(functional, controls, n_paths, seed=1)
+                g.upper_semigroup_mc(_UNIT_COEFFS, payoff, 0.0, controls,
+                                     n_paths, seed=1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -491,8 +496,9 @@ class TestMemory:
         # also for a functional that returns a view of its batch
         n_paths, grid = 4096, g.TimeGrid(1.0, 256)
         w_nbytes = n_paths * grid.n_steps * 8
+        payoff = g.make_payoff("gauss_bump")
         functionals = {
-            "copy": g.terminal_functional(g.make_payoff("gauss_bump")),
+            "copy": lambda batch: payoff.f(batch.terminal()),
             "view": lambda batch: batch.terminal(),
         }
         for strategy in ("constants", "random"):
