@@ -33,10 +33,8 @@ from .scenario import (
     ScenarioControl,
     ScenarioError,
     YoungReport,
-    capacity_mc,
     random_young_trial,
     sample_controls,
-    upper_expectation_mc,
     upper_semigroup_mc,
     young_check,
 )

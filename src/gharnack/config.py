@@ -266,14 +266,23 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         r = stability_ratio(make_schedule(alpha, coeffs, band, T),
                             band.sigma_upper, grid, run_epsilon)
         if r > 1.0:
-            # r scales as 1/(cap - alpha), so r = 1 at cap - (cap - alpha) r
+            # r scales as 1/(cap - alpha), so r = 1 at cap - (cap - alpha) r;
+            # when that is not positive, r > 1 for every alpha in (0, cap)
+            best = cap - (cap - alpha) * r
+            if best <= 0.0:
+                raise ConfigError(
+                    "grid.n_steps",
+                    f"K = {K:g} gives the coupling step ratio r = "
+                    f"{r * (cap - alpha) / cap:.4g} > 1 at {n_steps} steps and "
+                    f"clip {run_epsilon:g} even as alpha -> 0, so no alpha in "
+                    f"(0, {cap:g}) is admitted; raise grid.n_steps or lower "
+                    "model.K")
             raise ConfigError(
                 "coupling.alpha",
                 f"alpha = {alpha:g} gives the coupling step ratio r = {r:.4g} "
                 f"> 1 at {n_steps} steps and clip {run_epsilon:g}, where "
                 "explicit Euler no longer contracts the gap; the largest "
-                f"admitted alpha is {cap - (cap - alpha) * r:.6g} (more steps "
-                "admit more)")
+                f"admitted alpha is {best:.6g} (more steps admit more)")
     n_paths = _get(cpl, "n_paths", int)
     if n_paths < 100:
         raise ConfigError("coupling.n_paths", f"need >= 100, got {n_paths}")

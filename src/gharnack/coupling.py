@@ -237,10 +237,6 @@ class PathBundle:
     a column (one time node) is contiguous and a row (one path) is strided."""
 
     grid: TimeGrid
-    control: Control
-    schedule: CouplingSchedule
-    x0: float
-    y0: float
     clip_epsilon: float
     clip_index: int
     w: np.ndarray          # (n_paths, n_steps) sqrt(dt)-scaled normals
@@ -337,7 +333,7 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
                             f"ratio r = {r:.3g} > 1 at {n_steps} steps and "
                             f"clip_epsilon {clip_epsilon:g}")
     dt = grid.dt
-    levels_at, _ = _level_rows(controls, n_paths)
+    levels_at = _level_rows(controls, n_paths)
     shape = (len(controls), n_paths)
     x = np.full(shape, float(x0))
     y = np.full(shape, float(y0))
@@ -399,14 +395,12 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     for arr in (w, stiff_step, levels_full, *full):
         arr.setflags(write=False)
     heads = tuple(
-        PathBundle(grid=grid, control=control, schedule=schedule,
-                   x0=float(x0), y0=float(y0),
-                   clip_epsilon=float(clip_epsilon), clip_index=clip_index,
-                   w=w, levels=levels_full[:, i].T, x_path=x_full[:, i].T,
-                   y_path=y_full[:, i].T, g_path=g_full[:, i].T,
-                   log_m_path=logm_full[:, i].T,
+        PathBundle(grid=grid, clip_epsilon=float(clip_epsilon),
+                   clip_index=clip_index, w=w, levels=levels_full[:, i].T,
+                   x_path=x_full[:, i].T, y_path=y_full[:, i].T,
+                   g_path=g_full[:, i].T, log_m_path=logm_full[:, i].T,
                    stiff_step=stiff_step[i, :n_full])
-        for i, control in enumerate(controls))
+        for i in range(len(controls)))
     return CoupledRun(samples=samples, heads=heads)
 
 

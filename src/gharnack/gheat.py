@@ -31,7 +31,6 @@ class PdeConfig:
     x_max: float
     n_space: int  # number of intervals; nodes = n_space + 1
     cfl_safety: float = 0.8
-    boundary_rule: str = "linear_extrapolation"
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
@@ -43,8 +42,6 @@ class PdeConfig:
                 f"cfl_safety must lie in (0, 1], got {self.cfl_safety} "
                 "(explicit scheme loses monotonicity beyond the CFL bound)"
             )
-        if self.boundary_rule != "linear_extrapolation":
-            raise PdeError(f"unsupported boundary rule {self.boundary_rule!r}")
 
     @property
     def dx(self) -> float:
@@ -56,7 +53,7 @@ class PdeConfig:
     def coarsened(self) -> "PdeConfig":
         """Half the spatial resolution, for two-grid Richardson tolerances."""
         return PdeConfig(self.x_min, self.x_max, max(16, self.n_space // 2),
-                         self.cfl_safety, self.boundary_rule)
+                         self.cfl_safety)
 
 
 def auto_pde_config(x_ref: float, band: VolatilityBand, T: float,

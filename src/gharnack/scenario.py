@@ -1,5 +1,5 @@
 """Scenario-measure machinery: admissible volatility controls, path synthesis,
-and the sup-over-measures Monte Carlo estimator of the sublinear expectation.
+and the sup-over-measures Monte Carlo estimator of the semigroup.
 
 The representation family is infinite; a finite control family estimates the
 sup from below (one-sided bias), with the PDE solver as the two-sided anchor.
@@ -8,16 +8,15 @@ fixed seed, and every stream is counter-based per path.
 
 One Euler pass advances every control of a family at once: the state is a
 (k controls, n_paths) array and each step is one numpy operation for all
-controls, the idea of `gheat.solve_stack` applied to paths. The semigroup
-estimator keeps only the last row of that state; a path functional runs
-the same pass one control at a time with every node kept.
+controls, the idea of `gheat.solve_stack` applied to paths. The pass keeps
+only the last node of that state, all the semigroup estimator reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,37 +70,6 @@ class FeedbackControl:
 
 
 Control = ScenarioControl | FeedbackControl
-
-
-@dataclass(frozen=True)
-class PathBatch:
-    """B-paths of one control with every node kept (rows = paths), for
-    path functionals.
-
-    `w` is path-major: row p is path p's own stream. `levels` and `b_path`
-    are transposed views of the kernel's time-major buffers, so a column
-    (one time node) is contiguous and a row (one path) is strided."""
-
-    grid: TimeGrid
-    w: np.ndarray        # (n_paths, n_steps) sqrt(dt)-scaled normals
-    levels: np.ndarray   # (n_paths, n_steps) realized levels, time-major view
-    b_path: np.ndarray   # (n_paths, n_steps + 1), time-major view
-
-    @property
-    def n_paths(self) -> int:
-        return self.b_path.shape[0]
-
-    @property
-    def qv_path(self) -> np.ndarray:
-        """Quadratic variation <B>, (n_paths, n_steps + 1), accumulated
-        step by step from the realized levels."""
-        qv = np.zeros_like(self.b_path)
-        np.cumsum(self.levels * self.levels * self.grid.dt, axis=1,
-                  out=qv[:, 1:])
-        return qv
-
-    def terminal(self) -> np.ndarray:
-        return self.b_path[:, -1]
 
 
 @dataclass(frozen=True)
@@ -195,8 +163,7 @@ def _level_rows(controls: Sequence[Control], n_paths: int):
     control. Open-loop rows come from one (n_steps, k) table as a (k, 1)
     column; when the family has feedback controls, the column fills a
     (k, n_paths) buffer and each feedback row is read off its policy at its
-    own state row of x. Returns levels and the table, None when the levels
-    depend on the state."""
+    own state row of x."""
     table = np.zeros((controls[0].grid.n_steps, len(controls)))
     feedback = []
     for i, control in enumerate(controls):
@@ -205,7 +172,7 @@ def _level_rows(controls: Sequence[Control], n_paths: int):
         else:
             table[:, i] = control.levels
     if not feedback:
-        return (lambda j, t, x: table[j, :, None]), table
+        return lambda j, t, x: table[j, :, None]
     lv = np.empty((len(controls), n_paths))
 
     def levels(j: int, t: float, x: np.ndarray) -> np.ndarray:
@@ -214,47 +181,7 @@ def _level_rows(controls: Sequence[Control], n_paths: int):
             lv[i] = controls[i].level(j, t, x[i])
         return lv
 
-    return levels, None
-
-
-def _euler_pass(coeffs: ModelCoefficients, controls: Sequence[Control],
-                x0: float, w: np.ndarray, grid: TimeGrid, keep_nodes: bool):
-    """The Euler loop of the controlled state equation for k controls on
-    the shared increments `w`, state (k, n_paths); feedback levels read the
-    simulated state.
-
-    Returns the terminal state (k, n_paths) or, with `keep_nodes`, the
-    paths (n_steps + 1, k, n_paths) and realized levels (n_steps, k,
-    n_paths), time-major: each step reads and writes one contiguous block.
-    Open-loop levels are a read-only broadcast view of the level table.
-    """
-    n_paths, n_steps = w.shape
-    dt = grid.dt
-    levels_at, table = _level_rows(controls, n_paths)
-    x = np.full((len(controls), n_paths), float(x0))
-    if keep_nodes:
-        nodes = np.empty((n_steps + 1,) + x.shape)
-        nodes[0] = x
-        # Open-loop levels are the table, read in place; only levels that
-        # depend on the state are recorded.
-        levels = np.empty((n_steps,) + x.shape) if table is None else \
-            np.broadcast_to(table[:, :, None], (n_steps,) + x.shape)
-    dB = np.empty_like(x)
-    for j, wj in enumerate(_time_major(w)):
-        t = float(grid.nodes[j])
-        lv = levels_at(j, t, x)
-        np.multiply(lv, wj, out=dB)
-        if coeffs is _UNIT_COEFFS:
-            # x + 0 dt + 0 d<B> + 1 dB is x + dB, bit for bit, for finite x
-            x = np.add(x, dB, out=nodes[j + 1] if keep_nodes else x)
-        else:
-            x = euler_step(coeffs, t, x, coeffs.sigma(t, x), dt, lv * lv * dt,
-                           dB)
-            if keep_nodes:
-                nodes[j + 1] = x
-        if keep_nodes and table is None:
-            levels[j] = lv
-    return (nodes, levels) if keep_nodes else x
+    return levels
 
 
 def simulate_state_batch(coeffs: ModelCoefficients,
@@ -263,20 +190,23 @@ def simulate_state_batch(coeffs: ModelCoefficients,
     """Terminal states X_T of the controlled state equation from x0, one
     (n_paths,) row per control of a C-contiguous (k, n_paths) array, from
     one Euler pass that advances every control on the shared increments `w`
-    and keeps no earlier node."""
-    return _euler_pass(coeffs, controls, x0, w, grid, keep_nodes=False)
-
-
-def _simulate_batch(control: Control, grid: TimeGrid, w: np.ndarray) -> PathBatch:
-    """B-paths of one control, every node kept: the state equation with
-    b = h = 0 and sigma = 1, from 0."""
-    b, levels = _euler_pass(_UNIT_COEFFS, [control], 0.0, w, grid,
-                            keep_nodes=True)
-    b, levels = b[:, 0].T, levels[:, 0].T
-    w_view = w.view()
-    for arr in (w_view, levels, b):
-        arr.setflags(write=False)
-    return PathBatch(grid=grid, w=w_view, levels=levels, b_path=b)
+    and keeps no earlier node; feedback levels read the simulated state."""
+    dt = grid.dt
+    n_paths = w.shape[0]
+    levels_at = _level_rows(controls, n_paths)
+    x = np.full((len(controls), n_paths), float(x0))
+    dB = np.empty_like(x)
+    for j, wj in enumerate(_time_major(w)):
+        t = float(grid.nodes[j])
+        lv = levels_at(j, t, x)
+        np.multiply(lv, wj, out=dB)
+        if coeffs is _UNIT_COEFFS:
+            # x + 0 dt + 0 d<B> + 1 dB is x + dB, bit for bit, for finite x
+            x += dB
+        else:
+            x = euler_step(coeffs, t, x, coeffs.sigma(t, x), dt, lv * lv * dt,
+                           dB)
+    return x
 
 
 def scaled_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
@@ -309,60 +239,10 @@ def sup_over_controls(samples: Iterable) -> tuple[float, float, int]:
             best_se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) \
                 if vals.size > 1 else 0.0
         k += 1
-        # Drop these values (maybe a view of a whole path buffer) before the
-        # next control's are made; enumerate's reused tuple would keep them.
+        # Drop these values before the next control's are made; enumerate's
+        # reused tuple would keep them.
         del vals
     return best_mean, best_se, best_id
-
-
-def _sup_estimate(controls: Sequence[Control], n_paths: int, seed: int,
-                  samples: Callable[[TimeGrid, np.ndarray], Iterable]
-                  ) -> EstimateWithError:
-    """The sup over `controls` of the per-path values `samples(grid, w)`
-    yields for each control on the seed's shared increments `w`."""
-    if n_paths < 100:
-        raise ScenarioError(f"n_paths must be >= 100, got {n_paths}")
-    if not controls:
-        raise ScenarioError("need at least one control")
-    grid = controls[0].grid
-    value, se, best_id = sup_over_controls(
-        samples(grid, scaled_increments(seed, n_paths, grid)))
-    return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
-                             n_controls=len(controls), best_control_id=best_id)
-
-
-def upper_expectation_mc(functional: Callable[[PathBatch], np.ndarray],
-                         controls: Sequence[Control], n_paths: int,
-                         seed: int) -> EstimateWithError:
-    """max over controls of the Monte Carlo mean of a path functional,
-    common random numbers; the functional gets one control's `PathBatch`
-    (every node kept) at a time.
-
-    A biased-low estimate of the sublinear expectation (finite control
-    family); the reported std_error is the winning control's. No control
-    family is claimed to approach the sup of a path-dependent functional.
-    For f(B_T), `upper_semigroup_mc` on the unit coefficients from 0 keeps
-    only the terminal rows.
-    """
-    return _sup_estimate(
-        controls, n_paths, seed,
-        lambda grid, w: (functional(_simulate_batch(control, grid, w))
-                         for control in controls))
-
-
-def capacity_mc(event: Callable[[PathBatch], np.ndarray],
-                controls: Sequence[Control], n_paths: int,
-                seed: int) -> EstimateWithError:
-    """Upper capacity of an event: upper expectation of its indicator."""
-
-    def indicator(batch: PathBatch) -> np.ndarray:
-        return np.asarray(event(batch), dtype=float)
-
-    est = upper_expectation_mc(indicator, controls, n_paths, seed)
-    return EstimateWithError(value=min(max(est.value, 0.0), 1.0),
-                             std_error=est.std_error, n_paths=est.n_paths,
-                             n_controls=est.n_controls,
-                             best_control_id=est.best_control_id)
 
 
 def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
@@ -376,10 +256,15 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
     control's. A feedback control on the PDE's recorded policy
     (`sample_controls("feedback", ...)`) approaches the sup.
     """
-    return _sup_estimate(
-        controls, n_paths, seed,
-        lambda grid, w: payoff.f(
-            simulate_state_batch(coeffs, controls, x0, w, grid)))
+    if n_paths < 100:
+        raise ScenarioError(f"n_paths must be >= 100, got {n_paths}")
+    if not controls:
+        raise ScenarioError("need at least one control")
+    grid = controls[0].grid
+    value, se, best_id = sup_over_controls(payoff.f(simulate_state_batch(
+        coeffs, controls, x0, scaled_increments(seed, n_paths, grid), grid)))
+    return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
+                             n_controls=len(controls), best_control_id=best_id)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,45 @@ class TestCliExitCodes:
         assert elapsed < 5.0
         assert not (tmp_path / "o").exists()
 
+    def test_no_admissible_alpha_names_steps_and_K(self, tmp_path, capsys):
+        # K = 1e100 gives r > 1 on 256 steps even as alpha -> 0
+        bad = tmp_path / "hugeK.cfg"
+        bad.write_text(CFG.read_text().replace("K = 1.1", "K = 1e100"))
+        assert run(["coupling", "--config", bad, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [grid.n_steps]"), err
+        assert "no alpha in (0, 1.62) is admitted" in err
+        assert "model.K" in err and "largest admitted" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_K_names_the_field(self, tmp_path, capsys):
+        # constant coefficients admit K = 0: the heat, semigroup and
+        # scenario runs need no schedule, the coupling and Harnack runs
+        # refuse it before any work
+        text = CFG.read_text()
+        for old, new in (("b = affine", "b = constant"),
+                         ("b_params = 0, -1", "b_params = 0"),
+                         ("h = sine", "h = constant"),
+                         ("h_params = 0, 0.05, 1", "h_params = 0"),
+                         ("sigma = tanh", "sigma = constant"),
+                         ("sigma_params = 0.95, 0.05, 1", "sigma_params = 0.95"),
+                         ("K = 1.1", "K = 0")):
+            assert old in text
+            text = text.replace(old, new)
+        zero = tmp_path / "zero_k.cfg"
+        zero.write_text(text)
+        for command in ("gheat", "semigroup", "scenario"):
+            assert run([command, "--config", zero,
+                        "--out", tmp_path / command]) == 0
+        capsys.readouterr()
+        for command in ("coupling", "harnack", "gradient", "suite"):
+            out = tmp_path / command
+            assert run([command, "--config", zero, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: [model.K]"), err
+            assert "limit_schedule" not in err
+            assert not out.exists()
+
     def test_oversized_paths_are_exit_2_before_any_work(self, tmp_path,
                                                         capsys):
         big = tmp_path / "big.cfg"
@@ -330,15 +369,15 @@ class TestStackedPaths:
         from gharnack import scenario
 
         calls = []
-        kernel = scenario._euler_pass
+        kernel = scenario.simulate_state_batch
 
-        def counted(coeffs, controls, x0, w, grid, keep_nodes):
-            calls.append((len(controls), keep_nodes))
-            return kernel(coeffs, controls, x0, w, grid, keep_nodes)
+        def counted(coeffs, controls, x0, w, grid):
+            calls.append(len(controls))
+            return kernel(coeffs, controls, x0, w, grid)
 
-        monkeypatch.setattr(scenario, "_euler_pass", counted)
+        monkeypatch.setattr(scenario, "simulate_state_batch", counted)
         assert run(["scenario", "--out", tmp_path / "o"]) == 0
-        assert calls == [(5, False)]
+        assert calls == [5]
 
     def test_coupling_run_holds_no_full_paths_of_every_control(self):
         # 5 controls x 2048 paths x 257 nodes: one (k, n_steps + 1, n_paths)

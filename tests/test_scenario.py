@@ -10,8 +10,6 @@ from gharnack.gheat import _UNIT_COEFFS
 from gharnack.scenario import (
     ScenarioError,
     _W_BLOCK_STEPS,
-    _euler_pass,
-    _simulate_batch,
     scaled_increments,
     simulate_state_batch,
 )
@@ -23,9 +21,24 @@ def grid():
 
 
 def first_path(control, seed):
-    """One-path batch under the control: row 0 of the seed's increments."""
-    return _simulate_batch(control, control.grid,
-                           scaled_increments(seed, 1, control.grid))
+    """Row 0 of the seed's increments and B_T on it under the control: the
+    state equation on the unit coefficients from 0."""
+    w = scaled_increments(seed, 1, control.grid)
+    return w, simulate_state_batch(_UNIT_COEFFS, [control], 0.0, w,
+                                   control.grid)[0]
+
+
+def upper_mc(payoff, controls, n_paths, seed):
+    """The sup over `controls` of the mean of payoff(B_T)."""
+    return g.upper_semigroup_mc(_UNIT_COEFFS, payoff, 0.0, controls, n_paths,
+                                seed)
+
+
+def indicator(event):
+    """The payoff 1{event(x)}: its upper expectation is the upper capacity
+    of the terminal event."""
+    return g.Payoff(lambda x: np.asarray(event(x), dtype=float), 0.0, 1.0,
+                    name="indicator")
 
 
 class TestSampleControls:
@@ -71,75 +84,52 @@ class TestSampleControls:
 
 
 class TestSimulateGbm:
-    """Single B-paths, read as row 0 of a PathBatch."""
+    """Single B-paths, read at their terminal node."""
 
     def test_unit_control_reproduces_wiener(self, grid):
         band = g.VolatilityBand(1.0, 1.0)
         (control,) = g.sample_controls("constants", band, grid, 1, seed=0)
-        path = first_path(control, seed=4)
-        assert path.b_path[0, 0] == 0.0
-        assert np.allclose(path.b_path[0, 1:], np.cumsum(path.w[0]))
-
-    def test_constant_upper_control_qv_exact(self, wide_band, grid):
-        controls = g.sample_controls("constants", wide_band, grid, 2, seed=0)
-        path = first_path(controls[1], seed=4)
-        expect = wide_band.sigma_upper ** 2 * grid.nodes
-        assert np.allclose(path.qv_path[0], expect, atol=1e-12)
-
-    def test_qv_sandwich_every_pair(self, wide_band, grid):
-        controls = g.sample_controls("random", wide_band, grid, 3, seed=7)
-        lo2, hi2 = wide_band.sigma_lower ** 2, wide_band.sigma_upper ** 2
-        for control in controls:
-            qv = first_path(control, seed=11).qv_path[0]
-            assert qv[0] == 0.0
-            assert np.all(np.diff(qv) >= 0.0)
-            for i in range(0, grid.n_steps, 17):
-                for j in range(i + 1, grid.n_steps + 1, 29):
-                    inc = qv[j] - qv[i]
-                    span = grid.nodes[j] - grid.nodes[i]
-                    assert lo2 * span - 1e-12 <= inc <= hi2 * span + 1e-12
+        w, b_T = first_path(control, seed=4)
+        assert b_T.shape == (1,)
+        assert b_T[0] == np.cumsum(w[0])[-1]
 
     def test_deterministic_given_control_and_seed(self, wide_band, grid):
         (control,) = g.sample_controls("bang_bang", wide_band, grid, 1, seed=0)
-        p1 = first_path(control, seed=123)
-        p2 = first_path(control, seed=123)
-        assert np.array_equal(p1.b_path, p2.b_path)
-        assert np.array_equal(p1.qv_path, p2.qv_path)
+        _, b1 = first_path(control, seed=123)
+        _, b2 = first_path(control, seed=123)
+        assert np.array_equal(b1, b2)
 
 
 class TestUpperExpectation:
     def test_terminal_square_hits_upper_variance(self, wide_band, grid):
         controls = g.sample_controls("constants", wide_band, grid, 9, seed=0)
-        est = g.upper_expectation_mc(lambda b: b.terminal() ** 2, controls,
-                                     4096, seed=2)
+        est = upper_mc(g.make_payoff("quadratic"), controls, 4096, seed=2)
         assert est.best_control_id == 8  # the upper endpoint wins
         assert abs(est.value - 1.44) <= 3.0 * est.std_error
         assert est.n_controls == 9
 
     def test_constant_functional(self, wide_band, grid):
         controls = g.sample_controls("constants", wide_band, grid, 3, seed=0)
-        est = g.upper_expectation_mc(
-            lambda b: np.full(b.n_paths, 2.5), controls, 256, seed=2)
+        est = upper_mc(g.make_payoff("constant", (2.5,)), controls, 256,
+                       seed=2)
         assert est.value == 2.5
         assert est.std_error == 0.0
 
     def test_odd_functional_near_zero_each_control(self, wide_band, grid):
         for control in g.sample_controls("constants", wide_band, grid, 5, seed=0):
-            est = g.upper_expectation_mc(lambda b: b.terminal(), [control],
-                                         8192, seed=3)
+            est = upper_mc(g.make_payoff("identity"), [control], 8192,
+                           seed=3)
             assert abs(est.value) <= 3.0 * est.std_error
 
     def test_monotone_in_control_family(self, wide_band, grid):
         controls = g.sample_controls("constants", wide_band, grid, 9, seed=0)
-        functional = lambda b: np.cos(b.terminal())
-        small = g.upper_expectation_mc(functional, controls[:3], 2048, seed=5)
-        large = g.upper_expectation_mc(functional, controls, 2048, seed=5)
+        payoff = g.make_payoff("cosine")
+        small = upper_mc(payoff, controls[:3], 2048, seed=5)
+        large = upper_mc(payoff, controls, 2048, seed=5)
         assert large.value >= small.value
 
     def test_rejects_tiny_sample(self, wide_band, grid):
         controls = g.sample_controls("constants", wide_band, grid, 2, seed=0)
-        with pytest.raises(ScenarioError):
-            g.upper_expectation_mc(lambda b: b.terminal(), controls, 50, seed=0)
         payoff = g.make_payoff("abs")
         with pytest.raises(ScenarioError, match="n_paths"):
             g.upper_semigroup_mc(_UNIT_COEFFS, payoff, 0.0, controls, 50, 0)
@@ -148,9 +138,9 @@ class TestUpperExpectation:
 
     def test_bit_reproducible(self, wide_band, grid):
         controls = g.sample_controls("random", wide_band, grid, 4, seed=8)
-        f = lambda b: np.abs(b.terminal())
-        e1 = g.upper_expectation_mc(f, controls, 1024, seed=9)
-        e2 = g.upper_expectation_mc(f, controls, 1024, seed=9)
+        payoff = g.make_payoff("abs")
+        e1 = upper_mc(payoff, controls, 1024, seed=9)
+        e2 = upper_mc(payoff, controls, 1024, seed=9)
         assert e1 == e2
 
     def test_feedback_consistency_with_oracle(self, wide_band):
@@ -204,35 +194,35 @@ class TestSemigroupEstimator:
 class TestCapacity:
     def test_full_event(self, wide_band, grid):
         controls = g.sample_controls("constants", wide_band, grid, 2, seed=0)
-        est = g.capacity_mc(lambda b: np.ones(b.n_paths, dtype=bool), controls,
-                            256, seed=1)
+        est = upper_mc(indicator(lambda x: np.ones(x.shape, dtype=bool)),
+                       controls, 256, seed=1)
         assert est.value == 1.0
 
     def test_empty_event(self, wide_band, grid):
         controls = g.sample_controls("constants", wide_band, grid, 2, seed=0)
-        est = g.capacity_mc(lambda b: np.zeros(b.n_paths, dtype=bool), controls,
-                            256, seed=1)
+        est = upper_mc(indicator(lambda x: np.zeros(x.shape, dtype=bool)),
+                       controls, 256, seed=1)
         assert est.value == 0.0
 
     def test_positive_half_line_is_half(self, wide_band, grid):
         # each scenario law of B_1 is symmetric, so every control gives 1/2
         controls = g.sample_controls("constants", wide_band, grid, 5, seed=0)
-        est = g.capacity_mc(lambda b: b.terminal() > 0.0, controls, 8192, seed=6)
+        est = upper_mc(indicator(lambda x: x > 0.0), controls, 8192, seed=6)
         assert abs(est.value - 0.5) <= 3.0 * est.std_error
 
     def test_subadditive_on_sampled_pairs(self, wide_band, grid):
         controls = g.sample_controls("constants", wide_band, grid, 5, seed=0)
         events = [
-            lambda b: b.terminal() > 0.5,
-            lambda b: np.abs(b.terminal()) < 1.0,
-            lambda b: b.qv_path[:, -1] > 1.0,
+            lambda x: x > 0.5,
+            lambda x: np.abs(x) < 1.0,
+            lambda x: x < -1.5,
         ]
         for i, ev_a in enumerate(events):
             for ev_b in events[i + 1:]:
-                union = lambda b: ev_a(b) | ev_b(b)
-                cu = g.capacity_mc(union, controls, 2048, seed=14).value
-                ca = g.capacity_mc(ev_a, controls, 2048, seed=14).value
-                cb = g.capacity_mc(ev_b, controls, 2048, seed=14).value
+                union = lambda x: ev_a(x) | ev_b(x)
+                cu = upper_mc(indicator(union), controls, 2048, seed=14).value
+                ca = upper_mc(indicator(ev_a), controls, 2048, seed=14).value
+                cb = upper_mc(indicator(ev_b), controls, 2048, seed=14).value
                 assert cu <= ca + cb + 1e-12
 
 
@@ -306,9 +296,10 @@ class TestCounterBasedStreams:
 
     def test_batch_matches_single_path(self, wide_band, grid):
         (control,) = g.sample_controls("bang_bang", wide_band, grid, 1, seed=0)
-        batch = _simulate_batch(control, grid, scaled_increments(5, 3, grid))
-        single = first_path(control, seed=5)
-        assert np.array_equal(batch.b_path[0], single.b_path[0])
+        batch = simulate_state_batch(_UNIT_COEFFS, [control], 0.0,
+                                     scaled_increments(5, 3, grid), grid)
+        _, single = first_path(control, seed=5)
+        assert batch[0, 0] == single[0]
 
 
 def reference_state_batch(coeffs, control, x0, w, grid):
@@ -359,20 +350,14 @@ class TestTimeMajorKernel:
             (cfg.coeffs, 0.3)
         control = self.control(kind, coeffs, cfg)
         w = scaled_increments(cfg.seed, 300, cfg.grid)
-        x, levels = _euler_pass(coeffs, [control], x0, w, cfg.grid,
-                                keep_nodes=True)
         ref_x, ref_levels = reference_state_batch(coeffs, control, x0, w,
                                                   cfg.grid)
-        assert x.shape == (cfg.grid.n_steps + 1, 1, 300)
-        assert x[:, 0].T.tobytes() == ref_x.tobytes()
-        assert levels[:, 0].T.tobytes() == ref_levels.tobytes()
-        # one time node is one contiguous row of the kernel's buffers
-        assert x[:, 0].flags.c_contiguous
         terminal = simulate_state_batch(coeffs, [control], x0, w, cfg.grid)
-        assert terminal.shape == (1, 300)
+        assert terminal.shape == (1, 300) and terminal.flags.c_contiguous
         assert terminal.tobytes() == ref_x[:, -1].tobytes()
         if kind == "feedback":
-            assert len(np.unique(levels)) == 2
+            # the policy switches the level between the band's edges
+            assert len(np.unique(ref_levels)) == 2
 
     @staticmethod
     def family(kind, coeffs, cfg):
@@ -440,34 +425,14 @@ class TestTimeMajorKernel:
             (*stats[best], best)
 
     def test_terminal_functional_equals_per_control_batches(self, bundled):
-        # the stacked terminal pass against one PathBatch per control
+        # the stacked pass over the family against one pass per control
         cfg = bundled
         controls = self.family("mixed", _UNIT_COEFFS, cfg)
-        stacked = g.upper_semigroup_mc(_UNIT_COEFFS, cfg.payoff, 0.0, controls,
-                                       300, seed=3)
-        per_control = g.upper_expectation_mc(
-            lambda batch: cfg.payoff.f(batch.terminal()), controls, 300,
-            seed=3)
-        assert stacked == per_control
-
-    @pytest.mark.parametrize("kind", ["constants", "random", "feedback"])
-    def test_batch_fields_equal_path_major_loop(self, bundled, kind):
-        cfg = bundled
-        control = self.control(kind, _UNIT_COEFFS, cfg)
-        w = scaled_increments(cfg.seed, 300, cfg.grid)
-        batch = _simulate_batch(control, cfg.grid, w)
-        ref_b, ref_levels = reference_state_batch(_UNIT_COEFFS, control, 0.0,
-                                                  w, cfg.grid)
-        ref_qv = np.zeros_like(ref_b)
-        np.cumsum(ref_levels * ref_levels * cfg.grid.dt, axis=1,
-                  out=ref_qv[:, 1:])
-        assert batch.b_path.tobytes() == ref_b.tobytes()
-        assert batch.levels.tobytes() == ref_levels.tobytes()
-        assert batch.qv_path.tobytes() == ref_qv.tobytes()
-        assert batch.terminal().tobytes() == ref_b[:, -1].tobytes()
-        assert batch.w is not w and np.shares_memory(batch.w, w)
-        for arr in (batch.w, batch.levels, batch.b_path):
-            assert not arr.flags.writeable
+        stacked = upper_mc(cfg.payoff, controls, 300, seed=3)
+        alone = [upper_mc(cfg.payoff, [c], 300, seed=3) for c in controls]
+        best = max(range(len(alone)), key=lambda k: (alone[k].value, -k))
+        assert (stacked.value, stacked.std_error, stacked.best_control_id) == \
+            (alone[best].value, alone[best].std_error, best)
 
 
 class TestMemory:
@@ -490,26 +455,3 @@ class TestMemory:
             rows = len(controls) * n_paths * 8
             assert peak <= w_nbytes + block + 4 * rows + 2 ** 16, \
                 (strategy, (peak - w_nbytes - block) / rows)
-
-    def test_upper_expectation_holds_no_copy_of_w(self, wide_band):
-        # w, then one control's paths and levels at a time: about 3 x w,
-        # also for a functional that returns a view of its batch
-        n_paths, grid = 4096, g.TimeGrid(1.0, 256)
-        w_nbytes = n_paths * grid.n_steps * 8
-        payoff = g.make_payoff("gauss_bump")
-        functionals = {
-            "copy": lambda batch: payoff.f(batch.terminal()),
-            "view": lambda batch: batch.terminal(),
-        }
-        for strategy in ("constants", "random"):
-            controls = g.sample_controls(strategy, wide_band, grid, 3, seed=0)
-            for kind, functional in functionals.items():
-                tracemalloc.start()
-                try:
-                    g.upper_expectation_mc(functional, controls, n_paths,
-                                           seed=1)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= 3 * w_nbytes + 2 ** 20, \
-                    (strategy, kind, peak / w_nbytes)
