@@ -48,7 +48,6 @@ from .coupling import (
     coupling_success_check,
     entropy_bound_check,
     entropy_bound_value,
-    girsanov_shifted_qv_check,
     make_schedule,
     moment_bound_check,
     moment_bound_value,

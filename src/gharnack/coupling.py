@@ -59,7 +59,6 @@ class CouplingSchedule:
     sigma_lower: float
     lam: Callable[[np.ndarray], np.ndarray]
     lam_prime: Callable[[np.ndarray], np.ndarray]
-    limit_form: bool = False
 
     def value(self, t):
         return self.lam(np.asarray(t, dtype=float))
@@ -74,12 +73,8 @@ class CouplingSchedule:
 
 
 def make_schedule(alpha: float, coeffs: ModelCoefficients, band: VolatilityBand,
-                  T: float, limit_schedule: bool = False) -> CouplingSchedule:
-    """Build the coupling weight schedule for an admissible alpha.
-
-    K = 0 degenerates the closed form (0/0); pass limit_schedule=True to get
-    the analytic limit lambda(t) = (alpha_cap - alpha) * sigma_lower^2 * (T-t).
-    """
+                  T: float) -> CouplingSchedule:
+    """Build the coupling weight schedule for an admissible alpha and K > 0."""
     if T <= 0.0:
         raise CouplingError(f"horizon must be positive, got {T}")
     cap = 2.0 * coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
@@ -87,42 +82,25 @@ def make_schedule(alpha: float, coeffs: ModelCoefficients, band: VolatilityBand,
         raise CouplingError(
             f"alpha must lie in the open interval (0, {cap:g}), got {alpha}"
         )
+    if coeffs.K == 0.0:
+        raise CouplingError(
+            "K = 0 collapses the schedule to a 0/0 form; the coupling needs a "
+            "positive Lipschitz constant K"
+        )
     sl = band.sigma_lower
-    if limit_schedule:
-        if coeffs.K != 0.0:
-            raise CouplingError("limit_schedule is the K = 0 limit; declared K is "
-                                f"{coeffs.K:g}")
-        scale = (cap - alpha) * sl ** 2
+    c_K = coeffs.K * (2.0 + coeffs.K + 2.0 / sl ** 2)
+    amp = (cap - alpha) / c_K
 
-        def lam(t):
-            return scale * (T - np.asarray(t, dtype=float))
+    def lam(t):
+        return amp * (1.0 - np.exp(sl ** 2 * c_K * (np.asarray(t, dtype=float) - T)))
 
-        def lam_prime(t):
-            return np.full_like(np.asarray(t, dtype=float), -scale)
+    def lam_prime(t):
+        return -amp * sl ** 2 * c_K * np.exp(sl ** 2 * c_K * (np.asarray(t, dtype=float) - T))
 
-        schedule = CouplingSchedule(alpha=alpha, c_K=0.0, lambda0=scale * T, T=T,
-                                    alpha_cap=cap, sigma_lower=sl,
-                                    lam=lam, lam_prime=lam_prime, limit_form=True)
-    else:
-        if coeffs.K == 0.0:
-            raise CouplingError(
-                "K = 0 collapses the schedule to a 0/0 form; use "
-                "limit_schedule=True for the analytic limit "
-                "lambda(t) = (alpha_cap - alpha) * sigma_lower^2 * (T - t)"
-            )
-        c_K = coeffs.K * (2.0 + coeffs.K + 2.0 / sl ** 2)
-        amp = (cap - alpha) / c_K
-
-        def lam(t):
-            return amp * (1.0 - np.exp(sl ** 2 * c_K * (np.asarray(t, dtype=float) - T)))
-
-        def lam_prime(t):
-            return -amp * sl ** 2 * c_K * np.exp(sl ** 2 * c_K * (np.asarray(t, dtype=float) - T))
-
-        schedule = CouplingSchedule(alpha=alpha, c_K=c_K,
-                                    lambda0=amp * (1.0 - math.exp(-sl ** 2 * c_K * T)),
-                                    T=T, alpha_cap=cap, sigma_lower=sl,
-                                    lam=lam, lam_prime=lam_prime)
+    schedule = CouplingSchedule(alpha=alpha, c_K=c_K,
+                                lambda0=amp * (1.0 - math.exp(-sl ** 2 * c_K * T)),
+                                T=T, alpha_cap=cap, sigma_lower=sl,
+                                lam=lam, lam_prime=lam_prime)
 
     ts = np.linspace(0.0, T, 1001)
     worst = float(np.max(np.abs(schedule.identity_residual(ts))))
@@ -457,15 +435,6 @@ def shifted_qv_discrepancy(bundle: PathBundle,
     terms = np.zeros((lv.shape[0], bundle.grid.n_steps))
     terms[:, :j] = dBh ** 2 - dB ** 2
     return float(np.mean(np.abs(np.sum(terms, axis=1))))
-
-
-def girsanov_shifted_qv_check(bundle: PathBundle,
-                              clip_epsilon: float | None = None,
-                              rate: float = 10.0) -> bool:
-    """Pass iff the shifted-QV mismatch, g clipped at `clip_epsilon`, stays
-    below rate * dt per unit time."""
-    return (shifted_qv_discrepancy(bundle, clip_epsilon)
-            <= rate * bundle.grid.dt * bundle.grid.horizon)
 
 
 @dataclass(frozen=True)

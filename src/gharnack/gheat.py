@@ -116,21 +116,6 @@ class PolicyTable:
                         self.band.sigma_lower)
 
 
-def _fill_ghosts(up: np.ndarray) -> None:
-    """Ghost nodes of padded rows by linear extrapolation; forces u_xx = 0 at
-    the boundary."""
-    up[..., 0] = 2.0 * up[..., 1] - up[..., 2]
-    up[..., -1] = 2.0 * up[..., -2] - up[..., -3]
-
-
-def _hamiltonian_argument(up: np.ndarray, dx: float, two_h: np.ndarray,
-                          sig2_vec: np.ndarray) -> np.ndarray:
-    """2 h u_x + sigma^2 u_xx by central differences on ghost-padded rows."""
-    d1c = (up[..., 2:] - up[..., :-2]) / (2.0 * dx)
-    d2 = (up[..., 2:] - 2.0 * up[..., 1:-1] + up[..., :-2]) / (dx * dx)
-    return two_h * d1c + sig2_vec * d2
-
-
 def _upper_wins(a: np.ndarray, u: np.ndarray, dx: float, h_vec: np.ndarray,
                 sig2_vec: np.ndarray) -> np.ndarray:
     """Tie-tolerant maximizer mask: ties at zero curvature break high.
@@ -155,8 +140,11 @@ _UNIT_COEFFS = ModelCoefficients(
 )
 
 # Arrays alive at once in a step of `solve_stack`, each of about n_space
-# doubles: per stacked row, the padded row and the step's temporaries (at
-# most 12); per node, the grid and the coefficient vectors (6).
+# doubles. Per stacked row, at most 11 1/8 while G is evaluated: the padded
+# row, the three step buffers, the stacked sigma^2, 2h and b and the upwind
+# mask, the previous step's rate and the two products and result of G (at a
+# record level, |u| and the mask of `_upper_wins` take G's place). Per node,
+# the grid and the coefficient vectors (6).
 _ROW_ARRAYS = 12
 _NODE_ARRAYS = 6
 
@@ -214,38 +202,82 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
     b_vec = np.asarray(coeffs.b(0.0, xs), dtype=float)
     h_vec = np.asarray(coeffs.h(0.0, xs), dtype=float)
     sig2 = np.asarray(coeffs.sigma(0.0, xs), dtype=float) ** 2
-    two_h = 2.0 * h_vec
-    upwind = b_vec >= 0.0
 
     # Rows live in one buffer with a ghost node at each end; u is a view.
-    up = np.empty((len(payoffs), len(xs) + 2))
+    n_rows, L = len(payoffs), len(xs) + 2
+    up = np.empty((n_rows, L))
     for row, payoff in zip(up, payoffs):
         row[1:-1] = payoff.f(xs)
     u = up[:, 1:-1]
     lo_bound, hi_bound = u.min(axis=1), u.max(axis=1)
 
     record = None
+    hits_at = {}
     if policy_times is not None:
         policy_times = np.asarray(policy_times, dtype=float)
         # control on [t_{i-1}, t_i) is derived from u at level i
         level_of_time = np.clip(np.ceil(policy_times / dt - 1e-12).astype(int), 1, n_t)
-        record = np.zeros((len(payoffs), len(policy_times), len(xs)), dtype=bool)
+        record = np.zeros((n_rows, len(policy_times), len(xs)), dtype=bool)
+        for k, level in enumerate(level_of_time.tolist()):
+            hits_at.setdefault(level, []).append(k)
+
+    # The step runs on the flattened buffer, where each difference is one
+    # contiguous slice: the neighbours of a node sit in its own row, and only
+    # ghost positions read across rows. Their coefficients are zero and the
+    # next step overwrites them, so nothing leaks between rows.
+    flat = up.reshape(-1)
+    mid, right, left = flat[1:-1], flat[2:], flat[:-2]
+
+    def stacked(vec):
+        rows = np.zeros((n_rows, L), dtype=vec.dtype)
+        rows[:, 1:-1] = vec
+        return rows.reshape(-1)[1:-1]
+
+    # A term whose coefficient is zero on every node is skipped: adding a
+    # zero changes no finite nonzero value.
+    sig2_s = stacked(sig2)
+    two_h = b_s = upwind = None
+    if h_vec.any():
+        two_h = stacked(2.0 * h_vec)
+    if b_vec.any():
+        b_s, upwind = stacked(b_vec), stacked(b_vec >= 0.0)
+    # Step buffers in the layout of `up`; a_rows is the Hamiltonian argument
+    # of each row's nodes.
+    a_buf = np.empty((n_rows, L))
+    a, a_rows = a_buf.reshape(-1)[1:-1], a_buf[:, 1:-1]
+    tmp = np.empty_like(a)
+    d = np.empty((n_rows, L)).reshape(-1)[1:]
 
     for i in range(n_t, 0, -1):
-        _fill_ghosts(up)
-        a = _hamiltonian_argument(up, dx, two_h, sig2)
-        if record is not None:
-            hits = np.nonzero(level_of_time == i)[0]
-            if hits.size:
-                hi = _upper_wins(a, u, dx, h_vec, sig2)
-                for k in hits:
-                    record[:, k] = hi
-
-        fwd = (up[:, 2:] - u) / dx
-        bwd = (u - up[:, :-2]) / dx
-        advect = b_vec * np.where(upwind, fwd, bwd)
-
-        u += dt * (advect + g_function(a, band))
+        # Ghost nodes by linear extrapolation, forcing u_xx = 0 at the
+        # boundary: columns (0, L-1) from (1, L-2) and (2, L-3). L >= 19, so
+        # each strided view holds exactly those two columns.
+        np.subtract(2.0 * up[:, 1::L - 3], up[:, 2::L - 5], out=up[:, ::L - 1])
+        # a = 2 h u_x + sigma^2 u_xx by central differences
+        np.multiply(mid, 2.0, out=a)
+        np.subtract(right, a, out=a)
+        a += left
+        a /= dx * dx
+        a *= sig2_s
+        if two_h is not None:
+            np.subtract(right, left, out=tmp)
+            tmp /= 2.0 * dx
+            tmp *= two_h
+            a += tmp
+        hits = hits_at.get(i)
+        if hits:
+            record[:, hits] = _upper_wins(a_rows, u, dx, h_vec, sig2)[:, None]
+        rate = g_function(a, band)
+        if b_s is not None:
+            # b u_x upwinded: forward differences where b >= 0, else backward
+            np.subtract(flat[1:], flat[:-1], out=d)
+            d /= dx
+            np.copyto(tmp, d[:-1])
+            np.copyto(tmp, d[1:], where=upwind)
+            tmp *= b_s
+            rate += tmp
+        rate *= dt
+        mid += rate
 
     tol = 1e-8 * (1.0 + np.abs(lo_bound) + np.abs(hi_bound))
     for payoff, row, lo, hi, eps in zip(payoffs, u, lo_bound, hi_bound, tol):

@@ -65,11 +65,13 @@ def g_function(a, band: VolatilityBand):
     """One-dimensional sublinear generator G(a) = (s_up^2 a+ - s_lo^2 a-)/2.
 
     Accepts scalars or arrays; positively homogeneous, monotone, subadditive.
+    Computed as the larger of (s^2/2) a over the two levels s, which is the
+    formula above to the bit for every normal finite a: halving is exact, and
+    rounding keeps the order of the two products.
     """
     a = np.asarray(a, dtype=float)
-    up2 = band.sigma_upper ** 2
-    lo2 = band.sigma_lower ** 2
-    out = 0.5 * (up2 * np.maximum(a, 0.0) - lo2 * np.maximum(-a, 0.0))
+    out = np.maximum(0.5 * band.sigma_upper ** 2 * a,
+                     0.5 * band.sigma_lower ** 2 * a)
     return out if out.ndim else float(out)
 
 

@@ -107,27 +107,8 @@ class TestMakeSchedule:
             h=g.make_coefficient("constant", (0.0,)),
             sigma=g.make_coefficient("constant", (1.0,)),
             K=0.0, kappa1=1.0, kappa2=1.0)
-        with pytest.raises(CouplingError, match="limit_schedule"):
+        with pytest.raises(CouplingError, match="positive Lipschitz constant"):
             g.make_schedule(1.0, coeffs, unit_band, 1.0)
-
-    def test_limit_schedule_form_and_identity(self, unit_band):
-        coeffs = g.ModelCoefficients(
-            b=g.make_coefficient("constant", (0.0,)),
-            h=g.make_coefficient("constant", (0.0,)),
-            sigma=g.make_coefficient("constant", (1.0,)),
-            K=0.0, kappa1=1.0, kappa2=1.0)
-        schedule = g.make_schedule(1.0, coeffs, unit_band, 2.0,
-                                   limit_schedule=True)
-        # lambda(t) = (2 - 1) * 1 * (T - t)
-        assert schedule.value(0.0) == pytest.approx(2.0)
-        assert schedule.value(2.0) == 0.0
-        ts = np.linspace(0.0, 2.0, 1000)
-        assert np.max(np.abs(schedule.identity_residual(ts))) <= 1e-12
-
-    def test_limit_schedule_requires_zero_K(self):
-        coeffs, band = schedule_example()
-        with pytest.raises(CouplingError):
-            g.make_schedule(0.81, coeffs, band, 1.0, limit_schedule=True)
 
 
 class TestMomentExponent:
@@ -256,13 +237,13 @@ class TestShiftedQv:
         bundle = coupled(coeffs, schedule, 0.2, 0.2, controls[0],
                          seed=41, clip_epsilon=0.01, n_paths=64)
         assert shifted_qv_discrepancy(bundle) == 0.0
-        assert g.girsanov_shifted_qv_check(bundle)
 
     def test_bounded_shift_within_tolerance(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
         bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[-1],
                          seed=42, clip_epsilon=0.01, n_paths=512)
-        assert g.girsanov_shifted_qv_check(bundle)
+        assert shifted_qv_discrepancy(bundle) <= \
+            10.0 * bundle.grid.dt * bundle.grid.horizon
 
     def test_refinement_halves_discrepancy(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
@@ -559,8 +540,6 @@ class TestOnePassSweep:
                            match=f"clip_epsilon 0.025: all {LATE_ROWS.size} "
                                  "paths"):
             shifted_qv_discrepancy(alone, 0.025)
-        with pytest.raises(CouplingError, match="clip_epsilon 0.025"):
-            g.girsanov_shifted_qv_check(alone)
 
     def test_clip_below_the_bundles_own_rejected(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup

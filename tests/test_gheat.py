@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,55 @@ def reference_solve(coeffs, band, payoff, T, cfg, policy_times=None):
     return u, record
 
 
+def _fill_ghosts(up):
+    up[..., 0] = 2.0 * up[..., 1] - up[..., 2]
+    up[..., -1] = 2.0 * up[..., -2] - up[..., -3]
+
+
+def _hamiltonian_argument(up, dx, two_h, sig2):
+    d1c = (up[..., 2:] - up[..., :-2]) / (2.0 * dx)
+    d2 = (up[..., 2:] - 2.0 * up[..., 1:-1] + up[..., :-2]) / (dx * dx)
+    return two_h * d1c + sig2 * d2
+
+
+def _g_reference(a, band):
+    up2, lo2 = band.sigma_upper ** 2, band.sigma_lower ** 2
+    return 0.5 * (up2 * np.maximum(a, 0.0) - lo2 * np.maximum(-a, 0.0))
+
+
+def reference_stack(coeffs, band, payoffs, T, cfg, policy_times=None):
+    """The stacked explicit step term by term, as two-dimensional slices of
+    the padded rows: every term is added even where it is zero, and G takes
+    its textbook form. Returns the rows of u(0, .) and the policy masks."""
+    xs = cfg.nodes()
+    dx = cfg.dx
+    dt, n_t = gheat._cfl_time_step(coeffs, band, T, cfg)
+    b = np.asarray(coeffs.b(0.0, xs), dtype=float)
+    h = np.asarray(coeffs.h(0.0, xs), dtype=float)
+    sig2 = np.asarray(coeffs.sigma(0.0, xs), dtype=float) ** 2
+    up = np.empty((len(payoffs), len(xs) + 2))
+    for row, payoff in zip(up, payoffs):
+        row[1:-1] = payoff.f(xs)
+    u = up[:, 1:-1]
+    record = None
+    if policy_times is not None:
+        level_of_time = np.clip(
+            np.ceil(policy_times / dt - 1e-12).astype(int), 1, n_t)
+        record = np.zeros((len(payoffs), len(policy_times), len(xs)),
+                          dtype=bool)
+    for i in range(n_t, 0, -1):
+        _fill_ghosts(up)
+        a = _hamiltonian_argument(up, dx, 2.0 * h, sig2)
+        if record is not None:
+            for k in np.nonzero(level_of_time == i)[0]:
+                record[:, k] = gheat._upper_wins(a, u, dx, h, sig2)
+        fwd = (up[:, 2:] - u) / dx
+        bwd = (u - up[:, :-2]) / dx
+        advect = b * np.where(b >= 0.0, fwd, bwd)
+        u += dt * (advect + _g_reference(a, band))
+    return u, record
+
+
 class TestStackedSolve:
     """One stacked pass gives every row exactly what a solve of that row
     alone gives."""
@@ -225,6 +275,44 @@ class TestStackedSolve:
             ref, _ = reference_solve(cfg.coeffs, cfg.band, payoff, T, grid)
             assert row.values.tobytes() == single.values.tobytes(), payoff.name
             assert row.values.tobytes() == ref.tobytes(), payoff.name
+
+    @pytest.mark.parametrize("policy", [False, True])
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    @pytest.mark.parametrize("model", ["bundled", "unit", "sigma_b_only"])
+    def test_step_equals_reference_stack_bitwise(self, bundled, model,
+                                                 n_rows, policy):
+        # the step skips terms that are zero on every node, works on the
+        # flattened rows and forms G from two products; none of it may move
+        # a bit of any row or policy mask
+        cfg, payoffs = bundled
+        coeffs = {
+            "bundled": cfg.coeffs,
+            "unit": _UNIT_COEFFS,
+            "sigma_b_only": g.ModelCoefficients(
+                b=g.make_coefficient("constant", (-0.25,)),
+                h=g.make_coefficient("constant", (0.0,)),
+                sigma=g.make_coefficient("constant", (0.7,)),
+                K=0.0, kappa1=0.7, kappa2=0.7),
+        }[model]
+        if model == "bundled":
+            b = coeffs.b(0.0, cfg.pde.nodes())
+            assert np.any(b > 0.0) and np.any(b < 0.0)
+            assert np.any(coeffs.h(0.0, cfg.pde.nodes()) != 0.0)
+        times = cfg.grid.nodes[:-1] if policy else None
+        T = cfg.grid.horizon
+        rows, policies = g.solve_stack(coeffs, cfg.band, payoffs[:n_rows],
+                                       T, cfg.pde, times)
+        ref, masks = reference_stack(coeffs, cfg.band, payoffs[:n_rows], T,
+                                     cfg.pde, times)
+        assert len(rows) == n_rows
+        for row, ref_row in zip(rows, ref):
+            assert row.values.tobytes() == ref_row.tobytes()
+        if not policy:
+            assert policies is None
+            return
+        for table, mask in zip(policies, masks):
+            assert table.hi_mask.tobytes() == mask.tobytes()
+        assert np.any(masks) and not np.all(masks)
 
     def test_policy_equals_separate_policy_solve(self, bundled):
         cfg, payoffs = bundled
@@ -320,3 +408,24 @@ class TestGridFunctionExport:
         exact = heat_semigroup_oracle(lambda z: np.exp(-z ** 2), 0.4, T)
         assert abs(solved.fine[payoff](0.4) - exact) <= \
             solved.tolerance(payoff, 0.4)
+
+
+def test_solve_nbytes_bounds_the_traced_working_set():
+    # the parse-time memory guard must cover what a stacked solve with a
+    # policy record really holds at its peak, and not by a wide margin
+    cfg = g.parse_run_config(bundled_config_path())
+    f = cfg.payoff
+    payoffs = [f, f.log(), f.power(cfg.check_p)]
+    pde = g.PdeConfig(cfg.pde.x_min, cfg.pde.x_max, 20000)
+    dt, _ = gheat._cfl_time_step(cfg.coeffs, cfg.band, 1.0, pde)
+    times = np.array([dt, 2.0 * dt])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g.solve_stack(cfg.coeffs, cfg.band, payoffs, 3.0 * dt, pde, times)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = gheat.solve_nbytes(len(payoffs), pde.n_space, len(times))
+    assert peak <= bound
+    assert bound <= 1.25 * peak

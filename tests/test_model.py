@@ -12,6 +12,23 @@ class TestGFunction:
     def test_zero(self, wide_band):
         assert g.g_function(0.0, wide_band) == 0.0
 
+    @pytest.mark.parametrize("lo,hi", [(0.8, 1.2), (1.0, 1.0), (1e-3, 7.3),
+                                       (0.3, 0.3000001)])
+    def test_textbook_formula_bitwise(self, lo, hi):
+        # (s_up^2 a+ - s_lo^2 a-)/2 to the bit on normal finite a of every
+        # scale a PDE step can meet, and the same value at +-0
+        band = g.VolatilityBand(lo, hi)
+        rng = np.random.default_rng(7)
+        a = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(
+            -300.0, 300.0, 200_000)
+        up2, lo2 = hi ** 2, lo ** 2
+        textbook = 0.5 * (up2 * np.maximum(a, 0.0) - lo2 * np.maximum(-a, 0.0))
+        assert g.g_function(a, band).tobytes() == textbook.tobytes()
+        for zero in (0.0, -0.0):
+            value = g.g_function(zero, band)
+            assert isinstance(value, float)
+            assert value == 0.5 * (up2 * max(zero, 0.0) - lo2 * max(-zero, 0.0))
+
     def test_positive_curvature(self, wide_band):
         assert g.g_function(1.0, wide_band) == pytest.approx(0.72, abs=1e-15)
 
