@@ -22,7 +22,6 @@ from .gheat import (
     PdeError,
     PolicyTable,
     Semigroups,
-    auto_pde_config,
     solve_g_heat,
     solve_semigroups,
     solve_stack,

@@ -42,11 +42,6 @@ def _estimate_rows(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _controls_for(cfg: RunConfig, policy=None):
-    return sc.sample_controls(cfg.strategy, cfg.band, cfg.grid, cfg.n_controls,
-                              cfg.seed, policy=policy)
-
-
 def run_gheat(cfg: RunConfig):
     heat = solve_semigroups(_UNIT_COEFFS, cfg.band, cfg.grid.horizon, cfg.pde,
                             [cfg.payoff])
@@ -118,7 +113,8 @@ def run_scenario(cfg: RunConfig):
 def run_coupling(cfg: RunConfig):
     T = cfg.grid.horizon
     schedule = cpl.make_schedule(cfg.alpha, cfg.coeffs, cfg.band, T)
-    controls = _controls_for(cfg)
+    controls = sc.sample_controls(cfg.strategy, cfg.band, cfg.grid,
+                                  cfg.n_controls, cfg.seed)
     x0, y0 = cfg.check_x, cfg.check_y
     w = sc.scaled_increments(cfg.seed, cfg.n_paths, cfg.grid)
     sweep = [frac * T for frac in cpl.SWEEP_FRACTIONS]

@@ -299,9 +299,12 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
             f"{n_controls} controls x {n_paths} paths x {n_steps} steps need "
             f"{need / 2 ** 30:.3g} GiB of coupled path arrays, more than the "
             f"{have / 2 ** 30:.3g} GiB of physical memory")
+    # The coupled pass runs open-loop families; the scenario runner builds
+    # its own feedback family from the G-heat policy.
     strategy = _get(cpl, "strategy", str, default="constants")
-    if strategy not in ("constants", "bang_bang", "random", "feedback"):
-        raise ConfigError("coupling.strategy", f"unknown strategy {strategy!r}")
+    if strategy not in ("constants", "bang_bang", "random"):
+        raise ConfigError("coupling.strategy", f"unknown strategy {strategy!r}"
+                          " (constants, bang_bang or random)")
 
     chk = _section(cp, "check")
     check_x = _get(chk, "x", float, default=0.0)

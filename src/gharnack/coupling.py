@@ -63,9 +63,6 @@ class CouplingSchedule:
     def value(self, t):
         return self.lam(np.asarray(t, dtype=float))
 
-    def derivative(self, t):
-        return self.lam_prime(np.asarray(t, dtype=float))
-
     def identity_residual(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return (self.alpha_cap - self.c_K * self.lam(ts)
@@ -230,14 +227,6 @@ class PathBundle:
     @property
     def n_paths(self) -> int:
         return self.x_path.shape[0]
-
-    @property
-    def m_path(self) -> np.ndarray:
-        return np.exp(self.log_m_path)
-
-    @property
-    def n_stiff(self) -> int:
-        return int(np.count_nonzero(self.stiff_step < self.grid.n_steps))
 
     def node(self, epsilon: float | None = None) -> int:
         """Grid index of the clip node of `epsilon` (default: the bundle's

@@ -56,13 +56,6 @@ class PdeConfig:
                          self.cfl_safety)
 
 
-def auto_pde_config(x_ref: float, band: VolatilityBand, T: float,
-                    n_space: int = 800, extra_halfwidth: float = 0.0) -> PdeConfig:
-    """Domain padded so boundary influence at x_ref stays below tolerance."""
-    half = max(6.0 * band.sigma_upper * math.sqrt(T), extra_halfwidth)
-    return PdeConfig(x_ref - half, x_ref + half, n_space)
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Values of u(t, .) on a uniform state grid."""

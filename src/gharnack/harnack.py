@@ -1,10 +1,10 @@
 """Certificates for the three quantitative conclusions: the log-Harnack
 inequality, the power-Harnack inequality, and the sup-norm gradient bound.
 
-Both sides of every inequality default to the finite-difference solver (Monte
-Carlo noise would drown small slack), read from semigroups the caller solved
-once per grid for all certificates; the MC estimator is available as a
-cross-check channel. Every report carries a tolerance from a two-grid
+Both sides of every inequality come from the finite-difference solver (Monte
+Carlo noise would drown small slack, and a finite control family biases the
+Monte Carlo sup low), read from semigroups the caller solved once per grid
+for all certificates. Every report carries a tolerance from a two-grid
 Richardson difference and never a bare point estimate.
 """
 
@@ -17,8 +17,7 @@ import numpy as np
 
 from .coupling import make_schedule
 from .gheat import Semigroups
-from .model import ModelCoefficients, Payoff, TimeGrid, VolatilityBand
-from .scenario import sample_controls, upper_semigroup_mc
+from .model import ModelCoefficients, Payoff, VolatilityBand
 
 
 class HarnackError(ValueError):
@@ -132,7 +131,7 @@ def make_alpha_grid(coeffs: ModelCoefficients, n: int = 33) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # certificates
 #
-# The PDE channel reads P_T from a Semigroups object the caller solved once
+# Every certificate reads P_T from a Semigroups object the caller solved once
 # for every payoff it needs; rows are looked up by the Payoff objects the
 # caller solved (f, and log f or f^p as built by `log_payoff` and
 # `power_payoff`).
@@ -178,32 +177,15 @@ def power_payoff(coeffs: ModelCoefficients, payoff: Payoff, p: float) -> Payoff:
     return payoff.power(p)
 
 
-def _log_report(x: float, y: float, T: float, lhs: float, log_pf_x: float,
-                coef: float, tolerance: float, method: str,
-                alpha: float) -> HarnackReport:
-    rhs = log_pf_x + coef * (x - y) ** 2
-    slack = rhs - lhs
-    return HarnackReport(
-        kind="log", x=float(x), y=float(y), T=float(T), p=None, a=None, q=None,
-        C=None, lhs=lhs, rhs=rhs, slack=slack, method=method,
-        tolerance=tolerance, passed=slack >= -tolerance, alpha=alpha,
-        extras={"constant_printed": coef},
-    )
-
-
-def _log_constant(P: Semigroups, payoff: Payoff) -> float:
-    _require_floor(payoff)
-    coeffs = P.coeffs
-    return log_harnack_constant(coeffs.K, P.band.sigma_lower, coeffs.kappa1,
-                                coeffs.kappa2, P.T)
-
-
 def check_log_harnack_grid(P: Semigroups, payoff: Payoff, log_f: Payoff,
                            xs, ys) -> list[HarnackReport]:
     """Log-Harnack certificates P_T log f(y) <= log P_T f(x) + c |x - y|^2
     on a grid of (x, y) cells, all read from the rows of f and log f in P."""
-    coef = _log_constant(P, payoff)
-    alpha_star = P.coeffs.kappa1 ** 2 / P.coeffs.kappa2 ** 2
+    _require_floor(payoff)
+    coeffs = P.coeffs
+    coef = log_harnack_constant(coeffs.K, P.band.sigma_lower, coeffs.kappa1,
+                                coeffs.kappa2, P.T)
+    alpha_star = coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
     u_log, u_f = P.fine[log_f], P.fine[payoff]
     reports = []
     for x in np.asarray(xs, dtype=float).tolist():
@@ -212,47 +194,32 @@ def check_log_harnack_grid(P: Semigroups, payoff: Payoff, log_f: Payoff,
         tol_f = P.tolerance(payoff, x)
         tol_x = tol_f / max(pf_x - tol_f, payoff.lower_bound)
         for y in np.asarray(ys, dtype=float).tolist():
-            reports.append(_log_report(
-                x, y, P.T, float(u_log(y)), log_term, coef,
-                P.tolerance(log_f, y) + tol_x, "pde", alpha_star))
+            lhs = float(u_log(y))
+            rhs = log_term + coef * (x - y) ** 2
+            slack = rhs - lhs
+            tolerance = P.tolerance(log_f, y) + tol_x
+            reports.append(HarnackReport(
+                kind="log", x=x, y=y, T=float(P.T), p=None, a=None, q=None,
+                C=None, lhs=lhs, rhs=rhs, slack=slack, method="pde",
+                tolerance=tolerance, passed=slack >= -tolerance,
+                alpha=alpha_star, extras={"constant_printed": coef},
+            ))
     return reports
 
 
 def check_log_harnack(P: Semigroups, payoff: Payoff, log_f: Payoff, x: float,
-                      y: float, method: str = "pde",
-                      mc_grid: TimeGrid | None = None, mc_paths: int = 4096,
-                      seed: int = 0) -> HarnackReport:
+                      y: float) -> HarnackReport:
     """P_T log f(y) <= log P_T f(x) + c |x - y|^2 with the printed constant:
-    the 1 x 1 case of `check_log_harnack_grid`, or its Monte Carlo cross-check
-    with `method="mc"`. The report also carries the constant at a free alpha."""
-    if method == "pde":
-        report = check_log_harnack_grid(P, payoff, log_f, [x], [y])[0]
-    elif method == "mc":
-        coef = _log_constant(P, payoff)
-        if mc_grid is None:
-            raise HarnackError("mc method needs a time grid")
-        controls = sample_controls("constants", P.band, mc_grid, 5, seed)
-        est_log = upper_semigroup_mc(P.coeffs, log_f, y, controls, mc_paths,
-                                     seed)
-        est_f = upper_semigroup_mc(P.coeffs, payoff, x, controls, mc_paths,
-                                   seed)
-        err_f = est_f.std_error
-        tolerance = 3.0 * (est_log.std_error + err_f / max(
-            est_f.value - 3.0 * err_f, payoff.lower_bound))
-        report = _log_report(x, y, P.T, est_log.value, math.log(est_f.value),
-                             coef, tolerance, "mc",
-                             P.coeffs.kappa1 ** 2 / P.coeffs.kappa2 ** 2)
-    else:
-        raise HarnackError(f"unknown method {method!r}")
+    the 1 x 1 case of `check_log_harnack_grid`. The report also carries the
+    constant at a free alpha."""
+    report = check_log_harnack_grid(P, payoff, log_f, [x], [y])[0]
     generic = log_harnack_constant_generic(P.coeffs, P.band, P.T, report.alpha)
     return replace(report, extras={**report.extras,
                                    "constant_generic_alpha": generic})
 
 
 def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,
-                        y: float, p: float, method: str = "pde",
-                        mc_grid: TimeGrid | None = None, mc_paths: int = 4096,
-                        seed: int = 0) -> HarnackReport:
+                        y: float, p: float) -> HarnackReport:
     """(P_T f(y))^p <= P_T f^p(x) exp(c_p |x - y|^2) for admissible p, with
     `f_p` the row of f^p in P."""
     coeffs, band, T = P.coeffs, P.band, P.T
@@ -262,24 +229,10 @@ def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,
     exponent_moment = power_harnack_exponent_moment_route(p, coeffs, band, T)
     blowup = math.exp(exponent * (x - y) ** 2)
 
-    if method == "pde":
-        pf_y = float(P.fine[payoff](y))
-        pfp_x = float(P.fine[f_p](x))
-        tolerance = (p * max(pf_y, 0.0) ** (p - 1.0) * P.tolerance(payoff, y)
-                     + blowup * P.tolerance(f_p, x))
-    elif method == "mc":
-        if mc_grid is None:
-            raise HarnackError("mc method needs a time grid")
-        controls = sample_controls("constants", band, mc_grid, 5, seed)
-        est_f = upper_semigroup_mc(coeffs, payoff, y, controls, mc_paths,
-                                   seed)
-        est_fp = upper_semigroup_mc(coeffs, f_p, x, controls, mc_paths, seed)
-        pf_y, pfp_x = est_f.value, est_fp.value
-        tolerance = 3.0 * (p * max(pf_y, 0.0) ** (p - 1.0) * est_f.std_error
-                           + blowup * est_fp.std_error)
-    else:
-        raise HarnackError(f"unknown method {method!r}")
-
+    pf_y = float(P.fine[payoff](y))
+    pfp_x = float(P.fine[f_p](x))
+    tolerance = (p * max(pf_y, 0.0) ** (p - 1.0) * P.tolerance(payoff, y)
+                 + blowup * P.tolerance(f_p, x))
     lhs = pf_y ** p
     rhs = pfp_x * blowup
     slack = rhs - lhs
@@ -287,7 +240,7 @@ def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,
         kind="power", x=float(x), y=float(y), T=float(T), p=float(p),
         a=1.0 / (p - 1.0), q=1.0 + math.sqrt(p),
         C=coeffs.kappa2 - coeffs.kappa1, lhs=lhs, rhs=rhs, slack=slack,
-        method=method, tolerance=tolerance, passed=slack >= -tolerance,
+        method="pde", tolerance=tolerance, passed=slack >= -tolerance,
         extras={"threshold": threshold, "exponent_printed": exponent,
                 "exponent_moment_route": exponent_moment},
     )
@@ -325,12 +278,11 @@ def check_gradient_estimate(P: Semigroups, payoff: Payoff,
 
 
 def lipschitz_transport_check(P: Semigroups, payoff: Payoff, x: float,
-                              y: float,
-                              alpha: float | None = None) -> HarnackReport:
-    """|P_T f(y) - P_T f(x)| against the two-term |x-y| + |x-y|^2 bound."""
+                              y: float) -> HarnackReport:
+    """|P_T f(y) - P_T f(x)| against the two-term |x-y| + |x-y|^2 bound at
+    alpha = kappa1^2/kappa2^2."""
     coeffs, T = P.coeffs, P.T
-    if alpha is None:
-        alpha = coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
+    alpha = coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
     schedule = make_schedule(alpha, coeffs, P.band, T)
     gap = abs(x - y)
     k1 = coeffs.kappa1

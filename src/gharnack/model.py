@@ -127,10 +127,11 @@ class Payoff:
     def sup_norm(self) -> float:
         return max(abs(self.lower_bound), abs(self.upper_bound))
 
-    def check_bounds_on(self, xs: np.ndarray, tol: float = 1e-9) -> None:
-        """Raise if declared bounds fail on the sampled states."""
+    def check_bounds_on(self, xs: np.ndarray) -> None:
+        """Raise if declared bounds fail on the sampled states, beyond a
+        relative pad of 1e-9."""
         vals = np.asarray(self.f(np.asarray(xs, dtype=float)), dtype=float)
-        pad = tol * (1.0 + abs(self.lower_bound) + abs(self.upper_bound))
+        pad = 1e-9 * (1.0 + abs(self.lower_bound) + abs(self.upper_bound))
         if vals.min() < self.lower_bound - pad or vals.max() > self.upper_bound + pad:
             raise ModelError(
                 f"payoff {self.name!r} leaves its declared bounds "
@@ -199,9 +200,9 @@ def default_state_domain(x_ref: float, band: VolatilityBand, coeffs: ModelCoeffi
 
 
 def validate_coefficients(coeffs: ModelCoefficients, domain: tuple[float, float],
-                          grid: TimeGrid, samples: int = 512, tol: float = 1e-9,
-                          seed: int = 0) -> ValidationReport:
-    """Audit (H1)-(H2) by dense grid sampling plus random pairs.
+                          grid: TimeGrid, samples: int = 512) -> ValidationReport:
+    """Audit (H1)-(H2) by dense grid sampling plus random pairs drawn at
+    seed 0, against the declared constants with a relative slack of 1e-9.
 
     Sampling-based by design: exact verification is undecidable for general
     closed forms, and the declared constants only need to dominate what the
@@ -214,7 +215,7 @@ def validate_coefficients(coeffs: ModelCoefficients, domain: tuple[float, float]
         raise ModelError(f"empty state domain ({lo}, {hi})")
 
     xs = np.linspace(lo, hi, samples)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     xa = rng.uniform(lo, hi, size=samples)
     xb = rng.uniform(lo, hi, size=samples)
     keep = np.abs(xa - xb) > 1e-12 * (hi - lo)
@@ -245,6 +246,7 @@ def validate_coefficients(coeffs: ModelCoefficients, domain: tuple[float, float]
         worst_lip = max(worst_lip, float(q2.max()))
 
     violations = []
+    tol = 1e-9
     if worst_lip > coeffs.K * (1.0 + tol) + tol:
         violations.append(
             f"Lipschitz quotient {worst_lip:.6g} exceeds declared K={coeffs.K:g}"

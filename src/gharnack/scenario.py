@@ -281,15 +281,16 @@ class YoungReport:
     passed: bool
 
 
-def young_check(measures: np.ndarray, g1: np.ndarray, g2: np.ndarray,
-                norm_tol: float = 1e-9) -> YoungReport:
+def young_check(measures: np.ndarray, g1: np.ndarray,
+                g2: np.ndarray) -> YoungReport:
     """Verify the sublinear Young inequality on a finite sample space.
 
     `measures` is row-stochastic (one scenario measure per row over shared
     outcomes); `g1` holds one positive density per scenario, normalized under
     its own measure; `g2` is a table of the same shape or a single outcome
-    vector shared by all scenarios.
+    vector shared by all scenarios. Row sums and means may miss 1 by 1e-9.
     """
+    norm_tol = 1e-9
     P = np.asarray(measures, dtype=float)
     if P.ndim != 2:
         raise ScenarioError("measures must be a (n_measures, n_outcomes) table")
@@ -313,13 +314,13 @@ def young_check(measures: np.ndarray, g1: np.ndarray, g2: np.ndarray,
                        slack=slack, passed=slack >= -1e-12)
 
 
-def random_young_trial(seed: int, n_measures: int = 3, n_outcomes: int = 4,
-                       g2_scale: float = 1.0):
-    """Random normalized (measures, g1, g2) instance for randomized checks."""
+def random_young_trial(seed: int):
+    """Random normalized (measures, g1, g2) instance for randomized checks:
+    3 measures over 4 outcomes, g2 standard normal."""
     rng = np.random.default_rng(seed)
-    P = rng.uniform(0.05, 1.0, size=(n_measures, n_outcomes))
+    P = rng.uniform(0.05, 1.0, size=(3, 4))
     P /= P.sum(axis=1, keepdims=True)
-    g1 = rng.uniform(0.05, 3.0, size=(n_measures, n_outcomes))
+    g1 = rng.uniform(0.05, 3.0, size=(3, 4))
     g1 /= np.sum(P * g1, axis=1, keepdims=True)
-    g2 = rng.normal(0.0, g2_scale, size=(n_measures, n_outcomes))
+    g2 = rng.normal(0.0, 1.0, size=(3, 4))
     return P, g1, g2

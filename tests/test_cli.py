@@ -211,6 +211,22 @@ class TestCliExitCodes:
         assert len(err) < 240 and err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
 
+    def test_feedback_strategy_is_exit_2_at_parse(self, tmp_path, capsys):
+        # the coupled pass runs open-loop families only, so every subcommand
+        # refuses the field before any work, not the coupling runner later
+        bad = tmp_path / "feedback.cfg"
+        text = CFG.read_text()
+        assert "strategy = constants" in text
+        bad.write_text(text.replace("strategy = constants",
+                                    "strategy = feedback"))
+        for command in ("gheat", "semigroup", "scenario", "coupling",
+                        "harnack", "gradient", "suite"):
+            out = tmp_path / command
+            assert run([command, "--config", bad, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: [coupling.strategy]"), err
+            assert not out.exists()
+
     def test_equal_starts_pass_the_coupling_checks(self, tmp_path):
         # y = x: every gap is exactly 0 at every clip, an admissible trend
         same = tmp_path / "same.cfg"

@@ -390,16 +390,6 @@ class TestGridFunctionExport:
         assert float(x0) == -2.0
         assert float(v0) == pytest.approx(float(u.values[0]))
 
-    def test_auto_config_pads_domain(self, wide_band):
-        cfg = g.auto_pde_config(0.5, wide_band, 1.0, n_space=320)
-        half = 6.0 * 1.2  # 6 sigma_up sqrt(T)
-        assert cfg.x_min == pytest.approx(0.5 - half)
-        assert cfg.x_max == pytest.approx(0.5 + half)
-        u = g.solve_g_heat(g.make_payoff("gauss_bump",
-                                         domain=(cfg.x_min, cfg.x_max)),
-                           wide_band, 1.0, cfg)
-        assert 0.0 < u(0.5) < 1.0
-
     def test_two_grid_tolerance_covers_error(self, unit_band, heat_model):
         T = 1.0
         payoff = g.make_payoff("gauss_bump")
