@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -23,15 +22,10 @@ from . import harnack as hk
 from . import scenario as sc
 from .config import ConfigError, RunConfig, parse_run_config
 from .gheat import _UNIT_COEFFS, PdeError, Semigroups, solve_semigroups
-from .model import ModelError
+from .model import ModelError, _atomic_write
 from .scenario import ScenarioError
 from .coupling import CouplingError
 from .harnack import HarnackError
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _estimate_rows(rows) -> str:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelCoefficients, TimeGrid, VolatilityBand
+from .model import ModelCoefficients, TimeGrid, VolatilityBand, _atomic_write
 from .scenario import (_W_BLOCK_STEPS, Control, _level_rows, _time_major,
                        euler_step, sup_over_controls)
 
@@ -324,7 +324,7 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     lam_nodes = schedule.value(grid.nodes)
     for j, wj in enumerate(_time_major(w)):
         t = float(grid.nodes[j])
-        lv = levels_at(j, t, x)
+        lv = levels_at(j, x)
         levels_full[j] = lv[:, :n_full]
         dB = lv * wj
         dqv = lv * lv * dt
@@ -568,14 +568,14 @@ def export_bundle_csv(bundles: Sequence[PathBundle], path,
                       clip_epsilon: float | None = None) -> None:
     """Per-path summaries at the clip node of `clip_epsilon` (default: each
     bundle's own clip)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("control_id,path_id,clip_time,x,y,abs_gap,m,log_m\n")
-        for cid, bundle in enumerate(bundles):
-            j = bundle.node(clip_epsilon)
-            t = float(bundle.grid.nodes[j])
-            for p in range(bundle.n_paths):
-                xv = float(bundle.x_path[p, j])
-                yv = float(bundle.y_path[p, j])
-                lm = float(bundle.log_m_path[p, j])
-                fh.write(f"{cid},{p},{t!r},{xv!r},{yv!r},"
-                         f"{abs(xv - yv)!r},{math.exp(lm)!r},{lm!r}\n")
+    rows = ["control_id,path_id,clip_time,x,y,abs_gap,m,log_m\n"]
+    for cid, bundle in enumerate(bundles):
+        j = bundle.node(clip_epsilon)
+        t = float(bundle.grid.nodes[j])
+        for p in range(bundle.n_paths):
+            xv = float(bundle.x_path[p, j])
+            yv = float(bundle.y_path[p, j])
+            lm = float(bundle.log_m_path[p, j])
+            rows.append(f"{cid},{p},{t!r},{xv!r},{yv!r},"
+                        f"{abs(xv - yv)!r},{math.exp(lm)!r},{lm!r}\n")
+    _atomic_write(path, "".join(rows))

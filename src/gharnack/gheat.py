@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelCoefficients, Payoff, VolatilityBand, g_function,
-                    make_coefficient)
+from .model import (ModelCoefficients, Payoff, VolatilityBand, _atomic_write,
+                    g_function, make_coefficient)
 
 
 class PdeError(ValueError):
@@ -83,10 +83,10 @@ class GridFunction:
         return float(np.max(np.abs(grad)))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,u\n")
-            for x, u in zip(self.x_nodes, self.values):
-                fh.write(f"{float(x)!r},{float(u)!r}\n")
+        rows = ["x,u\n"]
+        rows.extend(f"{float(x)!r},{float(u)!r}\n"
+                    for x, u in zip(self.x_nodes, self.values))
+        _atomic_write(path, "".join(rows))
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,17 @@
 
 Everything here is immutable after construction and validated against the
 standing assumptions (bounded diffusion, joint Lipschitz coefficients) by
-sampling, so downstream solvers can trust the declared constants.
+sampling, so downstream solvers can trust the declared constants. The
+atomic file write that every output file goes through lives here too, below
+every module that writes one.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -380,3 +384,15 @@ def make_payoff(name: str, params: Sequence[float] = (),
                                    exact=False)
     lo, hi = domain
     return build(lo, hi, max(abs(lo), abs(hi)), *p)
+
+
+# ---------------------------------------------------------------------------
+# Output files
+
+def _atomic_write(path, text: str) -> None:
+    """Write `text` to a temporary file and rename it to `path`, so a run
+    that fails partway leaves no truncated file under the final name."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="\n")
+    os.replace(tmp, path)

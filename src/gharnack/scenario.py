@@ -10,12 +10,16 @@ One Euler pass advances every control of a family at once: the state is a
 (k controls, n_paths) array and each step is one numpy operation for all
 controls, the idea of `gheat.solve_stack` applied to paths. The pass keeps
 only the last node of that state, all the semigroup estimator reads.
+
+Each path depends on its own stream alone, so the estimator draws and
+advances the paths in blocks of rows: it holds the terminal (k, n_paths)
+rows and one block's increments, never the full increment matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,10 +60,21 @@ class ScenarioControl:
 @dataclass(frozen=True)
 class FeedbackControl:
     """Closed-loop control: the level at each step is read off a bang-bang
-    policy table at the current simulated state."""
+    policy table at the current simulated state.
+
+    `step_levels` row j is the step-j level at every policy node, built once
+    from `level`, so a step reads a state's level by its node index without
+    searching the policy times."""
 
     grid: TimeGrid
     policy: PolicyTable
+    step_levels: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = np.array([self.level(j, float(t), self.policy.x_nodes)
+                         for j, t in enumerate(self.grid.nodes[:-1])])
+        rows.setflags(write=False)
+        object.__setattr__(self, "step_levels", rows)
 
     @property
     def band(self) -> VolatilityBand:
@@ -67,6 +82,17 @@ class FeedbackControl:
 
     def level(self, j: int, t: float, state: np.ndarray) -> np.ndarray:
         return self.policy.level_at(t, state)
+
+    def level_into(self, j: int, state: np.ndarray, index: np.ndarray,
+                   out: np.ndarray) -> None:
+        """level(j, grid.nodes[j], state) into `out`, through the intp
+        buffer `index` of the state's shape: each state's node is rounded
+        and clipped as in `PolicyTable.level_at`."""
+        x_nodes = self.policy.x_nodes
+        np.copyto(index, np.rint((state - x_nodes[0])
+                                 / (x_nodes[1] - x_nodes[0])),
+                  casting="unsafe")
+        np.take(self.step_levels[j], index, mode="clip", out=out)
 
 
 Control = ScenarioControl | FeedbackControl
@@ -159,11 +185,11 @@ def _time_major(w: np.ndarray):
 
 
 def _level_rows(controls: Sequence[Control], n_paths: int):
-    """levels(j, t, x): the step-j volatility of each control, one row per
+    """levels(j, x): the step-j volatility of each control, one row per
     control. Open-loop rows come from one (n_steps, k) table as a (k, 1)
     column; when the family has feedback controls, the column fills a
-    (k, n_paths) buffer and each feedback row is read off its policy at its
-    own state row of x."""
+    (k, n_paths) buffer and each feedback row is read off its step-j policy
+    row at its own state row of x."""
     table = np.zeros((controls[0].grid.n_steps, len(controls)))
     feedback = []
     for i, control in enumerate(controls):
@@ -172,13 +198,14 @@ def _level_rows(controls: Sequence[Control], n_paths: int):
         else:
             table[:, i] = control.levels
     if not feedback:
-        return lambda j, t, x: table[j, :, None]
+        return lambda j, x: table[j, :, None]
     lv = np.empty((len(controls), n_paths))
+    index = np.empty(n_paths, dtype=np.intp)
 
-    def levels(j: int, t: float, x: np.ndarray) -> np.ndarray:
+    def levels(j: int, x: np.ndarray) -> np.ndarray:
         lv[...] = table[j, :, None]
         for i in feedback:
-            lv[i] = controls[i].level(j, t, x[i])
+            controls[i].level_into(j, x[i], index, lv[i])
         return lv
 
     return levels
@@ -198,7 +225,7 @@ def simulate_state_batch(coeffs: ModelCoefficients,
     dB = np.empty_like(x)
     for j, wj in enumerate(_time_major(w)):
         t = float(grid.nodes[j])
-        lv = levels_at(j, t, x)
+        lv = levels_at(j, x)
         np.multiply(lv, wj, out=dB)
         if coeffs is _UNIT_COEFFS:
             # x + 0 dt + 0 d<B> + 1 dB is x + dB, bit for bit, for finite x
@@ -209,10 +236,16 @@ def simulate_state_batch(coeffs: ModelCoefficients,
     return x
 
 
-def scaled_increments(seed: int, n_paths: int, grid: TimeGrid) -> np.ndarray:
-    """sqrt(dt)-scaled standard-normal increments, counter-based per path,
-    scaled in place."""
-    w = streams.normal_matrix(seed, n_paths, grid.n_steps)
+# Bytes of the increments drawn at a time: one time-major block of `w` at
+# 16384 paths, so 2048 paths at 256 steps.
+_PATH_BLOCK_BYTES = 4 * 2 ** 20
+
+
+def scaled_increments(seed: int, n_paths: int, grid: TimeGrid,
+                      first: int = 0) -> np.ndarray:
+    """sqrt(dt)-scaled standard-normal increments of the paths first ...
+    first + n_paths - 1, counter-based per path, scaled in place."""
+    w = streams.normal_matrix(seed, n_paths, grid.n_steps, first)
     w *= math.sqrt(grid.dt)
     return w
 
@@ -249,8 +282,9 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
                        controls: Sequence[Control], n_paths: int,
                        seed: int) -> EstimateWithError:
     """Monte Carlo estimate of the semigroup value at x0: max over controls
-    of the mean of f(X_T), common random numbers, from one Euler pass that
-    advances every control and keeps only the terminal rows.
+    of the mean of f(X_T), common random numbers, from Euler passes that
+    advance every control on one block of paths at a time and keep only the
+    terminal rows.
 
     Biased low for a finite family; the reported std_error is the winning
     control's. A feedback control on the PDE's recorded policy
@@ -261,8 +295,14 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
     if not controls:
         raise ScenarioError("need at least one control")
     grid = controls[0].grid
-    value, se, best_id = sup_over_controls(payoff.f(simulate_state_batch(
-        coeffs, controls, x0, scaled_increments(seed, n_paths, grid), grid)))
+    block = max(1, _PATH_BLOCK_BYTES // (8 * grid.n_steps))
+    terminal = np.empty((len(controls), n_paths))
+    for first in range(0, n_paths, block):
+        m = min(block, n_paths - first)
+        terminal[:, first:first + m] = simulate_state_batch(
+            coeffs, controls, x0, scaled_increments(seed, m, grid, first),
+            grid)
+    value, se, best_id = sup_over_controls(payoff.f(terminal))
     return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
                              n_controls=len(controls), best_control_id=best_id)
 

@@ -19,25 +19,28 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def normal_matrix(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Standard-normal increments, one row per path, one column per step.
+def normal_matrix(seed: int, n_paths: int, n_steps: int,
+                  first: int = 0) -> np.ndarray:
+    """Standard-normal increments, one row per path, one column per step, for
+    the paths first ... first + n_paths - 1.
 
-    Row p is the first n_steps normals of the stream (seed, PATH_SPACE + p),
-    so it depends only on (seed, p) and the first k rows of a taller matrix
-    equal the matrix of height k. One generator serves every row: before
-    each row its state is reset to that of a fresh generator on the row's
-    key (counter 0, empty buffer), which draws the same numbers without
-    building a generator per row.
+    Row i is the first n_steps normals of the stream
+    (seed, PATH_SPACE + first + i), so a path depends only on (seed, its
+    index): the first k rows of a taller matrix equal the matrix of height k,
+    and rows f ... f + k - 1 equal the matrix of height k from f. One
+    generator serves every row: before each row its state is reset to that
+    of a fresh generator on the row's key (counter 0, empty buffer), which
+    draws the same numbers without building a generator per row.
     """
     out = np.empty((n_paths, n_steps), dtype=float)
     gen = _generator(seed, PATH_SPACE)
     bits = gen.bit_generator
     fresh = bits.state
     key = fresh["state"]["key"]
-    for p in range(n_paths):
-        key[1] = PATH_SPACE + p
+    for i in range(n_paths):
+        key[1] = PATH_SPACE + first + i
         bits.state = fresh
-        out[p] = gen.standard_normal(n_steps)
+        out[i] = gen.standard_normal(n_steps)
     return out
 
 

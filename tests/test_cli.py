@@ -148,6 +148,39 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: synthetic fault\n"
 
+    @pytest.mark.parametrize("command,name", [("gheat", "grid_u.csv"),
+                                              ("coupling", "paths.csv")])
+    def test_fault_while_writing_leaves_no_partial_file(self, tmp_path,
+                                                        monkeypatch, command,
+                                                        name):
+        # the rows of grid_u.csv or paths.csv fail after the first few have
+        # been formatted: exit 3, and no truncated file under the final name
+        from gharnack import cli
+        from gharnack.gheat import GridFunction
+
+        class Failing(list):
+            def __iter__(self):
+                yield from list(super().__iter__())[:3]
+                raise RuntimeError("fault while writing")
+
+        runner = cli._RUNNERS[command]
+
+        def faulty(cfg):
+            entries, artifacts, estimates = runner(cfg)
+            if "grid_u" in artifacts:
+                u = artifacts["grid_u"]
+                artifacts["grid_u"] = GridFunction(Failing(u.x_nodes),
+                                                   u.values, u.time_stamp)
+            else:
+                artifacts["paths"] = Failing(artifacts["paths"])
+            return entries, artifacts, estimates
+
+        monkeypatch.setitem(cli._RUNNERS, command, faulty)
+        out = tmp_path / "o"
+        assert run([command, "--out", out]) == 3
+        assert not (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
     @pytest.mark.parametrize("field,old,new", [
         ("model.K", "K = 1.1", "K = nan"),
         ("check.p", "p = 2.0", "p = nan"),
@@ -382,18 +415,31 @@ class TestStackedPaths:
         assert calls == [5]
 
     def test_one_stacked_pass_per_scenario_run(self, tmp_path, monkeypatch):
+        # one pass over all 5 controls per block of paths; the blocks cover
+        # the 2048 paths in order and give the estimates of a single block
         from gharnack import scenario
 
+        assert run(["scenario", "--out", tmp_path / "one"]) == 0
         calls = []
         kernel = scenario.simulate_state_batch
 
         def counted(coeffs, controls, x0, w, grid):
-            calls.append(len(controls))
+            calls.append((len(controls), w.shape[0]))
             return kernel(coeffs, controls, x0, w, grid)
 
+        cfg = parse_run_config(CFG)
+        block = 500
+        monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",
+                            block * 8 * cfg.grid.n_steps)
         monkeypatch.setattr(scenario, "simulate_state_batch", counted)
         assert run(["scenario", "--out", tmp_path / "o"]) == 0
-        assert calls == [5]
+        assert all(k == 5 for k, _ in calls)
+        assert len(calls) == -(-cfg.n_paths // block)
+        assert [m for _, m in calls] == [block] * (len(calls) - 1) + \
+            [cfg.n_paths - block * (len(calls) - 1)]
+        for name in ("report.json", "estimates.csv"):
+            assert (tmp_path / "o" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes()
 
     def test_coupling_run_holds_no_full_paths_of_every_control(self):
         # 5 controls x 2048 paths x 257 nodes: one (k, n_steps + 1, n_paths)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gharnack as g
+from gharnack import scenario
 from gharnack.cli import bundled_config_path
 from gharnack.gheat import _UNIT_COEFFS
 from gharnack.scenario import (
@@ -424,6 +425,31 @@ class TestTimeMajorKernel:
         assert (est.value, est.std_error, est.best_control_id) == \
             (*stats[best], best)
 
+    @pytest.mark.parametrize("model", ["unit", "bundled"])
+    def test_path_blocks_equal_one_block(self, bundled, monkeypatch, model):
+        # 350 paths in blocks of 100, three full blocks and a partial one,
+        # against one block of 350
+        cfg = bundled
+        coeffs, x0 = (_UNIT_COEFFS, 0.0) if model == "unit" else \
+            (cfg.coeffs, 0.3)
+        controls = self.family("mixed", coeffs, cfg)
+        one = g.upper_semigroup_mc(coeffs, cfg.payoff, x0, controls, 350,
+                                   seed=11)
+        sizes = []
+        kernel = scenario.simulate_state_batch
+
+        def counted(coeffs, controls, x0, w, grid):
+            sizes.append(w.shape[0])
+            return kernel(coeffs, controls, x0, w, grid)
+
+        monkeypatch.setattr(scenario, "simulate_state_batch", counted)
+        monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",
+                            100 * 8 * cfg.grid.n_steps)
+        blocked = g.upper_semigroup_mc(coeffs, cfg.payoff, x0, controls, 350,
+                                       seed=11)
+        assert sizes == [100, 100, 100, 50]
+        assert blocked == one
+
     def test_terminal_functional_equals_per_control_batches(self, bundled):
         # the stacked pass over the family against one pass per control
         cfg = bundled
@@ -437,14 +463,19 @@ class TestTimeMajorKernel:
 
 class TestMemory:
     def test_terminal_functional_keeps_only_terminal_rows(self, wide_band):
-        # w, its time-major block and a few (k, n_paths) rows, never a
-        # control's full paths
-        n_paths, grid = 4096, g.TimeGrid(1.0, 256)
-        w_nbytes = n_paths * grid.n_steps * 8
-        block = _W_BLOCK_STEPS * n_paths * 8
+        # one block of paths' increments, its time-major block and a few
+        # (k, n_paths) rows, never all of w nor a control's full paths
+        grid = g.TimeGrid(1.0, 256)
+        paths_per_block = scenario._PATH_BLOCK_BYTES // (8 * grid.n_steps)
+        n_paths = 4 * paths_per_block
+        w_block = paths_per_block * grid.n_steps * 8
+        time_major = _W_BLOCK_STEPS * paths_per_block * 8
         payoff = g.make_payoff("gauss_bump")
         for strategy in ("constants", "random"):
             controls = g.sample_controls(strategy, wide_band, grid, 5, seed=0)
+            # a first draw imports numpy.random, which numpy loads lazily
+            g.upper_semigroup_mc(_UNIT_COEFFS, payoff, 0.0, controls, 100,
+                                 seed=1)
             tracemalloc.start()
             try:
                 g.upper_semigroup_mc(_UNIT_COEFFS, payoff, 0.0, controls,
@@ -453,5 +484,5 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             rows = len(controls) * n_paths * 8
-            assert peak <= w_nbytes + block + 4 * rows + 2 ** 16, \
-                (strategy, (peak - w_nbytes - block) / rows)
+            assert peak <= w_block + time_major + 4 * rows + 2 ** 16, \
+                (strategy, (peak - w_block - time_major) / rows)

@@ -33,6 +33,10 @@ class TestNormalMatrix:
         tall = normal_matrix(seed, 40, 19)
         for k in (1, 5, 39):
             assert tall[:k].tobytes() == normal_matrix(seed, k, 19).tobytes()
+        # rows first ... first + k - 1 of a taller matrix, drawn on their own
+        for first, k in ((1, 5), (17, 23), (39, 1), (40, 0)):
+            assert normal_matrix(seed, k, 19, first=first).tobytes() == \
+                tall[first:first + k].tobytes()
 
     def test_row_longer_than_one_counter_block(self):
         # 1001 normals consume several Philox blocks and a part-used buffer;
