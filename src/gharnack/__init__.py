@@ -10,11 +10,13 @@ from .model import (
     TimeGrid,
     ValidationReport,
     VolatilityBand,
+    Z,
     default_state_domain,
     g_function,
     make_coefficient,
     make_payoff,
     validate_coefficients,
+    within_band,
 )
 from .gheat import (
     GridFunction,

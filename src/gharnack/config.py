@@ -29,8 +29,8 @@ from .model import (
     validate_coefficients,
 )
 from .gheat import _UNIT_COEFFS, PdeConfig, PdeError, _cfl_time_step, solve_nbytes
-from .coupling import (SWEEP_FRACTIONS, make_schedule, run_nbytes,
-                       stability_ratio)
+from .coupling import (SWEEP_FRACTIONS, CouplingSchedule, make_schedule,
+                       run_nbytes, stability_ratio)
 from .harnack import power_threshold
 
 
@@ -49,6 +49,7 @@ class RunConfig:
     grid: TimeGrid
     pde: PdeConfig
     alpha: float
+    schedule: CouplingSchedule | None   # None at K = 0
     clip_epsilon: float
     n_paths: int
     n_controls: int
@@ -261,10 +262,11 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
                           f"must lie in (0, T/10] = (0, {T / 10.0:g}], "
                           f"got {clip_epsilon}")
     # At the clip run_coupling simulates at; K = 0 has no schedule to check.
+    schedule = None
     if K > 0.0:
+        schedule = make_schedule(alpha, coeffs, band, T)
         run_epsilon = min(clip_epsilon, min(SWEEP_FRACTIONS) * T)
-        r = stability_ratio(make_schedule(alpha, coeffs, band, T),
-                            band.sigma_upper, grid, run_epsilon)
+        r = stability_ratio(schedule, band.sigma_upper, grid, run_epsilon)
         if r > 1.0:
             # r scales as 1/(cap - alpha), so r = 1 at cap - (cap - alpha) r;
             # when that is not positive, r > 1 for every alpha in (0, cap)
@@ -344,7 +346,7 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         raise ConfigError("run.seed", "seed must fit in 64 bits")
 
     return RunConfig(coeffs=coeffs, band=band, grid=grid, pde=pde, alpha=alpha,
-                     clip_epsilon=clip_epsilon, n_paths=n_paths,
-                     n_controls=n_controls, strategy=strategy, check_x=check_x,
-                     check_y=check_y, check_p=check_p,
+                     schedule=schedule, clip_epsilon=clip_epsilon,
+                     n_paths=n_paths, n_controls=n_controls, strategy=strategy,
+                     check_x=check_x, check_y=check_y, check_p=check_p,
                      alpha_grid_size=alpha_grid_size, payoff=payoff, seed=seed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coupling import make_schedule
 from .gheat import Semigroups
-from .model import ModelCoefficients, Payoff, VolatilityBand
+from .model import ModelCoefficients, Payoff, VolatilityBand, within_band
 
 
 class HarnackError(ValueError):
@@ -26,7 +26,8 @@ class HarnackError(ValueError):
 
 @dataclass(frozen=True)
 class HarnackReport:
-    """One inequality certificate: slack = rhs - lhs, pass iff slack >= -tol."""
+    """One inequality certificate: slack = rhs - lhs, pass iff lhs lies at
+    most `tolerance` above rhs (`within_band` with std_error 0)."""
 
     kind: str
     x: float | None
@@ -100,6 +101,16 @@ def power_harnack_exponent(p: float, K: float, sigma_lower: float,
     sp = math.sqrt(p)
     dk = kappa2 - kappa1
     return sp * (sp - 1.0) * c_K / (4.0 * dk * (kappa1 * (sp - 1.0) - dk) * decay)
+
+
+def power_harnack_factor(p: float, coeffs: ModelCoefficients,
+                         band: VolatilityBand, T: float, x: float,
+                         y: float) -> float:
+    """exp(c_p |x - y|^2), the factor on P_T f^p(x) in the power-Harnack
+    bound; raises OverflowError when it leaves the double range."""
+    exponent = power_harnack_exponent(p, coeffs.K, band.sigma_lower,
+                                      coeffs.kappa1, coeffs.kappa2, T)
+    return math.exp(exponent * (x - y) ** 2)
 
 
 def power_harnack_exponent_moment_route(p: float, coeffs: ModelCoefficients,
@@ -196,12 +207,12 @@ def check_log_harnack_grid(P: Semigroups, payoff: Payoff, log_f: Payoff,
         for y in np.asarray(ys, dtype=float).tolist():
             lhs = float(u_log(y))
             rhs = log_term + coef * (x - y) ** 2
-            slack = rhs - lhs
             tolerance = P.tolerance(log_f, y) + tol_x
             reports.append(HarnackReport(
                 kind="log", x=x, y=y, T=float(P.T), p=None, a=None, q=None,
-                C=None, lhs=lhs, rhs=rhs, slack=slack, method="pde",
-                tolerance=tolerance, passed=slack >= -tolerance,
+                C=None, lhs=lhs, rhs=rhs, slack=rhs - lhs, method="pde",
+                tolerance=tolerance,
+                passed=within_band(lhs, rhs, tolerance, 0.0),
                 alpha=alpha_star, extras={"constant_printed": coef},
             ))
     return reports
@@ -227,7 +238,7 @@ def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,
     exponent = power_harnack_exponent(p, coeffs.K, band.sigma_lower,
                                       coeffs.kappa1, coeffs.kappa2, T)
     exponent_moment = power_harnack_exponent_moment_route(p, coeffs, band, T)
-    blowup = math.exp(exponent * (x - y) ** 2)
+    blowup = power_harnack_factor(p, coeffs, band, T, x, y)
 
     pf_y = float(P.fine[payoff](y))
     pfp_x = float(P.fine[f_p](x))
@@ -235,12 +246,12 @@ def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,
                  + blowup * P.tolerance(f_p, x))
     lhs = pf_y ** p
     rhs = pfp_x * blowup
-    slack = rhs - lhs
     return HarnackReport(
         kind="power", x=float(x), y=float(y), T=float(T), p=float(p),
         a=1.0 / (p - 1.0), q=1.0 + math.sqrt(p),
-        C=coeffs.kappa2 - coeffs.kappa1, lhs=lhs, rhs=rhs, slack=slack,
-        method="pde", tolerance=tolerance, passed=slack >= -tolerance,
+        C=coeffs.kappa2 - coeffs.kappa1, lhs=lhs, rhs=rhs, slack=rhs - lhs,
+        method="pde", tolerance=tolerance,
+        passed=within_band(lhs, rhs, tolerance, 0.0),
         extras={"threshold": threshold, "exponent_printed": exponent,
                 "exponent_moment_route": exponent_moment},
     )
@@ -267,11 +278,11 @@ def check_gradient_estimate(P: Semigroups, payoff: Payoff,
         if rhs < best_rhs:
             best_rhs = rhs
             best_alpha = float(alpha)
-    slack = best_rhs - lhs
     return HarnackReport(
         kind="gradient", x=None, y=None, T=float(T), p=None, a=None, q=None,
-        C=None, lhs=lhs, rhs=best_rhs, slack=slack, method="pde",
-        tolerance=tolerance, passed=lhs <= best_rhs + tolerance,
+        C=None, lhs=lhs, rhs=best_rhs, slack=best_rhs - lhs, method="pde",
+        tolerance=tolerance,
+        passed=within_band(lhs, best_rhs, tolerance, 0.0),
         alpha=best_alpha,
         extras={"sup_norm": payoff.sup_norm, "n_alpha": int(alpha_grid.size)},
     )
@@ -293,9 +304,9 @@ def lipschitz_transport_check(P: Semigroups, payoff: Payoff, x: float,
     u_f = P.fine[payoff]
     lhs = abs(float(u_f(y)) - float(u_f(x)))
     tolerance = P.tolerance(payoff, x) + P.tolerance(payoff, y)
-    slack = rhs - lhs
     return HarnackReport(
         kind="lipschitz", x=float(x), y=float(y), T=float(T), p=None, a=None,
-        q=None, C=None, lhs=lhs, rhs=rhs, slack=slack, method="pde",
-        tolerance=tolerance, passed=slack >= -tolerance, alpha=float(alpha),
+        q=None, C=None, lhs=lhs, rhs=rhs, slack=rhs - lhs, method="pde",
+        tolerance=tolerance, passed=within_band(lhs, rhs, tolerance, 0.0),
+        alpha=float(alpha),
     )

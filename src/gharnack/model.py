@@ -3,8 +3,9 @@
 Everything here is immutable after construction and validated against the
 standing assumptions (bounded diffusion, joint Lipschitz coefficients) by
 sampling, so downstream solvers can trust the declared constants. The
-atomic file write that every output file goes through lives here too, below
-every module that writes one.
+pass rule that decides every `passed` flag, and the atomic file write that
+every output file goes through, live here too, below every module that uses
+them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,19 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 
 class ModelError(ValueError):
     """Invalid model data (bad band, grid, coefficient declaration...)."""
+
+
+# Standard errors a Monte Carlo estimate may lie above its bound and pass.
+Z = 3.0
+
+
+def within_band(estimate: float, bound: float, tolerance: float,
+                std_error: float) -> bool:
+    """The one pass rule: `estimate` passes against `bound` when it lies at
+    most `tolerance` + Z `std_error` above it. The band is one-sided; a
+    deterministic check passes std_error 0. Returns a Python bool, also for
+    numpy scalar inputs."""
+    return bool(estimate <= bound + tolerance + Z * std_error)
 
 
 @dataclass(frozen=True)
@@ -249,20 +263,18 @@ def validate_coefficients(coeffs: ModelCoefficients, domain: tuple[float, float]
         ) / gap
         worst_lip = max(worst_lip, float(q2.max()))
 
-    violations = []
     tol = 1e-9
-    if worst_lip > coeffs.K * (1.0 + tol) + tol:
-        violations.append(
-            f"Lipschitz quotient {worst_lip:.6g} exceeds declared K={coeffs.K:g}"
-        )
-    if sig_min < coeffs.kappa1 * (1.0 - tol) - tol:
-        violations.append(
-            f"sigma dips to {sig_min:.6g} below declared kappa1={coeffs.kappa1:g}"
-        )
-    if sig_max > coeffs.kappa2 * (1.0 + tol) + tol:
-        violations.append(
-            f"sigma rises to {sig_max:.6g} above declared kappa2={coeffs.kappa2:g}"
-        )
+    lip_ok = within_band(worst_lip, coeffs.K * (1.0 + tol), tol, 0.0)
+    floor_ok = within_band(coeffs.kappa1 * (1.0 - tol), sig_min, tol, 0.0)
+    ceiling_ok = within_band(sig_max, coeffs.kappa2 * (1.0 + tol), tol, 0.0)
+    violations = [message for ok, message in (
+        (lip_ok, f"Lipschitz quotient {worst_lip:.6g} exceeds declared "
+                 f"K={coeffs.K:g}"),
+        (floor_ok, f"sigma dips to {sig_min:.6g} below declared "
+                   f"kappa1={coeffs.kappa1:g}"),
+        (ceiling_ok, f"sigma rises to {sig_max:.6g} above declared "
+                     f"kappa2={coeffs.kappa2:g}"),
+    ) if not ok]
     return ValidationReport(
         worst_lipschitz=worst_lip,
         declared_K=coeffs.K,
@@ -270,7 +282,7 @@ def validate_coefficients(coeffs: ModelCoefficients, domain: tuple[float, float]
         sigma_max=sig_max,
         declared_kappa1=coeffs.kappa1,
         declared_kappa2=coeffs.kappa2,
-        passed=not violations,
+        passed=lip_ok and floor_ok and ceiling_ok,
         violations=tuple(violations),
     )
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import streams
 from .gheat import _UNIT_COEFFS, PolicyTable
-from .model import ModelCoefficients, Payoff, TimeGrid, VolatilityBand
+from .model import (ModelCoefficients, Payoff, TimeGrid, VolatilityBand,
+                    within_band)
 
 
 class ScenarioError(ValueError):
@@ -349,9 +350,10 @@ def young_check(measures: np.ndarray, g1: np.ndarray,
     lhs = float(np.max(np.sum(P * G1 * G2, axis=1)))
     entropy = float(np.max(np.sum(P * G1 * np.log(G1), axis=1)))
     log_exp = float(np.log(np.max(np.sum(P * np.exp(G2), axis=1))))
-    slack = entropy + log_exp - lhs
+    rhs = entropy + log_exp
     return YoungReport(lhs=lhs, entropy_term=entropy, log_exp_term=log_exp,
-                       slack=slack, passed=slack >= -1e-12)
+                       slack=rhs - lhs,
+                       passed=within_band(lhs, rhs, 1e-12, 0.0))
 
 
 def random_young_trial(seed: int):

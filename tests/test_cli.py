@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import tracemalloc
 import warnings
@@ -377,6 +378,132 @@ class TestCliExitCodes:
         assert peak < 16 * 2 ** 20
         assert not (tmp_path / "o").exists()
 
+
+
+def with_y(tmp_path, y):
+    """The bundled config with only [check] y changed."""
+    text = CFG.read_text()
+    assert "\ny = 0.5\n" in text
+    path = tmp_path / f"y{y}.cfg"
+    path.write_text(text.replace("\ny = 0.5\n", f"\ny = {y}\n"))
+    return path
+
+
+class TestSeparation:
+    @pytest.mark.parametrize("command,y,bound", [
+        ("coupling", 3, "moment bound"),
+        ("coupling", 4, "moment bound"),
+        ("coupling", 7.9, "moment bound"),
+        ("suite", 3, "moment bound"),
+        ("suite", 5, "moment bound"),
+        ("harnack", 5, "power-Harnack factor"),
+        ("harnack", 7.9, "power-Harnack factor"),
+    ])
+    def test_overflowing_bound_names_check_y(self, tmp_path, capsys,
+                                             monkeypatch, command, y, bound):
+        # y lies inside the PDE domain, but exp(c |x - y|^2) does not fit
+        # in a double: refused before any PDE solve
+        from gharnack import cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("PDE solve before the check.y refusal")
+
+        monkeypatch.setattr(cli, "solve_semigroups", no_solve)
+        out = tmp_path / "o"
+        assert run([command, "--config", with_y(tmp_path, y),
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [check.y]"), err
+        assert bound in err and "double range" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command",
+                             ["gradient", "semigroup", "gheat", "scenario"])
+    def test_runs_without_those_bounds_pass_at_y_5(self, tmp_path, command):
+        assert run([command, "--config", with_y(tmp_path, 5),
+                    "--out", tmp_path / "o"]) == 0
+
+    def test_shifted_qv_tolerance_grows_with_the_shift(self, tmp_path):
+        # at y = 1.5 the shift's energy is about 8.5 > T, and the Euler
+        # cross term grows with it
+        out = tmp_path / "o"
+        assert run(["coupling", "--config", with_y(tmp_path, 1.5),
+                    "--out", out]) == 0
+        entries = json.loads((out / "report.json").read_text())
+        qv, = [e for e in entries if e["kind"] == "shifted_qv"]
+        assert qv["passed"] and qv["tolerance"] > 10.0 / 256
+
+
+class TestPassFlags:
+    """Each pass flag of a run flips where its band ends."""
+
+    @pytest.mark.parametrize("z,passed", [(2.99, True), (3.01, False)])
+    def test_scenario_oracle(self, monkeypatch, z, passed):
+        from gharnack import cli, scenario
+
+        solved = []
+        solve = cli.solve_semigroups
+
+        def recorded(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        def at_band(coeffs, payoff, x0, controls, n_paths, seed):
+            heat, = solved
+            pde = float(heat.fine[payoff](0.0))
+            tol = heat.tolerance(payoff, 0.0)
+            se = 0.01
+            return scenario.EstimateWithError(
+                value=pde + tol + z * se, std_error=se, n_paths=n_paths,
+                n_controls=len(controls), best_control_id=0)
+
+        monkeypatch.setattr(cli, "solve_semigroups", recorded)
+        monkeypatch.setattr(scenario, "upper_semigroup_mc", at_band)
+        entries, _, _ = cli.run_scenario(parse_run_config(CFG))
+        oracle, = [e for e in entries if e["kind"] == "scenario_oracle"]
+        assert oracle["passed"] is passed
+
+    def test_young_entry_reads_the_trial_flag(self, monkeypatch):
+        # a failed report with a slack inside the 1e-12 allowance: the entry
+        # fails only by taking the report's flag, not by re-deriving it
+        import dataclasses
+
+        from gharnack import cli, scenario
+
+        check = scenario.young_check
+        calls = []
+
+        def one_failed(P, g1, g2):
+            report = check(P, g1, g2)
+            calls.append(report)
+            if len(calls) == 7:
+                return dataclasses.replace(report, slack=-1e-13,
+                                           passed=False)
+            return report
+
+        monkeypatch.setattr(scenario, "young_check", one_failed)
+        entries, _, _ = cli.run_scenario(parse_run_config(CFG))
+        young, = [e for e in entries if e["kind"] == "young"]
+        assert len(calls) == young["trials"] == 200
+        assert young["worst_slack"] == -1e-13
+        assert young["passed"] is False
+
+    @pytest.mark.parametrize("step,passed", [(-math.inf, True),
+                                             (math.inf, False)])
+    def test_shifted_qv(self, monkeypatch, step, passed):
+        # one ulp below and above 10 dt T, the tolerance at the bundled
+        # config, where the shift's energy is below T
+        from gharnack import cli, coupling
+
+        cfg = parse_run_config(CFG)
+        tolerance = 10.0 * cfg.grid.dt * cfg.grid.horizon
+        monkeypatch.setattr(coupling, "shifted_qv_discrepancy",
+                            lambda bundle, eps: math.nextafter(tolerance,
+                                                               step))
+        entries, _, _ = cli.run_coupling(cfg)
+        qv, = [e for e in entries if e["kind"] == "shifted_qv"]
+        assert qv["tolerance"] == tolerance
+        assert qv["passed"] is passed
 
 
 class TestStackedSolves:

@@ -334,6 +334,75 @@ class TestMomentBound:
                         seed=63, clip_epsilon=0.05))
 
 
+def clip_sample(log_m, gap=None, eps=0.01, lam=0.1):
+    """A hand-built ClipSample of one control with these log densities."""
+    log_m = np.asarray(log_m, dtype=float)
+    gap = np.zeros_like(log_m) if gap is None else np.asarray(gap, dtype=float)
+    return g.ClipSample(epsilon=eps, clip_time=1.0 - eps, lambda_at_clip=lam,
+                        m=np.exp(log_m), gap=gap, log_m=log_m, n_excluded=0)
+
+
+class TestBoundFlagsFlipAtTheirBand:
+    """Each Monte Carlo bound check passes an estimate at most 3 standard
+    errors above its bound, and fails one just past that."""
+
+    LOG_M = np.linspace(-0.6, 0.9, 12)
+
+    @staticmethod
+    def mean_and_se(values):
+        return (float(np.mean(values)),
+                float(np.std(values, ddof=1) / math.sqrt(values.size)))
+
+    @pytest.mark.parametrize("z,passed", [(2.99, True), (3.01, False)])
+    def test_entropy(self, acc_setup, monkeypatch, z, passed):
+        coeffs, band, schedule, grid, controls = acc_setup
+        m = np.exp(self.LOG_M)
+        est, se = self.mean_and_se(m * self.LOG_M)
+        monkeypatch.setattr(coupling, "entropy_bound_value",
+                            lambda *args: est - z * se)
+        report = g.entropy_bound_check(coeffs, schedule, 0.0, 0.5,
+                                       [clip_sample(self.LOG_M)])
+        assert (report.estimate, report.std_error) == (est, se)
+        assert report.passed is passed
+
+    @pytest.mark.parametrize("z,passed", [(2.99, True), (3.01, False)])
+    def test_moment(self, acc_setup, monkeypatch, z, passed):
+        # The absolute band: a relative one, est <= bound (1 + 3 se/est),
+        # would fail z = 2.99 as well, as se/est is about 0.3 here.
+        coeffs, band, schedule, grid, controls = acc_setup
+        a = coupling.moment_exponent_a(schedule.alpha, coeffs.kappa1,
+                                       coeffs.kappa2)
+        est, se = self.mean_and_se(np.exp((1.0 + a) * self.LOG_M))
+        assert se / est > 0.05
+        monkeypatch.setattr(coupling, "moment_bound_value",
+                            lambda *args: est - z * se)
+        report = g.moment_bound_check(coeffs, schedule, 0.0, 0.5,
+                                      [clip_sample(self.LOG_M)])
+        assert (report.estimate, report.std_error) == (est, se)
+        assert report.passed is passed
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("z,bounded", [(2.99, True), (3.01, False)])
+    def test_each_trend_row(self, acc_setup, row, z, bounded):
+        # Each row has two paths of unit density at gaps c -+ d: mean c,
+        # standard error d. Row `row` sits at bound + z d, the others at
+        # their bound.
+        coeffs, band, schedule, grid, controls = acc_setup
+        theory_C = 0.5 / math.sqrt(schedule.lambda0)
+        d = 1e-3
+        samples = []
+        for i, eps in enumerate((0.2, 0.1, 0.05)):
+            lam = float(schedule.value(1.0 - eps))
+            c = theory_C * math.sqrt(lam) + (z * d if i == row else 0.0)
+            samples.append(clip_sample(np.zeros(2), [c - d, c + d], eps, lam))
+        report = g.coupling_success_check(schedule, 0.0, 0.5, samples)
+        for r in report.rows:
+            assert r.std_error == pytest.approx(d, rel=1e-9)
+        assert report.strictly_decreasing
+        assert report.bounded is bounded
+        assert report.passed is bounded
+
+
 class TestCouplingSuccess:
     def test_equal_starts_all_zero(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup

@@ -66,6 +66,33 @@ class TestGFunction:
         assert lhs <= rhs + 1e-9
 
 
+class TestWithinBand:
+    # The band is spelled out with its own 3.0: a change of Z must show here.
+    @pytest.mark.parametrize("bound,tol,se", [(0.75, 0.125, 0.0625),
+                                              (1.0, 0.0, 0.0),
+                                              (-2.0, 1e-12, 0.0),
+                                              (0.1, 0.0, 0.01)])
+    def test_flips_one_ulp_past_the_edge(self, bound, tol, se):
+        edge = bound + tol + 3.0 * se
+        assert g.within_band(edge, bound, tol, se) is True
+        assert g.within_band(np.nextafter(edge, -math.inf), bound, tol,
+                             se) is True
+        assert g.within_band(np.nextafter(edge, math.inf), bound, tol,
+                             se) is False
+
+    def test_numpy_scalars_give_a_python_bool(self):
+        for est in (np.float64(0.5), np.float64(2.0)):
+            flag = g.within_band(est, np.float64(1.0), np.float64(0.0),
+                                 np.float64(0.1))
+            assert type(flag) is bool
+        assert g.within_band(np.float64(0.5), 1.0, 0.0, 0.1) is True
+        assert g.within_band(np.float64(2.0), 1.0, 0.0, 0.1) is False
+
+    def test_one_sided(self):
+        # an estimate far below its bound passes
+        assert g.within_band(-1e300, 0.0, 0.0, 0.0) is True
+
+
 class TestBandAndGrid:
     def test_band_rejects_zero_lower(self):
         with pytest.raises(ModelError):

@@ -1,5 +1,11 @@
-"""Every top-level function, class and method of the package is reached from
-the package itself: a name that only tests use is a route no run takes."""
+"""Two guards on the shape of the package.
+
+Every top-level function, class and method of the package is reached from
+the package itself: a name that only tests use is a route no run takes.
+
+Every pass flag comes from the one pass rule, `model.within_band`, and its
+one z constant `model.Z`: no other rule decides a `passed`, and no other
+factor multiplies a standard error."""
 
 import ast
 from pathlib import Path
@@ -64,3 +70,99 @@ def test_every_definition_is_referenced_in_the_package():
                 unreached.append(f"{module}:{name}")
     assert not unreached, f"defined but never used in src/: {unreached}"
     assert ALLOWED <= defined, f"stale allow-list: {ALLOWED - defined}"
+
+
+def is_within_band_call(node):
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "within_band"
+        or getattr(node.func, "attr", None) == "within_band")
+
+
+def calls_within_band(node):
+    return any(is_within_band_call(n) for n in ast.walk(node))
+
+
+def bindings(function):
+    """name -> value of each plain assignment in `function`."""
+    bound = {}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound[target.id] = node.value
+    return bound
+
+
+def banded(value, bound):
+    """Whether a `passed` value is decided by within_band: a call of it, a
+    name bound from an expression that calls it, a `.passed` flag forwarded
+    from a report built elsewhere (and checked there), or an `and` of these
+    that may also hold exact conditions, names bound from an expression
+    with no arithmetic and so no band of its own."""
+    if is_within_band_call(value):
+        return True
+    if isinstance(value, ast.Attribute):
+        return value.attr == "passed"
+    if isinstance(value, ast.Name):
+        return value.id in bound and calls_within_band(bound[value.id])
+    if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.And):
+        def exact(operand):
+            return (isinstance(operand, ast.Name) and operand.id in bound
+                    and not any(isinstance(n, ast.BinOp)
+                                for n in ast.walk(bound[operand.id])))
+
+        return (all(banded(v, bound) or exact(v) for v in value.values)
+                and any(banded(v, bound) for v in value.values))
+    return False
+
+
+def pass_flags(tree):
+    """(line, value, bindings of its function) of each `passed=` keyword and
+    each `"passed":` dict value in the functions of `tree`."""
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        bound = bindings(function)
+        for node in ast.walk(function):
+            if isinstance(node, ast.keyword) and node.arg == "passed":
+                yield node.value.lineno, node.value, bound
+            if isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and key.value == "passed":
+                        yield value.lineno, value, bound
+
+
+def test_every_pass_flag_comes_from_within_band():
+    flags, stray = 0, []
+    for module, tree in TREES.items():
+        for line, value, bound in pass_flags(tree):
+            flags += 1
+            if not banded(value, bound):
+                stray.append(f"{module}:{line}: {ast.unparse(value)}")
+    assert not stray, f"pass flags not decided by within_band: {stray}"
+    assert flags >= 10
+
+
+def is_std_error(node):
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+    return name in ("se", "std_error") or name.endswith("_se")
+
+
+def test_z_is_the_only_std_error_factor():
+    z = [node for node in TREES["model.py"].body
+         if isinstance(node, ast.Assign)
+         and [getattr(t, "id", None) for t in node.targets] == ["Z"]]
+    assert len(z) == 1 and isinstance(z[0].value, ast.Constant), \
+        "model.py defines no constant Z"
+    factors = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Mult)):
+                continue
+            for side, other in ((node.left, node.right),
+                                (node.right, node.left)):
+                if is_std_error(side) and getattr(other, "id", None) != "Z":
+                    factors.append(f"{module}:{node.lineno}: "
+                                   f"{ast.unparse(node)}")
+    assert not factors, f"standard errors scaled by other than Z: {factors}"
