@@ -326,6 +326,12 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     alpha_grid_size = _get(chk, "alpha_grid", int, default=33)
     if alpha_grid_size < 1:
         raise ConfigError("check.alpha_grid", "need at least one alpha")
+    # The gradient envelope holds the grid as one float64 array.
+    if 8 * alpha_grid_size > have:
+        raise ConfigError(
+            "check.alpha_grid",
+            f"{alpha_grid_size} alphas need {8 * alpha_grid_size / 2 ** 30:.3g}"
+            f" GiB, more than the {have / 2 ** 30:.3g} GiB of physical memory")
     payoff = _catalog(chk, "payoff", PAYOFF_NAMES, lambda name, params:
                       make_payoff(name, params, domain=(pde.x_min, pde.x_max)),
                       default="shifted_bump")

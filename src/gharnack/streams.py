@@ -30,17 +30,22 @@ def normal_matrix(seed: int, n_paths: int, n_steps: int,
     and rows f ... f + k - 1 equal the matrix of height k from f. One
     generator serves every row: before each row its state is reset to that
     of a fresh generator on the row's key (counter 0, empty buffer), which
-    draws the same numbers without building a generator per row.
+    draws the same numbers without building a generator per row. The state
+    is a dict of plain ints, which the bit generator reads faster than
+    arrays, and each row is drawn in place.
     """
     out = np.empty((n_paths, n_steps), dtype=float)
     gen = _generator(seed, PATH_SPACE)
     bits = gen.bit_generator
-    fresh = bits.state
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": [seed & _MASK64, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
     key = fresh["state"]["key"]
-    for i in range(n_paths):
+    for i, row in enumerate(out):
         key[1] = PATH_SPACE + first + i
         bits.state = fresh
-        out[i] = gen.standard_normal(n_steps)
+        gen.standard_normal(out=row)
     return out
 
 

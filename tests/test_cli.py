@@ -378,6 +378,26 @@ class TestCliExitCodes:
         assert peak < 16 * 2 ** 20
         assert not (tmp_path / "o").exists()
 
+    def test_oversized_alpha_grid_is_exit_2_before_any_work(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        # 10^12 float64 alphas are 7.3 TiB; refused at parse time, before
+        # the two PDE passes of the gradient run
+        from gharnack import cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("PDE solve before the alpha_grid refusal")
+
+        monkeypatch.setattr(cli, "solve_semigroups", no_solve)
+        big = tmp_path / "big.cfg"
+        big.write_text(CFG.read_text().replace(
+            "alpha_grid = 33", "alpha_grid = 1000000000000"))
+        code = run(["gradient", "--config", big, "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [check.alpha_grid]"), err
+        assert "physical memory" in err
+        assert not (tmp_path / "o").exists()
 
 
 def with_y(tmp_path, y):

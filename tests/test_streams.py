@@ -67,6 +67,26 @@ class TestNormalMatrix:
         assert normal_matrix(1, 0, 5).shape == (0, 5)
         assert normal_matrix(1, 3, 0).shape == (3, 0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 63, 2 ** 64 - 1, -1,
+                                      20240811])
+    @pytest.mark.parametrize("first", [0, 5, 2 ** 40])
+    @pytest.mark.parametrize("shape", [(3, 1), (4, 7), (2, 256)])
+    def test_same_bits_as_the_array_state_loop(self, seed, first, shape):
+        # the earlier loop: reset from the generator's own array-valued
+        # state and copy each drawn row into the matrix
+        n_paths, n_steps = shape
+        want = np.empty(shape)
+        gen = fresh(seed, PATH_SPACE)
+        bits = gen.bit_generator
+        state = bits.state
+        key = state["state"]["key"]
+        for i in range(n_paths):
+            key[1] = PATH_SPACE + first + i
+            bits.state = state
+            want[i] = gen.standard_normal(n_steps)
+        got = normal_matrix(seed, n_paths, n_steps, first=first)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestUniformLevels:
     @pytest.mark.parametrize("seed", SEEDS)

@@ -1,16 +1,25 @@
-"""Two guards on the shape of the package.
+"""Three guards on the shape of the package.
 
 Every top-level function, class and method of the package is reached from
 the package itself: a name that only tests use is a route no run takes.
 
 Every pass flag comes from the one pass rule, `model.within_band`, and its
 one z constant `model.Z`: no other rule decides a `passed`, and no other
-factor multiplies a standard error."""
+factor multiplies a standard error.
+
+Only runs that draw a Monte Carlo sample load `numpy.random`: the PDE
+subcommands and the parse-time audit leave it unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import gharnack
+from gharnack.cli import bundled_config_path
 
 SRC = Path(gharnack.__file__).parent
 
@@ -166,3 +175,57 @@ def test_z_is_the_only_std_error_factor():
                     factors.append(f"{module}:{node.lineno}: "
                                    f"{ast.unparse(node)}")
     assert not factors, f"standard errors scaled by other than Z: {factors}"
+
+
+# Each probe runs in a fresh interpreter and prints whether numpy.random
+# was loaded by the end.
+AUDIT = """\
+import gharnack
+from gharnack.cli import bundled_config_path
+cfg = gharnack.parse_run_config(bundled_config_path())
+domain = gharnack.default_state_domain(cfg.check_x, cfg.band, cfg.coeffs,
+                                       cfg.grid.horizon)
+assert gharnack.validate_coefficients(cfg.coeffs, domain, cfg.grid).passed
+"""
+
+
+def loads_numpy_random(body, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\n{body}\nprint('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def run_body(command, out):
+    return (f"from gharnack.cli import main\n"
+            f"assert main([{command!r}, '--out', {str(out)!r}]) == 0")
+
+
+@pytest.mark.parametrize("command", ["gheat", "semigroup", "harnack",
+                                     "gradient"])
+def test_pde_runs_leave_numpy_random_unloaded(tmp_path, command):
+    assert not loads_numpy_random(run_body(command, tmp_path / "o"), tmp_path)
+
+
+def test_parse_and_audit_leave_numpy_random_unloaded(tmp_path):
+    assert not loads_numpy_random(AUDIT, tmp_path)
+
+
+def test_monte_carlo_run_loads_numpy_random(tmp_path):
+    assert loads_numpy_random(run_body("scenario", tmp_path / "o"), tmp_path)
+
+
+def test_audit_numbers_on_the_bundled_model():
+    # the values of the audit with seeded pseudo-random pairs: in one
+    # dimension no pair exceeds what the adjacent grid nodes already sample
+    cfg = gharnack.parse_run_config(bundled_config_path())
+    domain = gharnack.default_state_domain(cfg.check_x, cfg.band, cfg.coeffs,
+                                           cfg.grid.horizon)
+    report = gharnack.validate_coefficients(cfg.coeffs, domain, cfg.grid)
+    assert report.worst_lipschitz == 1.0999623774048488
+    assert report.sigma_min == 0.8999999999999999
+    assert report.sigma_max == 1.0
+    assert report.passed
