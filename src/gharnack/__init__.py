@@ -66,7 +66,6 @@ from .harnack import (
     gradient_bound,
     lipschitz_transport_check,
     log_harnack_constant,
-    make_alpha_grid,
     power_harnack_exponent,
     power_threshold,
 )

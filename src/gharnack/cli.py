@@ -116,10 +116,10 @@ def run_coupling(cfg: RunConfig):
     at_clip = run.at_clip(cfg.clip_epsilon)
     export = run.heads
     entropy = cpl.entropy_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
-    entries = [{"kind": "entropy", **_slack_dict(entropy)}]
+    entries = [dataclasses.asdict(entropy)]
     if cfg.coeffs.kappa2 > cfg.coeffs.kappa1:
         moment = cpl.moment_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
-        entries.append({"kind": "moment", **_slack_dict(moment)})
+        entries.append(dataclasses.asdict(moment))
 
     by_clip = [run.at_clip(eps) for eps in sweep]
     trend = cpl.coupling_success_check(
@@ -144,12 +144,6 @@ def run_coupling(cfg: RunConfig):
     return entries, {"paths": export}, []
 
 
-def _slack_dict(report) -> dict:
-    d = vars(report).copy()
-    d.pop("kind", None)
-    return d
-
-
 def run_harnack(cfg: RunConfig, semigroups: Semigroups, log_f, f_p):
     """Log-Harnack, power-Harnack (when f_p is solved) and Lipschitz
     certificates, read from the rows of f, log f and f^p in `semigroups`."""
@@ -163,8 +157,8 @@ def run_harnack(cfg: RunConfig, semigroups: Semigroups, log_f, f_p):
 
 
 def run_gradient(cfg: RunConfig, semigroups: Semigroups):
-    grid_alpha = hk.make_alpha_grid(cfg.coeffs, cfg.alpha_grid_size)
-    report = hk.check_gradient_estimate(semigroups, cfg.payoff, grid_alpha)
+    report = hk.check_gradient_estimate(semigroups, cfg.payoff,
+                                        cfg.alpha_grid_size)
     return [report.to_dict()], {"harnack_rows": [report]}, []
 
 

@@ -22,16 +22,18 @@ from .model import (
     Payoff,
     TimeGrid,
     VolatilityBand,
+    alpha_cap,
     coefficient_lipschitz,
     default_state_domain,
     make_coefficient,
     make_payoff,
+    rate_constants,
     validate_coefficients,
 )
 from .gheat import _UNIT_COEFFS, PdeConfig, PdeError, _cfl_time_step, solve_nbytes
 from .coupling import (SWEEP_FRACTIONS, CouplingSchedule, make_schedule,
                        run_nbytes, stability_ratio)
-from .harnack import power_threshold
+from .harnack import envelope_nbytes, power_threshold
 
 
 class ConfigError(ValueError):
@@ -77,7 +79,17 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _section(cp: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
+class _Parser(configparser.ConfigParser):
+    """The configparser grammar without interpolation, recording each
+    (section, entry) that `_get` looks up, keys lower-cased as configparser
+    stores them, so that an entry no field reads can be refused by name."""
+
+    def __init__(self):
+        super().__init__(interpolation=None)
+        self.looked_up: set[tuple[str, str]] = set()
+
+
+def _section(cp: _Parser, name: str) -> configparser.SectionProxy:
     if not cp.has_section(name):
         raise ConfigError(name, "missing section")
     return cp[name]
@@ -85,6 +97,7 @@ def _section(cp: configparser.ConfigParser, name: str) -> configparser.SectionPr
 
 def _get(sec, key: str, cast, default=None):
     field = f"{sec.name}.{key}"
+    sec.parser.looked_up.add((sec.name, sec.parser.optionxform(key)))
     if key not in sec:
         if default is not None:
             return default
@@ -137,8 +150,25 @@ def _coefficient(sec, role: str):
         make_coefficient(name, params), coefficient_lipschitz(name, params)))
 
 
+def _refuse_unread(cp: _Parser) -> None:
+    """Refuse, naming it, a section or an entry that no field read. A
+    [DEFAULT] entry shows in every section, so it is refused only when no
+    section read it."""
+    read_keys = {key for _, key in cp.looked_up}
+    for key in cp.defaults():
+        if key not in read_keys:
+            raise ConfigError(f"{cp.default_section}.{key}", "unknown entry")
+    read_sections = {name for name, _ in cp.looked_up}
+    for name in cp.sections():
+        if name not in read_sections:
+            raise ConfigError(name, "unknown section")
+        for key in cp[name]:
+            if key not in cp.defaults() and (name, key) not in cp.looked_up:
+                raise ConfigError(f"{name}.{key}", "unknown entry")
+
+
 def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = _Parser()
     text = Path(path).read_text(encoding="utf-8")
     try:
         cp.read_string(text, source=str(path))
@@ -160,7 +190,7 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     # Constants of kappa2/kappa1 that the coupling and power-Harnack use.
     kappas = f"kappa1 = {kappa1:g}, kappa2 = {kappa2:g}"
     cap = _in_range("model.kappa2", f"{kappas}: the alpha cap",
-                    lambda: 2.0 * kappa1 ** 2 / kappa2 ** 2)
+                    lambda: alpha_cap(kappa1, kappa2))
     threshold = None
     if kappa2 > kappa1:
         threshold = _in_range("model.kappa2",
@@ -185,9 +215,6 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     _in_range("band.sigma_lower", f"1/sigma_lower^2 = 1/{lo:g}^2",
               lambda: 1.0 / lo ** 2)
     _in_range("band.sigma_upper", f"sigma_upper^2 = {hi:g}^2", lambda: hi ** 2)
-    # The rate of the coupling schedule's exponential.
-    _in_range("model.K", f"K = {K:g}: c_K = K (2 + K + 2/sigma_lower^2)",
-              lambda: K * (2.0 + K + 2.0 / lo ** 2))
 
     grid_sec = _section(cp, "grid")
     T = _get(grid_sec, "horizon", float)
@@ -198,6 +225,9 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         grid = TimeGrid(T, n_steps)
     except ModelError as exc:
         raise ConfigError("grid.horizon", str(exc)) from exc
+    # The rate of the coupling schedule's exponential.
+    _in_range("model.K", f"K = {K:g}: c_K = K (2 + K + 2/sigma_lower^2)",
+              lambda: rate_constants(K, lo, T)[0])
     x_min = _get(grid_sec, "x_min", float)
     x_max = _get(grid_sec, "x_max", float)
     if not x_min < x_max:
@@ -326,12 +356,13 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     alpha_grid_size = _get(chk, "alpha_grid", int, default=33)
     if alpha_grid_size < 1:
         raise ConfigError("check.alpha_grid", "need at least one alpha")
-    # The gradient envelope holds the grid as one float64 array.
-    if 8 * alpha_grid_size > have:
+    need = envelope_nbytes(alpha_grid_size)
+    if need > have:
         raise ConfigError(
             "check.alpha_grid",
-            f"{alpha_grid_size} alphas need {8 * alpha_grid_size / 2 ** 30:.3g}"
-            f" GiB, more than the {have / 2 ** 30:.3g} GiB of physical memory")
+            f"{alpha_grid_size} alphas need {need / 2 ** 30:.3g} GiB of "
+            f"gradient envelope, more than the {have / 2 ** 30:.3g} GiB of "
+            "physical memory")
     payoff = _catalog(chk, "payoff", PAYOFF_NAMES, lambda name, params:
                       make_payoff(name, params, domain=(pde.x_min, pde.x_max)),
                       default="shifted_bump")
@@ -350,6 +381,7 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         seed = int(seed_override)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("run.seed", "seed must fit in 64 bits")
+    _refuse_unread(cp)
 
     return RunConfig(coeffs=coeffs, band=band, grid=grid, pde=pde, alpha=alpha,
                      schedule=schedule, clip_epsilon=clip_epsilon,

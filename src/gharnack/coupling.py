@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .model import (ModelCoefficients, TimeGrid, VolatilityBand, _atomic_write,
-                    within_band)
+                    alpha_cap, initial_weight, rate_constants, within_band)
 from .scenario import (_W_BLOCK_STEPS, Control, _level_rows, _time_major,
                        euler_step, sup_over_controls)
 
@@ -75,7 +75,7 @@ def make_schedule(alpha: float, coeffs: ModelCoefficients, band: VolatilityBand,
     """Build the coupling weight schedule for an admissible alpha and K > 0."""
     if T <= 0.0:
         raise CouplingError(f"horizon must be positive, got {T}")
-    cap = 2.0 * coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
+    cap = alpha_cap(coeffs.kappa1, coeffs.kappa2)
     if not 0.0 < alpha < cap:
         raise CouplingError(
             f"alpha must lie in the open interval (0, {cap:g}), got {alpha}"
@@ -86,7 +86,7 @@ def make_schedule(alpha: float, coeffs: ModelCoefficients, band: VolatilityBand,
             "positive Lipschitz constant K"
         )
     sl = band.sigma_lower
-    c_K = coeffs.K * (2.0 + coeffs.K + 2.0 / sl ** 2)
+    c_K, _ = rate_constants(coeffs.K, sl, T)
     amp = (cap - alpha) / c_K
 
     def lam(t):
@@ -96,7 +96,7 @@ def make_schedule(alpha: float, coeffs: ModelCoefficients, band: VolatilityBand,
         return -amp * sl ** 2 * c_K * np.exp(sl ** 2 * c_K * (np.asarray(t, dtype=float) - T))
 
     schedule = CouplingSchedule(alpha=alpha, c_K=c_K,
-                                lambda0=amp * (1.0 - math.exp(-sl ** 2 * c_K * T)),
+                                lambda0=initial_weight(alpha, coeffs, band, T),
                                 T=T, alpha_cap=cap, sigma_lower=sl,
                                 lam=lam, lam_prime=lam_prime)
 

@@ -320,7 +320,10 @@ class Semigroups:
 
     def tolerance(self, payoff: Payoff, x) -> float:
         """Two-grid Richardson estimate of the fine-grid error at x: the
-        coarse/fine difference (conservative for a first-order scheme)."""
+        coarse/fine difference. At the halved coarse grid this is the fine
+        error itself for a first-order scheme, with no safety margin (orders
+        0.91-1.06 observed on the bundled model); below order 1 it reads
+        low."""
         return float(np.max(np.abs(self.fine[payoff](x)
                                    - self.coarse[payoff](x)))) + 1e-12
 

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .coupling import make_schedule
 from .gheat import Semigroups
-from .model import ModelCoefficients, Payoff, VolatilityBand, within_band
+from .model import (ModelCoefficients, Payoff, VolatilityBand, alpha_cap,
+                    initial_weight, rate_constants, within_band)
 
 
 class HarnackError(ValueError):
@@ -66,25 +66,20 @@ CSV_HEADER = "kind,x,y,T,p,lhs,rhs,slack,tolerance,pass"
 # ---------------------------------------------------------------------------
 # closed-form constants
 
-def _rate_factor(K: float, sigma_lower: float, T: float) -> tuple[float, float]:
-    c_K = K * (2.0 + K + 2.0 / sigma_lower ** 2)
-    return c_K, 1.0 - math.exp(-sigma_lower ** 2 * c_K * T)
-
-
 def log_harnack_constant(K: float, sigma_lower: float, kappa1: float,
                          kappa2: float, T: float) -> float:
     """Coefficient of |x - y|^2 in the log-Harnack bound."""
     if K <= 0.0:
         raise HarnackError("log-Harnack constant needs a declared K > 0")
-    c_K, decay = _rate_factor(K, sigma_lower, T)
+    c_K, decay = rate_constants(K, sigma_lower, T)
     return c_K / (2.0 * (kappa1 ** 6 / kappa2 ** 4) * decay)
 
 
 def log_harnack_constant_generic(coeffs: ModelCoefficients, band: VolatilityBand,
                                  T: float, alpha: float) -> float:
     """Same coefficient for a free admissible alpha: 1/(2 alpha kappa1^2 lam0)."""
-    schedule = make_schedule(alpha, coeffs, band, T)
-    return 1.0 / (2.0 * alpha * coeffs.kappa1 ** 2 * schedule.lambda0)
+    lambda0 = initial_weight(alpha, coeffs, band, T)
+    return 1.0 / (2.0 * alpha * coeffs.kappa1 ** 2 * lambda0)
 
 
 def power_threshold(kappa1: float, kappa2: float) -> float:
@@ -97,7 +92,7 @@ def power_threshold(kappa1: float, kappa2: float) -> float:
 def power_harnack_exponent(p: float, K: float, sigma_lower: float,
                            kappa1: float, kappa2: float, T: float) -> float:
     """|x - y|^2 coefficient in the power-Harnack exponential, C = kappa2 - kappa1."""
-    c_K, decay = _rate_factor(K, sigma_lower, T)
+    c_K, decay = rate_constants(K, sigma_lower, T)
     sp = math.sqrt(p)
     dk = kappa2 - kappa1
     return sp * (sp - 1.0) * c_K / (4.0 * dk * (kappa1 * (sp - 1.0) - dk) * decay)
@@ -122,21 +117,22 @@ def power_harnack_exponent_moment_route(p: float, coeffs: ModelCoefficients,
     dk = coeffs.kappa2 - coeffs.kappa1
     sp = math.sqrt(p)
     alpha_p = 2.0 * dk / (coeffs.kappa1 * (sp - 1.0))
-    schedule = make_schedule(alpha_p, coeffs, band, T)
+    lambda0 = initial_weight(alpha_p, coeffs, band, T)
     k1 = coeffs.kappa1
     return (p - 1.0) * alpha_p * (alpha_p * k1 + 2.0 * dk) / (
-        4.0 * dk ** 2 * schedule.lambda0 * (2.0 * alpha_p * k1 + 2.0 * dk))
+        4.0 * dk ** 2 * lambda0 * (2.0 * alpha_p * k1 + 2.0 * dk))
 
 
-def gradient_bound(sup_norm: float, kappa1: float, alpha: float,
-                   lambda0: float) -> float:
-    return sup_norm * 2.0 / (kappa1 * math.sqrt(alpha * lambda0))
+def gradient_bound(sup_norm: float, kappa1: float, alpha, lambda0):
+    """2 ||f|| / (kappa1 sqrt(alpha lambda0)), for floats or arrays."""
+    return sup_norm * 2.0 / (kappa1 * np.sqrt(alpha * lambda0))
 
 
-def make_alpha_grid(coeffs: ModelCoefficients, n: int = 33) -> np.ndarray:
-    """Grid over the admissible open interval, endpoints approached to 1%."""
-    cap = 2.0 * coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
-    return np.linspace(0.01 * cap, 0.99 * cap, n)
+def envelope_nbytes(n_alpha: int) -> int:
+    """Bytes `check_gradient_estimate` holds at its peak for an envelope of
+    n_alpha points: four float64 arrays of n_alpha (alpha, lambda0 and two
+    temporaries of `gradient_bound`)."""
+    return 4 * 8 * n_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +254,29 @@ def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,
 
 
 def check_gradient_estimate(P: Semigroups, payoff: Payoff,
-                            alpha_grid: np.ndarray | None = None) -> HarnackReport:
+                            n_alpha: int) -> HarnackReport:
     """Finite-difference sup-gradient of P_T f against the envelope over
-    alpha of 2 ||f|| / (kappa1 sqrt(alpha lambda0))."""
+    alpha of 2 ||f|| / (kappa1 sqrt(alpha lambda0)): its least value on
+    n_alpha points spanning the admissible interval (0, alpha_cap) to 1% of
+    either end, at the first alpha that attains it."""
     coeffs, band, T = P.coeffs, P.band, P.T
-    if alpha_grid is None:
-        alpha_grid = make_alpha_grid(coeffs)
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
+    cap = alpha_cap(coeffs.kappa1, coeffs.kappa2)
+    alphas = np.linspace(0.01 * cap, 0.99 * cap, n_alpha)
 
     lhs = P.fine[payoff].max_abs_gradient()
     tolerance = abs(lhs - P.coarse[payoff].max_abs_gradient()) + 1e-12
 
-    best_rhs = math.inf
-    best_alpha = float(alpha_grid[0])
-    for alpha in alpha_grid:
-        schedule = make_schedule(float(alpha), coeffs, band, T)
-        rhs = gradient_bound(payoff.sup_norm, coeffs.kappa1, float(alpha),
-                             schedule.lambda0)
-        if rhs < best_rhs:
-            best_rhs = rhs
-            best_alpha = float(alpha)
+    envelope = gradient_bound(payoff.sup_norm, coeffs.kappa1, alphas,
+                              initial_weight(alphas, coeffs, band, T))
+    best = int(np.argmin(envelope))
+    best_rhs, best_alpha = float(envelope[best]), float(alphas[best])
     return HarnackReport(
         kind="gradient", x=None, y=None, T=float(T), p=None, a=None, q=None,
         C=None, lhs=lhs, rhs=best_rhs, slack=best_rhs - lhs, method="pde",
         tolerance=tolerance,
         passed=within_band(lhs, best_rhs, tolerance, 0.0),
         alpha=best_alpha,
-        extras={"sup_norm": payoff.sup_norm, "n_alpha": int(alpha_grid.size)},
+        extras={"sup_norm": payoff.sup_norm, "n_alpha": int(alphas.size)},
     )
 
 
@@ -294,12 +286,12 @@ def lipschitz_transport_check(P: Semigroups, payoff: Payoff, x: float,
     alpha = kappa1^2/kappa2^2."""
     coeffs, T = P.coeffs, P.T
     alpha = coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
-    schedule = make_schedule(alpha, coeffs, P.band, T)
+    lambda0 = initial_weight(alpha, coeffs, P.band, T)
     gap = abs(x - y)
     k1 = coeffs.kappa1
     rhs = payoff.sup_norm * (
-        2.0 * gap / (k1 * math.sqrt(alpha * schedule.lambda0))
-        + gap ** 2 / (alpha * k1 ** 2 * schedule.lambda0)
+        2.0 * gap / (k1 * math.sqrt(alpha * lambda0))
+        + gap ** 2 / (alpha * k1 ** 2 * lambda0)
     )
     u_f = P.fine[payoff]
     lhs = abs(float(u_f(y)) - float(u_f(x)))

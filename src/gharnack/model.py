@@ -3,9 +3,10 @@
 Everything here is immutable after construction and validated against the
 standing assumptions (bounded diffusion, joint Lipschitz coefficients) by
 sampling, so downstream solvers can trust the declared constants. The
-pass rule that decides every `passed` flag, and the atomic file write that
-every output file goes through, live here too, below every module that uses
-them.
+pass rule that decides every `passed` flag, the closed forms of the coupling
+weight that the schedule and the Harnack constants share, and the atomic file
+write that every output file goes through, live here too, below every module
+that uses them.
 """
 
 from __future__ import annotations
@@ -208,6 +209,35 @@ class ValidationReport:
             f"sigma range [{self.sigma_min:.6g}, {self.sigma_max:.6g}] "
             f"(declared [{self.declared_kappa1:g}, {self.declared_kappa2:g}])"
         )
+
+
+def alpha_cap(kappa1: float, kappa2: float) -> float:
+    """2 kappa1^2/kappa2^2, the open upper end of the coupling's admissible
+    alpha."""
+    return 2.0 * kappa1 ** 2 / kappa2 ** 2
+
+
+def rate_constants(K: float, sigma_lower: float,
+                   T: float) -> tuple[float, float]:
+    """The coupling weight's rate c_K = K (2 + K + 2/sigma_lower^2) and its
+    decay 1 - exp(-sigma_lower^2 c_K T) over the horizon T."""
+    c_K = K * (2.0 + K + 2.0 / sigma_lower ** 2)
+    return c_K, 1.0 - math.exp(-sigma_lower ** 2 * c_K * T)
+
+
+def initial_weight(alpha, coeffs: ModelCoefficients, band: VolatilityBand,
+                   T: float):
+    """The coupling weight at time 0, lambda(0) = (alpha_cap - alpha)/c_K
+    (1 - exp(-sigma_lower^2 c_K T)), for a float or an array of alpha;
+    refuses K = 0, where the form is 0/0."""
+    if coeffs.K == 0.0:
+        raise ModelError(
+            "K = 0 collapses the coupling weight lambda(0) to a 0/0 form; it "
+            "needs a positive Lipschitz constant K"
+        )
+    c_K, decay = rate_constants(coeffs.K, band.sigma_lower, T)
+    cap = alpha_cap(coeffs.kappa1, coeffs.kappa2)
+    return (cap - alpha) / c_K * decay
 
 
 def default_state_domain(x_ref: float, band: VolatilityBand, coeffs: ModelCoefficients,

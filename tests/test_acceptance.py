@@ -226,7 +226,7 @@ def test_criterion_09_gradient_estimate():
         for name in OU_FAMILY:
             coeffs, band = _model(name)
             P = g.solve_semigroups(coeffs, band, 1.0, cfg, [BUMP])
-            report = g.check_gradient_estimate(P, BUMP)
+            report = g.check_gradient_estimate(P, BUMP, 33)
             assert report.lhs <= report.rhs + report.tolerance, name
             assert report.passed
 
@@ -238,7 +238,7 @@ def test_criterion_09_gradient_estimate():
         unit = g.VolatilityBand(1.0, 1.0)
         payoff = g.make_payoff("gauss_bump")
         report = g.check_gradient_estimate(
-            g.solve_semigroups(heat, unit, 1.0, cfg, [payoff]), payoff)
+            g.solve_semigroups(heat, unit, 1.0, cfg, [payoff]), payoff, 33)
         nodes, weights = np.polynomial.hermite_e.hermegauss(120)
 
         def kernel_gradient(x):

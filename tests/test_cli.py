@@ -43,6 +43,30 @@ class TestConfigParsing:
             parse_run_config(p)
         assert "model.kappa1" in str(err.value)
 
+    @pytest.mark.parametrize("old,new,field", [
+        ("alpha_grid = 33", "alpha_gird = 5", "check.alpha_gird"),
+        ("cfl_safety = 0.8", "cfl_saftey = 0.3", "grid.cfl_saftey"),
+        ("[run]", "[runn]\nseed = 1\n\n[run]", "runn"),
+        ("[model]", "[DEFAULT]\nsede = 1\n\n[model]", "DEFAULT.sede"),
+    ])
+    def test_unknown_entry_is_exit_2_naming_it(self, tmp_path, capsys, old,
+                                               new, field):
+        # an entry no field reads would otherwise leave its default in force
+        text = CFG.read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "typo.cfg"
+        path.write_text(text.replace(old, new))
+        assert run(["gheat", "--config", path, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{field}] unknown"), err
+        assert not (tmp_path / "o").exists()
+
+    def test_default_entry_a_section_reads_is_kept(self, tmp_path):
+        text = CFG.read_text().replace("seed = 20240811\n", "")
+        path = tmp_path / "default.cfg"
+        path.write_text("[DEFAULT]\nseed = 7\n\n" + text)
+        assert parse_run_config(path).seed == 7
+
     def test_missing_section_diagnosed(self, tmp_path):
         p = tmp_path / "empty.cfg"
         p.write_text("[model]\n")
@@ -400,6 +424,25 @@ class TestCliExitCodes:
         assert not (tmp_path / "o").exists()
 
 
+    def test_alpha_grid_refusal_counts_the_envelope_arrays(self, tmp_path,
+                                                           monkeypatch):
+        # the envelope holds four float64 arrays of alpha_grid at its peak;
+        # parsing alone allocates none of them
+        from gharnack import config
+
+        n = 10 ** 7
+        monkeypatch.setattr(config, "_physical_memory", lambda: 4 * 8 * n)
+        for size in (n, n + 1):
+            path = tmp_path / f"alphas{size}.cfg"
+            path.write_text(CFG.read_text().replace(
+                "alpha_grid = 33", f"alpha_grid = {size}"))
+            if size == n:
+                assert parse_run_config(path).alpha_grid_size == n
+            else:
+                with pytest.raises(ConfigError, match=r"\[check\.alpha_grid\]"):
+                    parse_run_config(path)
+
+
 def with_y(tmp_path, y):
     """The bundled config with only [check] y changed."""
     text = CFG.read_text()
@@ -544,6 +587,30 @@ class TestStackedSolves:
         monkeypatch.setattr(gheat, "solve_stack", counted)
         assert run([command, "--out", tmp_path / "o"]) == 0
         assert len(calls) == passes, calls
+
+
+class TestScheduleBuilds:
+    @pytest.mark.parametrize("command", ["harnack", "gradient", "suite"])
+    def test_one_schedule_build_per_run(self, tmp_path, monkeypatch, command):
+        # the parser builds the coupling schedule; the Harnack constants and
+        # the gradient envelope read lambda(0) in closed form
+        import sys
+
+        from gharnack import coupling
+
+        calls = []
+        build = coupling.make_schedule
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return build(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "gharnack" and \
+                    getattr(module, "make_schedule", None) is build:
+                monkeypatch.setattr(module, "make_schedule", counted)
+        assert run([command, "--out", tmp_path / "o"]) == 0
+        assert len(calls) == 1, calls
 
 
 class TestStackedPaths:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,16 @@ import gharnack as g
 from gharnack.harnack import (
     CSV_HEADER,
     HarnackError,
+    envelope_nbytes,
     log_harnack_constant,
     log_harnack_constant_generic,
     log_payoff,
     power_harnack_exponent,
     power_threshold,
 )
+
+from gharnack.cli import bundled_config_path
+from gharnack.config import parse_run_config
 
 from conftest import ou_semigroup_oracle
 
@@ -175,7 +180,7 @@ class TestGradientEstimate:
         payoff = g.make_payoff("constant", (1.0,))
         report = g.check_gradient_estimate(
             solved(multiplicative_model, pinched_band, coarse_cfg, payoff),
-            payoff)
+            payoff, 33)
         assert report.lhs == pytest.approx(0.0, abs=1e-10)
         assert report.passed
 
@@ -190,7 +195,8 @@ class TestGradientEstimate:
     def test_envelope_minimum_at_star_alpha(self, multiplicative_model,
                                             pinched_band, coarse_cfg):
         report = g.check_gradient_estimate(
-            solved(multiplicative_model, pinched_band, coarse_cfg, BUMP), BUMP)
+            solved(multiplicative_model, pinched_band, coarse_cfg, BUMP), BUMP,
+            33)
         assert report.alpha == pytest.approx(0.81, rel=1e-12)
         assert report.passed
 
@@ -199,7 +205,7 @@ class TestGradientEstimate:
         cfg = g.PdeConfig(-8, 8, 800)
         payoff = g.make_payoff("gauss_bump")
         report = g.check_gradient_estimate(
-            solved(heat_model, unit_band, cfg, payoff), payoff)
+            solved(heat_model, unit_band, cfg, payoff), payoff, 33)
         nodes, weights = np.polynomial.hermite_e.hermegauss(120)
 
         def kernel_gradient(x):
@@ -212,11 +218,50 @@ class TestGradientEstimate:
         assert oracle <= math.sqrt(2.0 / (math.pi * T))
         assert report.passed
 
+    @pytest.mark.parametrize("n_alpha", [1, 2, 3, 32, 33, 34, 1000])
+    def test_envelope_is_the_per_alpha_schedule_loop(self, n_alpha):
+        # the envelope over every alpha at once keeps the bits of a loop that
+        # builds one schedule per alpha, and its first minimiser on a tie
+        cfg = parse_run_config(bundled_config_path())
+        coeffs, band, T = cfg.coeffs, cfg.band, cfg.grid.horizon
+        P = g.solve_semigroups(coeffs, band, T, g.PdeConfig(-8, 8, 100),
+                               [cfg.payoff])
+        cap = 2.0 * coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
+        sl = band.sigma_lower
+        c_K = coeffs.K * (2.0 + coeffs.K + 2.0 / sl ** 2)
+        best_rhs, best_alpha = math.inf, None
+        for alpha in np.linspace(0.01 * cap, 0.99 * cap, n_alpha).tolist():
+            lambda0 = g.make_schedule(alpha, coeffs, band, T).lambda0
+            # the schedule's lambda(0), written out as its own arithmetic
+            amp = (cap - alpha) / c_K
+            assert lambda0 == amp * (1.0 - math.exp(-sl ** 2 * c_K * T))
+            rhs = cfg.payoff.sup_norm * 2.0 / (
+                coeffs.kappa1 * math.sqrt(alpha * lambda0))
+            if rhs < best_rhs:
+                best_rhs, best_alpha = rhs, alpha
+        report = g.check_gradient_estimate(P, cfg.payoff, n_alpha)
+        assert report.rhs == best_rhs
+        assert report.alpha == best_alpha
+        assert report.extras["n_alpha"] == n_alpha
+
+    def test_envelope_holds_what_the_config_refusal_counts(self):
+        cfg = parse_run_config(bundled_config_path())
+        P = g.solve_semigroups(cfg.coeffs, cfg.band, cfg.grid.horizon,
+                               g.PdeConfig(-8, 8, 100), [cfg.payoff])
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            g.check_gradient_estimate(P, cfg.payoff, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert envelope_nbytes(n) - 8 * n < peak <= envelope_nbytes(n) + 2 ** 20
+
     def test_resolution_change_within_tolerance(self, heat_model, unit_band):
         payoff = g.make_payoff("gauss_bump")
         r1, r2 = (g.check_gradient_estimate(
             solved(heat_model, unit_band, g.PdeConfig(-8, 8, n), payoff),
-            payoff) for n in (400, 800))
+            payoff, 33) for n in (400, 800))
         assert abs(r2.lhs - r1.lhs) <= r1.tolerance
 
 

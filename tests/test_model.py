@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gharnack as g
-from gharnack.model import ModelError, coefficient_lipschitz
+from gharnack.harnack import log_harnack_constant_generic
+from gharnack.model import (ModelError, coefficient_lipschitz, initial_weight,
+                            rate_constants)
 
 
 class TestGFunction:
@@ -237,3 +239,30 @@ class TestCoefficientCatalog:
             vals = fn(0.0, xs)
             quot = np.max(np.abs(np.diff(vals)) / np.diff(xs))
             assert quot <= coefficient_lipschitz(name, params) + 1e-9
+
+
+class TestCouplingClosedForms:
+    def test_initial_weight_is_the_schedule_lambda0(self, multiplicative_model,
+                                                    pinched_band):
+        # one formula for a float and elementwise for an array, to the bit
+        alphas = np.linspace(0.05, 1.6, 9)
+        weights = initial_weight(alphas, multiplicative_model, pinched_band,
+                                 1.0)
+        for alpha, weight in zip(alphas.tolist(), weights.tolist()):
+            schedule = g.make_schedule(alpha, multiplicative_model,
+                                       pinched_band, 1.0)
+            assert weight == schedule.lambda0
+            assert weight == initial_weight(alpha, multiplicative_model,
+                                            pinched_band, 1.0)
+            assert schedule.c_K == rate_constants(1.1, 0.9, 1.0)[0]
+
+    def test_zero_K_is_a_named_error(self, unit_band):
+        coeffs = g.ModelCoefficients(
+            b=g.make_coefficient("constant", (0.0,)),
+            h=g.make_coefficient("constant", (0.0,)),
+            sigma=g.make_coefficient("constant", (1.0,)),
+            K=0.0, kappa1=1.0, kappa2=1.0)
+        with pytest.raises(ModelError, match="positive Lipschitz constant"):
+            initial_weight(0.5, coeffs, unit_band, 1.0)
+        with pytest.raises(ModelError, match="positive Lipschitz constant"):
+            log_harnack_constant_generic(coeffs, unit_band, 1.0, 0.5)
