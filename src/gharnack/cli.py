@@ -107,14 +107,13 @@ def run_coupling(cfg: RunConfig):
     controls = sc.sample_controls(cfg.strategy, cfg.band, cfg.grid,
                                   cfg.n_controls, cfg.seed)
     x0, y0 = cfg.check_x, cfg.check_y
-    w = sc.scaled_increments(cfg.seed, cfg.n_paths, cfg.grid)
     sweep = [frac * T for frac in cpl.SWEEP_FRACTIONS]
-    # One pass at the smallest clip serves every control and clip node; it
-    # keeps every node only for the export paths, the first rows of w.
-    run = cpl.simulate_coupled(cfg.coeffs, schedule, x0, y0, controls,
-                               [cfg.clip_epsilon, *sweep], w)
+    # One pass at the smallest clip serves every control and clip node; w is
+    # dropped with it, the export paths (its first rows) keep their own.
+    run = cpl.simulate_coupled(
+        cfg.coeffs, schedule, x0, y0, controls, [cfg.clip_epsilon, *sweep],
+        sc.scaled_increments(cfg.seed, cfg.n_paths, cfg.grid))
     at_clip = run.at_clip(cfg.clip_epsilon)
-    export = run.heads
     entropy = cpl.entropy_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
     entries = [dataclasses.asdict(entropy)]
     if cfg.coeffs.kappa2 > cfg.coeffs.kappa1:
@@ -133,15 +132,15 @@ def run_coupling(cfg: RunConfig):
     })
 
     discrepancy = max(cpl.shifted_qv_discrepancy(b, cfg.clip_epsilon)
-                      for b in export)
+                      for b in run.heads)
     # The Euler cross term scales with dt times the larger of T and the
     # shift's energy.
-    energy = max(cpl.shift_energy(b, cfg.clip_epsilon) for b in export)
+    energy = max(cpl.shift_energy(b, cfg.clip_epsilon) for b in run.heads)
     tolerance = 10.0 * cfg.grid.dt * max(T, energy)
     entries.append({"kind": "shifted_qv",
                     "passed": within_band(discrepancy, 0.0, tolerance, 0.0),
                     "discrepancy": discrepancy, "tolerance": tolerance})
-    return entries, {"paths": export}, []
+    return entries, {"paths": run.heads}, []
 
 
 def run_harnack(cfg: RunConfig, semigroups: Semigroups, log_f, f_p):

@@ -1,5 +1,6 @@
 """Run configuration: line-oriented `key = value` entries under bracketed
-section headers (configparser grammar, no interpolation). Cross-field
+section headers (configparser grammar, no interpolation, `;` comments also
+after a value). Cross-field
 constraints of the owning modules are re-validated at parse time so a bad
 config dies with a field-level diagnostic before any work starts.
 """
@@ -80,12 +81,13 @@ def _physical_memory() -> int:
 
 
 class _Parser(configparser.ConfigParser):
-    """The configparser grammar without interpolation, recording each
-    (section, entry) that `_get` looks up, keys lower-cased as configparser
-    stores them, so that an entry no field reads can be refused by name."""
+    """The configparser grammar without interpolation, with `; ...` after a
+    value an inline comment, recording each (section, entry) that `_get`
+    looks up, keys lower-cased as configparser stores them, so that an
+    entry no field reads can be refused by name."""
 
     def __init__(self):
-        super().__init__(interpolation=None)
+        super().__init__(interpolation=None, inline_comment_prefixes=(";",))
         self.looked_up: set[tuple[str, str]] = set()
 
 

@@ -15,7 +15,7 @@ there, bit for bit. A clip sweep therefore needs one pass, simulated at the
 smallest epsilon of the sweep; after the node of a larger epsilon, its g
 counts as zero. That pass advances every control at once, a (k controls,
 n_paths) state, and keeps (x, y, log M) only at the clip nodes it is asked
-for, with every node kept only for the first EXPORT_PATHS paths.
+for, g and the levels of every step only for the first EXPORT_PATHS paths.
 
 Explicit Euler contracts the gap X - Y only while `stability_ratio` stays at
 most 1, so a larger ratio is refused, not simulated. A drift-implicit step for
@@ -38,8 +38,8 @@ from .scenario import (_W_BLOCK_STEPS, Control, _level_rows, _time_major,
 
 # Clip sweep of the coupling-success check, as fractions of the horizon.
 SWEEP_FRACTIONS = (0.2, 0.1, 0.05, 0.025)
-# Paths of each control whose every node a coupled run keeps: the rows of
-# paths.csv and of the shifted-QV check.
+# Paths of each control whose g and levels at every step a coupled run
+# keeps: the rows of paths.csv and of the shifted-QV check.
 EXPORT_PATHS = 128
 
 
@@ -168,12 +168,13 @@ _STATE_ROWS = 24 + 3 * (1 + len(SWEEP_FRACTIONS))
 
 def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
     """Bytes of the arrays of one coupled run of the CLI: the increments w
-    and their time-major block, the per-control state rows, and every node
-    of the EXPORT_PATHS export rows (levels, x, y, g, log m)."""
+    and their time-major block, the per-control state rows, the export rows'
+    w and g, lambda at the nodes and three tables of open-loop levels."""
     n_head = min(n_paths, EXPORT_PATHS)
     return 8 * (n_paths * (n_steps + _W_BLOCK_STEPS)
                 + _STATE_ROWS * n_controls * n_paths
-                + 5 * (n_steps + 1) * n_controls * n_head)
+                + (n_head + 3 * n_controls) * n_steps
+                + (n_controls * n_head + 1) * (n_steps + 1))
 
 
 @dataclass(frozen=True)
@@ -204,22 +205,23 @@ class ClipSample:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Coupled sample paths of one control with every node kept (rows =
-    paths): the export rows of a coupled run, or all rows of a one-control
-    run from `simulate_bundle`.
+    """Coupled sample paths of one control (rows = paths): the export rows
+    of a coupled run, or all rows of a one-control run from `simulate_bundle`.
 
-    `w` is path-major: row p is path p's own stream. `levels` and the four
-    path arrays are transposed views of the kernel's time-major buffers, so
-    a column (one time node) is contiguous and a row (one path) is strided."""
+    `w` is path-major: row p is path p's own stream. The rest are read-only
+    transposed views of the kernel's time-major buffers: g at every node,
+    x, y and log M at the grid nodes `nodes` (all from `simulate_bundle`),
+    and the levels, broadcast over the paths for an open-loop control."""
 
     grid: TimeGrid
     clip_epsilon: float
     clip_index: int
     w: np.ndarray          # (n_paths, n_steps) sqrt(dt)-scaled normals
-    levels: np.ndarray     # (n_paths, n_steps), time-major view
-    x_path: np.ndarray     # (n_paths, n_steps + 1), time-major view
+    levels: np.ndarray     # (n_paths, n_steps)
+    g_path: np.ndarray     # (n_paths, n_steps + 1)
+    nodes: tuple           # increasing
+    x_path: np.ndarray     # (n_paths, len(nodes))
     y_path: np.ndarray     # as x_path
-    g_path: np.ndarray     # as x_path
     log_m_path: np.ndarray  # as x_path
     # Step during which the finiteness guard excluded each path, n_steps if
     # never: a path excluded during step j is still included at node j.
@@ -251,7 +253,7 @@ class CoupledRun:
     """Coupled paths of k controls from one pass, all started at (x0, y0) on
     the same increments: each control's ClipSample at every clip epsilon of
     the run, and a PathBundle of the first EXPORT_PATHS paths of each
-    control."""
+    control, with x, y and log M at the clip nodes of the run."""
 
     samples: dict          # epsilon -> tuple of ClipSamples, control order
     heads: tuple           # one PathBundle per control
@@ -269,7 +271,7 @@ class CoupledRun:
 def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
                   x0: float, y0: float, controls: Sequence[Control],
                   clip_epsilon: float, w: np.ndarray,
-                  read_epsilons: Sequence[float], n_full: int) -> CoupledRun:
+                  epsilons: Sequence[float] | None, n_full: int) -> CoupledRun:
     """The coupled Euler loop for k controls on the shared increments `w`
     (one row per path), state (k, n_paths), g clipped at `clip_epsilon`.
 
@@ -281,8 +283,8 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     values from node j and is excluded, the step recorded in its
     `stiff_step`; each path depends on its own row of `w` alone.
 
-    Keeps (x, y, log M) of every path at the clip node of each of
-    `read_epsilons`, and every node of the first `n_full` paths.
+    Keeps (x, y, log M) of every path at the clip nodes of `epsilons` (at
+    every node if None), and g and the levels of the first `n_full` paths.
     """
     grid = controls[0].grid
     T = grid.horizon
@@ -308,25 +310,21 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     logm = np.zeros(shape)
     g_zero = np.zeros(shape)
     stiff_step = np.full(shape, n_steps)
-    read = {eps: _clip_index(grid, eps) for eps in read_epsilons}
-    at_nodes = {}          # node -> (x, y, log M) of every path
-    # Time-major: step j reads block j and writes block j + 1.
-    full = [np.zeros((n_steps + 1, len(controls), n_full)) for _ in range(4)]
-    x_full, y_full, g_full, logm_full = full
-    levels_full = np.empty((n_steps, len(controls), n_full))
-
-    def record(node):
-        x_full[node], y_full[node] = x[:, :n_full], y[:, :n_full]
-        logm_full[node] = logm[:, :n_full]
-        if node in read.values():
-            at_nodes[node] = (x, y, logm)  # each step makes new arrays
-
-    record(0)
+    read = {eps: _clip_index(grid, eps) for eps in epsilons or ()}
+    kept = range(n_steps + 1) if epsilons is None else sorted({*read.values()})
+    # Time-major: (x, y, log M) at each kept node, the start values until
+    # then (node 0's), and g and the levels of each step, the levels at the
+    # width the family gives them: one column when open-loop.
+    at_nodes = np.empty((3, len(kept), *shape))
+    at_nodes[...] = np.reshape((x0, y0, 0.0), (3, 1, 1, 1))
+    g_full = np.zeros((n_steps + 1, len(controls), n_full))
+    width = min(levels_at(0, x).shape[1], n_full)
+    levels = np.empty((n_steps, len(controls), width))
     lam_nodes = schedule.value(grid.nodes)
     for j, wj in enumerate(_time_major(w)):
         t = float(grid.nodes[j])
         lv = levels_at(j, x)
-        levels_full[j] = lv[:, :n_full]
+        levels[j] = lv[:, :n_full]
         dB = lv * wj
         dqv = lv * lv * dt
         sx = coeffs.sigma(t, x)
@@ -344,13 +342,14 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
             xn[bad], yn[bad], lmn[bad] = x[bad], y[bad], logm[bad]  # frozen
 
         x, y, logm = xn, yn, lmn
-        record(j + 1)
+        if j + 1 in kept:
+            at_nodes[:, kept.index(j + 1)] = x, y, logm
 
     samples = {}
     for eps, node in read.items():
         t = float(grid.nodes[node])
         lam = float(schedule.value(t))
-        xs, ys, logms = at_nodes[node]
+        xs, ys, logms = at_nodes[:, kept.index(node)]
         per_control = []
         for i, keep in enumerate(stiff_step >= node):
             lm = logms[i][keep]
@@ -359,14 +358,16 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
                 gap=np.abs(xs[i][keep] - ys[i][keep]), log_m=lm,
                 n_excluded=keep.size - int(np.count_nonzero(keep))))
         samples[eps] = tuple(per_control)
-    w = w[:n_full].view()  # made read-only below; the caller's stays writable
-    for arr in (w, stiff_step, levels_full, *full):
+    w = w[:n_full].copy()  # the rows read again, so the caller may drop w
+    for arr in (w, stiff_step, levels, g_full, at_nodes):
         arr.setflags(write=False)
+    x_at, y_at, lm_at = at_nodes[..., :n_full]
     heads = tuple(
         PathBundle(grid=grid, clip_epsilon=float(clip_epsilon),
-                   clip_index=clip_index, w=w, levels=levels_full[:, i].T,
-                   x_path=x_full[:, i].T, y_path=y_full[:, i].T,
-                   g_path=g_full[:, i].T, log_m_path=logm_full[:, i].T,
+                   clip_index=clip_index, w=w, nodes=tuple(kept),
+                   levels=np.broadcast_to(levels[:, i], (n_steps, n_full)).T,
+                   g_path=g_full[:, i].T, x_path=x_at[:, i].T,
+                   y_path=y_at[:, i].T, log_m_path=lm_at[:, i].T,
                    stiff_step=stiff_step[i, :n_full])
         for i in range(len(controls)))
     return CoupledRun(samples=samples, heads=heads)
@@ -380,10 +381,9 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     in one pass, driven by the sqrt(dt)-scaled increments `w` (one row per
     path), g clipped at the smallest of `clip_epsilons`.
 
-    Keeps (x, y, log M) of every path only at the clip node of each of
-    `clip_epsilons`, and every node only for the first EXPORT_PATHS paths
-    of each control. See `_coupled_pass` for the dynamics, the stability
-    check and the finiteness guard.
+    Keeps (x, y, log M) of every path only at the clip nodes of
+    `clip_epsilons`, g and the levels only for the first EXPORT_PATHS paths.
+    See `_coupled_pass` for the dynamics, stability check and finiteness guard.
     """
     epsilons = [float(eps) for eps in clip_epsilons]
     return _coupled_pass(coeffs, schedule, x0, y0, controls, min(epsilons), w,
@@ -396,7 +396,7 @@ def simulate_bundle(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     """The coupled paths of one control with every node of every path kept:
     the one-control case of the pass of `simulate_coupled`."""
     return _coupled_pass(coeffs, schedule, x0, y0, [control], clip_epsilon, w,
-                         (), w.shape[0]).heads[0]
+                         None, w.shape[0]).heads[0]
 
 
 def _shifted_rows(bundle: PathBundle,
@@ -592,15 +592,16 @@ def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
 def export_bundle_csv(bundles: Sequence[PathBundle], path,
                       clip_epsilon: float | None = None) -> None:
     """Per-path summaries at the clip node of `clip_epsilon` (default: each
-    bundle's own clip)."""
+    bundle's own clip), which each bundle must keep."""
     rows = ["control_id,path_id,clip_time,x,y,abs_gap,m,log_m\n"]
     for cid, bundle in enumerate(bundles):
         j = bundle.node(clip_epsilon)
+        if j not in bundle.nodes:
+            raise CouplingError(f"node {j} is not kept: {bundle.nodes}")
         t = float(bundle.grid.nodes[j])
-        for p in range(bundle.n_paths):
-            xv = float(bundle.x_path[p, j])
-            yv = float(bundle.y_path[p, j])
-            lm = float(bundle.log_m_path[p, j])
+        at = [a[:, bundle.nodes.index(j)].tolist()
+              for a in (bundle.x_path, bundle.y_path, bundle.log_m_path)]
+        for p, (xv, yv, lm) in enumerate(zip(*at)):
             rows.append(f"{cid},{p},{t!r},{xv!r},{yv!r},"
                         f"{abs(xv - yv)!r},{math.exp(lm)!r},{lm!r}\n")
     _atomic_write(path, "".join(rows))

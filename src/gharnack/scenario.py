@@ -64,16 +64,15 @@ class FeedbackControl:
     policy table at the current simulated state.
 
     `step_levels` row j is the step-j level at every policy node, built once
-    from `level`, so a step reads a state's level by its node index without
-    searching the policy times."""
+    by `PolicyTable.node_levels`, so a step reads a state's level by its
+    node index without searching the policy times."""
 
     grid: TimeGrid
     policy: PolicyTable
     step_levels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.array([self.level(j, float(t), self.policy.x_nodes)
-                         for j, t in enumerate(self.grid.nodes[:-1])])
+        rows = self.policy.node_levels(self.grid.nodes[:-1])
         rows.setflags(write=False)
         object.__setattr__(self, "step_levels", rows)
 

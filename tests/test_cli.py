@@ -4,6 +4,7 @@ import time
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from gharnack.cli import bundled_config_path, main
@@ -34,6 +35,36 @@ class TestConfigParsing:
         p.write_text(text)
         cfg = parse_run_config(p)
         assert cfg.alpha == pytest.approx(0.81)  # kappa1^2 / kappa2^2
+
+    def test_readme_grammar_block_is_the_bundled_config(self, tmp_path):
+        # the README block's inline "; ..." notes are comments; its one
+        # different entry, alpha = auto, resolves to the bundled 0.81
+        import dataclasses
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration grammar", 1)[1]
+        block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "alpha = auto" in block and "0.81" not in block
+        assert "b = affine             ; coefficient catalog entry" in block
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+
+        def values(cfg):
+            xs = cfg.pde.nodes()
+            c, f = cfg.coeffs, cfg.payoff
+            out = {field.name: getattr(cfg, field.name)
+                   for field in dataclasses.fields(cfg)
+                   if field.name not in ("coeffs", "schedule", "payoff")}
+            out["coeffs"] = (c.K, c.kappa1, c.kappa2, *(
+                np.broadcast_to(fn(0.0, xs), xs.shape).tolist()
+                for fn in (c.b, c.h, c.sigma)))
+            out["schedule"] = (cfg.schedule.alpha, cfg.schedule.lambda0)
+            out["payoff"] = (f.name, f.lower_bound, f.upper_bound,
+                             f.strictly_positive, f.f(xs).tolist())
+            return out
+
+        assert values(parse_run_config(path)) == values(parse_run_config(CFG))
 
     def test_inverted_kappas_name_the_field(self, tmp_path):
         text = CFG.read_text().replace("kappa1 = 0.9", "kappa1 = 1.5")
@@ -657,7 +688,8 @@ class TestStackedPaths:
 
     def test_coupling_run_holds_no_full_paths_of_every_control(self):
         # 5 controls x 2048 paths x 257 nodes: one (k, n_steps + 1, n_paths)
-        # array is 21 MB, w 4.2 MB, the export rows 6.6 MB in all
+        # array is 21 MB, w 4.2 MB; export rows with every node of levels,
+        # x, y, g and log M would be 6.6 MB, their g alone is 1.3 MB
         from gharnack import cli
         from gharnack.coupling import EXPORT_PATHS
 
@@ -673,6 +705,51 @@ class TestStackedPaths:
         export = 5 * (s + 1) * k * EXPORT_PATHS * 8
         assert peak < w_nbytes + export + 64 * k * n * 8
         assert peak < k * (s + 1) * n * 8
+
+
+    @staticmethod
+    def coupling_run_peak(cfg):
+        """The tracemalloc peak of a coupled run after a first one, whose
+        peak also holds what loading modules such as numpy.random keeps."""
+        from gharnack import cli
+
+        cli.run_coupling(cfg)
+        tracemalloc.start()
+        try:
+            cli.run_coupling(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_coupling_run_keeps_every_node_of_g_alone(self):
+        # the export rows keep their rows of w and g at every node, x, y and
+        # log M at the run's clip nodes and the open-loop levels once per
+        # step; every node of levels, x, y and log M would be 5.3 MB more
+        from gharnack import coupling
+
+        cfg = parse_run_config(CFG)
+        k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
+        peak = self.coupling_run_peak(cfg)
+        w_nbytes = n * s * 8
+        block = coupling._W_BLOCK_STEPS * n * 8
+        state = coupling._STATE_ROWS * k * n * 8
+        export = coupling.EXPORT_PATHS * (s + (s + 1) * k) * 8
+        small = 2 ** 16  # the controls, their levels, lambda at the nodes
+        assert peak <= w_nbytes + block + state + export + small
+
+    def test_run_nbytes_bounds_the_coupling_run(self):
+        # the parse-time memory refusal counts what the coupled run holds,
+        # less than the every-node export rows it counted before
+        from gharnack import coupling
+
+        cfg = parse_run_config(CFG)
+        k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
+        need = coupling.run_nbytes(n, s, k)
+        assert self.coupling_run_peak(cfg) <= need
+        every_node = 8 * (n * (s + coupling._W_BLOCK_STEPS)
+                          + coupling._STATE_ROWS * k * n
+                          + 5 * (s + 1) * k * coupling.EXPORT_PATHS)
+        assert need < every_node - 4 * 2 ** 20
 
 
 class TestSubcommands:

@@ -626,8 +626,10 @@ class TestOnePassSweep:
     def test_head_is_a_copy_of_a_smaller_bundle(self, acc_setup):
         # each path reads only its own row of w, also when rows past the
         # head are excluded: the export rows of a stacked run are a
-        # one-control bundle on those rows of w alone
+        # one-control bundle on those rows of w alone, at every node the
+        # head keeps (its clip node for x, y and log M)
         coeffs, band, schedule, grid, controls = acc_setup
+        clip_node = coupling._clip_index(grid, 0.025)
         clean = scaled_increments(93, 256, grid)
         for w in (clean, poisoned(clean, LATE_ROWS)):
             run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls,
@@ -639,10 +641,14 @@ class TestOnePassSweep:
                                           control, 0.025,
                                           w[:coupling.EXPORT_PATHS])
                 assert head.n_paths == coupling.EXPORT_PATHS
+                assert head.nodes == (clip_node,)
                 for name in ("w", "levels", "x_path", "y_path", "g_path",
                              "log_m_path", "stiff_step"):
-                    assert getattr(head, name).tobytes() == \
-                        getattr(small, name).tobytes(), name
+                    want = getattr(small, name)
+                    if name in ("x_path", "y_path", "log_m_path"):
+                        want = want[:, list(head.nodes)]
+                    assert getattr(head, name).tobytes() == want.tobytes(), \
+                        name
                     assert not getattr(head, name).flags.writeable, name
 
 
@@ -663,6 +669,27 @@ class TestBundleExport:
         cells = lines[1].split(",")
         assert cells[0] == "0" and cells[1] == "0"
         assert float(cells[6]) == pytest.approx(math.exp(float(cells[7])))
+
+
+    def test_export_reads_a_node_the_rows_kept(self, acc_setup, tmp_path):
+        # a stacked run's export rows keep x, y and log M at its clip nodes
+        # only: paths.csv reads one of them, and refuses any other node
+        from gharnack.coupling import export_bundle_csv
+        coeffs, band, schedule, grid, controls = acc_setup
+        w = scaled_increments(82, 8, grid)
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[:2],
+                                 [0.01, 0.1], w)
+        assert [head.nodes for head in run.heads] == [(460, 506)] * 2
+        bundles = [coupled(coeffs, schedule, 0.0, 0.5, c, seed=82,
+                           clip_epsilon=0.01, n_paths=8) for c in controls[:2]]
+        for eps in (0.1, 0.01):
+            export_bundle_csv(run.heads, tmp_path / "run.csv", eps)
+            export_bundle_csv(bundles, tmp_path / "alone.csv", eps)
+            assert (tmp_path / "run.csv").read_bytes() == \
+                (tmp_path / "alone.csv").read_bytes()
+        with pytest.raises(CouplingError,
+                           match=r"node 486 is not kept: \(460, 506\)"):
+            export_bundle_csv(run.heads, tmp_path / "run.csv", 0.05)
 
 
 def reference_coupled(coeffs, schedule, x0, y0, control, clip_epsilon, w):
@@ -738,12 +765,16 @@ class TestTimeMajorCoupledKernel:
 
     FIELDS = ("w", "levels", "x_path", "y_path", "g_path", "log_m_path",
               "stiff_step")
+    # Kept by an export row at the run's clip nodes only.
+    NODE_FIELDS = ("x_path", "y_path", "log_m_path")
 
     @staticmethod
     def assert_run_matches(run, controls, refs, dt):
-        """Every clip sample and every export row of a stacked run against
-        the path-major loop of each control."""
+        """Every clip sample and every export row of a stacked run, at every
+        node the row keeps, against the path-major loop of each control."""
         n_head = coupling.EXPORT_PATHS
+        clip_nodes = sorted({coupling._clip_index(controls[0].grid, eps)
+                             for eps in run.samples})
         for eps in run.samples:
             for sample, ref in zip(run.at_clip(eps), refs):
                 j = coupling._clip_index(controls[0].grid, eps)
@@ -755,9 +786,12 @@ class TestTimeMajorCoupledKernel:
                 assert sample.gap.tobytes() == gap.tobytes()
                 assert sample.n_excluded == keep.size - np.count_nonzero(keep)
         for head, ref in zip(run.heads, refs):
+            assert head.nodes == tuple(clip_nodes)
             for name in TestTimeMajorCoupledKernel.FIELDS:
-                assert getattr(head, name).tobytes() == \
-                    ref[name][:n_head].tobytes(), name
+                want = ref[name][:n_head]
+                if name in TestTimeMajorCoupledKernel.NODE_FIELDS:
+                    want = want[:, clip_nodes]
+                assert getattr(head, name).tobytes() == want.tobytes(), name
             head_ref = {k: v[:n_head] for k, v in ref.items()}
             for eps in SWEEP:
                 j = head.node(eps)
@@ -865,6 +899,8 @@ class TestTimeMajorCoupledKernel:
         coeffs, band, schedule, grid, controls = acc_setup
         bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[2], seed=94,
                          clip_epsilon=0.01, n_paths=32)
-        for name in ("levels", "x_path", "y_path", "g_path", "log_m_path"):
+        for name in ("x_path", "y_path", "g_path", "log_m_path"):
             assert getattr(bundle, name).T.flags.c_contiguous, name
         assert bundle.w.flags.c_contiguous
+        # an open-loop control's level at a step is one value for all paths
+        assert bundle.levels.strides[0] == 0

@@ -167,6 +167,34 @@ class TestFeedbackControl:
         assert late[0] == wide_band.sigma_lower
 
 
+    @pytest.mark.parametrize("n_steps", [256, 1000])
+    def test_step_levels_equal_the_per_step_lookup(self, wide_band, n_steps):
+        # the one-pass table against PolicyTable.level_at step by step: at
+        # the grid's own times, at every other node (each even node is as
+        # near the node before as the one after) and at off-grid times
+        grid = g.TimeGrid(1.0, n_steps)
+        rng = np.random.default_rng(n_steps)
+        x_nodes = np.linspace(-8.0, 8.0, 65)
+        for times in (grid.nodes[:-1], grid.nodes[1::2],
+                      np.linspace(0.1, 0.9, 37)):
+            policy = g.PolicyTable(times=times, x_nodes=x_nodes,
+                                   hi_mask=rng.random((times.size, 65)) < 0.5,
+                                   band=wide_band)
+            loop = np.array([policy.level_at(float(t), x_nodes)
+                             for t in grid.nodes[:-1]])
+            assert np.array_equal(g.FeedbackControl(grid, policy).step_levels,
+                                  loop)
+
+    def test_step_levels_need_increasing_policy_times(self, wide_band):
+        grid = g.TimeGrid(1.0, 8)
+        policy = g.PolicyTable(times=grid.nodes[:-1][::-1],
+                               x_nodes=np.linspace(-8.0, 8.0, 5),
+                               hi_mask=np.zeros((8, 5), dtype=bool),
+                               band=wide_band)
+        with pytest.raises(g.PdeError, match="strictly increasing"):
+            g.FeedbackControl(grid, policy)
+
+
 def reference_solve(coeffs, band, payoff, T, cfg, policy_times=None):
     """The explicit scheme for one payoff written step by step: coefficients
     evaluated at every time level, ghost nodes by concatenation, and the
