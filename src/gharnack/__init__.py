@@ -31,6 +31,7 @@ from .gheat import (
 from .scenario import (
     EstimateWithError,
     FeedbackControl,
+    PathIncrements,
     ScenarioControl,
     ScenarioError,
     YoungReport,

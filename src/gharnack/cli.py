@@ -108,11 +108,12 @@ def run_coupling(cfg: RunConfig):
                                   cfg.n_controls, cfg.seed)
     x0, y0 = cfg.check_x, cfg.check_y
     sweep = [frac * T for frac in cpl.SWEEP_FRACTIONS]
-    # One pass at the smallest clip serves every control and clip node; w is
-    # dropped with it, the export paths (its first rows) keep their own.
+    # One pass at the smallest clip serves every control and clip node; it
+    # draws w one block of paths at a time, and the export paths (its first
+    # rows) keep their own.
     run = cpl.simulate_coupled(
         cfg.coeffs, schedule, x0, y0, controls, [cfg.clip_epsilon, *sweep],
-        sc.scaled_increments(cfg.seed, cfg.n_paths, cfg.grid))
+        sc.PathIncrements(cfg.seed, cfg.n_paths, cfg.grid))
     at_clip = run.at_clip(cfg.clip_epsilon)
     entropy = cpl.entropy_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
     entries = [dataclasses.asdict(entropy)]
@@ -131,11 +132,10 @@ def run_coupling(cfg: RunConfig):
         "rows": [dataclasses.asdict(r) for r in trend.rows],
     })
 
-    discrepancy = max(cpl.shifted_qv_discrepancy(b, cfg.clip_epsilon)
-                      for b in run.heads)
     # The Euler cross term scales with dt times the larger of T and the
     # shift's energy.
-    energy = max(cpl.shift_energy(b, cfg.clip_epsilon) for b in run.heads)
+    discrepancy, energy = map(max, zip(*(
+        cpl.shifted_qv_discrepancy(b, cfg.clip_epsilon) for b in run.heads)))
     tolerance = 10.0 * cfg.grid.dt * max(T, energy)
     entries.append({"kind": "shifted_qv",
                     "passed": within_band(discrepancy, 0.0, tolerance, 0.0),

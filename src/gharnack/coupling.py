@@ -14,8 +14,9 @@ clip, so a run simulated at a smaller epsilon holds the same (x, y, log M)
 there, bit for bit. A clip sweep therefore needs one pass, simulated at the
 smallest epsilon of the sweep; after the node of a larger epsilon, its g
 counts as zero. That pass advances every control at once, a (k controls,
-n_paths) state, and keeps (x, y, log M) only at the clip nodes it is asked
-for, g and the levels of every step only for the first EXPORT_PATHS paths.
+paths) state, one block of paths at a time, and keeps (x, y, log M) only at
+the clip nodes it is asked for, g and the levels of every step only for the
+first EXPORT_PATHS paths.
 
 Explicit Euler contracts the gap X - Y only while `stability_ratio` stays at
 most 1, so a larger ratio is refused, not simulated. A drift-implicit step for
@@ -33,8 +34,8 @@ import numpy as np
 
 from .model import (ModelCoefficients, TimeGrid, VolatilityBand, _atomic_write,
                     alpha_cap, initial_weight, rate_constants, within_band)
-from .scenario import (_W_BLOCK_STEPS, Control, _level_rows, _time_major,
-                       euler_step, sup_over_controls)
+from .scenario import (_W_BLOCK_STEPS, Control, _level_rows, _path_block,
+                       _time_major, euler_step, sup_over_controls)
 
 # Clip sweep of the coupling-success check, as fractions of the horizon.
 SWEEP_FRACTIONS = (0.2, 0.1, 0.05, 0.025)
@@ -160,19 +161,24 @@ def stability_ratio(schedule: CouplingSchedule, sigma_upper: float,
                         initial=0.0))
 
 
-# (k, n_paths) arrays alive at once in a step of the coupled pass: the
-# state, its temporaries and the stiff steps (at most 24), and (x, y, log M)
-# at the clip node of `clip_epsilon` and of each SWEEP_FRACTIONS epsilon.
-_STATE_ROWS = 24 + 3 * (1 + len(SWEEP_FRACTIONS))
+# (k, block) arrays alive at once in a step of the coupled pass: the state
+# and its temporaries (at most 24).
+_STATE_ROWS = 24
+# (k, n_paths) rows of a coupled run of the CLI: (x, y, log M) at the clip
+# node of `clip_epsilon` and of each SWEEP_FRACTIONS epsilon, kept twice
+# (the record, and the ClipSamples read from it), and the stiff steps.
+_RECORD_ROWS = 2 * 3 * (1 + len(SWEEP_FRACTIONS)) + 1
 
 
 def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
-    """Bytes of the arrays of one coupled run of the CLI: the increments w
-    and their time-major block, the per-control state rows, the export rows'
-    w and g, lambda at the nodes and three tables of open-loop levels."""
+    """Bytes of the arrays of one coupled run of the CLI: one block of the
+    increments w, its time-major block and its state rows, the clip-node
+    record, the export rows' w and g, lambda at the nodes and three tables
+    of open-loop levels."""
     n_head = min(n_paths, EXPORT_PATHS)
-    return 8 * (n_paths * (n_steps + _W_BLOCK_STEPS)
-                + _STATE_ROWS * n_controls * n_paths
+    block = min(n_paths, _path_block(n_steps, n_head))
+    return 8 * (block * (n_steps + _W_BLOCK_STEPS + _STATE_ROWS * n_controls)
+                + _RECORD_ROWS * n_controls * n_paths
                 + (n_head + 3 * n_controls) * n_steps
                 + (n_controls * n_head + 1) * (n_steps + 1))
 
@@ -268,55 +274,31 @@ class CoupledRun:
         return self.samples[epsilon]
 
 
-def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
-                  x0: float, y0: float, controls: Sequence[Control],
-                  clip_epsilon: float, w: np.ndarray,
-                  epsilons: Sequence[float] | None, n_full: int) -> CoupledRun:
-    """The coupled Euler loop for k controls on the shared increments `w`
-    (one row per path), state (k, n_paths), g clipped at `clip_epsilon`.
+def _coupled_pass(coeffs, schedule, controls, clip_index, w, kept, record,
+                  stiff_step, n_full):
+    """The coupled Euler loop for k controls over one block of paths, on
+    their rows `w` of the shared increments, g clipped at grid node
+    `clip_index`, from the (x, y, log M) that the block's `record` holds
+    before the pass writes it: the start values.
 
     X follows the base dynamics; Y carries the attracting drift
     sigma(Y) g d<B> with g = (X - Y)/(lambda sigma(X)); the density is
-    advanced in log space, log M += -g dB - g^2 d<B> / 2. Raises
-    CouplingError when `stability_ratio` exceeds 1 for a control's band.
-    An element whose x, y or log M turns non-finite in step j keeps its
-    values from node j and is excluded, the step recorded in its
-    `stiff_step`; each path depends on its own row of `w` alone.
+    advanced in log space, log M += -g dB - g^2 d<B> / 2. An element whose
+    x, y or log M turns non-finite in step j keeps its values from node j
+    and is excluded, j written into its `stiff_step`; each path depends on
+    its own row of `w` alone.
 
-    Keeps (x, y, log M) of every path at the clip nodes of `epsilons` (at
-    every node if None), and g and the levels of the first `n_full` paths.
+    Writes (x, y, log M) at the nodes `kept` into the block's `record`, and
+    returns the first `n_full` rows of `w` and, time-major, their g at every
+    node and levels at each step (one column when open-loop).
     """
     grid = controls[0].grid
-    T = grid.horizon
-    clip_index = _clip_index(grid, clip_epsilon)
-    if abs(T - schedule.T) > 1e-12 * max(1.0, T):
-        raise CouplingError("control grid horizon differs from schedule horizon")
     n_paths, n_steps = w.shape
-    if n_steps != grid.n_steps:
-        raise CouplingError(
-            f"w has {n_steps} columns, the grid has {grid.n_steps} steps")
-    # r grows with sigma_upper, so the widest band bounds every control's
-    sigma_upper = max(control.band.sigma_upper for control in controls)
-    r = stability_ratio(schedule, sigma_upper, grid, clip_epsilon)
-    if r > 1.0:
-        raise CouplingError(f"alpha {schedule.alpha:g} gives the coupling step "
-                            f"ratio r = {r:.3g} > 1 at {n_steps} steps and "
-                            f"clip_epsilon {clip_epsilon:g}")
     dt = grid.dt
     levels_at = _level_rows(controls, n_paths)
     shape = (len(controls), n_paths)
-    x = np.full(shape, float(x0))
-    y = np.full(shape, float(y0))
-    logm = np.zeros(shape)
+    x, y, logm = record[:, 0].copy()
     g_zero = np.zeros(shape)
-    stiff_step = np.full(shape, n_steps)
-    read = {eps: _clip_index(grid, eps) for eps in epsilons or ()}
-    kept = range(n_steps + 1) if epsilons is None else sorted({*read.values()})
-    # Time-major: (x, y, log M) at each kept node, the start values until
-    # then (node 0's), and g and the levels of each step, the levels at the
-    # width the family gives them: one column when open-loop.
-    at_nodes = np.empty((3, len(kept), *shape))
-    at_nodes[...] = np.reshape((x0, y0, 0.0), (3, 1, 1, 1))
     g_full = np.zeros((n_steps + 1, len(controls), n_full))
     width = min(levels_at(0, x).shape[1], n_full)
     levels = np.empty((n_steps, len(controls), width))
@@ -343,28 +325,68 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
 
         x, y, logm = xn, yn, lmn
         if j + 1 in kept:
-            at_nodes[:, kept.index(j + 1)] = x, y, logm
+            record[:, kept.index(j + 1)] = x, y, logm
+    return w[:n_full].copy(), g_full, levels
+
+
+def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
+                 epsilons, n_full) -> CoupledRun:
+    """`_coupled_pass` over blocks of at least `n_full` rows of `w`, g
+    clipped at `clip_epsilon`. Raises CouplingError when `stability_ratio`
+    exceeds 1 for a control's band. Keeps (x, y, log M) of every path at the
+    clip nodes of `epsilons` (every node if None), and g and the levels of
+    the first `n_full` paths."""
+    grid = controls[0].grid
+    T = grid.horizon
+    clip_index = _clip_index(grid, clip_epsilon)
+    if abs(T - schedule.T) > 1e-12 * max(1.0, T):
+        raise CouplingError("control grid horizon differs from schedule horizon")
+    n_paths, n_steps = w.shape
+    if n_steps != grid.n_steps:
+        raise CouplingError(
+            f"w has {n_steps} columns, the grid has {grid.n_steps} steps")
+    # r grows with sigma_upper, so the widest band bounds every control's
+    sigma_upper = max(control.band.sigma_upper for control in controls)
+    r = stability_ratio(schedule, sigma_upper, grid, clip_epsilon)
+    if r > 1.0:
+        raise CouplingError(f"alpha {schedule.alpha:g} gives the coupling step "
+                            f"ratio r = {r:.3g} > 1 at {n_steps} steps and "
+                            f"clip_epsilon {clip_epsilon:g}")
+    read = {eps: _clip_index(grid, eps) for eps in epsilons or ()}
+    kept = range(n_steps + 1) if epsilons is None else sorted({*read.values()})
+    # Time-major: (x, y, log M) at each kept node, the start values until
+    # the pass of its block writes them.
+    record = np.empty((3, len(kept), len(controls), n_paths))
+    record[...] = np.reshape((x0, y0, 0.0), (3, 1, 1, 1))
+    stiff_step = np.full((len(controls), n_paths), n_steps)
+    block = _path_block(n_steps, n_full)
+    # The export rows' tables come from the first block, whose rows they
+    # are; each block of w is dropped when its pass returns.
+    w_head, g_full, levels = [
+        _coupled_pass(coeffs, schedule, controls, clip_index,
+                      w[first:first + block], kept,
+                      record[..., first:first + block],
+                      stiff_step[:, first:first + block],
+                      n_full if first == 0 else 0)
+        for first in range(0, n_paths, block)][0]
 
     samples = {}
     for eps, node in read.items():
         t = float(grid.nodes[node])
         lam = float(schedule.value(t))
-        xs, ys, logms = at_nodes[:, kept.index(node)]
-        per_control = []
-        for i, keep in enumerate(stiff_step >= node):
-            lm = logms[i][keep]
-            per_control.append(ClipSample(
-                epsilon=eps, clip_time=t, lambda_at_clip=lam, m=np.exp(lm),
-                gap=np.abs(xs[i][keep] - ys[i][keep]), log_m=lm,
-                n_excluded=keep.size - int(np.count_nonzero(keep))))
-        samples[eps] = tuple(per_control)
-    w = w[:n_full].copy()  # the rows read again, so the caller may drop w
-    for arr in (w, stiff_step, levels, g_full, at_nodes):
+        samples[eps] = tuple(
+            ClipSample(epsilon=eps, clip_time=t, lambda_at_clip=lam,
+                       m=np.exp(lm[keep]), gap=np.abs(x[keep] - y[keep]),
+                       log_m=lm[keep],
+                       n_excluded=int(np.count_nonzero(~keep)))
+            for x, y, lm, keep in zip(*record[:, kept.index(node)],
+                                      stiff_step >= node))
+    for arr in (w_head, stiff_step, levels, g_full, record):
         arr.setflags(write=False)
-    x_at, y_at, lm_at = at_nodes[..., :n_full]
+    x_at, y_at, lm_at = record[..., :n_full]
     heads = tuple(
         PathBundle(grid=grid, clip_epsilon=float(clip_epsilon),
-                   clip_index=clip_index, w=w, nodes=tuple(kept),
+                   clip_index=clip_index, w=w_head, nodes=tuple(kept),
                    levels=np.broadcast_to(levels[:, i], (n_steps, n_full)).T,
                    g_path=g_full[:, i].T, x_path=x_at[:, i].T,
                    y_path=y_at[:, i].T, log_m_path=lm_at[:, i].T,
@@ -375,35 +397,45 @@ def _coupled_pass(coeffs: ModelCoefficients, schedule: CouplingSchedule,
 
 def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
                      x0: float, y0: float, controls: Sequence[Control],
-                     clip_epsilons: Iterable[float],
-                     w: np.ndarray) -> CoupledRun:
+                     clip_epsilons: Iterable[float], w) -> CoupledRun:
     """Euler-Maruyama for the coupled pair under every control of a family
-    in one pass, driven by the sqrt(dt)-scaled increments `w` (one row per
-    path), g clipped at the smallest of `clip_epsilons`.
+    in one pass over blocks of paths, driven by the sqrt(dt)-scaled
+    increments `w`, one row per path: an array, or a `PathIncrements`,
+    drawn one block at a time. g is clipped at the smallest of
+    `clip_epsilons`.
 
     Keeps (x, y, log M) of every path only at the clip nodes of
     `clip_epsilons`, g and the levels only for the first EXPORT_PATHS paths.
-    See `_coupled_pass` for the dynamics, stability check and finiteness guard.
+    See `_coupled_pass` for the dynamics and finiteness guard.
     """
     epsilons = [float(eps) for eps in clip_epsilons]
-    return _coupled_pass(coeffs, schedule, x0, y0, controls, min(epsilons), w,
-                         epsilons, min(w.shape[0], EXPORT_PATHS))
+    return _coupled_run(coeffs, schedule, x0, y0, controls, min(epsilons), w,
+                        epsilons, min(w.shape[0], EXPORT_PATHS))
 
 
 def simulate_bundle(coeffs: ModelCoefficients, schedule: CouplingSchedule,
                     x0: float, y0: float, control: Control,
                     clip_epsilon: float, w: np.ndarray) -> PathBundle:
     """The coupled paths of one control with every node of every path kept:
-    the one-control case of the pass of `simulate_coupled`."""
-    return _coupled_pass(coeffs, schedule, x0, y0, [control], clip_epsilon, w,
-                         None, w.shape[0]).heads[0]
+    the one-control, one-block case of the pass of `simulate_coupled`."""
+    return _coupled_run(coeffs, schedule, x0, y0, [control], clip_epsilon, w,
+                        None, w.shape[0]).heads[0]
 
 
-def _shifted_rows(bundle: PathBundle,
-                  clip_epsilon: float | None) -> tuple[int, np.ndarray]:
-    """The clip node of `clip_epsilon` and the mask of the paths included
-    there; raises CouplingError when the finiteness guard excluded them
-    all."""
+def shifted_qv_discrepancy(
+        bundle: PathBundle,
+        clip_epsilon: float | None = None) -> tuple[float, float]:
+    """The mean over paths of |QV(B_hat) - QV(B)| up to the horizon, and the
+    energy of the shift g d<B>, the mean of sum_j g_j^2 dqv_j, from one read
+    of the paths included at the clip node of `clip_epsilon` (default: the
+    bundle's own clip).
+
+    The shifted increments dB_hat = dB + g d<B> must accumulate the same
+    quadratic variation as B; the discrete mismatch is the Euler cross term,
+    which scales with dt times the energy. After the clip node g is exactly
+    zero, so every term there is exactly zero. Raises CouplingError when the
+    finiteness guard excluded every path by that clip node.
+    """
     j = bundle.node(clip_epsilon)
     keep = bundle.included(clip_epsilon)
     if not keep.any():
@@ -411,40 +443,23 @@ def _shifted_rows(bundle: PathBundle,
         raise CouplingError(
             f"shifted QV at clip_epsilon {eps:g}: all {keep.size} paths were "
             "excluded by the finiteness guard")
-    return j, keep
-
-
-def shifted_qv_discrepancy(bundle: PathBundle,
-                           clip_epsilon: float | None = None) -> float:
-    """Mean over paths of |QV(B_hat) - QV(B)| up to the horizon, with g
-    clipped at `clip_epsilon` (default: the bundle's own clip).
-
-    The shifted increments dB_hat = dB + g d<B> must accumulate the same
-    quadratic variation as B; the discrete mismatch is the Euler cross term
-    and shrinks linearly with the step size. After the clip node g is
-    exactly zero, so every term there is exactly zero. Raises CouplingError
-    when the finiteness guard excluded every path by that clip node.
-    """
-    j, keep = _shifted_rows(bundle, clip_epsilon)
-    lv = bundle.levels[keep, :j]
-    dB = lv * bundle.w[keep, :j]
-    dBh = dB + bundle.g_path[keep, :j] * (lv ** 2 * bundle.grid.dt)
+    dqv = bundle.levels[keep, :j]
+    dB = dqv * bundle.w[keep, :j]
+    dqv *= dqv
+    dqv *= bundle.grid.dt
+    shift = bundle.g_path[keep, :j]
+    energy = shift * shift
+    energy *= dqv
+    energy = float(np.mean(np.sum(energy, axis=1)))
+    shift *= dqv
+    shift += dB
     # Zeros from the clip node on, where g is zero, keep each path's
     # pairwise summation order over a C-ordered row of n_steps terms.
-    terms = np.zeros((lv.shape[0], bundle.grid.n_steps))
-    terms[:, :j] = dBh ** 2 - dB ** 2
-    return float(np.mean(np.abs(np.sum(terms, axis=1))))
-
-
-def shift_energy(bundle: PathBundle,
-                 clip_epsilon: float | None = None) -> float:
-    """Mean over the paths included at the clip node of `clip_epsilon` of
-    sum_j g_j^2 dqv_j up to that node, the energy of the shift g d<B>: the
-    Euler cross term of `shifted_qv_discrepancy` scales with dt times it."""
-    j, keep = _shifted_rows(bundle, clip_epsilon)
-    g = bundle.g_path[keep, :j]
-    lv = bundle.levels[keep, :j]
-    return float(np.mean(np.sum(g * g * (lv * lv * bundle.grid.dt), axis=1)))
+    terms = np.zeros((dB.shape[0], bundle.grid.n_steps))
+    np.multiply(shift, shift, out=terms[:, :j])
+    dB *= dB
+    terms[:, :j] -= dB
+    return float(np.mean(np.abs(np.sum(terms, axis=1)))), energy
 
 
 @dataclass(frozen=True)

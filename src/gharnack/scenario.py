@@ -236,9 +236,17 @@ def simulate_state_batch(coeffs: ModelCoefficients,
     return x
 
 
-# Bytes of the increments drawn at a time: one time-major block of `w` at
-# 16384 paths, so 2048 paths at 256 steps.
-_PATH_BLOCK_BYTES = 4 * 2 ** 20
+# Bytes of the increments drawn at a time, 1024 paths at 256 steps: half
+# the memory of 4 MiB for a few percent of time. The scenario pass at 16384
+# x 256 took 0.26-0.29 s in-process at 2 MiB, 0.24-0.28 s at 4 MiB and
+# 0.34-0.36 s at 1 MiB (medians, 2-core Xeon, numpy 2.4.6).
+_PATH_BLOCK_BYTES = 2 * 2 ** 20
+
+
+def _path_block(n_steps: int, least: int) -> int:
+    """Paths per block of a pass over `n_steps` steps: _PATH_BLOCK_BYTES of
+    increments, at least `least` paths."""
+    return max(least, _PATH_BLOCK_BYTES // (8 * n_steps))
 
 
 def scaled_increments(seed: int, n_paths: int, grid: TimeGrid,
@@ -248,6 +256,20 @@ def scaled_increments(seed: int, n_paths: int, grid: TimeGrid,
     w = streams.normal_matrix(seed, n_paths, grid.n_steps, first)
     w *= math.sqrt(grid.dt)
     return w
+
+
+class PathIncrements:
+    """The (n_paths, n_steps) increments of `seed`, drawn when sliced:
+    `[first:stop]` is `scaled_increments` of those paths, so a pass over
+    blocks never holds the full matrix."""
+
+    def __init__(self, seed: int, n_paths: int, grid: TimeGrid):
+        self.seed, self.grid = seed, grid
+        self.shape = (n_paths, grid.n_steps)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        first, stop, _ = rows.indices(self.shape[0])
+        return scaled_increments(self.seed, stop - first, self.grid, first)
 
 
 def sup_over_controls(samples: Iterable) -> tuple[float, float, int]:
@@ -295,13 +317,13 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
     if not controls:
         raise ScenarioError("need at least one control")
     grid = controls[0].grid
-    block = max(1, _PATH_BLOCK_BYTES // (8 * grid.n_steps))
+    block = _path_block(grid.n_steps, 1)
+    w = PathIncrements(seed, n_paths, grid)
     terminal = np.empty((len(controls), n_paths))
     for first in range(0, n_paths, block):
-        m = min(block, n_paths - first)
-        terminal[:, first:first + m] = simulate_state_batch(
-            coeffs, controls, x0, scaled_increments(seed, m, grid, first),
-            grid)
+        rows = slice(first, first + block)
+        terminal[:, rows] = simulate_state_batch(coeffs, controls, x0, w[rows],
+                                                 grid)
     value, se, best_id = sup_over_controls(payoff.f(terminal))
     return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
                              n_controls=len(controls), best_control_id=best_id)

@@ -591,9 +591,11 @@ class TestPassFlags:
 
         cfg = parse_run_config(CFG)
         tolerance = 10.0 * cfg.grid.dt * cfg.grid.horizon
+        kernel = coupling.shifted_qv_discrepancy
         monkeypatch.setattr(coupling, "shifted_qv_discrepancy",
-                            lambda bundle, eps: math.nextafter(tolerance,
-                                                               step))
+                            lambda bundle, eps: (math.nextafter(tolerance,
+                                                                step),
+                                                 kernel(bundle, eps)[1]))
         entries, _, _ = cli.run_coupling(cfg)
         qv, = [e for e in entries if e["kind"] == "shifted_qv"]
         assert qv["tolerance"] == tolerance
@@ -646,18 +648,57 @@ class TestScheduleBuilds:
 
 class TestStackedPaths:
     def test_one_coupled_pass_per_run(self, tmp_path, monkeypatch):
-        from gharnack import coupling
+        # one pass over all 5 controls per block of paths; the blocks cover
+        # the 2048 paths in order, each on its own rows of the seed's w
+        from gharnack import coupling, scenario
 
         calls = []
         kernel = coupling._coupled_pass
 
-        def counted(coeffs, schedule, x0, y0, controls, *args):
-            calls.append(len(controls))
-            return kernel(coeffs, schedule, x0, y0, controls, *args)
+        def counted(coeffs, schedule, controls, clip_index, w, *args):
+            calls.append((len(controls), w.shape[0], w[0].copy()))
+            return kernel(coeffs, schedule, controls, clip_index, w, *args)
 
         monkeypatch.setattr(coupling, "_coupled_pass", counted)
         assert run(["coupling", "--out", tmp_path / "o"]) == 0
-        assert calls == [5]
+        cfg = parse_run_config(CFG)
+        block = scenario._PATH_BLOCK_BYTES // (8 * cfg.grid.n_steps)
+        assert [(k, m) for k, m, _ in calls] == \
+            [(5, block)] * (cfg.n_paths // block)
+        for i, (_, _, row) in enumerate(calls):
+            first = scenario.scaled_increments(cfg.seed, 1, cfg.grid,
+                                               i * block)
+            assert row.tobytes() == first.tobytes(), i
+
+    def test_coupled_block_holds_the_export_rows(self, tmp_path,
+                                                 monkeypatch):
+        # at 4096 steps 2 MiB hold 64 paths: a coupled block holds the 128
+        # export rows, and the blocked run writes the one-block run's files
+        from gharnack import coupling, scenario
+
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text(CFG.read_text().replace("n_steps = 256",
+                                               "n_steps = 4096")
+                       .replace("n_paths = 2048", "n_paths = 300"))
+        assert scenario._PATH_BLOCK_BYTES // (8 * 4096) < \
+            coupling.EXPORT_PATHS
+        sizes = []
+        kernel = coupling._coupled_pass
+
+        def counted(coeffs, schedule, controls, clip_index, w, *args):
+            sizes.append(w.shape[0])
+            return kernel(coeffs, schedule, controls, clip_index, w, *args)
+
+        monkeypatch.setattr(coupling, "_coupled_pass", counted)
+        assert run(["coupling", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert sizes == [128, 128, 44]
+        monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES", 300 * 8 * 4096)
+        assert run(["coupling", "--config", cfg,
+                    "--out", tmp_path / "one"]) == 0
+        assert sizes[3:] == [300]
+        for name in ("report.json", "paths.csv"):
+            assert (tmp_path / "o" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes()
 
     def test_one_stacked_pass_per_scenario_run(self, tmp_path, monkeypatch):
         # one pass over all 5 controls per block of paths; the blocks cover
@@ -737,19 +778,40 @@ class TestStackedPaths:
         small = 2 ** 16  # the controls, their levels, lambda at the nodes
         assert peak <= w_nbytes + block + state + export + small
 
+    def test_coupling_run_holds_one_block_of_w(self):
+        # one block of w and its time-major block, never all of w: 2 MiB
+        # of the 4.2 MB of w at the bundled config
+        from gharnack import coupling, scenario
+
+        cfg = parse_run_config(CFG)
+        k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
+        block = scenario._path_block(s, coupling.EXPORT_PATHS)
+        assert block < n
+        peak = self.coupling_run_peak(cfg)
+        w_block = block * (s + coupling._W_BLOCK_STEPS) * 8
+        # (x, y, log M) at the 5 clip nodes of the run, and the stiff steps
+        record = (3 * (1 + len(coupling.SWEEP_FRACTIONS)) + 1) * k * n * 8
+        export = coupling.EXPORT_PATHS * (s + (s + 1) * k) * 8
+        state = coupling._STATE_ROWS * k * block * 8
+        assert peak <= w_block + record + export + state + 2 ** 16
+
     def test_run_nbytes_bounds_the_coupling_run(self):
-        # the parse-time memory refusal counts what the coupled run holds,
-        # less than the every-node export rows it counted before
+        # the parse-time memory refusal counts what the coupled run holds:
+        # one block of w, and less than the every-node export rows it
+        # counted before
         from gharnack import coupling
 
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
         need = coupling.run_nbytes(n, s, k)
         assert self.coupling_run_peak(cfg) <= need
+        clip_rows = 3 * (1 + len(coupling.SWEEP_FRACTIONS))
         every_node = 8 * (n * (s + coupling._W_BLOCK_STEPS)
-                          + coupling._STATE_ROWS * k * n
+                          + (coupling._STATE_ROWS + clip_rows) * k * n
                           + 5 * (s + 1) * k * coupling.EXPORT_PATHS)
         assert need < every_node - 4 * 2 ** 20
+        # more paths add their clip-node rows, not their rows of w
+        assert coupling.run_nbytes(2 * n, s, k) - need < n * s * 8
 
 
 class TestSubcommands:

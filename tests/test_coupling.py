@@ -236,13 +236,14 @@ class TestShiftedQv:
         coeffs, band, schedule, grid, controls = acc_setup
         bundle = coupled(coeffs, schedule, 0.2, 0.2, controls[0],
                          seed=41, clip_epsilon=0.01, n_paths=64)
-        assert shifted_qv_discrepancy(bundle) == 0.0
+        # x = y: g, and so the shift and its energy, are exactly zero
+        assert shifted_qv_discrepancy(bundle) == (0.0, 0.0)
 
     def test_bounded_shift_within_tolerance(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
         bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[-1],
                          seed=42, clip_epsilon=0.01, n_paths=512)
-        assert shifted_qv_discrepancy(bundle) <= \
+        assert shifted_qv_discrepancy(bundle)[0] <= \
             10.0 * bundle.grid.dt * bundle.grid.horizon
 
     def test_refinement_halves_discrepancy(self, acc_setup):
@@ -254,7 +255,8 @@ class TestShiftedQv:
                          seed=43, clip_epsilon=0.01, n_paths=512)
         fine = coupled(coeffs, schedule, 0.0, 0.5, fine_control,
                        seed=43, clip_epsilon=0.01, n_paths=512)
-        ratio = shifted_qv_discrepancy(coarse) / shifted_qv_discrepancy(fine)
+        ratio = shifted_qv_discrepancy(coarse)[0] / \
+            shifted_qv_discrepancy(fine)[0]
         assert 1.5 <= ratio <= 2.7
 
 
@@ -606,7 +608,7 @@ class TestOnePassSweep:
         alone = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, controls[1],
                                    0.025, poisoned(w, LATE_ROWS)[LATE_ROWS])
         assert np.all(alone.stiff_step == 61)
-        assert math.isfinite(shifted_qv_discrepancy(alone, 0.05))
+        assert all(map(math.isfinite, shifted_qv_discrepancy(alone, 0.05)))
         with pytest.raises(CouplingError,
                            match=f"clip_epsilon 0.025: all {LATE_ROWS.size} "
                                  "paths"):
@@ -747,7 +749,7 @@ def reference_coupled(coeffs, schedule, x0, y0, control, clip_epsilon, w):
 
 def reference_shifted_qv(arrays, dt, j, keep):
     """shifted_qv_discrepancy on path-major arrays: every term from the clip
-    node on is zero."""
+    node on is zero; the energy sums the terms before the clip node."""
     dB = arrays["levels"] * arrays["w"]
     dqv = arrays["levels"] ** 2 * dt
     g = arrays["g_path"][:, :-1]
@@ -755,7 +757,8 @@ def reference_shifted_qv(arrays, dt, j, keep):
         terms = (dB + g * dqv) ** 2 - dB ** 2
     terms[:, j:] = 0.0
     disc = np.abs(np.sum(terms, axis=1))
-    return float(np.mean(disc[keep]))
+    energy = np.sum((g * g * dqv)[:, :j], axis=1)
+    return float(np.mean(disc[keep])), float(np.mean(energy[keep]))
 
 
 class TestTimeMajorCoupledKernel:
@@ -904,3 +907,68 @@ class TestTimeMajorCoupledKernel:
         assert bundle.w.flags.c_contiguous
         # an open-loop control's level at a step is one value for all paths
         assert bundle.levels.strides[0] == 0
+
+
+class TestPathBlocks:
+    """A coupled run advanced in blocks of paths gives, bit for bit, what
+    one block of every path gives."""
+
+    @staticmethod
+    def assert_same_run(blocked, one):
+        assert blocked.samples.keys() == one.samples.keys()
+        for eps in one.samples:
+            for a, b in zip(blocked.at_clip(eps), one.at_clip(eps)):
+                TestOnePassSweep.assert_same(a, b)
+        for a, b in zip(blocked.heads, one.heads):
+            assert (a.nodes, a.clip_index) == (b.nodes, b.clip_index)
+            for name in TestTimeMajorCoupledKernel.FIELDS:
+                assert getattr(a, name).tobytes() == \
+                    getattr(b, name).tobytes(), name
+
+    # 0 * inf where g is frozen to zero: the guard's event, not an error
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_blocked_equals_one_block(self, multiplicative_model,
+                                      pinched_band, monkeypatch):
+        # 300 paths in blocks of 128, 128 and 44; a feedback control in the
+        # family, rows of the second block made non-finite early, and one
+        # row of the last excluded between the clip nodes of 0.05 and 0.025
+        from gharnack import scenario
+
+        coeffs = multiplicative_model
+        schedule = g.make_schedule(0.81, coeffs, pinched_band, 1.0)
+        grid = g.TimeGrid(1.0, 64)
+        hi_mask = np.zeros((grid.n_steps, 5), dtype=bool)
+        hi_mask[:, 2:] = True
+        policy = g.PolicyTable(times=grid.nodes[:-1],
+                               x_nodes=np.linspace(-8.0, 8.0, 5),
+                               hi_mask=hi_mask, band=pinched_band)
+        family = [g.FeedbackControl(grid, policy),
+                  *g.sample_controls("bang_bang", pinched_band, grid, 2,
+                                     seed=3)]
+        clean = scaled_increments(97, 300, grid)
+        w = poisoned(poisoned(clean, [130, 200, 255], step=10), [270])
+        sizes = []
+        kernel = coupling._coupled_pass
+
+        def counted(coeffs, schedule, controls, clip_index, w, *args):
+            sizes.append(w.shape[0])
+            return kernel(coeffs, schedule, controls, clip_index, w, *args)
+
+        monkeypatch.setattr(coupling, "_coupled_pass", counted)
+        runs = {}
+        for rows in (128, 300):
+            monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",
+                                rows * 8 * grid.n_steps)
+            runs[rows] = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
+                                            family, (0.1, *SWEEP), w)
+        assert sizes == [128, 128, 44, 300]
+        self.assert_same_run(runs[128], runs[300])
+        assert [s.n_excluded for s in runs[128].at_clip(0.05)] == [3] * 3
+        assert [s.n_excluded for s in runs[128].at_clip(0.025)] == [4] * 3
+        # the increments drawn a block at a time are the array's rows
+        monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",
+                            128 * 8 * grid.n_steps)
+        drawn = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, family, SWEEP,
+                                   g.PathIncrements(97, 300, grid))
+        self.assert_same_run(drawn, g.simulate_coupled(
+            coeffs, schedule, 0.0, 0.5, family, SWEEP, clean))

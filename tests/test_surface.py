@@ -1,4 +1,4 @@
-"""Three guards on the shape of the package.
+"""Four guards on the shape of the package.
 
 Every top-level function, class and method of the package is reached from
 the package itself: a name that only tests use is a route no run takes.
@@ -6,6 +6,10 @@ the package itself: a name that only tests use is a route no run takes.
 Every pass flag comes from the one pass rule, `model.within_band`, and its
 one z constant `model.Z`: no other rule decides a `passed`, and no other
 factor multiplies a standard error.
+
+Only the two block drivers, `upper_semigroup_mc` and `simulate_coupled`,
+draw increments, one block of paths at a time: no runner builds the full
+increment matrix.
 
 Only runs that draw a Monte Carlo sample load `numpy.random`: the PDE
 subcommands and the parse-time audit leave it unloaded."""
@@ -175,6 +179,52 @@ def test_z_is_the_only_std_error_factor():
                     factors.append(f"{module}:{node.lineno}: "
                                    f"{ast.unparse(node)}")
     assert not factors, f"standard errors scaled by other than Z: {factors}"
+
+
+# The passes that advance the paths one block of rows at a time.
+BLOCK_DRIVERS = ("upper_semigroup_mc", "simulate_coupled")
+
+
+def functions(tree):
+    """(qualified name, node) of each top-level function and of each method
+    of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def call_name(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_increments_are_drawn_only_by_the_block_drivers():
+    # scaled_increments is called only by PathIncrements, which draws the
+    # block it is sliced by, and a PathIncrements is made only in a block
+    # driver or as the increments handed to one
+    drawn, made, stray = [], [], []
+    for module, tree in TREES.items():
+        for name, function in functions(tree):
+            calls = [n for n in ast.walk(function) if isinstance(n, ast.Call)]
+            handed = {id(arg) for call in calls
+                      if call_name(call) in BLOCK_DRIVERS
+                      for arg in [*call.args,
+                                  *(kw.value for kw in call.keywords)]}
+            for call in calls:
+                site = f"{module}:{call.lineno}: {name}"
+                if call_name(call) == "scaled_increments":
+                    drawn.append(site)
+                    if name != "PathIncrements.__getitem__":
+                        stray.append(site)
+                if call_name(call) == "PathIncrements":
+                    made.append(site)
+                    if name not in BLOCK_DRIVERS and id(call) not in handed:
+                        stray.append(site)
+    assert not stray, f"increments drawn outside the block drivers: {stray}"
+    assert len(drawn) == 1 and len(made) == 2, (drawn, made)
 
 
 # Each probe runs in a fresh interpreter and prints whether numpy.random
