@@ -381,9 +381,10 @@ def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
                        n_excluded=int(np.count_nonzero(~keep)))
             for x, y, lm, keep in zip(*record[:, kept.index(node)],
                                       stiff_step >= node))
-    for arr in (w_head, stiff_step, levels, g_full, record):
+    head = np.ascontiguousarray(record[..., :n_full])
+    for arr in (w_head, stiff_step, levels, g_full, head):
         arr.setflags(write=False)
-    x_at, y_at, lm_at = record[..., :n_full]
+    x_at, y_at, lm_at = head
     heads = tuple(
         PathBundle(grid=grid, clip_epsilon=float(clip_epsilon),
                    clip_index=clip_index, w=w_head, nodes=tuple(kept),

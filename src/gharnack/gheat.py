@@ -98,33 +98,28 @@ class PolicyTable:
     hi_mask: np.ndarray  # (n_times, n_nodes) True where the high level wins
     band: VolatilityBand
 
-    def level_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        ti = int(np.argmin(np.abs(self.times - t)))
-        return self._levels(self.hi_mask[ti], x)
-
-    def node_levels(self, ts: np.ndarray) -> np.ndarray:
-        """level_at(t, x_nodes) for each t of `ts`, one row per t, in one
-        array pass: the policy time nearest t is found by bisection, the
-        earlier of two equally near ones as in `level_at`, which needs
-        strictly increasing `times`."""
+    def nearest_rows(self, ts: np.ndarray) -> np.ndarray:
+        """The row of the policy time nearest each t of `ts`, found by
+        bisection, the earlier of two equally near ones as in `level_at`,
+        which needs strictly increasing `times`."""
         times = self.times
         if np.any(np.diff(times) <= 0.0):
             raise PdeError("policy times must be strictly increasing")
         after = np.minimum(np.searchsorted(times, ts), len(times) - 1)
         before = np.maximum(after - 1, 0)
-        nearest = np.where(np.abs(times[after] - ts)
-                           < np.abs(times[before] - ts), after, before)
-        return self._levels(self.hi_mask[nearest], self.x_nodes)
+        return np.where(np.abs(times[after] - ts)
+                        < np.abs(times[before] - ts), after, before)
 
-    def _levels(self, hi_mask: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The level at each state of `x` on mask rows `hi_mask` (last axis
-        the state nodes), each state at its nearest node, clipped."""
+    def level_at(self, t: float, x: np.ndarray) -> np.ndarray:
+        """The level at each state of `x` at the policy time nearest t (the
+        earlier of two), each state at its nearest node, clipped."""
+        hi_mask = self.hi_mask[int(np.argmin(np.abs(self.times - t)))]
         dx = self.x_nodes[1] - self.x_nodes[0]
         xi = np.clip(
             np.rint((np.asarray(x, dtype=float) - self.x_nodes[0]) / dx).astype(int),
             0, len(self.x_nodes) - 1,
         )
-        return np.where(hi_mask[..., xi], self.band.sigma_upper,
+        return np.where(hi_mask[xi], self.band.sigma_upper,
                         self.band.sigma_lower)
 
 

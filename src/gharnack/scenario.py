@@ -63,18 +63,17 @@ class FeedbackControl:
     """Closed-loop control: the level at each step is read off a bang-bang
     policy table at the current simulated state.
 
-    `step_levels` row j is the step-j level at every policy node, built once
-    by `PolicyTable.node_levels`, so a step reads a state's level by its
-    node index without searching the policy times."""
+    `step_rows[j]` is the policy row nearest step j, found once, so a step
+    reads a state's level off its mask row without searching the times."""
 
     grid: TimeGrid
     policy: PolicyTable
-    step_levels: np.ndarray = field(init=False, repr=False, compare=False)
+    step_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = self.policy.node_levels(self.grid.nodes[:-1])
+        rows = self.policy.nearest_rows(self.grid.nodes[:-1])
         rows.setflags(write=False)
-        object.__setattr__(self, "step_levels", rows)
+        object.__setattr__(self, "step_rows", rows)
 
     @property
     def band(self) -> VolatilityBand:
@@ -87,12 +86,15 @@ class FeedbackControl:
                    out: np.ndarray) -> None:
         """level(j, grid.nodes[j], state) into `out`, through the intp
         buffer `index` of the state's shape: each state's node is rounded
-        and clipped as in `PolicyTable.level_at`."""
+        and clipped as in `PolicyTable.level_at`, and its mask bit selects
+        sigma_lower or sigma_upper, each exactly."""
         x_nodes = self.policy.x_nodes
-        np.copyto(index, np.rint((state - x_nodes[0])
-                                 / (x_nodes[1] - x_nodes[0])),
-                  casting="unsafe")
-        np.take(self.step_levels[j], index, mode="clip", out=out)
+        np.subtract(state, x_nodes[0], out=out)
+        np.divide(out, x_nodes[1] - x_nodes[0], out=out)
+        np.rint(out, out=index, casting="unsafe")
+        hi = self.policy.hi_mask[self.step_rows[j]].take(index, mode="clip")
+        out[...] = self.band.sigma_lower
+        np.copyto(out, self.band.sigma_upper, where=hi)
 
 
 Control = ScenarioControl | FeedbackControl
@@ -167,8 +169,8 @@ def euler_step(coeffs: ModelCoefficients, t: float, x: np.ndarray,
     return x + coeffs.b(t, x) * dt + coeffs.h(t, x) * dqv + sigma_x * dB
 
 
-# Steps of `w` transposed into the scratch block at a time: 4 MiB at 16384
-# paths, small enough to stay in cache while its rows are read.
+# Steps of `w` transposed into the scratch block at a time: 256 KiB for a
+# 1024-path block at 256 steps, small enough to stay in cache.
 _W_BLOCK_STEPS = 32
 
 

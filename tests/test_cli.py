@@ -813,6 +813,37 @@ class TestStackedPaths:
         # more paths add their clip-node rows, not their rows of w
         assert coupling.run_nbytes(2 * n, s, k) - need < n * s * 8
 
+    def test_coupled_run_lets_its_record_go(self):
+        # the export rows copy their x, y and log M out of the pass's
+        # (3, clip nodes, k, n_paths) record, so a kept run holds its clip
+        # samples, the stiff steps and the export rows, not the record
+        # beside them: 9.8 MB of it at 16384 paths
+        from gharnack import coupling, scenario
+
+        cfg = parse_run_config(CFG)
+        k, n, s = cfg.n_controls, 16384, cfg.grid.n_steps
+        controls = scenario.sample_controls(cfg.strategy, cfg.band, cfg.grid,
+                                            k, cfg.seed)
+        epsilons = [cfg.clip_epsilon] + [f * cfg.grid.horizon
+                                         for f in coupling.SWEEP_FRACTIONS]
+        w = scenario.PathIncrements(cfg.seed, n, cfg.grid)
+        w[:1]  # a first draw imports numpy.random, which numpy loads lazily
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run = coupling.simulate_coupled(cfg.coeffs, cfg.schedule,
+                                            cfg.check_x, cfg.check_y,
+                                            controls, epsilons, w)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        samples = 3 * len(epsilons) * k * n * 8
+        stiff = k * n * 8
+        clip_rows = 3 * len(epsilons)
+        export = coupling.EXPORT_PATHS * (s + (s + 1 + clip_rows) * k) * 8
+        assert len(run.heads) == k
+        assert held <= samples + stiff + export + 2 ** 16
+
 
 class TestSubcommands:
     @pytest.mark.parametrize("command,files", [

@@ -169,21 +169,30 @@ class TestFeedbackControl:
 
     @pytest.mark.parametrize("n_steps", [256, 1000])
     def test_step_levels_equal_the_per_step_lookup(self, wide_band, n_steps):
-        # the one-pass table against PolicyTable.level_at step by step: at
+        # the step-row lookup against PolicyTable.level_at step by step: at
         # the grid's own times, at every other node (each even node is as
-        # near the node before as the one after) and at off-grid times
+        # near the node before as the one after) and at off-grid times; at
+        # random states, states beyond both ends of the nodes (clipped) and
+        # states half-way between two nodes (rint rounds them to even)
         grid = g.TimeGrid(1.0, n_steps)
         rng = np.random.default_rng(n_steps)
         x_nodes = np.linspace(-8.0, 8.0, 65)
+        dx = x_nodes[1] - x_nodes[0]
+        half = x_nodes[:-1] + 0.5 * dx
+        assert np.all((half - x_nodes[0]) / dx % 1.0 == 0.5)
+        states = np.concatenate((rng.uniform(-8.5, 8.5, 200),
+                                 [-1e3, -8.2, 8.2, 1e3], half))
+        index = np.empty(states.size, dtype=np.intp)
+        out = np.empty(states.size)
         for times in (grid.nodes[:-1], grid.nodes[1::2],
                       np.linspace(0.1, 0.9, 37)):
             policy = g.PolicyTable(times=times, x_nodes=x_nodes,
                                    hi_mask=rng.random((times.size, 65)) < 0.5,
                                    band=wide_band)
-            loop = np.array([policy.level_at(float(t), x_nodes)
-                             for t in grid.nodes[:-1]])
-            assert np.array_equal(g.FeedbackControl(grid, policy).step_levels,
-                                  loop)
+            control = g.FeedbackControl(grid, policy)
+            for j, t in enumerate(grid.nodes[:-1]):
+                control.level_into(j, states, index, out)
+                assert np.array_equal(out, policy.level_at(float(t), states))
 
     def test_step_levels_need_increasing_policy_times(self, wide_band):
         grid = g.TimeGrid(1.0, 8)
@@ -193,6 +202,26 @@ class TestFeedbackControl:
                                band=wide_band)
         with pytest.raises(g.PdeError, match="strictly increasing"):
             g.FeedbackControl(grid, policy)
+
+    def test_feedback_control_holds_no_level_table(self, wide_band):
+        # the parse-time memory count bounds the policy record, not a float
+        # level table of the record's shape beside it: the control holds one
+        # step row index per step, 8 KiB of a 2 MB mask
+        grid = g.TimeGrid(1.0, 1024)
+        x_nodes = np.linspace(-8.0, 8.0, 2001)
+        policy = g.PolicyTable(
+            times=grid.nodes[:-1], x_nodes=x_nodes,
+            hi_mask=np.random.default_rng(5).random((1024, 2001)) < 0.5,
+            band=wide_band)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            control = g.FeedbackControl(grid, policy)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * grid.n_steps + 2 ** 16
+        assert control.step_rows.shape == (grid.n_steps,)
 
 
 def reference_solve(coeffs, band, payoff, T, cfg, policy_times=None):
