@@ -30,7 +30,6 @@ from .gheat import (
 )
 from .scenario import (
     EstimateWithError,
-    FeedbackControl,
     PathIncrements,
     ScenarioControl,
     ScenarioError,

@@ -78,7 +78,7 @@ def run_scenario(cfg: RunConfig):
     """Sup-over-controls MC against the PDE oracle, plus Young trials."""
     # The fine G-heat pass records the feedback policy the controls follow.
     heat = solve_semigroups(_UNIT_COEFFS, cfg.band, cfg.grid.horizon, cfg.pde,
-                            [cfg.payoff], policy_times=cfg.grid.nodes[:-1])
+                            [cfg.payoff], policy_grid=cfg.grid)
     pde_value = float(heat.fine[cfg.payoff](0.0))
     pde_tol = heat.tolerance(cfg.payoff, 0.0)
     controls = sc.sample_controls("feedback", cfg.band, cfg.grid,

@@ -245,8 +245,8 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     except PdeError as exc:
         raise ConfigError("grid.n_space", str(exc)) from exc
     # Every pass holds at most the largest stack, each row with a policy
-    # record at the n_steps times of the scenario runner's pass; that record
-    # bounds all its feedback family adds, one row index per step.
+    # record at the n_steps step times of the scenario runner's pass; that
+    # record is the feedback control itself, so it bounds all the family adds.
     need = solve_nbytes(_STACK_ROWS, pde.n_space, n_steps)
     have = _physical_memory()
     if need > have:

@@ -165,9 +165,9 @@ def stability_ratio(schedule: CouplingSchedule, sigma_upper: float,
 # and its temporaries (at most 24).
 _STATE_ROWS = 24
 # (k, n_paths) rows of a coupled run of the CLI: (x, y, log M) at the clip
-# node of `clip_epsilon` and of each SWEEP_FRACTIONS epsilon, kept twice
-# (the record, and the ClipSamples read from it), and the stiff steps.
-_RECORD_ROWS = 2 * 3 * (1 + len(SWEEP_FRACTIONS)) + 1
+# node of `clip_epsilon` and of each SWEEP_FRACTIONS epsilon in the record,
+# (|x - y|, log M) there in the ClipSamples, and the stiff steps.
+_RECORD_ROWS = (3 + 2) * (1 + len(SWEEP_FRACTIONS)) + 1
 
 
 def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
@@ -185,24 +185,23 @@ def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
 
 @dataclass(frozen=True)
 class ClipSample:
-    """One bundle at the clip node of `epsilon`: (m, |x - y|, log m) of the
+    """One bundle at the clip node of `epsilon`: (|x - y|, log m) of the
     paths still included there, the number the finiteness guard had excluded
     by then, and the node's time and lambda."""
 
     epsilon: float
     clip_time: float
     lambda_at_clip: float
-    m: np.ndarray
     gap: np.ndarray
     log_m: np.ndarray
     n_excluded: int
 
     @property
     def n_paths(self) -> int:
-        return self.m.size + self.n_excluded
+        return self.log_m.size + self.n_excluded
 
     def require_included(self, label: str) -> "ClipSample":
-        if self.m.size == 0:
+        if self.log_m.size == 0:
             raise CouplingError(
                 f"{label}: all {self.n_excluded} paths were excluded by the "
                 "finiteness guard")
@@ -376,12 +375,12 @@ def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
         lam = float(schedule.value(t))
         samples[eps] = tuple(
             ClipSample(epsilon=eps, clip_time=t, lambda_at_clip=lam,
-                       m=np.exp(lm[keep]), gap=np.abs(x[keep] - y[keep]),
-                       log_m=lm[keep],
+                       gap=np.abs(x[keep] - y[keep]), log_m=lm[keep],
                        n_excluded=int(np.count_nonzero(~keep)))
             for x, y, lm, keep in zip(*record[:, kept.index(node)],
                                       stiff_step >= node))
     head = np.ascontiguousarray(record[..., :n_full])
+    stiff_step = np.ascontiguousarray(stiff_step[:, :n_full])
     for arr in (w_head, stiff_step, levels, g_full, head):
         arr.setflags(write=False)
     x_at, y_at, lm_at = head
@@ -391,7 +390,7 @@ def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
                    levels=np.broadcast_to(levels[:, i], (n_steps, n_full)).T,
                    g_path=g_full[:, i].T, x_path=x_at[:, i].T,
                    y_path=y_at[:, i].T, log_m_path=lm_at[:, i].T,
-                   stiff_step=stiff_step[i, :n_full])
+                   stiff_step=stiff_step[i])
         for i in range(len(controls)))
     return CoupledRun(samples=samples, heads=heads)
 
@@ -506,7 +505,7 @@ def entropy_bound_check(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     `samples` holds the at-clip sample of one bundle per control, all
     started at (x0, y0) on the same increments.
     """
-    est, se, best_id = _sup_stat(samples, lambda s: s.m * s.log_m)
+    est, se, best_id = _sup_stat(samples, lambda s: np.exp(s.log_m) * s.log_m)
     bound = entropy_bound_value(schedule, coeffs.kappa1, x0, y0)
     return _slack_report("entropy", bound, est, se, best_id, samples)
 
@@ -569,7 +568,7 @@ def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
     for k, sample in enumerate(samples):
         eps = sample.epsilon
         sample.require_included(f"bundle {k} (clip_epsilon {eps:g})")
-        m, gap = sample.m, sample.gap
+        m, gap = np.exp(sample.log_m), sample.gap
         wsum = float(np.sum(m))
         wmean = float(np.sum(m * gap) / wsum)
         se = float(np.std(m * gap, ddof=1) / math.sqrt(m.size) / (wsum / m.size)) \

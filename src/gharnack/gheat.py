@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelCoefficients, Payoff, VolatilityBand, _atomic_write,
-                    g_function, make_coefficient)
+from .model import (ModelCoefficients, Payoff, TimeGrid, VolatilityBand,
+                    _atomic_write, g_function, make_coefficient)
 
 
 class PdeError(ValueError):
@@ -91,36 +91,15 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """Bang-bang volatility choice recorded on a (time, state) grid."""
+    """Bang-bang volatility choice recorded on a path grid: row j of
+    `hi_mask` is the choice at each state node for step j. As a control,
+    the table sets a path's level at step j from the node nearest its
+    state."""
 
-    times: np.ndarray
+    grid: TimeGrid
     x_nodes: np.ndarray
-    hi_mask: np.ndarray  # (n_times, n_nodes) True where the high level wins
+    hi_mask: np.ndarray  # (n_steps, n_nodes) True where the high level wins
     band: VolatilityBand
-
-    def nearest_rows(self, ts: np.ndarray) -> np.ndarray:
-        """The row of the policy time nearest each t of `ts`, found by
-        bisection, the earlier of two equally near ones as in `level_at`,
-        which needs strictly increasing `times`."""
-        times = self.times
-        if np.any(np.diff(times) <= 0.0):
-            raise PdeError("policy times must be strictly increasing")
-        after = np.minimum(np.searchsorted(times, ts), len(times) - 1)
-        before = np.maximum(after - 1, 0)
-        return np.where(np.abs(times[after] - ts)
-                        < np.abs(times[before] - ts), after, before)
-
-    def level_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        """The level at each state of `x` at the policy time nearest t (the
-        earlier of two), each state at its nearest node, clipped."""
-        hi_mask = self.hi_mask[int(np.argmin(np.abs(self.times - t)))]
-        dx = self.x_nodes[1] - self.x_nodes[0]
-        xi = np.clip(
-            np.rint((np.asarray(x, dtype=float) - self.x_nodes[0]) / dx).astype(int),
-            0, len(self.x_nodes) - 1,
-        )
-        return np.where(hi_mask[xi], self.band.sigma_upper,
-                        self.band.sigma_lower)
 
 
 def _upper_wins(a: np.ndarray, u: np.ndarray, dx: float, h_vec: np.ndarray,
@@ -156,12 +135,12 @@ _ROW_ARRAYS = 12
 _NODE_ARRAYS = 6
 
 
-def solve_nbytes(n_rows: int, n_space: int, n_policy_times: int) -> int:
+def solve_nbytes(n_rows: int, n_space: int, n_policy_steps: int) -> int:
     """Bytes of the working set of one stacked solve of `n_rows` payoffs: the
     rows, the step's temporaries and the coefficient vectors, plus a policy
-    record of n_policy_times x (n_space + 1) booleans per row."""
+    record of n_policy_steps x (n_space + 1) booleans per row."""
     return ((n_rows * _ROW_ARRAYS + _NODE_ARRAYS) * (n_space + 3) * 8
-            + n_rows * n_policy_times * (n_space + 1))
+            + n_rows * n_policy_steps * (n_space + 1))
 
 
 def _cfl_time_step(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
@@ -185,16 +164,16 @@ def _cfl_time_step(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
 
 
 def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
-                T: float, cfg: PdeConfig, policy_times: np.ndarray | None = None):
+                T: float, cfg: PdeConfig, policy_grid: TimeGrid | None = None):
     """Backward solve of the semigroup PDE for a stack of terminal payoffs in
     one explicit time-stepping pass; returns u(0, .) of each payoff, in order,
-    and their PolicyTables (None without `policy_times`).
+    and their PolicyTables (None without `policy_grid`).
 
     Every row takes the same CFL step and the same operations as a stack of
     that row alone, so each row is bit-identical to its single solve. With
-    `policy_times` given, each row records its bang-bang maximizers at (the
-    PDE levels nearest to) those times. Each row passes its own comparison
-    post-check against its own payoff range.
+    `policy_grid` given, each row records its bang-bang maximizers at (the
+    PDE level nearest to) each step time of that grid. Each row passes its
+    own comparison post-check against its own payoff range.
     """
     if T <= 0.0:
         raise PdeError(f"horizon must be positive, got {T}")
@@ -220,11 +199,11 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
 
     record = None
     hits_at = {}
-    if policy_times is not None:
-        policy_times = np.asarray(policy_times, dtype=float)
+    if policy_grid is not None:
+        step_times = policy_grid.nodes[:-1]
         # control on [t_{i-1}, t_i) is derived from u at level i
-        level_of_time = np.clip(np.ceil(policy_times / dt - 1e-12).astype(int), 1, n_t)
-        record = np.zeros((n_rows, len(policy_times), len(xs)), dtype=bool)
+        level_of_time = np.clip(np.ceil(step_times / dt - 1e-12).astype(int), 1, n_t)
+        record = np.zeros((n_rows, len(step_times), len(xs)), dtype=bool)
         for k, level in enumerate(level_of_time.tolist()):
             hits_at.setdefault(level, []).append(k)
 
@@ -300,19 +279,19 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
                for row in u]
     if record is None:
         return results, None
-    return results, [PolicyTable(times=policy_times, x_nodes=xs, hi_mask=mask,
+    return results, [PolicyTable(grid=policy_grid, x_nodes=xs, hi_mask=mask,
                                  band=band) for mask in record]
 
 
 def solve_g_heat(payoff: Payoff, band: VolatilityBand, T: float, cfg: PdeConfig,
-                 policy_times: np.ndarray | None = None):
+                 policy_grid: TimeGrid | None = None):
     """u_t + G(u_xx) = 0 backward from the terminal payoff; returns u(0, .).
 
-    With `policy_times` given, also returns the PolicyTable of bang-bang
-    maximizers recorded at (the PDE levels nearest to) those times.
+    With `policy_grid` given, also returns the PolicyTable of bang-bang
+    maximizers recorded at the step times of that grid.
     """
     (u,), policies = solve_stack(_UNIT_COEFFS, band, [payoff], T, cfg,
-                                 policy_times)
+                                 policy_grid)
     return u if policies is None else (u, policies[0])
 
 
@@ -344,11 +323,11 @@ class Semigroups:
 
 def solve_semigroups(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
                      cfg: PdeConfig, payoffs,
-                     policy_times: np.ndarray | None = None) -> Semigroups:
+                     policy_grid: TimeGrid | None = None) -> Semigroups:
     """Solve every payoff on `cfg` and on `cfg.coarsened()`, one stacked pass
-    per grid; the fine pass records the policies at `policy_times`."""
+    per grid; the fine pass records the policies on `policy_grid`."""
     payoffs = list(payoffs)
-    fine, policies = solve_stack(coeffs, band, payoffs, T, cfg, policy_times)
+    fine, policies = solve_stack(coeffs, band, payoffs, T, cfg, policy_grid)
     coarse, _ = solve_stack(coeffs, band, payoffs, T, cfg.coarsened())
     return Semigroups(
         coeffs, band, T, dict(zip(payoffs, fine)), dict(zip(payoffs, coarse)),

@@ -19,7 +19,7 @@ rows and one block's increments, never the full increment matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,50 +54,8 @@ class ScenarioControl:
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
 
-    def level(self, j: int, t: float, state: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.levels[j], np.shape(state))
 
-
-@dataclass(frozen=True)
-class FeedbackControl:
-    """Closed-loop control: the level at each step is read off a bang-bang
-    policy table at the current simulated state.
-
-    `step_rows[j]` is the policy row nearest step j, found once, so a step
-    reads a state's level off its mask row without searching the times."""
-
-    grid: TimeGrid
-    policy: PolicyTable
-    step_rows: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rows = self.policy.nearest_rows(self.grid.nodes[:-1])
-        rows.setflags(write=False)
-        object.__setattr__(self, "step_rows", rows)
-
-    @property
-    def band(self) -> VolatilityBand:
-        return self.policy.band
-
-    def level(self, j: int, t: float, state: np.ndarray) -> np.ndarray:
-        return self.policy.level_at(t, state)
-
-    def level_into(self, j: int, state: np.ndarray, index: np.ndarray,
-                   out: np.ndarray) -> None:
-        """level(j, grid.nodes[j], state) into `out`, through the intp
-        buffer `index` of the state's shape: each state's node is rounded
-        and clipped as in `PolicyTable.level_at`, and its mask bit selects
-        sigma_lower or sigma_upper, each exactly."""
-        x_nodes = self.policy.x_nodes
-        np.subtract(state, x_nodes[0], out=out)
-        np.divide(out, x_nodes[1] - x_nodes[0], out=out)
-        np.rint(out, out=index, casting="unsafe")
-        hi = self.policy.hi_mask[self.step_rows[j]].take(index, mode="clip")
-        out[...] = self.band.sigma_lower
-        np.copyto(out, self.band.sigma_upper, where=hi)
-
-
-Control = ScenarioControl | FeedbackControl
+Control = ScenarioControl | PolicyTable
 
 
 @dataclass(frozen=True)
@@ -123,8 +81,9 @@ def sample_controls(strategy: str, band: VolatilityBand, grid: TimeGrid,
     constants: evenly spaced constant levels including both endpoints.
     bang_bang: single-switch paths at evenly spaced switch times.
     random: independent per-step uniforms in the band.
-    feedback: the closed-loop policy control (needs `policy`), padded with
-      constants when count > 1 so the estimator keeps its endpoint anchors.
+    feedback: the recorded policy itself (needs `policy`, recorded on
+      `grid`) as the closed-loop control, padded with constants when
+      count > 1 so the estimator keeps its endpoint anchors.
     """
     if count < 1:
         raise ScenarioError(f"count must be >= 1, got {count}")
@@ -153,7 +112,9 @@ def sample_controls(strategy: str, band: VolatilityBand, grid: TimeGrid,
     if strategy == "feedback":
         if policy is None:
             raise ScenarioError("feedback strategy needs a policy table")
-        controls: list[Control] = [FeedbackControl(grid, policy)]
+        if policy.grid != grid:
+            raise ScenarioError("the policy is recorded on another grid")
+        controls: list[Control] = [policy]
         if count > 1:
             controls.extend(sample_controls("constants", band, grid, count - 1, seed))
         return controls
@@ -189,13 +150,13 @@ def _time_major(w: np.ndarray):
 def _level_rows(controls: Sequence[Control], n_paths: int):
     """levels(j, x): the step-j volatility of each control, one row per
     control. Open-loop rows come from one (n_steps, k) table as a (k, 1)
-    column; when the family has feedback controls, the column fills a
-    (k, n_paths) buffer and each feedback row is read off its step-j policy
-    row at its own state row of x."""
+    column; when the family has policy controls, the column fills a
+    (k, n_paths) buffer and each policy row is read off the policy's mask
+    row j at its own state row of x."""
     table = np.zeros((controls[0].grid.n_steps, len(controls)))
     feedback = []
     for i, control in enumerate(controls):
-        if isinstance(control, FeedbackControl):
+        if isinstance(control, PolicyTable):
             feedback.append(i)
         else:
             table[:, i] = control.levels
@@ -207,7 +168,17 @@ def _level_rows(controls: Sequence[Control], n_paths: int):
     def levels(j: int, x: np.ndarray) -> np.ndarray:
         lv[...] = table[j, :, None]
         for i in feedback:
-            controls[i].level_into(j, x[i], index, lv[i])
+            # Each state's node, rounded and clipped through `index`, with
+            # its row of lv as scratch; the node's mask bit selects
+            # sigma_lower or sigma_upper, each exactly.
+            policy, out = controls[i], lv[i]
+            x_nodes = policy.x_nodes
+            np.subtract(x[i], x_nodes[0], out=out)
+            np.divide(out, x_nodes[1] - x_nodes[0], out=out)
+            np.rint(out, out=index, casting="unsafe")
+            hi = policy.hi_mask[j].take(index, mode="clip")
+            out[...] = policy.band.sigma_lower
+            np.copyto(out, policy.band.sigma_upper, where=hi)
         return lv
 
     return levels

@@ -76,3 +76,17 @@ def heat_semigroup_oracle(f, x, T, n_quad=120):
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_quad)
     z = x + np.sqrt(T) * nodes
     return float(np.sum(weights * f(z)) / np.sqrt(2.0 * np.pi))
+
+
+def reference_levels(control, j, x):
+    """The step-j level of `control` at each state of `x`, written out: an
+    open-loop control's levels[j]; for a recorded policy, its mask row j at
+    each state's nearest node, clipped to the nodes."""
+    x = np.asarray(x, dtype=float)
+    if not isinstance(control, g.PolicyTable):
+        return np.broadcast_to(control.levels[j], x.shape)
+    nodes = control.x_nodes
+    xi = np.clip(np.rint((x - nodes[0]) / (nodes[1] - nodes[0])).astype(int),
+                 0, len(nodes) - 1)
+    return np.where(control.hi_mask[j][xi], control.band.sigma_upper,
+                    control.band.sigma_lower)

@@ -93,7 +93,7 @@ def test_criterion_02_oracle_agreement():
                    for name in ("quadratic", "neg_quadratic", "call",
                                 "gauss_bump", "cosine", "tanh_step")}
         solved = g.solve_semigroups(heat, band, T, cfg, payoffs.values(),
-                                    policy_times=grid.nodes[:-1])
+                                    policy_grid=grid)
         for name, payoff in payoffs.items():
             pde = float(solved.fine[payoff](0.0))
             controls = g.sample_controls("feedback", band, grid, 5, seed=202,

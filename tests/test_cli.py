@@ -10,6 +10,8 @@ import pytest
 from gharnack.cli import bundled_config_path, main
 from gharnack.config import ConfigError, parse_run_config
 
+from conftest import reference_levels
+
 CFG = bundled_config_path()
 
 
@@ -727,6 +729,44 @@ class TestStackedPaths:
             assert (tmp_path / "o" / name).read_bytes() == \
                 (tmp_path / "one" / name).read_bytes()
 
+    def test_first_scenario_control_is_the_recorded_policy(self,
+                                                          monkeypatch):
+        # the feedback control of a scenario run is the fine pass's recorded
+        # policy itself, and its level at every step is that step's mask row
+        # read at each state's nearest node, clipped
+        from gharnack import cli, scenario
+
+        solved, families = [], []
+        solve, estimate = cli.solve_semigroups, scenario.upper_semigroup_mc
+
+        def recorded(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        def kept(coeffs, payoff, x0, controls, n_paths, seed):
+            families.append(controls)
+            return estimate(coeffs, payoff, x0, controls, n_paths, seed)
+
+        monkeypatch.setattr(cli, "solve_semigroups", recorded)
+        monkeypatch.setattr(scenario, "upper_semigroup_mc", kept)
+        cfg = parse_run_config(CFG)
+        cli.run_scenario(cfg)
+        (heat,), (controls,) = solved, families
+        policy = controls[0]
+        assert policy is heat.policy[cfg.payoff]
+        assert policy.grid == cfg.grid
+        assert policy.hi_mask.shape == (cfg.grid.n_steps, cfg.pde.n_space + 1)
+        assert np.any(policy.hi_mask) and not np.all(policy.hi_mask)
+        dx = cfg.pde.dx
+        x = np.concatenate((np.linspace(cfg.pde.x_min - 1.0,
+                                        cfg.pde.x_max + 1.0, 997),
+                            cfg.pde.nodes()[:-1] + 0.5 * dx))
+        levels_at = scenario._level_rows(controls, x.size)
+        states = np.broadcast_to(x, (len(controls), x.size))
+        for j in range(cfg.grid.n_steps):
+            assert np.array_equal(levels_at(j, states)[0],
+                                  reference_levels(policy, j, x))
+
     def test_coupling_run_holds_no_full_paths_of_every_control(self):
         # 5 controls x 2048 paths x 257 nodes: one (k, n_steps + 1, n_paths)
         # array is 21 MB, w 4.2 MB; export rows with every node of levels,
@@ -814,10 +854,11 @@ class TestStackedPaths:
         assert coupling.run_nbytes(2 * n, s, k) - need < n * s * 8
 
     def test_coupled_run_lets_its_record_go(self):
-        # the export rows copy their x, y and log M out of the pass's
-        # (3, clip nodes, k, n_paths) record, so a kept run holds its clip
-        # samples, the stiff steps and the export rows, not the record
-        # beside them: 9.8 MB of it at 16384 paths
+        # the export rows copy their x, y, log M and stiff steps out of the
+        # pass's (3, clip nodes, k, n_paths) record and (k, n_paths) stiff
+        # steps, so a kept run holds its clip samples, (|x - y|, log M) at
+        # each clip, and the export rows, not the record beside them: 9.8 MB
+        # of it at 16384 paths
         from gharnack import coupling, scenario
 
         cfg = parse_run_config(CFG)
@@ -837,8 +878,8 @@ class TestStackedPaths:
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        samples = 3 * len(epsilons) * k * n * 8
-        stiff = k * n * 8
+        samples = 2 * len(epsilons) * k * n * 8
+        stiff = k * coupling.EXPORT_PATHS * 8
         clip_rows = 3 * len(epsilons)
         export = coupling.EXPORT_PATHS * (s + (s + 1 + clip_rows) * k) * 8
         assert len(run.heads) == k

@@ -10,6 +10,8 @@ from gharnack import coupling
 from gharnack.coupling import CouplingError, shifted_qv_discrepancy
 from gharnack.scenario import scaled_increments
 
+from conftest import reference_levels
+
 mp.dps = 30
 
 
@@ -341,7 +343,7 @@ def clip_sample(log_m, gap=None, eps=0.01, lam=0.1):
     log_m = np.asarray(log_m, dtype=float)
     gap = np.zeros_like(log_m) if gap is None else np.asarray(gap, dtype=float)
     return g.ClipSample(epsilon=eps, clip_time=1.0 - eps, lambda_at_clip=lam,
-                        m=np.exp(log_m), gap=gap, log_m=log_m, n_excluded=0)
+                        gap=gap, log_m=log_m, n_excluded=0)
 
 
 class TestBoundFlagsFlipAtTheirBand:
@@ -423,7 +425,7 @@ class TestCouplingSuccess:
         clip node of each epsilon of (0.2, 0.1, 0.05)."""
         samples = [g.ClipSample(epsilon=eps, clip_time=1.0 - eps,
                                 lambda_at_clip=float(schedule.value(1.0 - eps)),
-                                m=np.ones(4), gap=np.full(4, mean),
+                                gap=np.full(4, mean),
                                 log_m=np.zeros(4), n_excluded=0)
                    for eps, mean in zip((0.2, 0.1, 0.05), means)]
         return g.coupling_success_check(schedule, 0.0, 0.5, samples)
@@ -525,12 +527,12 @@ class TestStabilityBound:
         schedule, controls, w = TestOnePassSweep.make_case(
             coeffs, pinched_band, 1.55)
         grid = controls[0].grid
-        policy = g.PolicyTable(times=grid.nodes[:-1],
+        policy = g.PolicyTable(grid=grid,
                                x_nodes=np.linspace(-8.0, 8.0, 5),
                                hi_mask=np.zeros((grid.n_steps, 5), dtype=bool),
                                band=pinched_band)
         # the band's upper level sets r, whatever levels the control uses
-        for control in (controls[0], g.FeedbackControl(grid, policy)):
+        for control in (controls[0], policy):
             with pytest.raises(CouplingError, match=r"r = 8\.86"):
                 g.simulate_bundle(coeffs, schedule, 0.0, 0.5, control, 0.025,
                                    w)
@@ -549,7 +551,7 @@ class TestOnePassSweep:
 
     @staticmethod
     def assert_same(one_pass, separate):
-        for name in ("m", "gap", "log_m"):
+        for name in ("gap", "log_m"):
             assert getattr(one_pass, name).tobytes() == \
                 getattr(separate, name).tobytes(), name
         for name in ("epsilon", "clip_time", "lambda_at_clip", "n_excluded"):
@@ -595,7 +597,7 @@ class TestOnePassSweep:
                                    [0.05, 0.025], w)
         assert swept.at_clip(0.05)[0].n_excluded == 0
         assert swept.at_clip(0.025)[0].n_excluded == late.size
-        assert swept.at_clip(0.025)[0].m.size == 256 - late.size
+        assert swept.at_clip(0.025)[0].log_m.size == 256 - late.size
         assert np.all(np.isfinite(run.x_path)) and \
             np.all(np.isfinite(run.log_m_path))
 
@@ -720,7 +722,7 @@ def reference_coupled(coeffs, schedule, x0, y0, control, clip_epsilon, w):
 
     for j in range(n_steps):
         t = float(grid.nodes[j])
-        lv = np.asarray(control.level(j, t, x), dtype=float)
+        lv = reference_levels(control, j, x)
         levels[:, j] = lv
         dB = lv * w[:, j]
         dqv = lv * lv * dt
@@ -785,7 +787,6 @@ class TestTimeMajorCoupledKernel:
                 logm = ref["log_m_path"][keep, j]
                 gap = np.abs(ref["x_path"][keep, j] - ref["y_path"][keep, j])
                 assert sample.log_m.tobytes() == logm.tobytes()
-                assert sample.m.tobytes() == np.exp(logm).tobytes()
                 assert sample.gap.tobytes() == gap.tobytes()
                 assert sample.n_excluded == keep.size - np.count_nonzero(keep)
         for head, ref in zip(run.heads, refs):
@@ -852,12 +853,12 @@ class TestTimeMajorCoupledKernel:
         grid = controls[0].grid
         hi_mask = np.zeros((grid.n_steps, 5), dtype=bool)
         hi_mask[:, 2:] = True  # the upper level at states above -4
-        policy = g.PolicyTable(times=grid.nodes[:-1],
+        policy = g.PolicyTable(grid=grid,
                                x_nodes=np.linspace(-8.0, 8.0, 5),
                                hi_mask=hi_mask, band=pinched_band)
         bang_bang = g.sample_controls("bang_bang", pinched_band, grid, 1,
                                       seed=3)[0]
-        family = [bang_bang, g.FeedbackControl(grid, policy), controls[1]]
+        family = [bang_bang, policy, controls[1]]
         w = poisoned(w, LATE_ROWS)
         refs = [reference_coupled(coeffs, schedule, 0.0, 0.5, c, 0.025, w)
                 for c in family]
@@ -892,7 +893,7 @@ class TestTimeMajorCoupledKernel:
                                    [0.01, 0.1], w[:200])
         for eps in (0.01, 0.1):
             for a, b in zip(tall.at_clip(eps), short.at_clip(eps)):
-                for name in ("m", "gap", "log_m"):
+                for name in ("gap", "log_m"):
                     assert getattr(a, name)[:200].tobytes() == \
                         getattr(b, name).tobytes(), name
         for a, b in zip(tall.heads, short.heads):
@@ -939,10 +940,10 @@ class TestPathBlocks:
         grid = g.TimeGrid(1.0, 64)
         hi_mask = np.zeros((grid.n_steps, 5), dtype=bool)
         hi_mask[:, 2:] = True
-        policy = g.PolicyTable(times=grid.nodes[:-1],
+        policy = g.PolicyTable(grid=grid,
                                x_nodes=np.linspace(-8.0, 8.0, 5),
                                hi_mask=hi_mask, band=pinched_band)
-        family = [g.FeedbackControl(grid, policy),
+        family = [policy,
                   *g.sample_controls("bang_bang", pinched_band, grid, 2,
                                      seed=3)]
         clean = scaled_increments(97, 300, grid)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import gharnack as g
-from gharnack import gheat
+from gharnack import gheat, scenario
 from gharnack.cli import bundled_config_path
 from gharnack.gheat import _UNIT_COEFFS, PdeError
 
-from conftest import heat_semigroup_oracle, ou_semigroup_oracle
+from conftest import (heat_semigroup_oracle, ou_semigroup_oracle,
+                      reference_levels)
 
 
 class TestGHeatIdentities:
@@ -121,13 +122,19 @@ class TestHjb:
 
 
 def terminal_levels(name, model, band, T=0.01):
-    """The levels `solve_stack` records at the horizon, where u is the
+    """The levels `solve_stack` records for the last step of a short grid,
+    whose time lies within the PDE's last time step, where u is still the
     payoff `name`, on the 41 nodes of [-2, 2]."""
+    cfg = g.PdeConfig(-2, 2, 40)
+    grid = g.TimeGrid(T, 8)
+    _, n_t = gheat._cfl_time_step(model, band, T, cfg)
+    assert grid.dt < T / n_t
     _, (policy,) = g.solve_stack(model, band,
                                  [g.make_payoff(name, domain=(-2, 2))], T,
-                                 g.PdeConfig(-2, 2, 40), policy_times=[T])
+                                 cfg, grid)
     assert policy.x_nodes.tolist() == np.linspace(-2, 2, 41).tolist()
-    return policy.level_at(T, policy.x_nodes)
+    assert policy.hi_mask.shape == (8, 41)
+    return reference_levels(policy, 7, policy.x_nodes)
 
 
 class TestFeedbackControl:
@@ -149,31 +156,31 @@ class TestFeedbackControl:
         cfg = g.PdeConfig(-8, 8, 200)
         payoff = g.make_payoff("identity", domain=(-8, 8))
         u, policy = g.solve_g_heat(payoff, wide_band, 1.0, cfg,
-                                   policy_times=np.linspace(0, 1, 9))
+                                   policy_grid=g.TimeGrid(1.0, 8))
         assert np.allclose(u.values, cfg.nodes(), atol=1e-9)
         assert np.all(policy.hi_mask)
 
     def test_policy_shape_and_lookup(self, wide_band):
         cfg = g.PdeConfig(-4, 4, 64)
-        times = np.linspace(0.0, 1.0, 17)
+        grid = g.TimeGrid(1.0, 16)
         _, policy = g.solve_g_heat(g.make_payoff("gauss_bump"), wide_band, 1.0,
-                                   cfg, policy_times=times)
-        assert policy.hi_mask.shape == (17, 65)
-        levels = policy.level_at(0.0, np.array([-3.0, 0.0, 3.0]))
+                                   cfg, policy_grid=grid)
+        assert policy.grid == grid
+        assert policy.hi_mask.shape == (16, 65)
+        levels = reference_levels(policy, 0, np.array([-3.0, 0.0, 3.0]))
         assert set(np.unique(levels)) <= {wide_band.sigma_lower,
                                           wide_band.sigma_upper}
-        # gauss bump is concave at the origin: terminal-time policy picks lower
-        late = policy.level_at(1.0, np.array([0.0]))
+        # gauss bump is concave at the origin: the last step's policy picks
+        # lower
+        late = reference_levels(policy, 15, np.array([0.0]))
         assert late[0] == wide_band.sigma_lower
-
 
     @pytest.mark.parametrize("n_steps", [256, 1000])
     def test_step_levels_equal_the_per_step_lookup(self, wide_band, n_steps):
-        # the step-row lookup against PolicyTable.level_at step by step: at
-        # the grid's own times, at every other node (each even node is as
-        # near the node before as the one after) and at off-grid times; at
-        # random states, states beyond both ends of the nodes (clipped) and
-        # states half-way between two nodes (rint rounds them to even)
+        # the levels of a family, a policy between two open-loop controls,
+        # against the written-out lookup step by step: at random states,
+        # states beyond both ends of the nodes (clipped) and states half-way
+        # between two nodes (rint rounds them to even)
         grid = g.TimeGrid(1.0, n_steps)
         rng = np.random.default_rng(n_steps)
         x_nodes = np.linspace(-8.0, 8.0, 65)
@@ -182,49 +189,44 @@ class TestFeedbackControl:
         assert np.all((half - x_nodes[0]) / dx % 1.0 == 0.5)
         states = np.concatenate((rng.uniform(-8.5, 8.5, 200),
                                  [-1e3, -8.2, 8.2, 1e3], half))
-        index = np.empty(states.size, dtype=np.intp)
-        out = np.empty(states.size)
-        for times in (grid.nodes[:-1], grid.nodes[1::2],
-                      np.linspace(0.1, 0.9, 37)):
-            policy = g.PolicyTable(times=times, x_nodes=x_nodes,
-                                   hi_mask=rng.random((times.size, 65)) < 0.5,
-                                   band=wide_band)
-            control = g.FeedbackControl(grid, policy)
-            for j, t in enumerate(grid.nodes[:-1]):
-                control.level_into(j, states, index, out)
-                assert np.array_equal(out, policy.level_at(float(t), states))
-
-    def test_step_levels_need_increasing_policy_times(self, wide_band):
-        grid = g.TimeGrid(1.0, 8)
-        policy = g.PolicyTable(times=grid.nodes[:-1][::-1],
-                               x_nodes=np.linspace(-8.0, 8.0, 5),
-                               hi_mask=np.zeros((8, 5), dtype=bool),
+        policy = g.PolicyTable(grid=grid, x_nodes=x_nodes,
+                               hi_mask=rng.random((n_steps, 65)) < 0.5,
                                band=wide_band)
-        with pytest.raises(g.PdeError, match="strictly increasing"):
-            g.FeedbackControl(grid, policy)
+        family = [*g.sample_controls("random", wide_band, grid, 1, seed=1),
+                  policy,
+                  *g.sample_controls("bang_bang", wide_band, grid, 1, seed=1)]
+        x = np.stack([states, states, rng.permutation(states)])
+        levels_at = scenario._level_rows(family, states.size)
+        for j in range(n_steps):
+            levels = levels_at(j, x)
+            for row, control, xs in zip(levels, family, x):
+                assert np.array_equal(row, reference_levels(control, j, xs))
 
     def test_feedback_control_holds_no_level_table(self, wide_band):
         # the parse-time memory count bounds the policy record, not a float
-        # level table of the record's shape beside it: the control holds one
-        # step row index per step, 8 KiB of a 2 MB mask
+        # level table of the record's shape beside it: reading the policy's
+        # levels holds one (k, n_paths) row buffer and one index row beside
+        # the (n_steps, k) open-loop table, not the 16 MB of a float table
         grid = g.TimeGrid(1.0, 1024)
         x_nodes = np.linspace(-8.0, 8.0, 2001)
         policy = g.PolicyTable(
-            times=grid.nodes[:-1], x_nodes=x_nodes,
+            grid=grid, x_nodes=x_nodes,
             hi_mask=np.random.default_rng(5).random((1024, 2001)) < 0.5,
             band=wide_band)
+        x = np.linspace(-9.0, 9.0, 1000)[None]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            control = g.FeedbackControl(grid, policy)
+            levels_at = scenario._level_rows([policy], x.shape[1])
+            levels = levels_at(0, x)
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert held <= 8 * grid.n_steps + 2 ** 16
-        assert control.step_rows.shape == (grid.n_steps,)
+        assert held <= 8 * grid.n_steps + 16 * x.size + 2 ** 16
+        assert levels.shape == x.shape
 
 
-def reference_solve(coeffs, band, payoff, T, cfg, policy_times=None):
+def reference_solve(coeffs, band, payoff, T, cfg, policy_grid=None):
     """The explicit scheme for one payoff written step by step: coefficients
     evaluated at every time level, ghost nodes by concatenation, and the
     tie-tolerant policy record. Returns u(0, .) and the policy mask."""
@@ -233,10 +235,10 @@ def reference_solve(coeffs, band, payoff, T, cfg, policy_times=None):
     dt, n_t = gheat._cfl_time_step(coeffs, band, T, cfg)
     u = np.asarray(payoff.f(xs), dtype=float).copy()
     record = level_of_time = None
-    if policy_times is not None:
-        level_of_time = np.clip(
-            np.ceil(policy_times / dt - 1e-12).astype(int), 1, n_t)
-        record = np.zeros((len(policy_times), len(xs)), dtype=bool)
+    if policy_grid is not None:
+        times = policy_grid.nodes[:-1]
+        level_of_time = np.clip(np.ceil(times / dt - 1e-12).astype(int), 1, n_t)
+        record = np.zeros((len(times), len(xs)), dtype=bool)
     up2, lo2 = band.sigma_upper ** 2, band.sigma_lower ** 2
     for i in range(n_t, 0, -1):
         t_i = i * dt
@@ -275,7 +277,7 @@ def _g_reference(a, band):
     return 0.5 * (up2 * np.maximum(a, 0.0) - lo2 * np.maximum(-a, 0.0))
 
 
-def reference_stack(coeffs, band, payoffs, T, cfg, policy_times=None):
+def reference_stack(coeffs, band, payoffs, T, cfg, policy_grid=None):
     """The stacked explicit step term by term, as two-dimensional slices of
     the padded rows: every term is added even where it is zero, and G takes
     its textbook form. Returns the rows of u(0, .) and the policy masks."""
@@ -290,11 +292,10 @@ def reference_stack(coeffs, band, payoffs, T, cfg, policy_times=None):
         row[1:-1] = payoff.f(xs)
     u = up[:, 1:-1]
     record = None
-    if policy_times is not None:
-        level_of_time = np.clip(
-            np.ceil(policy_times / dt - 1e-12).astype(int), 1, n_t)
-        record = np.zeros((len(payoffs), len(policy_times), len(xs)),
-                          dtype=bool)
+    if policy_grid is not None:
+        times = policy_grid.nodes[:-1]
+        level_of_time = np.clip(np.ceil(times / dt - 1e-12).astype(int), 1, n_t)
+        record = np.zeros((len(payoffs), len(times), len(xs)), dtype=bool)
     for i in range(n_t, 0, -1):
         _fill_ghosts(up)
         a = _hamiltonian_argument(up, dx, 2.0 * h, sig2)
@@ -355,12 +356,12 @@ class TestStackedSolve:
             b = coeffs.b(0.0, cfg.pde.nodes())
             assert np.any(b > 0.0) and np.any(b < 0.0)
             assert np.any(coeffs.h(0.0, cfg.pde.nodes()) != 0.0)
-        times = cfg.grid.nodes[:-1] if policy else None
+        policy_grid = cfg.grid if policy else None
         T = cfg.grid.horizon
         rows, policies = g.solve_stack(coeffs, cfg.band, payoffs[:n_rows],
-                                       T, cfg.pde, times)
+                                       T, cfg.pde, policy_grid)
         ref, masks = reference_stack(coeffs, cfg.band, payoffs[:n_rows], T,
-                                     cfg.pde, times)
+                                     cfg.pde, policy_grid)
         assert len(rows) == n_rows
         for row, ref_row in zip(rows, ref):
             assert row.values.tobytes() == ref_row.tobytes()
@@ -373,15 +374,14 @@ class TestStackedSolve:
 
     def test_policy_equals_separate_policy_solve(self, bundled):
         cfg, payoffs = bundled
-        times = cfg.grid.nodes[:-1]
         T = cfg.grid.horizon
         solved = g.solve_semigroups(_UNIT_COEFFS, cfg.band, T, cfg.pde,
-                                    payoffs, policy_times=times)
+                                    payoffs, policy_grid=cfg.grid)
         for payoff in payoffs:
             u, policy = g.solve_g_heat(payoff, cfg.band, T, cfg.pde,
-                                       policy_times=times)
+                                       policy_grid=cfg.grid)
             ref, mask = reference_solve(_UNIT_COEFFS, cfg.band, payoff, T,
-                                        cfg.pde, times)
+                                        cfg.pde, cfg.grid)
             assert solved.policy[payoff].hi_mask.tobytes() == mask.tobytes()
             assert policy.hi_mask.tobytes() == mask.tobytes()
             assert solved.fine[payoff].values.tobytes() == ref.tobytes()
@@ -465,14 +465,14 @@ def test_solve_nbytes_bounds_the_traced_working_set():
     payoffs = [f, f.log(), f.power(cfg.check_p)]
     pde = g.PdeConfig(cfg.pde.x_min, cfg.pde.x_max, 20000)
     dt, _ = gheat._cfl_time_step(cfg.coeffs, cfg.band, 1.0, pde)
-    times = np.array([dt, 2.0 * dt])
+    grid = g.TimeGrid(3.0 * dt, 3)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        g.solve_stack(cfg.coeffs, cfg.band, payoffs, 3.0 * dt, pde, times)
+        g.solve_stack(cfg.coeffs, cfg.band, payoffs, grid.horizon, pde, grid)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    bound = gheat.solve_nbytes(len(payoffs), pde.n_space, len(times))
+    bound = gheat.solve_nbytes(len(payoffs), pde.n_space, grid.n_steps)
     assert peak <= bound
     assert bound <= 1.25 * peak

@@ -15,6 +15,8 @@ from gharnack.scenario import (
     simulate_state_batch,
 )
 
+from conftest import reference_levels
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -78,6 +80,20 @@ class TestSampleControls:
     def test_feedback_needs_policy(self, wide_band, grid):
         with pytest.raises(ScenarioError):
             g.sample_controls("feedback", wide_band, grid, 1, seed=0)
+
+    def test_feedback_policy_is_recorded_on_the_grid(self, wide_band, grid):
+        # the policy is the control: row j of its mask is step j, so a
+        # policy recorded on another grid is refused, not read off by index
+        _, policy = g.solve_g_heat(g.make_payoff("gauss_bump"), wide_band,
+                                   grid.horizon, g.PdeConfig(-4, 4, 64),
+                                   policy_grid=grid)
+        (control,) = g.sample_controls("feedback", wide_band, grid, 1, seed=0,
+                                       policy=policy)
+        assert control is policy
+        other = g.TimeGrid(grid.horizon, 2 * grid.n_steps)
+        with pytest.raises(ScenarioError, match="another grid"):
+            g.sample_controls("feedback", wide_band, other, 1, seed=0,
+                              policy=policy)
 
     def test_control_outside_band_rejected(self, wide_band, grid):
         with pytest.raises(ScenarioError):
@@ -154,7 +170,7 @@ class TestUpperExpectation:
             g.make_coefficient("constant", (1.0,)), 0.0, 1.0, 1.0)
         payoffs = [g.make_payoff(name) for name in ("gauss_bump", "cosine")]
         solved = g.solve_semigroups(heat, wide_band, 1.0, cfg, payoffs,
-                                    policy_times=grid.nodes[:-1])
+                                    policy_grid=grid)
         for payoff in payoffs:
             controls = g.sample_controls("feedback", wide_band, grid, 3,
                                          seed=13, policy=solved.policy[payoff])
@@ -174,7 +190,7 @@ class TestSemigroupEstimator:
         cfg = g.PdeConfig(-8, 8, 400)
         payoff = g.make_payoff("gauss_bump")
         solved = g.solve_semigroups(ou_model, band, T, cfg, [payoff],
-                                    policy_times=grid.nodes[:-1])
+                                    policy_grid=grid)
         controls = g.sample_controls("feedback", band, grid, 4, seed=29,
                                      policy=solved.policy[payoff])
         est = g.upper_semigroup_mc(ou_model, payoff, 0.3, controls, 2 ** 13,
@@ -314,7 +330,7 @@ def reference_state_batch(coeffs, control, x0, w, grid):
     for j in range(n_steps):
         t = float(grid.nodes[j])
         xj = x[:, j]
-        lv = np.asarray(control.level(j, t, xj), dtype=float)
+        lv = reference_levels(control, j, xj)
         levels[:, j] = lv
         x[:, j + 1] = (xj + coeffs.b(t, xj) * dt + coeffs.h(t, xj) * (lv * lv * dt)
                        + coeffs.sigma(t, xj) * (lv * w[:, j]))
@@ -335,7 +351,7 @@ class TestTimeMajorKernel:
             return g.sample_controls(kind, cfg.band, cfg.grid, 3, cfg.seed)[1]
         solved = g.solve_semigroups(coeffs, cfg.band, cfg.grid.horizon,
                                     g.PdeConfig(-8.0, 8.0, 200), [cfg.payoff],
-                                    policy_times=cfg.grid.nodes[:-1])
+                                    policy_grid=cfg.grid)
         (control,) = g.sample_controls("feedback", cfg.band, cfg.grid, 1,
                                        cfg.seed,
                                        policy=solved.policy[cfg.payoff])
@@ -391,7 +407,8 @@ class TestTimeMajorKernel:
         else:
             controls = [g.ScenarioControl(grid, controls[0].levels[:250],
                                           cfg.band),
-                        g.FeedbackControl(grid, controls[1].policy),
+                        g.PolicyTable(grid, controls[1].x_nodes,
+                                      controls[1].hi_mask[:250], cfg.band),
                         g.ScenarioControl(grid, controls[2].levels[:250],
                                           cfg.band)]
         terminal = simulate_state_batch(coeffs, controls, x0, w, grid)
@@ -408,7 +425,7 @@ class TestTimeMajorKernel:
         cfg = bundled
         solved = g.solve_semigroups(cfg.coeffs, cfg.band, cfg.grid.horizon,
                                     g.PdeConfig(-8.0, 8.0, 200), [cfg.payoff],
-                                    policy_times=cfg.grid.nodes[:-1])
+                                    policy_grid=cfg.grid)
         controls = g.sample_controls("feedback", cfg.band, cfg.grid, 4, 17,
                                      policy=solved.policy[cfg.payoff])
         est = g.upper_semigroup_mc(cfg.coeffs, cfg.payoff, 0.3, controls, 300,
