@@ -13,10 +13,11 @@ the clip node of its epsilon, and before that node g is active whatever the
 clip, so a run simulated at a smaller epsilon holds the same (x, y, log M)
 there, bit for bit. A clip sweep therefore needs one pass, simulated at the
 smallest epsilon of the sweep; after the node of a larger epsilon, its g
-counts as zero. That pass advances every control at once, a (k controls,
-paths) state, one block of paths at a time, and keeps (x, y, log M) only at
-the clip nodes it is asked for, g and the levels of every step only for the
-first EXPORT_PATHS paths.
+counts as zero. That pass advances every control at once, a (x, y, log M)
+by (k controls, paths) state, one block of paths at a time, and keeps
+(|x - y|, log M) only at the clip nodes it is asked for. The first
+EXPORT_PATHS paths run last, as a block of their own, which also keeps
+their (x, y, log M) there and their g and levels at every step.
 
 Explicit Euler contracts the gap X - Y only while `stability_ratio` stays at
 most 1, so a larger ratio is refused, not simulated. A drift-implicit step for
@@ -161,26 +162,31 @@ def stability_ratio(schedule: CouplingSchedule, sigma_upper: float,
                         initial=0.0))
 
 
-# (k, block) arrays alive at once in a step of the coupled pass: the state
-# and its temporaries (at most 24).
+# (k, block) arrays alive at once in a step of the coupled pass: the two
+# (x, y, log M) state buffers, dB, g and their temporaries (at most 24).
 _STATE_ROWS = 24
-# (k, n_paths) rows of a coupled run of the CLI: (x, y, log M) at the clip
-# node of `clip_epsilon` and of each SWEEP_FRACTIONS epsilon in the record,
-# (|x - y|, log M) there in the ClipSamples, and the stiff steps.
-_RECORD_ROWS = (3 + 2) * (1 + len(SWEEP_FRACTIONS)) + 1
+# Clip nodes of a coupled run of the CLI: `clip_epsilon` and each
+# SWEEP_FRACTIONS epsilon.
+_CLIP_NODES = 1 + len(SWEEP_FRACTIONS)
+# (k, n_paths) rows of a coupled run of the CLI: (|x - y|, log M) at each
+# clip node in the record and in the ClipSamples, and the stiff steps.
+_RECORD_ROWS = (2 + 2) * _CLIP_NODES + 1
 
 
 def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
     """Bytes of the arrays of one coupled run of the CLI: one block of the
     increments w, its time-major block and its state rows, the clip-node
-    record, the export rows' w and g, lambda at the nodes and three tables
-    of open-loop levels."""
+    record, and the export block: its w (and the copy it keeps), time-major
+    block and state rows, g at every node, (x, y, log M) at the clip nodes,
+    lambda at the nodes and three tables of open-loop levels."""
     n_head = min(n_paths, EXPORT_PATHS)
-    block = min(n_paths, _path_block(n_steps, n_head))
-    return 8 * (block * (n_steps + _W_BLOCK_STEPS + _STATE_ROWS * n_controls)
+    block = min(n_paths - n_head, _path_block(n_steps))
+    return 8 * ((block + n_head)
+                * (n_steps + _W_BLOCK_STEPS + _STATE_ROWS * n_controls)
                 + _RECORD_ROWS * n_controls * n_paths
                 + (n_head + 3 * n_controls) * n_steps
-                + (n_controls * n_head + 1) * (n_steps + 1))
+                + (n_controls * n_head + 1) * (n_steps + 1)
+                + 3 * _CLIP_NODES * n_controls * n_head)
 
 
 @dataclass(frozen=True)
@@ -273,68 +279,91 @@ class CoupledRun:
         return self.samples[epsilon]
 
 
-def _coupled_pass(coeffs, schedule, controls, clip_index, w, kept, record,
-                  stiff_step, n_full):
+def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
+                  record, stiff_step, kept=(), head=None):
     """The coupled Euler loop for k controls over one block of paths, on
-    their rows `w` of the shared increments, g clipped at grid node
-    `clip_index`, from the (x, y, log M) that the block's `record` holds
-    before the pass writes it: the start values.
+    their rows `w` of the shared increments, from (x, y, log M) =
+    (*start, 0), g clipped at grid node `clip_index`.
 
     X follows the base dynamics; Y carries the attracting drift
     sigma(Y) g d<B> with g = (X - Y)/(lambda sigma(X)); the density is
-    advanced in log space, log M += -g dB - g^2 d<B> / 2. An element whose
-    x, y or log M turns non-finite in step j keeps its values from node j
-    and is excluded, j written into its `stiff_step`; each path depends on
-    its own row of `w` alone.
+    advanced in log space, log M += -g dB - g^2 d<B> / 2. The three advance
+    as one (3, k, paths) state, so b, h and sigma run once per step on
+    (x, y). An element whose x, y or log M turns non-finite in step j keeps
+    its values from node j and is excluded, j written into its
+    `stiff_step`; each path depends on its own row of `w` alone.
 
-    Writes (x, y, log M) at the nodes `kept` into the block's `record`, and
-    returns the first `n_full` rows of `w` and, time-major, their g at every
-    node and levels at each step (one column when open-loop).
+    Writes (|x - y|, log M) at the nodes `nodes` into the block's `record`.
+    Given `head`, the export block's, also writes (x, y, log M) at the nodes
+    `kept` into it, and returns a copy of `w` and, time-major, g at every
+    node and the levels at each step (one column when open-loop).
     """
     grid = controls[0].grid
     n_paths, n_steps = w.shape
     dt = grid.dt
     levels_at = _level_rows(controls, n_paths)
-    shape = (len(controls), n_paths)
-    x, y, logm = record[:, 0].copy()
-    g_zero = np.zeros(shape)
-    g_full = np.zeros((n_steps + 1, len(controls), n_full))
-    width = min(levels_at(0, x).shape[1], n_full)
-    levels = np.empty((n_steps, len(controls), width))
+    # Two state buffers and the rows of dB and g, reused at every step: a
+    # new array per step would raise the heap's high-water mark.
+    state = np.empty((3, len(controls), n_paths))
+    state[...] = np.reshape((*start, 0.0), (3, 1, 1))
+    new = np.empty_like(state)
+    dB, gbuf = np.empty((2, len(controls), n_paths))
+    export = head is not None
+    if export:
+        g_full = np.zeros((n_steps + 1, len(controls), n_paths))
+        levels = np.empty((n_steps, len(controls),
+                           levels_at(0, state[0]).shape[1]))
     lam_nodes = schedule.value(grid.nodes)
+
+    def keep(node):
+        if node in nodes:
+            gap, lm = record[:, nodes.index(node)]
+            np.subtract(state[0], state[1], out=gap)
+            np.abs(gap, out=gap)
+            lm[...] = state[2]
+        if node in kept:
+            head[:, kept.index(node)] = state
+
+    keep(0)
     for j, wj in enumerate(_time_major(w)):
         t = float(grid.nodes[j])
+        x, y, logm = state
         lv = levels_at(j, x)
-        levels[j] = lv[:, :n_full]
-        dB = lv * wj
+        np.multiply(lv, wj, out=dB)
         dqv = lv * lv * dt
-        sx = coeffs.sigma(t, x)
-        sy = coeffs.sigma(t, y)
-        g = (x - y) / (float(lam_nodes[j]) * sx) if j < clip_index else g_zero
-        g_full[j] = g[:, :n_full]
-        xn = euler_step(coeffs, t, x, sx, dt, dqv, dB)
-        yn = euler_step(coeffs, t, y, sy, dt, dqv, dB) + sy * g * dqv
-        lmn = logm - g * dB - 0.5 * g * g * dqv
-
-        finite = np.isfinite(xn) & np.isfinite(yn) & np.isfinite(lmn)
-        if not finite.all():
-            bad = ~finite
+        s = coeffs.sigma(t, state[:2])
+        if j < clip_index:
+            g = np.subtract(x, y, out=gbuf)
+            g /= float(lam_nodes[j]) * s[0]
+        else:
+            g = 0.0
+        if export:
+            levels[j] = lv
+            g_full[j] = g
+        euler_step(coeffs, t, state[:2], s, dt, dqv, dB, out=new[:2])
+        new[1] += s[1] * g * dqv
+        np.subtract(logm, g * dB, out=new[2])
+        new[2] -= 0.5 * g * g * dqv
+        if not np.isfinite(new).all():
+            bad = ~np.isfinite(new).all(axis=0)
             stiff_step[bad & (stiff_step == n_steps)] = j
-            xn[bad], yn[bad], lmn[bad] = x[bad], y[bad], logm[bad]  # frozen
-
-        x, y, logm = xn, yn, lmn
-        if j + 1 in kept:
-            record[:, kept.index(j + 1)] = x, y, logm
-    return w[:n_full].copy(), g_full, levels
+            new[:, bad] = state[:, bad]  # frozen
+        state, new = new, state
+        keep(j + 1)
+    if export:
+        return w.copy(), g_full, levels
 
 
 def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
                  epsilons, n_full) -> CoupledRun:
-    """`_coupled_pass` over blocks of at least `n_full` rows of `w`, g
-    clipped at `clip_epsilon`. Raises CouplingError when `stability_ratio`
-    exceeds 1 for a control's band. Keeps (x, y, log M) of every path at the
-    clip nodes of `epsilons` (every node if None), and g and the levels of
-    the first `n_full` paths."""
+    """`_coupled_pass` over the rows of `w` past the first `n_full`, in
+    blocks of `_path_block` rows in path order, then over the first
+    `n_full`, the export rows, as one block of their own; g clipped at
+    `clip_epsilon`. Raises CouplingError when `stability_ratio` exceeds 1
+    for a control's band. Keeps (|x - y|, log M) of every path at the clip
+    nodes of `epsilons`, and g and the levels of the export rows, with
+    their (x, y, log M) at those nodes (at every node if `epsilons` is
+    None)."""
     grid = controls[0].grid
     T = grid.horizon
     clip_index = _clip_index(grid, clip_epsilon)
@@ -352,22 +381,24 @@ def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
                             f"ratio r = {r:.3g} > 1 at {n_steps} steps and "
                             f"clip_epsilon {clip_epsilon:g}")
     read = {eps: _clip_index(grid, eps) for eps in epsilons or ()}
-    kept = range(n_steps + 1) if epsilons is None else sorted({*read.values()})
-    # Time-major: (x, y, log M) at each kept node, the start values until
-    # the pass of its block writes them.
-    record = np.empty((3, len(kept), len(controls), n_paths))
-    record[...] = np.reshape((x0, y0, 0.0), (3, 1, 1, 1))
+    nodes = sorted({*read.values()})
+    kept = range(n_steps + 1) if epsilons is None else nodes
+    # Time-major: (|x - y|, log M) of every path at each clip node.
+    record = np.empty((2, len(nodes), len(controls), n_paths))
     stiff_step = np.full((len(controls), n_paths), n_steps)
-    block = _path_block(n_steps, n_full)
-    # The export rows' tables come from the first block, whose rows they
-    # are; each block of w is dropped when its pass returns.
-    w_head, g_full, levels = [
-        _coupled_pass(coeffs, schedule, controls, clip_index,
-                      w[first:first + block], kept,
-                      record[..., first:first + block],
-                      stiff_step[:, first:first + block],
-                      n_full if first == 0 else 0)
-        for first in range(0, n_paths, block)][0]
+    block = _path_block(n_steps)
+    # Each block of w is dropped when its pass returns; the export rows run
+    # last, so their tables never sit beside a full block.
+    for first in range(n_full, n_paths, block):
+        rows = slice(first, first + block)
+        _coupled_pass(coeffs, schedule, controls, clip_index, w[rows],
+                      (x0, y0), nodes, record[..., rows], stiff_step[:, rows])
+    rows = slice(0, n_full)
+    # Time-major: (x, y, log M) of the export rows at each kept node.
+    head = np.empty((3, len(kept), len(controls), n_full))
+    w_head, g_full, levels = _coupled_pass(
+        coeffs, schedule, controls, clip_index, w[rows], (x0, y0), nodes,
+        record[..., rows], stiff_step[:, rows], kept, head)
 
     samples = {}
     for eps, node in read.items():
@@ -375,11 +406,10 @@ def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
         lam = float(schedule.value(t))
         samples[eps] = tuple(
             ClipSample(epsilon=eps, clip_time=t, lambda_at_clip=lam,
-                       gap=np.abs(x[keep] - y[keep]), log_m=lm[keep],
+                       gap=gap[keep], log_m=lm[keep],
                        n_excluded=int(np.count_nonzero(~keep)))
-            for x, y, lm, keep in zip(*record[:, kept.index(node)],
-                                      stiff_step >= node))
-    head = np.ascontiguousarray(record[..., :n_full])
+            for gap, lm, keep in zip(*record[:, nodes.index(node)],
+                                     stiff_step >= node))
     stiff_step = np.ascontiguousarray(stiff_step[:, :n_full])
     for arr in (w_head, stiff_step, levels, g_full, head):
         arr.setflags(write=False)
@@ -404,9 +434,10 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     drawn one block at a time. g is clipped at the smallest of
     `clip_epsilons`.
 
-    Keeps (x, y, log M) of every path only at the clip nodes of
-    `clip_epsilons`, g and the levels only for the first EXPORT_PATHS paths.
-    See `_coupled_pass` for the dynamics and finiteness guard.
+    Keeps (|x - y|, log M) of every path only at the clip nodes of
+    `clip_epsilons`; the first EXPORT_PATHS paths, which run last, also keep
+    (x, y, log M) there and g and the levels at every step. See
+    `_coupled_pass` for the dynamics and finiteness guard.
     """
     epsilons = [float(eps) for eps in clip_epsilons]
     return _coupled_run(coeffs, schedule, x0, y0, controls, min(epsilons), w,

@@ -123,11 +123,16 @@ def sample_controls(strategy: str, band: VolatilityBand, grid: TimeGrid,
 
 def euler_step(coeffs: ModelCoefficients, t: float, x: np.ndarray,
                sigma_x: np.ndarray, dt: float, dqv: np.ndarray,
-               dB: np.ndarray) -> np.ndarray:
+               dB: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One Euler step of dX = b dt + h d<B> + sigma dB, with the increments
-    dqv = level^2 dt and dB = level dW of the driving path; `sigma_x` is
-    sigma(t, x), which the caller evaluates once and may reuse."""
-    return x + coeffs.b(t, x) * dt + coeffs.h(t, x) * dqv + sigma_x * dB
+    dqv = level^2 dt and dB = level dW of the driving path, into `out` (a
+    new array if None), which must not overlap x; `sigma_x` is sigma(t, x),
+    which the caller evaluates once and may reuse."""
+    out = np.multiply(coeffs.b(t, x), dt, out=out)
+    out += x
+    out += coeffs.h(t, x) * dqv
+    out += sigma_x * dB
+    return out
 
 
 # Steps of `w` transposed into the scratch block at a time: 256 KiB for a
@@ -216,10 +221,10 @@ def simulate_state_batch(coeffs: ModelCoefficients,
 _PATH_BLOCK_BYTES = 2 * 2 ** 20
 
 
-def _path_block(n_steps: int, least: int) -> int:
+def _path_block(n_steps: int) -> int:
     """Paths per block of a pass over `n_steps` steps: _PATH_BLOCK_BYTES of
-    increments, at least `least` paths."""
-    return max(least, _PATH_BLOCK_BYTES // (8 * n_steps))
+    increments, at least one path."""
+    return max(1, _PATH_BLOCK_BYTES // (8 * n_steps))
 
 
 def scaled_increments(seed: int, n_paths: int, grid: TimeGrid,
@@ -233,16 +238,21 @@ def scaled_increments(seed: int, n_paths: int, grid: TimeGrid,
 
 class PathIncrements:
     """The (n_paths, n_steps) increments of `seed`, drawn when sliced:
-    `[first:stop]` is `scaled_increments` of those paths, so a pass over
-    blocks never holds the full matrix."""
+    `[first:stop]` is `scaled_increments` of those paths, the rows the
+    array would give, so a pass over blocks never holds the full matrix.
+    Any other index is refused."""
 
     def __init__(self, seed: int, n_paths: int, grid: TimeGrid):
         self.seed, self.grid = seed, grid
         self.shape = (n_paths, grid.n_steps)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise ScenarioError(
+                f"PathIncrements takes a slice of rows with step 1, got {rows!r}")
         first, stop, _ = rows.indices(self.shape[0])
-        return scaled_increments(self.seed, stop - first, self.grid, first)
+        return scaled_increments(self.seed, max(stop - first, 0), self.grid,
+                                 first)
 
 
 def sup_over_controls(samples: Iterable) -> tuple[float, float, int]:
@@ -290,7 +300,7 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
     if not controls:
         raise ScenarioError("need at least one control")
     grid = controls[0].grid
-    block = _path_block(grid.n_steps, 1)
+    block = _path_block(grid.n_steps)
     w = PathIncrements(seed, n_paths, grid)
     terminal = np.empty((len(controls), n_paths))
     for first in range(0, n_paths, block):

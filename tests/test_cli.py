@@ -651,7 +651,8 @@ class TestScheduleBuilds:
 class TestStackedPaths:
     def test_one_coupled_pass_per_run(self, tmp_path, monkeypatch):
         # one pass over all 5 controls per block of paths; the blocks cover
-        # the 2048 paths in order, each on its own rows of the seed's w
+        # the 1920 non-export paths in order, then the 128 export paths,
+        # each on its own rows of the seed's w
         from gharnack import coupling, scenario
 
         calls = []
@@ -665,17 +666,18 @@ class TestStackedPaths:
         assert run(["coupling", "--out", tmp_path / "o"]) == 0
         cfg = parse_run_config(CFG)
         block = scenario._PATH_BLOCK_BYTES // (8 * cfg.grid.n_steps)
+        n_head = coupling.EXPORT_PATHS
         assert [(k, m) for k, m, _ in calls] == \
-            [(5, block)] * (cfg.n_paths // block)
-        for i, (_, _, row) in enumerate(calls):
-            first = scenario.scaled_increments(cfg.seed, 1, cfg.grid,
-                                               i * block)
-            assert row.tobytes() == first.tobytes(), i
+            [(5, block), (5, cfg.n_paths - n_head - block), (5, n_head)]
+        for first, (_, _, row) in zip((n_head, n_head + block, 0), calls):
+            want = scenario.scaled_increments(cfg.seed, 1, cfg.grid, first)
+            assert row.tobytes() == want.tobytes(), first
 
     def test_coupled_block_holds_the_export_rows(self, tmp_path,
                                                  monkeypatch):
-        # at 4096 steps 2 MiB hold 64 paths: a coupled block holds the 128
-        # export rows, and the blocked run writes the one-block run's files
+        # at 4096 steps 2 MiB hold 64 paths: the 172 non-export rows run in
+        # blocks of 64, then the 128 export rows as one block of their own,
+        # and the run writes the files of a run in larger blocks
         from gharnack import coupling, scenario
 
         cfg = tmp_path / "fine.cfg"
@@ -693,11 +695,11 @@ class TestStackedPaths:
 
         monkeypatch.setattr(coupling, "_coupled_pass", counted)
         assert run(["coupling", "--config", cfg, "--out", tmp_path / "o"]) == 0
-        assert sizes == [128, 128, 44]
+        assert sizes == [64, 64, 44, 128]
         monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES", 300 * 8 * 4096)
         assert run(["coupling", "--config", cfg,
                     "--out", tmp_path / "one"]) == 0
-        assert sizes[3:] == [300]
+        assert sizes[4:] == [172, 128]
         for name in ("report.json", "paths.csv"):
             assert (tmp_path / "o" / name).read_bytes() == \
                 (tmp_path / "one" / name).read_bytes()
@@ -825,15 +827,30 @@ class TestStackedPaths:
 
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
-        block = scenario._path_block(s, coupling.EXPORT_PATHS)
+        block = scenario._path_block(s)
         assert block < n
         peak = self.coupling_run_peak(cfg)
         w_block = block * (s + coupling._W_BLOCK_STEPS) * 8
-        # (x, y, log M) at the 5 clip nodes of the run, and the stiff steps
-        record = (3 * (1 + len(coupling.SWEEP_FRACTIONS)) + 1) * k * n * 8
+        # (|x - y|, log M) at the 5 clip nodes of the run, and the stiff
+        # steps
+        record = (2 * (1 + len(coupling.SWEEP_FRACTIONS)) + 1) * k * n * 8
         export = coupling.EXPORT_PATHS * (s + (s + 1) * k) * 8
         state = coupling._STATE_ROWS * k * block * 8
         assert peak <= w_block + record + export + state + 2 ** 16
+
+    def test_export_block_runs_apart_from_a_full_block(self):
+        # the export rows run last, as their own block, so the 1.3 MB of
+        # their g table never sits beside a full block of w: the peak is
+        # that of one block's pass beside the clip-node record
+        from gharnack import coupling, scenario
+
+        cfg = parse_run_config(CFG)
+        k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
+        block = scenario._path_block(s)
+        w_block = block * (s + coupling._W_BLOCK_STEPS) * 8
+        record = (2 * (1 + len(coupling.SWEEP_FRACTIONS)) + 1) * k * n * 8
+        state = coupling._STATE_ROWS * k * block * 8
+        assert self.coupling_run_peak(cfg) <= w_block + record + state + 2 ** 16
 
     def test_run_nbytes_bounds_the_coupling_run(self):
         # the parse-time memory refusal counts what the coupled run holds:
@@ -884,6 +901,33 @@ class TestStackedPaths:
         export = coupling.EXPORT_PATHS * (s + (s + 1 + clip_rows) * k) * 8
         assert len(run.heads) == k
         assert held <= samples + stiff + export + 2 ** 16
+
+    def test_bundle_holds_no_gap_record(self):
+        # a one-control bundle keeps every node of its paths and has no clip
+        # samples: it holds its w, g and (x, y, log M) at every node, levels
+        # and stiff steps, and its pass allocates no (|x - y|, log M) record
+        # of every node beside them, 2.1 MB here
+        from gharnack import coupling, scenario
+
+        cfg = parse_run_config(CFG)
+        n, s = 512, cfg.grid.n_steps
+        (control,) = scenario.sample_controls(cfg.strategy, cfg.band,
+                                              cfg.grid, 1, cfg.seed)
+        w = scenario.scaled_increments(cfg.seed, n, cfg.grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bundle = coupling.simulate_bundle(cfg.coeffs, cfg.schedule,
+                                              cfg.check_x, cfg.check_y,
+                                              control, cfg.clip_epsilon, w)
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert bundle.nodes == tuple(range(s + 1))
+        kept = 8 * (n * s + 4 * (s + 1) * n + s + n)
+        assert held <= kept + 2 ** 16
+        step = 8 * n * (coupling._W_BLOCK_STEPS + coupling._STATE_ROWS)
+        assert peak <= kept + step + 2 ** 16
 
 
 class TestSubcommands:

@@ -912,7 +912,7 @@ class TestTimeMajorCoupledKernel:
 
 class TestPathBlocks:
     """A coupled run advanced in blocks of paths gives, bit for bit, what
-    one block of every path gives."""
+    larger blocks give, and what the path-major loop gives."""
 
     @staticmethod
     def assert_same_run(blocked, one):
@@ -930,9 +930,11 @@ class TestPathBlocks:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_blocked_equals_one_block(self, multiplicative_model,
                                       pinched_band, monkeypatch):
-        # 300 paths in blocks of 128, 128 and 44; a feedback control in the
-        # family, rows of the second block made non-finite early, and one
-        # row of the last excluded between the clip nodes of 0.05 and 0.025
+        # 300 paths: the non-export rows in blocks of 128 and 44, in path
+        # order, then the 128 export rows as their own block; a feedback
+        # control in the family, rows of the first and the export block
+        # made non-finite early, and one row of the 44 excluded between the
+        # clip nodes of 0.05 and 0.025
         from gharnack import scenario
 
         coeffs = multiplicative_model
@@ -947,7 +949,7 @@ class TestPathBlocks:
                   *g.sample_controls("bang_bang", pinched_band, grid, 2,
                                      seed=3)]
         clean = scaled_increments(97, 300, grid)
-        w = poisoned(poisoned(clean, [130, 200, 255], step=10), [270])
+        w = poisoned(poisoned(clean, [5, 130, 200, 255], step=10), [270])
         sizes = []
         kernel = coupling._coupled_pass
 
@@ -962,10 +964,16 @@ class TestPathBlocks:
                                 rows * 8 * grid.n_steps)
             runs[rows] = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
                                             family, (0.1, *SWEEP), w)
-        assert sizes == [128, 128, 44, 300]
+        assert sizes == [128, 44, 128, 172, 128]
         self.assert_same_run(runs[128], runs[300])
-        assert [s.n_excluded for s in runs[128].at_clip(0.05)] == [3] * 3
-        assert [s.n_excluded for s in runs[128].at_clip(0.025)] == [4] * 3
+        assert [s.n_excluded for s in runs[128].at_clip(0.05)] == [4] * 3
+        assert [s.n_excluded for s in runs[128].at_clip(0.025)] == [5] * 3
+        assert [np.count_nonzero(h.stiff_step < grid.n_steps)
+                for h in runs[128].heads] == [1] * 3
+        refs = [reference_coupled(coeffs, schedule, 0.0, 0.5, c, 0.025, w)
+                for c in family]
+        TestTimeMajorCoupledKernel.assert_run_matches(runs[128], family, refs,
+                                                      grid.dt)
         # the increments drawn a block at a time are the array's rows
         monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",
                             128 * 8 * grid.n_steps)

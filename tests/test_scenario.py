@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -317,6 +318,24 @@ class TestCounterBasedStreams:
                                      scaled_increments(5, 3, grid), grid)
         _, single = first_path(control, seed=5)
         assert batch[0, 0] == single[0]
+
+    @pytest.mark.parametrize("rows", [
+        slice(None), slice(3, 9), slice(-4, None), slice(5, 2),
+        slice(7, 100), slice(2, 6, 1)])
+    def test_path_increments_slice_as_the_array(self, grid, rows):
+        w = scenario.PathIncrements(99, 10, grid)
+        want = scaled_increments(99, 10, grid)[rows]
+        got = w[rows]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        slice(0, 10, 2), slice(None, None, -1), 3, (slice(0, 2), 0)])
+    def test_path_increments_refuse_other_indices(self, grid, rows):
+        # the array would give 5 or reversed rows, one row, or one column
+        w = scenario.PathIncrements(99, 10, grid)
+        with pytest.raises(ScenarioError, match=re.escape(repr(rows))):
+            w[rows]
 
 
 def reference_state_batch(coeffs, control, x0, w, grid):
