@@ -61,7 +61,6 @@ from .harnack import (
     HarnackReport,
     check_gradient_estimate,
     check_log_harnack,
-    check_log_harnack_grid,
     check_power_harnack,
     gradient_bound,
     lipschitz_transport_check,

@@ -1,5 +1,6 @@
 """Command-line entry point: parse a run config, dispatch solvers and
-checkers, and emit deterministic CSV/JSON reports.
+checkers, and emit deterministic CSV/JSON reports. This module formats and
+writes every output file; the solvers and checkers write none.
 
 Exit codes: 0 all checks pass, 1 at least one inequality violated beyond
 tolerance, 2 configuration or validation error, 3 internal error (any other
@@ -11,7 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -21,18 +25,10 @@ from . import harnack as hk
 from . import scenario as sc
 from .config import ConfigError, RunConfig, _in_range, parse_run_config
 from .gheat import _UNIT_COEFFS, PdeError, Semigroups, solve_semigroups
-from .model import ModelError, _atomic_write, within_band
+from .model import ModelError, within_band
 from .scenario import ScenarioError
 from .coupling import CouplingError
 from .harnack import HarnackError
-
-
-def _estimate_rows(rows) -> str:
-    out = ["quantity,value,std_error,n_paths,n_controls,best_control_id"]
-    for name, est in rows:
-        out.append(f"{name},{est.value!r},{est.std_error!r},{est.n_paths},"
-                   f"{est.n_controls},{est.best_control_id}")
-    return "\n".join(out) + "\n"
 
 
 def run_gheat(cfg: RunConfig):
@@ -124,13 +120,7 @@ def run_coupling(cfg: RunConfig):
     by_clip = [run.at_clip(eps) for eps in sweep]
     trend = cpl.coupling_success_check(
         schedule, x0, y0, [s for samples in zip(*by_clip) for s in samples])
-    entries.append({
-        "kind": "coupling_trend", "fitted_C": trend.fitted_C,
-        "theory_C": trend.theory_C,
-        "strictly_decreasing": trend.strictly_decreasing,
-        "bounded": trend.bounded, "passed": trend.passed,
-        "rows": [dataclasses.asdict(r) for r in trend.rows],
-    })
+    entries.append(dataclasses.asdict(trend))
 
     # The Euler cross term scales with dt times the larger of T and the
     # shift's energy.
@@ -152,13 +142,13 @@ def run_harnack(cfg: RunConfig, semigroups: Semigroups, log_f, f_p):
         reports.append(hk.check_power_harnack(semigroups, cfg.payoff, f_p, x,
                                               y, cfg.check_p))
     reports.append(hk.lipschitz_transport_check(semigroups, cfg.payoff, x, y))
-    return [r.to_dict() for r in reports], {"harnack_rows": reports}, []
+    return [dataclasses.asdict(r) for r in reports], {}, []
 
 
 def run_gradient(cfg: RunConfig, semigroups: Semigroups):
     report = hk.check_gradient_estimate(semigroups, cfg.payoff,
                                         cfg.alpha_grid_size)
-    return [report.to_dict()], {"harnack_rows": [report]}, []
+    return [dataclasses.asdict(report)], {}, []
 
 
 def run_suite(cfg: RunConfig):
@@ -166,14 +156,9 @@ def run_suite(cfg: RunConfig):
     results = [run_semigroup(cfg, semigroups), run_scenario(cfg),
                run_coupling(cfg), run_harnack(cfg, semigroups, log_f, f_p),
                run_gradient(cfg, semigroups)]
-    entries = []
-    artifacts = {}
-    estimates = []
+    entries, artifacts, estimates = [], {}, []
     for sub_entries, sub_art, sub_est in results:
         entries.extend(sub_entries)
-        rows = sub_art.pop("harnack_rows", None)
-        if rows:
-            artifacts.setdefault("harnack_rows", []).extend(rows)
         artifacts.update(sub_art)
         estimates.extend(sub_est)
     return entries, artifacts, estimates
@@ -216,6 +201,72 @@ def _check_exp_bounds(cfg: RunConfig, command: str) -> None:
                   lambda: hk.power_harnack_factor(cfg.check_p, cfg.coeffs,
                                                   cfg.band, cfg.grid.horizon,
                                                   x, y))
+
+
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+# The report.json keys of the certificates, in the columns of reports.csv.
+_CERTIFICATE_KEYS = ("kind", "x", "y", "T", "p", "lhs", "rhs", "slack",
+                     "tolerance", "passed")
+
+
+def _cell(value) -> str:
+    """A CSV cell: empty for None, 1 or 0 for a bool, repr for a float."""
+    if value is None or isinstance(value, bool):
+        return "" if value is None else str(int(value))
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the text of `chunks`, formatted as they are taken, to a
+    temporary file and rename it to `path`: a run that fails partway, also
+    while formatting, leaves no truncated file under the final name."""
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text("".join(chunks), encoding="utf-8", newline="\n")
+    os.replace(tmp, path)
+
+
+def _csv(header: str, rows):
+    """The lines of `header`, then of each of `rows` as `_cell`s."""
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(map(_cell, row)) + "\n"
+
+
+def _path_rows(heads, clip_epsilon: float | None):
+    """The rows of paths.csv: each export path of each control at the clip
+    node of `clip_epsilon`."""
+    for cid, bundle in enumerate(heads):
+        t, *at = bundle.at_node(clip_epsilon)
+        for p, (x, y, log_m) in enumerate(zip(*(a.tolist() for a in at))):
+            yield cid, p, t, x, y, abs(x - y), math.exp(log_m), log_m
+
+
+def write_outputs(out: Path, entries, artifacts, estimates,
+                  clip_epsilon: float | None) -> None:
+    """Write report.json and each CSV file the run has rows for into `out`.
+    The rows of reports.csv are the certificates of `entries`, those that
+    carry lhs and rhs."""
+    out.mkdir(parents=True, exist_ok=True)
+    _atomic_write(out / "report.json",
+                  itertools.chain(_JSON.iterencode(entries), ["\n"]))
+    if estimates:
+        _atomic_write(out / "estimates.csv", _csv(
+            "quantity,value,std_error,n_paths,n_controls,best_control_id",
+            ((name, e.value, e.std_error, e.n_paths, e.n_controls,
+              e.best_control_id) for name, e in estimates)))
+    if "grid_u" in artifacts:
+        u = artifacts["grid_u"]
+        _atomic_write(out / "grid_u.csv",
+                      _csv("x,u", zip(u.x_nodes, u.values)))
+    if "paths" in artifacts:
+        _atomic_write(out / "paths.csv", _csv(
+            "control_id,path_id,clip_time,x,y,abs_gap,m,log_m",
+            _path_rows(artifacts["paths"], clip_epsilon)))
+    certificates = [e for e in entries if "lhs" in e and "rhs" in e]
+    if certificates:
+        _atomic_write(out / "reports.csv", _csv(
+            "kind,x,y,T,p,lhs,rhs,slack,tolerance,pass",
+            ([e[key] for key in _CERTIFICATE_KEYS] for e in certificates)))
 
 
 def bundled_config_path() -> Path:
@@ -270,22 +321,8 @@ def _run(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = json.dumps(entries, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(out / "report.json", report + "\n")
-    if estimates:
-        _atomic_write(out / "estimates.csv", _estimate_rows(estimates))
-    if "grid_u" in artifacts:
-        artifacts["grid_u"].to_csv(out / "grid_u.csv")
-    if "paths" in artifacts:
-        cpl.export_bundle_csv(artifacts["paths"], out / "paths.csv",
-                              cfg.clip_epsilon)
-    if "harnack_rows" in artifacts:
-        rows = [hk.CSV_HEADER]
-        rows.extend(r.csv_row() for r in artifacts["harnack_rows"])
-        _atomic_write(out / "reports.csv", "\n".join(rows) + "\n")
-
+    write_outputs(Path(args.out), entries, artifacts, estimates,
+                  cfg.clip_epsilon)
     failed = [e for e in entries if e.get("passed") is False]
     for e in entries:
         status = {True: "pass", False: "FAIL", None: "info"}[e.get("passed")]

@@ -51,7 +51,6 @@ class RunConfig:
     band: VolatilityBand
     grid: TimeGrid
     pde: PdeConfig
-    alpha: float
     schedule: CouplingSchedule | None   # None at K = 0
     clip_epsilon: float
     n_paths: int
@@ -386,7 +385,7 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
         raise ConfigError("run.seed", "seed must fit in 64 bits")
     _refuse_unread(cp)
 
-    return RunConfig(coeffs=coeffs, band=band, grid=grid, pde=pde, alpha=alpha,
+    return RunConfig(coeffs=coeffs, band=band, grid=grid, pde=pde,
                      schedule=schedule, clip_epsilon=clip_epsilon,
                      n_paths=n_paths, n_controls=n_controls, strategy=strategy,
                      check_x=check_x, check_y=check_y, check_p=check_p,

@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import (ModelCoefficients, TimeGrid, VolatilityBand, _atomic_write,
-                    alpha_cap, initial_weight, rate_constants, within_band)
+from .model import (ModelCoefficients, TimeGrid, VolatilityBand, alpha_cap,
+                    initial_weight, rate_constants, within_band)
 from .scenario import (_W_BLOCK_STEPS, Control, _level_rows, _path_block,
                        _time_major, euler_step, sup_over_controls)
 
@@ -176,15 +176,15 @@ _RECORD_ROWS = (2 + 2) * _CLIP_NODES + 1
 def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
     """Bytes of the arrays of one coupled run of the CLI: one block of the
     increments w, its time-major block and its state rows, the clip-node
-    record, and the export block: its w (and the copy it keeps), time-major
-    block and state rows, g at every node, (x, y, log M) at the clip nodes,
-    lambda at the nodes and three tables of open-loop levels."""
+    record, and the export block: its w, time-major block and state rows,
+    g at every node, (x, y, log M) at the clip nodes, lambda at the nodes
+    and three tables of open-loop levels."""
     n_head = min(n_paths, EXPORT_PATHS)
     block = min(n_paths - n_head, _path_block(n_steps))
     return 8 * ((block + n_head)
                 * (n_steps + _W_BLOCK_STEPS + _STATE_ROWS * n_controls)
                 + _RECORD_ROWS * n_controls * n_paths
-                + (n_head + 3 * n_controls) * n_steps
+                + 3 * n_controls * n_steps
                 + (n_controls * n_head + 1) * (n_steps + 1)
                 + 3 * _CLIP_NODES * n_controls * n_head)
 
@@ -258,6 +258,17 @@ class PathBundle:
         """Paths not excluded by the clip node of `epsilon`."""
         return self.stiff_step >= self.node(epsilon)
 
+    def at_node(self, epsilon: float | None = None):
+        """The time of the clip node of `epsilon` (default: the bundle's
+        own clip), which the bundle must keep, and x, y and log M of every
+        path there."""
+        j = self.node(epsilon)
+        if j not in self.nodes:
+            raise CouplingError(f"node {j} is not kept: {self.nodes}")
+        k = self.nodes.index(j)
+        return (float(self.grid.nodes[j]), self.x_path[:, k],
+                self.y_path[:, k], self.log_m_path[:, k])
+
 
 @dataclass(frozen=True)
 class CoupledRun:
@@ -295,8 +306,8 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
 
     Writes (|x - y|, log M) at the nodes `nodes` into the block's `record`.
     Given `head`, the export block's, also writes (x, y, log M) at the nodes
-    `kept` into it, and returns a copy of `w` and, time-major, g at every
-    node and the levels at each step (one column when open-loop).
+    `kept` into it, and returns, time-major, g at every node and the levels
+    at each step (one column when open-loop).
     """
     grid = controls[0].grid
     n_paths, n_steps = w.shape
@@ -351,7 +362,7 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
         state, new = new, state
         keep(j + 1)
     if export:
-        return w.copy(), g_full, levels
+        return g_full, levels
 
 
 def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
@@ -394,10 +405,14 @@ def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
         _coupled_pass(coeffs, schedule, controls, clip_index, w[rows],
                       (x0, y0), nodes, record[..., rows], stiff_step[:, rows])
     rows = slice(0, n_full)
+    # The bundles keep the export rows of w as drawn, or copied out of a
+    # caller's array.
+    w_head = w[rows]
+    w_head = w_head if w_head.base is None else w_head.copy()
     # Time-major: (x, y, log M) of the export rows at each kept node.
     head = np.empty((3, len(kept), len(controls), n_full))
-    w_head, g_full, levels = _coupled_pass(
-        coeffs, schedule, controls, clip_index, w[rows], (x0, y0), nodes,
+    g_full, levels = _coupled_pass(
+        coeffs, schedule, controls, clip_index, w_head, (x0, y0), nodes,
         record[..., rows], stiff_step[:, rows], kept, head)
 
     samples = {}
@@ -573,6 +588,7 @@ class CouplingTrendReport:
     strictly_decreasing: bool
     bounded: bool
     passed: bool
+    kind: str = "coupling_trend"
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -633,21 +649,3 @@ def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
                                theory_C=theory_C,
                                strictly_decreasing=decreasing, bounded=bounded,
                                passed=decreasing and bounded)
-
-
-def export_bundle_csv(bundles: Sequence[PathBundle], path,
-                      clip_epsilon: float | None = None) -> None:
-    """Per-path summaries at the clip node of `clip_epsilon` (default: each
-    bundle's own clip), which each bundle must keep."""
-    rows = ["control_id,path_id,clip_time,x,y,abs_gap,m,log_m\n"]
-    for cid, bundle in enumerate(bundles):
-        j = bundle.node(clip_epsilon)
-        if j not in bundle.nodes:
-            raise CouplingError(f"node {j} is not kept: {bundle.nodes}")
-        t = float(bundle.grid.nodes[j])
-        at = [a[:, bundle.nodes.index(j)].tolist()
-              for a in (bundle.x_path, bundle.y_path, bundle.log_m_path)]
-        for p, (xv, yv, lm) in enumerate(zip(*at)):
-            rows.append(f"{cid},{p},{t!r},{xv!r},{yv!r},"
-                        f"{abs(xv - yv)!r},{math.exp(lm)!r},{lm!r}\n")
-    _atomic_write(path, "".join(rows))

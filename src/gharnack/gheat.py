@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelCoefficients, Payoff, TimeGrid, VolatilityBand,
-                    _atomic_write, g_function, make_coefficient)
+                    g_function, make_coefficient)
 
 
 class PdeError(ValueError):
@@ -62,7 +62,6 @@ class GridFunction:
 
     x_nodes: np.ndarray
     values: np.ndarray
-    time_stamp: float
 
     def __post_init__(self):
         if len(self.x_nodes) != len(self.values):
@@ -81,12 +80,6 @@ class GridFunction:
         """Sup of |central difference| over interior nodes."""
         grad = (self.values[2:] - self.values[:-2]) / (2.0 * self.dx)
         return float(np.max(np.abs(grad)))
-
-    def to_csv(self, path) -> None:
-        rows = ["x,u\n"]
-        rows.extend(f"{float(x)!r},{float(u)!r}\n"
-                    for x, u in zip(self.x_nodes, self.values))
-        _atomic_write(path, "".join(rows))
 
 
 @dataclass(frozen=True)
@@ -275,7 +268,7 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
                 f"[{lo:.6g}, {hi:.6g}]"
             )
 
-    results = [GridFunction(x_nodes=xs, values=row.copy(), time_stamp=0.0)
+    results = [GridFunction(x_nodes=xs, values=row.copy())
                for row in u]
     if record is None:
         return results, None

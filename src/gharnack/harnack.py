@@ -11,7 +11,7 @@ Richardson difference and never a bare point estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,22 +45,6 @@ class HarnackReport:
     passed: bool
     alpha: float | None = None
     extras: dict = field(default_factory=dict)
-
-    def csv_row(self) -> str:
-        def cell(v):
-            return "" if v is None else repr(float(v))
-
-        return ",".join([
-            self.kind, cell(self.x), cell(self.y), cell(self.T), cell(self.p),
-            cell(self.lhs), cell(self.rhs), cell(self.slack),
-            cell(self.tolerance), "1" if self.passed else "0",
-        ])
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-CSV_HEADER = "kind,x,y,T,p,lhs,rhs,slack,tolerance,pass"
 
 
 # ---------------------------------------------------------------------------
@@ -184,45 +168,31 @@ def power_payoff(coeffs: ModelCoefficients, payoff: Payoff, p: float) -> Payoff:
     return payoff.power(p)
 
 
-def check_log_harnack_grid(P: Semigroups, payoff: Payoff, log_f: Payoff,
-                           xs, ys) -> list[HarnackReport]:
-    """Log-Harnack certificates P_T log f(y) <= log P_T f(x) + c |x - y|^2
-    on a grid of (x, y) cells, all read from the rows of f and log f in P."""
+def check_log_harnack(P: Semigroups, payoff: Payoff, log_f: Payoff, x: float,
+                      y: float) -> HarnackReport:
+    """P_T log f(y) <= log P_T f(x) + c |x - y|^2 with the printed constant,
+    read from the rows of f and log f in P. The report also carries the
+    constant at a free alpha."""
     _require_floor(payoff)
     coeffs = P.coeffs
     coef = log_harnack_constant(coeffs.K, P.band.sigma_lower, coeffs.kappa1,
                                 coeffs.kappa2, P.T)
     alpha_star = coeffs.kappa1 ** 2 / coeffs.kappa2 ** 2
-    u_log, u_f = P.fine[log_f], P.fine[payoff]
-    reports = []
-    for x in np.asarray(xs, dtype=float).tolist():
-        pf_x = float(u_f(x))
-        log_term = math.log(pf_x)
-        tol_f = P.tolerance(payoff, x)
-        tol_x = tol_f / max(pf_x - tol_f, payoff.lower_bound)
-        for y in np.asarray(ys, dtype=float).tolist():
-            lhs = float(u_log(y))
-            rhs = log_term + coef * (x - y) ** 2
-            tolerance = P.tolerance(log_f, y) + tol_x
-            reports.append(HarnackReport(
-                kind="log", x=x, y=y, T=float(P.T), p=None, a=None, q=None,
-                C=None, lhs=lhs, rhs=rhs, slack=rhs - lhs, method="pde",
-                tolerance=tolerance,
-                passed=within_band(lhs, rhs, tolerance, 0.0),
-                alpha=alpha_star, extras={"constant_printed": coef},
-            ))
-    return reports
-
-
-def check_log_harnack(P: Semigroups, payoff: Payoff, log_f: Payoff, x: float,
-                      y: float) -> HarnackReport:
-    """P_T log f(y) <= log P_T f(x) + c |x - y|^2 with the printed constant:
-    the 1 x 1 case of `check_log_harnack_grid`. The report also carries the
-    constant at a free alpha."""
-    report = check_log_harnack_grid(P, payoff, log_f, [x], [y])[0]
-    generic = log_harnack_constant_generic(P.coeffs, P.band, P.T, report.alpha)
-    return replace(report, extras={**report.extras,
-                                   "constant_generic_alpha": generic})
+    x, y = float(x), float(y)
+    pf_x = float(P.fine[payoff](x))
+    tol_f = P.tolerance(payoff, x)
+    lhs = float(P.fine[log_f](y))
+    rhs = math.log(pf_x) + coef * (x - y) ** 2
+    tolerance = (P.tolerance(log_f, y)
+                 + tol_f / max(pf_x - tol_f, payoff.lower_bound))
+    return HarnackReport(
+        kind="log", x=x, y=y, T=float(P.T), p=None, a=None, q=None, C=None,
+        lhs=lhs, rhs=rhs, slack=rhs - lhs, method="pde", tolerance=tolerance,
+        passed=within_band(lhs, rhs, tolerance, 0.0), alpha=alpha_star,
+        extras={"constant_printed": coef,
+                "constant_generic_alpha": log_harnack_constant_generic(
+                    coeffs, P.band, P.T, alpha_star)},
+    )
 
 
 def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,

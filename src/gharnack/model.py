@@ -3,18 +3,15 @@
 Everything here is immutable after construction and validated against the
 standing assumptions (bounded diffusion, joint Lipschitz coefficients) by
 sampling, so downstream solvers can trust the declared constants. The
-pass rule that decides every `passed` flag, the closed forms of the coupling
-weight that the schedule and the Harnack constants share, and the atomic file
-write that every output file goes through, live here too, below every module
-that uses them.
+pass rule that decides every `passed` flag and the closed forms of the
+coupling weight that the schedule and the Harnack constants share live here
+too, below every module that uses them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -193,22 +190,10 @@ class ValidationReport:
     """Sampling-based audit of (H1)-(H2) style declarations."""
 
     worst_lipschitz: float
-    declared_K: float
     sigma_min: float
     sigma_max: float
-    declared_kappa1: float
-    declared_kappa2: float
     passed: bool
     violations: tuple
-
-    def __str__(self):
-        status = "pass" if self.passed else "VIOLATION"
-        return (
-            f"coefficient validation: {status}; worst Lipschitz quotient "
-            f"{self.worst_lipschitz:.6g} (declared K={self.declared_K:g}), "
-            f"sigma range [{self.sigma_min:.6g}, {self.sigma_max:.6g}] "
-            f"(declared [{self.declared_kappa1:g}, {self.declared_kappa2:g}])"
-        )
 
 
 def alpha_cap(kappa1: float, kappa2: float) -> float:
@@ -312,16 +297,10 @@ def validate_coefficients(coeffs: ModelCoefficients, domain: tuple[float, float]
         (ceiling_ok, f"sigma rises to {sig_max:.6g} above declared "
                      f"kappa2={coeffs.kappa2:g}"),
     ) if not ok]
-    return ValidationReport(
-        worst_lipschitz=worst_lip,
-        declared_K=coeffs.K,
-        sigma_min=sig_min,
-        sigma_max=sig_max,
-        declared_kappa1=coeffs.kappa1,
-        declared_kappa2=coeffs.kappa2,
-        passed=lip_ok and floor_ok and ceiling_ok,
-        violations=tuple(violations),
-    )
+    return ValidationReport(worst_lipschitz=worst_lip, sigma_min=sig_min,
+                            sigma_max=sig_max,
+                            passed=lip_ok and floor_ok and ceiling_ok,
+                            violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +412,3 @@ def make_payoff(name: str, params: Sequence[float] = (),
                                    exact=False)
     lo, hi = domain
     return build(lo, hi, max(abs(lo), abs(hi)), *p)
-
-
-# ---------------------------------------------------------------------------
-# Output files
-
-def _atomic_write(path, text: str) -> None:
-    """Write `text` to a temporary file and rename it to `path`, so a run
-    that fails partway leaves no truncated file under the final name."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)

@@ -36,7 +36,7 @@ class TestConfigParsing:
         p = tmp_path / "auto.cfg"
         p.write_text(text)
         cfg = parse_run_config(p)
-        assert cfg.alpha == pytest.approx(0.81)  # kappa1^2 / kappa2^2
+        assert cfg.schedule.alpha == pytest.approx(0.81)  # kappa1^2 / kappa2^2
 
     def test_readme_grammar_block_is_the_bundled_config(self, tmp_path):
         # the README block's inline "; ..." notes are comments; its one
@@ -141,7 +141,7 @@ class TestConfigParsing:
         base = CFG.read_text().replace("n_steps = 256", f"n_steps = {n_steps}")
         p = tmp_path / "alpha.cfg"
         p.write_text(base.replace("alpha = 0.81", f"alpha = {admitted}"))
-        assert parse_run_config(p).alpha == admitted
+        assert parse_run_config(p).schedule.alpha == admitted
         p.write_text(base.replace("alpha = 0.81", f"alpha = {refused}"))
         with pytest.raises(ConfigError,
                            match=r"coupling\.alpha.*r = .*largest admitted "
@@ -228,7 +228,7 @@ class TestCliExitCodes:
             if "grid_u" in artifacts:
                 u = artifacts["grid_u"]
                 artifacts["grid_u"] = GridFunction(Failing(u.x_nodes),
-                                                   u.values, u.time_stamp)
+                                                   u.values)
             else:
                 artifacts["paths"] = Failing(artifacts["paths"])
             return entries, artifacts, estimates

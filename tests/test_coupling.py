@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 import gharnack as g
 from gharnack import coupling
+from gharnack.cli import write_outputs
 from gharnack.coupling import CouplingError, shifted_qv_discrepancy
 from gharnack.scenario import scaled_increments
 
@@ -664,21 +665,22 @@ class TestBundleExport:
                     clip_epsilon=0.01, n_paths=4)
             for c in controls[:2]
         ]
-        path = tmp_path / "paths.csv"
-        from gharnack.coupling import export_bundle_csv
-        export_bundle_csv(bundles, path)
-        lines = path.read_text().splitlines()
+        write_outputs(tmp_path, [], {"paths": bundles}, [], None)
+        lines = (tmp_path / "paths.csv").read_text().splitlines()
         assert lines[0] == "control_id,path_id,clip_time,x,y,abs_gap,m,log_m"
         assert len(lines) == 1 + 2 * 4
         cells = lines[1].split(",")
         assert cells[0] == "0" and cells[1] == "0"
+        t, x, y, log_m = bundles[0].at_node()
+        assert cells[2:6] == [repr(t), repr(float(x[0])), repr(float(y[0])),
+                              repr(abs(float(x[0]) - float(y[0])))]
         assert float(cells[6]) == pytest.approx(math.exp(float(cells[7])))
-
+        assert cells[7] == repr(float(log_m[0]))
 
     def test_export_reads_a_node_the_rows_kept(self, acc_setup, tmp_path):
         # a stacked run's export rows keep x, y and log M at its clip nodes
-        # only: paths.csv reads one of them, and refuses any other node
-        from gharnack.coupling import export_bundle_csv
+        # only: paths.csv reads one of them, and refuses any other node,
+        # leaving no paths.csv
         coeffs, band, schedule, grid, controls = acc_setup
         w = scaled_increments(82, 8, grid)
         run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[:2],
@@ -687,13 +689,15 @@ class TestBundleExport:
         bundles = [coupled(coeffs, schedule, 0.0, 0.5, c, seed=82,
                            clip_epsilon=0.01, n_paths=8) for c in controls[:2]]
         for eps in (0.1, 0.01):
-            export_bundle_csv(run.heads, tmp_path / "run.csv", eps)
-            export_bundle_csv(bundles, tmp_path / "alone.csv", eps)
-            assert (tmp_path / "run.csv").read_bytes() == \
-                (tmp_path / "alone.csv").read_bytes()
+            write_outputs(tmp_path / "run", [], {"paths": run.heads}, [], eps)
+            write_outputs(tmp_path / "alone", [], {"paths": bundles}, [], eps)
+            assert (tmp_path / "run" / "paths.csv").read_bytes() == \
+                (tmp_path / "alone" / "paths.csv").read_bytes()
         with pytest.raises(CouplingError,
                            match=r"node 486 is not kept: \(460, 506\)"):
-            export_bundle_csv(run.heads, tmp_path / "run.csv", 0.05)
+            write_outputs(tmp_path / "refused", [], {"paths": run.heads}, [],
+                          0.05)
+        assert not (tmp_path / "refused" / "paths.csv").exists()
 
 
 def reference_coupled(coeffs, schedule, x0, y0, control, clip_epsilon, w):
@@ -908,6 +912,27 @@ class TestTimeMajorCoupledKernel:
         assert bundle.w.flags.c_contiguous
         # an open-loop control's level at a step is one value for all paths
         assert bundle.levels.strides[0] == 0
+
+    def test_export_rows_keep_w_as_drawn(self, acc_setup):
+        # the export block keeps the rows PathIncrements drew for it, not a
+        # copy of them; rows of a caller's array are copied out of it
+        coeffs, band, schedule, grid, controls = acc_setup
+        drawn = []
+
+        class Recording(g.PathIncrements):
+            def __getitem__(self, rows):
+                drawn.append(super().__getitem__(rows))
+                return drawn[-1]
+
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[:2],
+                                 [0.01], Recording(97, 200, grid))
+        assert all(head.w is drawn[-1] for head in run.heads)
+        w = scaled_increments(97, 200, grid)
+        kept = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[:2],
+                                  [0.01], w).heads[0].w
+        assert not np.shares_memory(kept, w)
+        assert kept.tobytes() == w[:coupling.EXPORT_PATHS].tobytes() == \
+            drawn[-1].tobytes()
 
 
 class TestPathBlocks:

@@ -6,7 +6,7 @@ import pytest
 
 import gharnack as g
 from gharnack import gheat, scenario
-from gharnack.cli import bundled_config_path
+from gharnack.cli import bundled_config_path, write_outputs
 from gharnack.gheat import _UNIT_COEFFS, PdeError
 
 from conftest import (heat_semigroup_oracle, ou_semigroup_oracle,
@@ -438,14 +438,13 @@ class TestGridFunctionExport:
     def test_csv_roundtrip(self, tmp_path, unit_band):
         u = g.solve_g_heat(g.make_payoff("gauss_bump"), unit_band, 0.5,
                            g.PdeConfig(-2, 2, 32))
-        path = tmp_path / "grid_u.csv"
-        u.to_csv(path)
-        lines = path.read_text().splitlines()
+        write_outputs(tmp_path, [], {"grid_u": u}, [], None)
+        lines = (tmp_path / "grid_u.csv").read_text().splitlines()
         assert lines[0] == "x,u"
         assert len(lines) == 34
         x0, v0 = lines[1].split(",")
         assert float(x0) == -2.0
-        assert float(v0) == pytest.approx(float(u.values[0]))
+        assert float(v0) == float(u.values[0])
 
     def test_two_grid_tolerance_covers_error(self, unit_band, heat_model):
         T = 1.0

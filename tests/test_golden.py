@@ -7,8 +7,8 @@ file it writes, together with the numpy version and machine it was recorded
 on. numpy does not promise the same `Generator` stream across versions, so
 on another numpy version or machine the test skips and names both.
 
-A change that alters an output on purpose regenerates the manifest from the
-tree before the change, then names each changed file in CHANGES.md:
+A change that alters an output on purpose regenerates the manifest and
+names each changed file, with the reason, in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """

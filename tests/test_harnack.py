@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -7,7 +9,6 @@ from mpmath import mp
 
 import gharnack as g
 from gharnack.harnack import (
-    CSV_HEADER,
     HarnackError,
     envelope_nbytes,
     log_harnack_constant,
@@ -17,7 +18,7 @@ from gharnack.harnack import (
     power_threshold,
 )
 
-from gharnack.cli import bundled_config_path
+from gharnack.cli import bundled_config_path, write_outputs
 from gharnack.config import parse_run_config
 
 from conftest import ou_semigroup_oracle
@@ -287,30 +288,46 @@ class TestLipschitzTransport:
             assert report.slack > 0.0
 
 
+def written(tmp_path, *reports):
+    """report.json and the lines of reports.csv that the CLI writes for
+    `reports`."""
+    entries = [dataclasses.asdict(r) for r in reports]
+    write_outputs(tmp_path, entries, {}, [], None)
+    return ((tmp_path / "report.json").read_text(),
+            (tmp_path / "reports.csv").read_text().splitlines())
+
+
 class TestReportSurface:
-    def test_csv_row_shape(self, ou_model, unit_band, coarse_cfg):
+    def test_csv_row_shape(self, ou_model, unit_band, coarse_cfg, tmp_path):
         report = g.check_log_harnack(
             solved(ou_model, unit_band, coarse_cfg, BUMP, LOG_BUMP), BUMP,
             LOG_BUMP, 0.0, 0.5)
-        cells = report.csv_row().split(",")
-        assert len(cells) == len(CSV_HEADER.split(","))
+        header, row = written(tmp_path, report)[1]
+        assert header == "kind,x,y,T,p,lhs,rhs,slack,tolerance,pass"
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
         assert cells[0] == "log"
         assert cells[4] == ""  # p is empty for the log kind
+        assert cells[5:7] == [repr(report.lhs), repr(report.rhs)]
         assert cells[-1] == "1"
 
     def test_slack_bit_reproducible(self, multiplicative_model, pinched_band,
-                                    coarse_cfg):
+                                    coarse_cfg, tmp_path):
         r1, r2 = (g.check_power_harnack(
             solved(multiplicative_model, pinched_band, coarse_cfg, BUMP,
                    BUMP_SQ), BUMP, BUMP_SQ, 0.0, 0.5, 2.0) for _ in range(2))
         assert r1.slack == r2.slack
-        assert r1.csv_row() == r2.csv_row()
+        assert written(tmp_path / "1", r1) == written(tmp_path / "2", r2)
 
-    def test_to_dict_json_clean(self, ou_model, unit_band, coarse_cfg):
-        import json
-
+    def test_to_dict_json_clean(self, ou_model, unit_band, coarse_cfg,
+                                tmp_path):
+        # each certificate is serialised once, through dataclasses.asdict:
+        # report.json holds its fields, reports.csv reads its row from them
         report = g.check_log_harnack(
             solved(ou_model, unit_band, coarse_cfg, BUMP, LOG_BUMP), BUMP,
             LOG_BUMP, 0.0, 0.5)
-        text = json.dumps(report.to_dict(), sort_keys=True)
-        assert "constant_printed" in text
+        text, _ = written(tmp_path, report)
+        (entry,) = json.loads(text)
+        assert entry == dataclasses.asdict(report)
+        assert set(entry["extras"]) == {"constant_printed",
+                                        "constant_generic_alpha"}

@@ -1,4 +1,4 @@
-"""Four guards on the shape of the package.
+"""Five guards on the shape of the package.
 
 Every top-level function, class and method of the package is reached from
 the package itself: a name that only tests use is a route no run takes.
@@ -10,6 +10,9 @@ factor multiplies a standard error.
 Only the two block drivers, `upper_semigroup_mc` and `simulate_coupled`,
 draw increments, one block of paths at a time: no runner builds the full
 increment matrix.
+
+Only `cli.py` writes files: the solvers and checkers return reports and
+arrays, and the command line formats and writes every output file.
 
 Only runs that draw a Monte Carlo sample load `numpy.random`: the PDE
 subcommands and the parse-time audit leave it unloaded."""
@@ -225,6 +228,42 @@ def test_increments_are_drawn_only_by_the_block_drivers():
                         stray.append(site)
     assert not stray, f"increments drawn outside the block drivers: {stray}"
     assert len(drawn) == 1 and len(made) == 2, (drawn, made)
+
+
+# Calls that write a file whatever their arguments; `os.replace` and `open`
+# with a writing mode are told apart below.
+WRITE_CALLS = ("write_text", "write_bytes", "_atomic_write", "savetxt",
+               "tofile")
+
+
+def writes_file(call):
+    """Whether `call` writes a file: one of WRITE_CALLS, `os.replace`, or an
+    `open` (the builtin or a method) whose mode writes or cannot be read
+    off the call."""
+    name = call_name(call)
+    if name in WRITE_CALLS:
+        return True
+    if name == "replace":
+        return getattr(getattr(call.func, "value", None), "id", None) == "os"
+    if name != "open":
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    modes += call.args[position:position + 1]
+    return any(not (isinstance(mode, ast.Constant)
+                    and isinstance(mode.value, str))
+               or set(mode.value) & set("wax+") for mode in modes)
+
+
+def test_only_cli_writes_files():
+    writes = {module: [f"{module}:{call.lineno}: {ast.unparse(call.func)}"
+                       for call in ast.walk(tree)
+                       if isinstance(call, ast.Call) and writes_file(call)]
+              for module, tree in TREES.items()}
+    stray = [site for module, sites in writes.items() if module != "cli.py"
+             for site in sites]
+    assert not stray, f"files written outside cli.py: {stray}"
+    assert writes["cli.py"], "cli.py writes no file"
 
 
 # Each probe runs in a fresh interpreter and prints whether numpy.random
