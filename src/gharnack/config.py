@@ -222,6 +222,16 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     n_steps = _get(grid_sec, "n_steps", int)
     if n_steps < 1:
         raise ConfigError("grid.n_steps", f"need >= 1, got {n_steps}")
+    # Refused before TimeGrid allocates its nodes: at the least n_space, 16,
+    # the policy record of n_steps rows must still fit.
+    have = _physical_memory()
+    need = solve_nbytes(_STACK_ROWS, 16, n_steps)
+    if need > have:
+        raise ConfigError(
+            "grid.n_steps",
+            f"{n_steps} steps need {need / 2 ** 30:.3g} GiB of PDE working "
+            f"set even at n_space 16, more than the {have / 2 ** 30:.3g} GiB "
+            "of physical memory")
     try:
         grid = TimeGrid(T, n_steps)
     except ModelError as exc:
@@ -247,7 +257,6 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     # record at the n_steps step times of the scenario runner's pass; that
     # record is the feedback control itself, so it bounds all the family adds.
     need = solve_nbytes(_STACK_ROWS, pde.n_space, n_steps)
-    have = _physical_memory()
     if need > have:
         raise ConfigError(
             "grid.n_space",
@@ -255,7 +264,7 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
             f"working set, more than the {have / 2 ** 30:.3g} GiB of physical "
             "memory")
     # The CFL rate squares the largest |sigma| on the grid.
-    sigma_max = float(np.max(np.abs(s_fn(0.0, pde.nodes()))))
+    sigma_max = float(np.max(np.abs(s_fn(pde.nodes()))))
     _in_range("model.sigma_params",
               f"max |sigma| = {sigma_max:g} on the PDE grid, squared,",
               lambda: sigma_max ** 2)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +51,8 @@ class CouplingError(ValueError):
 
 @dataclass(frozen=True)
 class CouplingSchedule:
-    """Closed-form weight lambda(t): positive on [0, T), vanishing at T, and
+    """Closed-form weight lambda(t) = (alpha_cap - alpha)/c_K (1 -
+    exp(sigma_lower^2 c_K (t - T))): positive on [0, T), vanishing at T, and
     satisfying alpha_cap - c_K*lambda + lambda'/sigma_lower^2 = alpha."""
 
     alpha: float
@@ -60,15 +61,22 @@ class CouplingSchedule:
     T: float
     alpha_cap: float          # 2*kappa1^2/kappa2^2
     sigma_lower: float
-    lam: Callable[[np.ndarray], np.ndarray]
-    lam_prime: Callable[[np.ndarray], np.ndarray]
+
+    def _terms(self, t):
+        return ((self.alpha_cap - self.alpha) / self.c_K,
+                np.exp(self.sigma_lower ** 2 * self.c_K
+                       * (np.asarray(t, dtype=float) - self.T)))
 
     def value(self, t):
-        return self.lam(np.asarray(t, dtype=float))
+        amp, decay = self._terms(t)
+        return amp * (1.0 - decay)
+
+    def lam_prime(self, t):
+        amp, decay = self._terms(t)
+        return -amp * self.sigma_lower ** 2 * self.c_K * decay
 
     def identity_residual(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return (self.alpha_cap - self.c_K * self.lam(ts)
+        return (self.alpha_cap - self.c_K * self.value(ts)
                 + self.lam_prime(ts) / self.sigma_lower ** 2 - self.alpha)
 
 
@@ -87,20 +95,11 @@ def make_schedule(alpha: float, coeffs: ModelCoefficients, band: VolatilityBand,
             "K = 0 collapses the schedule to a 0/0 form; the coupling needs a "
             "positive Lipschitz constant K"
         )
-    sl = band.sigma_lower
-    c_K, _ = rate_constants(coeffs.K, sl, T)
-    amp = (cap - alpha) / c_K
-
-    def lam(t):
-        return amp * (1.0 - np.exp(sl ** 2 * c_K * (np.asarray(t, dtype=float) - T)))
-
-    def lam_prime(t):
-        return -amp * sl ** 2 * c_K * np.exp(sl ** 2 * c_K * (np.asarray(t, dtype=float) - T))
-
+    c_K, _ = rate_constants(coeffs.K, band.sigma_lower, T)
     schedule = CouplingSchedule(alpha=alpha, c_K=c_K,
                                 lambda0=initial_weight(alpha, coeffs, band, T),
-                                T=T, alpha_cap=cap, sigma_lower=sl,
-                                lam=lam, lam_prime=lam_prime)
+                                T=T, alpha_cap=cap,
+                                sigma_lower=band.sigma_lower)
 
     ts = np.linspace(0.0, T, 1001)
     worst = float(np.max(np.abs(schedule.identity_residual(ts))))
@@ -337,12 +336,11 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
 
     keep(0)
     for j, wj in enumerate(_time_major(w)):
-        t = float(grid.nodes[j])
         x, y, logm = state
         lv = levels_at(j, x)
         np.multiply(lv, wj, out=dB)
         dqv = lv * lv * dt
-        s = coeffs.sigma(t, state[:2])
+        s = coeffs.sigma(state[:2])
         if j < clip_index:
             g = np.subtract(x, y, out=gbuf)
             g /= float(lam_nodes[j]) * s[0]
@@ -351,7 +349,7 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
         if export:
             levels[j] = lv
             g_full[j] = g
-        euler_step(coeffs, t, state[:2], s, dt, dqv, dB, out=new[:2])
+        euler_step(coeffs, state[:2], s, dt, dqv, dB, out=new[:2])
         new[1] += s[1] * g * dqv
         np.subtract(logm, g * dB, out=new[2])
         new[2] -= 0.5 * g * g * dqv

@@ -140,9 +140,9 @@ def _cfl_time_step(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
                    cfg: PdeConfig) -> tuple[float, int]:
     xs = cfg.nodes()
     dx = cfg.dx
-    bmax = float(np.max(np.abs(coeffs.b(0.0, xs))))
-    hmax = float(np.max(np.abs(coeffs.h(0.0, xs))))
-    sigmax = float(np.max(np.abs(coeffs.sigma(0.0, xs))))
+    bmax = float(np.max(np.abs(coeffs.b(xs))))
+    hmax = float(np.max(np.abs(coeffs.h(xs))))
+    sigmax = float(np.max(np.abs(coeffs.sigma(xs))))
     if hmax > 0.0 and dx > coeffs.kappa1 ** 2 / hmax:
         raise PdeError(
             f"dx={dx:g} too coarse for the quadratic-variation drift: "
@@ -176,11 +176,11 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
         payoff.check_bounds_on(xs)
     dx = cfg.dx
     dt, n_t = _cfl_time_step(coeffs, band, T, cfg)
-    # The coefficients are time-homogeneous (see ModelCoefficients), so one
-    # evaluation on the nodes serves every time level.
-    b_vec = np.asarray(coeffs.b(0.0, xs), dtype=float)
-    h_vec = np.asarray(coeffs.h(0.0, xs), dtype=float)
-    sig2 = np.asarray(coeffs.sigma(0.0, xs), dtype=float) ** 2
+    # The coefficients take x alone, so one evaluation on the nodes serves
+    # every time level.
+    b_vec = np.asarray(coeffs.b(xs), dtype=float)
+    h_vec = np.asarray(coeffs.h(xs), dtype=float)
+    sig2 = np.asarray(coeffs.sigma(xs), dtype=float) ** 2
 
     # Rows live in one buffer with a ghost node at each end; u is a view.
     n_rows, L = len(payoffs), len(xs) + 2

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-Coefficient = Callable[[float, np.ndarray], np.ndarray]
+Coefficient = Callable[[np.ndarray], np.ndarray]
 
 
 class ModelError(ValueError):
@@ -96,10 +96,9 @@ class ModelCoefficients:
     """Drift b, quadratic-variation drift h, diffusion sigma, with declared
     joint Lipschitz constant K and diffusion bounds kappa1 <= sigma <= kappa2.
 
-    Callables take (t, x) with x a scalar or array and broadcast over x.
-    They must be time-homogeneous: the value may not depend on t. Every
-    catalog entry of `make_coefficient` ignores t, and the PDE solvers
-    evaluate each coefficient once per solve, not once per time step.
+    Callables take x alone, a scalar or array, and broadcast over it: the
+    coefficients are time-homogeneous by type, so the PDE solvers evaluate
+    each once per solve and the Euler passes at each step's state alone.
     """
 
     b: Coefficient
@@ -246,7 +245,8 @@ def validate_coefficients(coeffs: ModelCoefficients, domain: tuple[float, float]
 
     Sampling-based by design: exact verification is undecidable for general
     closed forms, and the declared constants only need to dominate what the
-    solvers will ever see.
+    solvers will ever see. `grid` is unused: the coefficients take x alone.
+    It stays only for callers that pass it positionally.
     """
     if samples < 2:
         raise ModelError(f"samples must be >= 2, got {samples}")
@@ -261,29 +261,15 @@ def validate_coefficients(coeffs: ModelCoefficients, domain: tuple[float, float]
     keep = np.abs(xa - xb) > 1e-12 * (hi - lo)
     xa, xb = xa[keep], xb[keep]
 
-    times = grid.nodes[:: max(1, grid.n_steps // 16)]
-    worst_lip = 0.0
-    sig_min, sig_max = math.inf, -math.inf
-    for t in times:
-        sig = np.asarray(coeffs.sigma(float(t), xs), dtype=float)
-        sig_min = min(sig_min, float(sig.min()))
-        sig_max = max(sig_max, float(sig.max()))
-        # adjacent-node quotients on the dense grid
-        dx = xs[1:] - xs[:-1]
-        q = (
-            np.abs(np.diff(coeffs.b(float(t), xs)))
-            + np.abs(np.diff(coeffs.h(float(t), xs)))
-            + np.abs(np.diff(sig))
-        ) / dx
-        worst_lip = max(worst_lip, float(q.max()))
-        # long-range pairs
-        gap = np.abs(xa - xb)
-        q2 = (
-            np.abs(coeffs.b(float(t), xa) - coeffs.b(float(t), xb))
-            + np.abs(coeffs.h(float(t), xa) - coeffs.h(float(t), xb))
-            + np.abs(coeffs.sigma(float(t), xa) - coeffs.sigma(float(t), xb))
-        ) / gap
-        worst_lip = max(worst_lip, float(q2.max()))
+    sig = np.asarray(coeffs.sigma(xs), dtype=float)
+    # adjacent-node quotients on the dense grid, then the long-range pairs
+    q = (np.abs(np.diff(coeffs.b(xs))) + np.abs(np.diff(coeffs.h(xs)))
+         + np.abs(np.diff(sig))) / (xs[1:] - xs[:-1])
+    q2 = (np.abs(coeffs.b(xa) - coeffs.b(xb))
+          + np.abs(coeffs.h(xa) - coeffs.h(xb))
+          + np.abs(coeffs.sigma(xa) - coeffs.sigma(xb))) / np.abs(xa - xb)
+    worst_lip = float(np.max(np.concatenate((q, q2))))
+    sig_min, sig_max = float(sig.min()), float(sig.max())
 
     tol = 1e-9
     lip_ok = within_band(worst_lip, coeffs.K * (1.0 + tol), tol, 0.0)
@@ -321,18 +307,18 @@ def _shifted_bump(lo, hi, m, c0=0.1) -> Payoff:
                   strictly_positive=True, name=f"shifted_bump({c0:g})")
 
 
-# name -> (number of parameters, builder of the (t, x) coefficient from
+# name -> (number of parameters, builder of the x -> array coefficient from
 # them, its exact Lipschitz constant in x from them)
 _COEFFICIENTS = {
-    "constant": (1, lambda c: lambda t, x: _broadcast(c, x),
+    "constant": (1, lambda c: lambda x: _broadcast(c, x),
                  lambda c: 0.0),
-    "affine": (2, lambda c, s: lambda t, x: c + s * _arr(x),
+    "affine": (2, lambda c, s: lambda x: c + s * _arr(x),
                lambda c, s: abs(s)),
-    "sine": (3, lambda c, a, k: lambda t, x: c + a * np.sin(k * _arr(x)),
+    "sine": (3, lambda c, a, k: lambda x: c + a * np.sin(k * _arr(x)),
              lambda c, a, k: abs(a * k)),
-    "cosine": (3, lambda c, a, k: lambda t, x: c + a * np.cos(k * _arr(x)),
+    "cosine": (3, lambda c, a, k: lambda x: c + a * np.cos(k * _arr(x)),
                lambda c, a, k: abs(a * k)),
-    "tanh": (3, lambda c, a, k: lambda t, x: c + a * np.tanh(k * _arr(x)),
+    "tanh": (3, lambda c, a, k: lambda x: c + a * np.tanh(k * _arr(x)),
              lambda c, a, k: abs(a * k)),
 }
 
@@ -383,7 +369,7 @@ def _catalog_entry(catalog: dict, kind: str, name: str,
 
 
 def make_coefficient(name: str, params: Sequence[float]) -> Coefficient:
-    """Build a (t, x) -> array coefficient from the closed-form catalog.
+    """Build an x -> array coefficient from the closed-form catalog.
 
     constant(c); affine(intercept, slope); sine(offset, amplitude, frequency);
     cosine(offset, amplitude, frequency); tanh(offset, amplitude, rate).

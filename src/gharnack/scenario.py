@@ -121,16 +121,16 @@ def sample_controls(strategy: str, band: VolatilityBand, grid: TimeGrid,
     raise ScenarioError(f"unknown control strategy {strategy!r}")
 
 
-def euler_step(coeffs: ModelCoefficients, t: float, x: np.ndarray,
+def euler_step(coeffs: ModelCoefficients, x: np.ndarray,
                sigma_x: np.ndarray, dt: float, dqv: np.ndarray,
                dB: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One Euler step of dX = b dt + h d<B> + sigma dB, with the increments
     dqv = level^2 dt and dB = level dW of the driving path, into `out` (a
-    new array if None), which must not overlap x; `sigma_x` is sigma(t, x),
+    new array if None), which must not overlap x; `sigma_x` is sigma(x),
     which the caller evaluates once and may reuse."""
-    out = np.multiply(coeffs.b(t, x), dt, out=out)
+    out = np.multiply(coeffs.b(x), dt, out=out)
     out += x
-    out += coeffs.h(t, x) * dqv
+    out += coeffs.h(x) * dqv
     out += sigma_x * dB
     return out
 
@@ -191,26 +191,24 @@ def _level_rows(controls: Sequence[Control], n_paths: int):
 
 def simulate_state_batch(coeffs: ModelCoefficients,
                          controls: Sequence[Control], x0: float,
-                         w: np.ndarray, grid: TimeGrid) -> np.ndarray:
+                         w: np.ndarray) -> np.ndarray:
     """Terminal states X_T of the controlled state equation from x0, one
     (n_paths,) row per control of a C-contiguous (k, n_paths) array, from
     one Euler pass that advances every control on the shared increments `w`
     and keeps no earlier node; feedback levels read the simulated state."""
-    dt = grid.dt
+    dt = controls[0].grid.dt
     n_paths = w.shape[0]
     levels_at = _level_rows(controls, n_paths)
     x = np.full((len(controls), n_paths), float(x0))
     dB = np.empty_like(x)
     for j, wj in enumerate(_time_major(w)):
-        t = float(grid.nodes[j])
         lv = levels_at(j, x)
         np.multiply(lv, wj, out=dB)
         if coeffs is _UNIT_COEFFS:
             # x + 0 dt + 0 d<B> + 1 dB is x + dB, bit for bit, for finite x
             x += dB
         else:
-            x = euler_step(coeffs, t, x, coeffs.sigma(t, x), dt, lv * lv * dt,
-                           dB)
+            x = euler_step(coeffs, x, coeffs.sigma(x), dt, lv * lv * dt, dB)
     return x
 
 
@@ -305,8 +303,7 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
     terminal = np.empty((len(controls), n_paths))
     for first in range(0, n_paths, block):
         rows = slice(first, first + block)
-        terminal[:, rows] = simulate_state_batch(coeffs, controls, x0, w[rows],
-                                                 grid)
+        terminal[:, rows] = simulate_state_batch(coeffs, controls, x0, w[rows])
     value, se, best_id = sup_over_controls(payoff.f(terminal))
     return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
                              n_controls=len(controls), best_control_id=best_id)

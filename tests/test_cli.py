@@ -59,7 +59,7 @@ class TestConfigParsing:
                    for field in dataclasses.fields(cfg)
                    if field.name not in ("coeffs", "schedule", "payoff")}
             out["coeffs"] = (c.K, c.kappa1, c.kappa2, *(
-                np.broadcast_to(fn(0.0, xs), xs.shape).tolist()
+                np.broadcast_to(fn(xs), xs.shape).tolist()
                 for fn in (c.b, c.h, c.sigma)))
             out["schedule"] = (cfg.schedule.alpha, cfg.schedule.lambda0)
             out["payoff"] = (f.name, f.lower_bound, f.upper_bound,
@@ -435,6 +435,26 @@ class TestCliExitCodes:
         assert peak < 16 * 2 ** 20
         assert not (tmp_path / "o").exists()
 
+    def test_oversized_n_steps_is_exit_2_before_any_work(self, tmp_path,
+                                                          capsys):
+        # 10^12 steps are refused before TimeGrid allocates its 7.3 TiB of
+        # nodes: even at n_space 16 the policy record cannot fit
+        big = tmp_path / "big.cfg"
+        big.write_text(CFG.read_text().replace("n_steps = 256",
+                                               "n_steps = 1000000000000"))
+        tracemalloc.start()
+        try:
+            code = run(["suite", "--config", big, "--out", tmp_path / "o"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [grid.n_steps]"), err
+        assert "physical memory" in err
+        assert peak < 16 * 2 ** 20
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_alpha_grid_is_exit_2_before_any_work(self, tmp_path,
                                                             capsys,
                                                             monkeypatch):
@@ -713,9 +733,9 @@ class TestStackedPaths:
         calls = []
         kernel = scenario.simulate_state_batch
 
-        def counted(coeffs, controls, x0, w, grid):
+        def counted(coeffs, controls, x0, w):
             calls.append((len(controls), w.shape[0]))
-            return kernel(coeffs, controls, x0, w, grid)
+            return kernel(coeffs, controls, x0, w)
 
         cfg = parse_run_config(CFG)
         block = 500
@@ -972,14 +992,21 @@ class TestDeterminism:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_fresh_process_byte_identical(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
+
+        import gharnack
 
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(["harnack", "--out", a]) == 0
+        # the child imports the package the tests import, installed or not
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(gharnack.__file__).parent.parent))
         proc = subprocess.run(
             [sys.executable, "-m", "gharnack.cli", "harnack", "--out", str(b)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         for name in ("report.json", "reports.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()

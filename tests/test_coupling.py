@@ -721,23 +721,22 @@ def reference_coupled(coeffs, schedule, x0, y0, control, clip_epsilon, w):
     stiff_step = np.full(n_paths, n_steps)
     lam_nodes = schedule.value(grid.nodes)
 
-    def euler(t, xs, sx, dqv, dB):
-        return xs + coeffs.b(t, xs) * dt + coeffs.h(t, xs) * dqv + sx * dB
+    def euler(xs, sx, dqv, dB):
+        return xs + coeffs.b(xs) * dt + coeffs.h(xs) * dqv + sx * dB
 
     for j in range(n_steps):
-        t = float(grid.nodes[j])
         lv = reference_levels(control, j, x)
         levels[:, j] = lv
         dB = lv * w[:, j]
         dqv = lv * lv * dt
-        sx = coeffs.sigma(t, x)
-        sy = coeffs.sigma(t, y)
+        sx = coeffs.sigma(x)
+        sy = coeffs.sigma(y)
         g = (x - y) / (float(lam_nodes[j]) * sx) if j < clip_index \
             else np.zeros_like(x)
         g_path[:, j] = g
         with np.errstate(over="ignore", invalid="ignore"):
-            xn = euler(t, x, sx, dqv, dB)
-            yn = euler(t, y, sy, dqv, dB) + sy * g * dqv
+            xn = euler(x, sx, dqv, dB)
+            yn = euler(y, sy, dqv, dB) + sy * g * dqv
             lmn = logm - g * dB - 0.5 * g * g * dqv
         for p in range(n_paths):
             if not (math.isfinite(xn[p]) and math.isfinite(yn[p])

@@ -228,7 +228,7 @@ class TestFeedbackControl:
 
 def reference_solve(coeffs, band, payoff, T, cfg, policy_grid=None):
     """The explicit scheme for one payoff written step by step: coefficients
-    evaluated at every time level, ghost nodes by concatenation, and the
+    evaluated afresh at every time level, ghost nodes by concatenation, and the
     tie-tolerant policy record. Returns u(0, .) and the policy mask."""
     xs = cfg.nodes()
     dx = cfg.dx
@@ -241,10 +241,9 @@ def reference_solve(coeffs, band, payoff, T, cfg, policy_grid=None):
         record = np.zeros((len(times), len(xs)), dtype=bool)
     up2, lo2 = band.sigma_upper ** 2, band.sigma_lower ** 2
     for i in range(n_t, 0, -1):
-        t_i = i * dt
-        b = np.asarray(coeffs.b(t_i, xs), dtype=float)
-        h = np.asarray(coeffs.h(t_i, xs), dtype=float)
-        sig2 = np.asarray(coeffs.sigma(t_i, xs), dtype=float) ** 2
+        b = np.asarray(coeffs.b(xs), dtype=float)
+        h = np.asarray(coeffs.h(xs), dtype=float)
+        sig2 = np.asarray(coeffs.sigma(xs), dtype=float) ** 2
         up = np.concatenate(([2.0 * u[0] - u[1]], u, [2.0 * u[-1] - u[-2]]))
         d1c = (up[2:] - up[:-2]) / (2.0 * dx)
         d2 = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / (dx * dx)
@@ -284,9 +283,9 @@ def reference_stack(coeffs, band, payoffs, T, cfg, policy_grid=None):
     xs = cfg.nodes()
     dx = cfg.dx
     dt, n_t = gheat._cfl_time_step(coeffs, band, T, cfg)
-    b = np.asarray(coeffs.b(0.0, xs), dtype=float)
-    h = np.asarray(coeffs.h(0.0, xs), dtype=float)
-    sig2 = np.asarray(coeffs.sigma(0.0, xs), dtype=float) ** 2
+    b = np.asarray(coeffs.b(xs), dtype=float)
+    h = np.asarray(coeffs.h(xs), dtype=float)
+    sig2 = np.asarray(coeffs.sigma(xs), dtype=float) ** 2
     up = np.empty((len(payoffs), len(xs) + 2))
     for row, payoff in zip(up, payoffs):
         row[1:-1] = payoff.f(xs)
@@ -353,9 +352,9 @@ class TestStackedSolve:
                 K=0.0, kappa1=0.7, kappa2=0.7),
         }[model]
         if model == "bundled":
-            b = coeffs.b(0.0, cfg.pde.nodes())
+            b = coeffs.b(cfg.pde.nodes())
             assert np.any(b > 0.0) and np.any(b < 0.0)
-            assert np.any(coeffs.h(0.0, cfg.pde.nodes()) != 0.0)
+            assert np.any(coeffs.h(cfg.pde.nodes()) != 0.0)
         policy_grid = cfg.grid if policy else None
         T = cfg.grid.horizon
         rows, policies = g.solve_stack(coeffs, cfg.band, payoffs[:n_rows],

@@ -171,6 +171,21 @@ class TestValidateCoefficients:
             assert not report.passed
             assert report.sigma_min < k1 - 1e-9
 
+    @pytest.mark.parametrize("role", ["b", "h", "sigma"])
+    def test_nan_coefficient_is_flagged(self, role):
+        # sin(k x) is nan where k x overflows, past |x| = 1.8 here: no
+        # declared K or [kappa1, kappa2] admits a nan value
+        parts = {"b": g.make_coefficient("constant", (0.0,)),
+                 "h": g.make_coefficient("constant", (0.0,)),
+                 "sigma": g.make_coefficient("constant", (1.0,))}
+        parts[role] = g.make_coefficient("sine", (1.0, 1e-308, 1e308))
+        coeffs = g.ModelCoefficients(**parts, K=1.0, kappa1=0.9, kappa2=1.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = g.validate_coefficients(coeffs, (-5.0, 5.0),
+                                             g.TimeGrid(1.0, 4))
+        assert not report.passed
+        assert any("nan" in v for v in report.violations)
+
     def test_rejects_single_sample(self, heat_model):
         with pytest.raises(ModelError):
             g.validate_coefficients(heat_model, (-1.0, 1.0), g.TimeGrid(1.0, 4),
@@ -222,7 +237,7 @@ class TestCoefficientCatalog:
 
     def test_catalog_broadcasts(self):
         fn = g.make_coefficient("constant", (2.5,))
-        out = fn(0.0, np.zeros(7))
+        out = fn(np.zeros(7))
         assert out.shape == (7,)
         assert np.all(out == 2.5)
 
@@ -236,7 +251,7 @@ class TestCoefficientCatalog:
         for name, params in [("affine", (1.0, -2.0)), ("sine", (0.0, 0.3, 2.0)),
                              ("tanh", (0.5, 0.2, 3.0))]:
             fn = g.make_coefficient(name, params)
-            vals = fn(0.0, xs)
+            vals = fn(xs)
             quot = np.max(np.abs(np.diff(vals)) / np.diff(xs))
             assert quot <= coefficient_lipschitz(name, params) + 1e-9
 

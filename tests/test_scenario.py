@@ -28,8 +28,7 @@ def first_path(control, seed):
     """Row 0 of the seed's increments and B_T on it under the control: the
     state equation on the unit coefficients from 0."""
     w = scaled_increments(seed, 1, control.grid)
-    return w, simulate_state_batch(_UNIT_COEFFS, [control], 0.0, w,
-                                   control.grid)[0]
+    return w, simulate_state_batch(_UNIT_COEFFS, [control], 0.0, w)[0]
 
 
 def upper_mc(payoff, controls, n_paths, seed):
@@ -315,7 +314,7 @@ class TestCounterBasedStreams:
     def test_batch_matches_single_path(self, wide_band, grid):
         (control,) = g.sample_controls("bang_bang", wide_band, grid, 1, seed=0)
         batch = simulate_state_batch(_UNIT_COEFFS, [control], 0.0,
-                                     scaled_increments(5, 3, grid), grid)
+                                     scaled_increments(5, 3, grid))
         _, single = first_path(control, seed=5)
         assert batch[0, 0] == single[0]
 
@@ -338,21 +337,20 @@ class TestCounterBasedStreams:
             w[rows]
 
 
-def reference_state_batch(coeffs, control, x0, w, grid):
+def reference_state_batch(coeffs, control, x0, w):
     """The Euler loop of the state equation written path-major, one strided
     column per step: x + b dt + h level^2 dt + sigma level dW."""
     n_paths, n_steps = w.shape
-    dt = grid.dt
+    dt = control.grid.dt
     x = np.empty((n_paths, n_steps + 1))
     x[:, 0] = x0
     levels = np.empty((n_paths, n_steps))
     for j in range(n_steps):
-        t = float(grid.nodes[j])
         xj = x[:, j]
         lv = reference_levels(control, j, xj)
         levels[:, j] = lv
-        x[:, j + 1] = (xj + coeffs.b(t, xj) * dt + coeffs.h(t, xj) * (lv * lv * dt)
-                       + coeffs.sigma(t, xj) * (lv * w[:, j]))
+        x[:, j + 1] = (xj + coeffs.b(xj) * dt + coeffs.h(xj) * (lv * lv * dt)
+                       + coeffs.sigma(xj) * (lv * w[:, j]))
     return x, levels
 
 
@@ -386,9 +384,8 @@ class TestTimeMajorKernel:
             (cfg.coeffs, 0.3)
         control = self.control(kind, coeffs, cfg)
         w = scaled_increments(cfg.seed, 300, cfg.grid)
-        ref_x, ref_levels = reference_state_batch(coeffs, control, x0, w,
-                                                  cfg.grid)
-        terminal = simulate_state_batch(coeffs, [control], x0, w, cfg.grid)
+        ref_x, ref_levels = reference_state_batch(coeffs, control, x0, w)
+        terminal = simulate_state_batch(coeffs, [control], x0, w)
         assert terminal.shape == (1, 300) and terminal.flags.c_contiguous
         assert terminal.tobytes() == ref_x[:, -1].tobytes()
         if kind == "feedback":
@@ -430,13 +427,13 @@ class TestTimeMajorKernel:
                                       controls[1].hi_mask[:250], cfg.band),
                         g.ScenarioControl(grid, controls[2].levels[:250],
                                           cfg.band)]
-        terminal = simulate_state_batch(coeffs, controls, x0, w, grid)
+        terminal = simulate_state_batch(coeffs, controls, x0, w)
         assert terminal.shape == (3, 300) and terminal.flags.c_contiguous
         for row, control in zip(terminal, controls):
-            ref_x, _ = reference_state_batch(coeffs, control, x0, w, grid)
+            ref_x, _ = reference_state_batch(coeffs, control, x0, w)
             assert row.tobytes() == ref_x[:, -1].tobytes()
         # the per-path stream promise: the first m rows are a run on w[:m]
-        head = simulate_state_batch(coeffs, controls, x0, w[:64], grid)
+        head = simulate_state_batch(coeffs, controls, x0, w[:64])
         assert head.tobytes() == terminal[:, :64].tobytes()
 
     def test_semigroup_estimate_equals_path_major_loop(self, bundled):
@@ -452,8 +449,7 @@ class TestTimeMajorKernel:
         w = scaled_increments(17, 300, cfg.grid)
         stats = []
         for control in controls:
-            ref_x, _ = reference_state_batch(cfg.coeffs, control, 0.3, w,
-                                             cfg.grid)
+            ref_x, _ = reference_state_batch(cfg.coeffs, control, 0.3, w)
             vals = cfg.payoff.f(ref_x[:, -1])
             stats.append((float(np.mean(vals)),
                           float(np.std(vals, ddof=1) / math.sqrt(300))))
@@ -474,9 +470,9 @@ class TestTimeMajorKernel:
         sizes = []
         kernel = scenario.simulate_state_batch
 
-        def counted(coeffs, controls, x0, w, grid):
+        def counted(coeffs, controls, x0, w):
             sizes.append(w.shape[0])
-            return kernel(coeffs, controls, x0, w, grid)
+            return kernel(coeffs, controls, x0, w)
 
         monkeypatch.setattr(scenario, "simulate_state_batch", counted)
         monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",

@@ -1,4 +1,4 @@
-"""Five guards on the shape of the package.
+"""Six guards on the shape of the package.
 
 Every top-level function, class and method of the package is reached from
 the package itself: a name that only tests use is a route no run takes.
@@ -15,9 +15,13 @@ Only `cli.py` writes files: the solvers and checkers return reports and
 arrays, and the command line formats and writes every output file.
 
 Only runs that draw a Monte Carlo sample load `numpy.random`: the PDE
-subcommands and the parse-time audit leave it unloaded."""
+subcommands and the parse-time audit leave it unloaded.
+
+Coefficients take x alone: time enters only through the grid and the
+coupling weight, so no coefficient is built or called with a time."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -26,7 +30,9 @@ from pathlib import Path
 import pytest
 
 import gharnack
+from gharnack import model
 from gharnack.cli import bundled_config_path
+from gharnack.gheat import _UNIT_COEFFS
 
 SRC = Path(gharnack.__file__).parent
 
@@ -264,6 +270,27 @@ def test_only_cli_writes_files():
              for site in sites]
     assert not stray, f"files written outside cli.py: {stray}"
     assert writes["cli.py"], "cli.py writes no file"
+
+
+def positional_parameters(fn):
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+def test_coefficients_take_x_alone():
+    built = {name: model.make_coefficient(name, [1.0] * count)
+             for name, (count, _, _) in model._COEFFICIENTS.items()}
+    built.update({f"unit {role}": getattr(_UNIT_COEFFS, role)
+                  for role in ("b", "h", "sigma")})
+    wider = {name: positional_parameters(fn) for name, fn in built.items()
+             if len(positional_parameters(fn)) != 1}
+    assert not wider, f"coefficients not of x alone: {wider}"
+    timed = [f"{module}:{call.lineno}: {ast.unparse(call)}"
+             for module, tree in TREES.items() for call in ast.walk(tree)
+             if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Attribute)
+             and call.func.attr in ("b", "h", "sigma") and len(call.args) > 1]
+    assert not timed, f"coefficients called with more than x: {timed}"
 
 
 # Each probe runs in a fresh interpreter and prints whether numpy.random
