@@ -75,13 +75,13 @@ def run_scenario(cfg: RunConfig):
     # The fine G-heat pass records the feedback policy the controls follow.
     heat = solve_semigroups(_UNIT_COEFFS, cfg.band, cfg.grid.horizon, cfg.pde,
                             [cfg.payoff], policy_grid=cfg.grid)
-    pde_value = float(heat.fine[cfg.payoff](0.0))
-    pde_tol = heat.tolerance(cfg.payoff, 0.0)
+    pde_value = float(heat.fine[cfg.payoff](cfg.check_x))
+    pde_tol = heat.tolerance(cfg.payoff, cfg.check_x)
     controls = sc.sample_controls("feedback", cfg.band, cfg.grid,
                                   cfg.n_controls, cfg.seed,
                                   policy=heat.policy[cfg.payoff])
-    est = sc.upper_semigroup_mc(_UNIT_COEFFS, cfg.payoff, 0.0, controls,
-                                cfg.n_paths, cfg.seed)
+    est = sc.upper_semigroup_mc(_UNIT_COEFFS, cfg.payoff, cfg.check_x,
+                                controls, cfg.n_paths, cfg.seed)
     entry = {
         "kind": "scenario_oracle", "payoff": cfg.payoff.name,
         "mc_value": est.value, "std_error": est.std_error,

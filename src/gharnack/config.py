@@ -74,9 +74,20 @@ _STACK_ROWS = 3
 # the bundled model.
 _MAX_NODE_STEPS = 10 ** 10
 
+# The least fine grid: its coarse twin keeps PdeConfig's floor of 16.
+_LEAST_N_SPACE = 32
+
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _fits(field: str, what: str, need: int) -> None:
+    """Refuse, naming `field`, `need` bytes of `what` past physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(field, f"{what}: {need / 2 ** 30:.3g} GiB, more than "
+                          f"the {have / 2 ** 30:.3g} GiB of physical memory")
 
 
 class _Parser(configparser.ConfigParser):
@@ -222,16 +233,11 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     n_steps = _get(grid_sec, "n_steps", int)
     if n_steps < 1:
         raise ConfigError("grid.n_steps", f"need >= 1, got {n_steps}")
-    # Refused before TimeGrid allocates its nodes: at the least n_space, 16,
-    # the policy record of n_steps rows must still fit.
-    have = _physical_memory()
-    need = solve_nbytes(_STACK_ROWS, 16, n_steps)
-    if need > have:
-        raise ConfigError(
-            "grid.n_steps",
-            f"{n_steps} steps need {need / 2 ** 30:.3g} GiB of PDE working "
-            f"set even at n_space 16, more than the {have / 2 ** 30:.3g} GiB "
-            "of physical memory")
+    # Refused before TimeGrid allocates its nodes: at the least n_space the
+    # policy record of n_steps rows must still fit.
+    _fits("grid.n_steps", f"the PDE working set of {n_steps} steps even at "
+          f"n_space {_LEAST_N_SPACE}",
+          solve_nbytes(_STACK_ROWS, _LEAST_N_SPACE, n_steps))
     try:
         grid = TimeGrid(T, n_steps)
     except ModelError as exc:
@@ -244,25 +250,16 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     if not x_min < x_max:
         raise ConfigError("grid.x_min", f"need x_min < x_max, got "
                           f"[{x_min:g}, {x_max:g}]")
-    cfl_safety = _get(grid_sec, "cfl_safety", float, default=0.8)
-    if not 0.0 < cfl_safety <= 1.0:
-        raise ConfigError("grid.cfl_safety",
-                          f"must lie in (0, 1], got {cfl_safety:g}")
-    try:
-        pde = PdeConfig(x_min, x_max, _get(grid_sec, "n_space", int),
-                        cfl_safety)
-    except PdeError as exc:
-        raise ConfigError("grid.n_space", str(exc)) from exc
+    n_space = _get(grid_sec, "n_space", int)
+    if n_space < _LEAST_N_SPACE:
+        raise ConfigError("grid.n_space", f"need >= {_LEAST_N_SPACE} for the "
+                          f"two-grid tolerance's coarse twin, got {n_space}")
+    pde = PdeConfig(x_min, x_max, n_space)
     # Every pass holds at most the largest stack, each row with a policy
     # record at the n_steps step times of the scenario runner's pass; that
     # record is the feedback control itself, so it bounds all the family adds.
-    need = solve_nbytes(_STACK_ROWS, pde.n_space, n_steps)
-    if need > have:
-        raise ConfigError(
-            "grid.n_space",
-            f"{pde.n_space} intervals need {need / 2 ** 30:.3g} GiB of PDE "
-            f"working set, more than the {have / 2 ** 30:.3g} GiB of physical "
-            "memory")
+    _fits("grid.n_space", f"the PDE working set of {n_space} intervals",
+          solve_nbytes(_STACK_ROWS, n_space, n_steps))
     # The CFL rate squares the largest |sigma| on the grid.
     sigma_max = float(np.max(np.abs(s_fn(pde.nodes()))))
     _in_range("model.sigma_params",
@@ -332,16 +329,13 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     n_controls = _get(cpl, "n_controls", int)
     if n_controls < 1:
         raise ConfigError("coupling.n_controls", f"need >= 1, got {n_controls}")
-    # The coupled pass holds the largest path arrays of a run.
-    need = run_nbytes(n_paths, n_steps, n_controls)
-    if need > have:
-        field = "coupling.n_paths" if run_nbytes(n_paths, n_steps, 1) > have \
-            else "coupling.n_controls"
-        raise ConfigError(
-            field,
-            f"{n_controls} controls x {n_paths} paths x {n_steps} steps need "
-            f"{need / 2 ** 30:.3g} GiB of coupled path arrays, more than the "
-            f"{have / 2 ** 30:.3g} GiB of physical memory")
+    # The coupled pass holds the largest path arrays of a run; n_paths is
+    # named when one control alone does not fit.
+    for field, k in (("coupling.n_paths", 1), ("coupling.n_controls",
+                                                n_controls)):
+        _fits(field, f"the coupled path arrays of {k} x {n_paths} x "
+              f"{n_steps} (controls x paths x steps)",
+              run_nbytes(n_paths, n_steps, k))
     # The coupled pass runs open-loop families; the scenario runner builds
     # its own feedback family from the G-heat policy.
     strategy = _get(cpl, "strategy", str, default="constants")
@@ -360,20 +354,18 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     if threshold is not None and not check_p > threshold:
         raise ConfigError("check.p", f"p = {check_p:g} is at or below the "
                           f"admissible threshold {threshold:.6f}")
+    # Audited where they are read: the PDE grid and the paths from x and y.
+    (xl, xh), (yl, yh) = (default_state_domain(v, band, coeffs, T)
+                          for v in (check_x, check_y))
     report = validate_coefficients(
-        coeffs, default_state_domain(check_x, band, coeffs, T), grid)
+        coeffs, (min(pde.x_min, xl, yl), max(pde.x_max, xh, yh)), grid)
     if not report.passed:
         raise ConfigError("model.sigma", "; ".join(report.violations))
     alpha_grid_size = _get(chk, "alpha_grid", int, default=33)
     if alpha_grid_size < 1:
         raise ConfigError("check.alpha_grid", "need at least one alpha")
-    need = envelope_nbytes(alpha_grid_size)
-    if need > have:
-        raise ConfigError(
-            "check.alpha_grid",
-            f"{alpha_grid_size} alphas need {need / 2 ** 30:.3g} GiB of "
-            f"gradient envelope, more than the {have / 2 ** 30:.3g} GiB of "
-            "physical memory")
+    _fits("check.alpha_grid", f"the gradient envelope of {alpha_grid_size} "
+          "alphas", envelope_nbytes(alpha_grid_size))
     payoff = _catalog(chk, "payoff", PAYOFF_NAMES, lambda name, params:
                       make_payoff(name, params, domain=(pde.x_min, pde.x_max)),
                       default="shifted_bump")

@@ -25,23 +25,17 @@ class PdeError(ValueError):
 
 @dataclass(frozen=True)
 class PdeConfig:
-    """Spatial grid and stability margin for the explicit scheme."""
+    """Spatial grid of the explicit scheme."""
 
     x_min: float
     x_max: float
     n_space: int  # number of intervals; nodes = n_space + 1
-    cfl_safety: float = 0.8
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise PdeError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_space < 16:
             raise PdeError(f"n_space must be >= 16, got {self.n_space}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise PdeError(
-                f"cfl_safety must lie in (0, 1], got {self.cfl_safety} "
-                "(explicit scheme loses monotonicity beyond the CFL bound)"
-            )
 
     @property
     def dx(self) -> float:
@@ -52,8 +46,7 @@ class PdeConfig:
 
     def coarsened(self) -> "PdeConfig":
         """Half the spatial resolution, for two-grid Richardson tolerances."""
-        return PdeConfig(self.x_min, self.x_max, max(16, self.n_space // 2),
-                         self.cfl_safety)
+        return PdeConfig(self.x_min, self.x_max, self.n_space // 2)
 
 
 @dataclass(frozen=True)
@@ -136,6 +129,11 @@ def solve_nbytes(n_rows: int, n_space: int, n_policy_steps: int) -> int:
             + n_rows * n_policy_steps * (n_space + 1))
 
 
+# The time step's fraction of the CFL bound; past the bound itself the
+# explicit scheme is not monotone.
+_CFL_SAFETY = 0.8
+
+
 def _cfl_time_step(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
                    cfg: PdeConfig) -> tuple[float, int]:
     xs = cfg.nodes()
@@ -151,7 +149,7 @@ def _cfl_time_step(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
         )
     up2 = band.sigma_upper ** 2
     rate = up2 * sigmax ** 2 / (dx * dx) + bmax / dx + up2 * hmax / dx
-    dt = cfg.cfl_safety / rate
+    dt = _CFL_SAFETY / rate
     n_t = max(1, int(math.ceil(T / dt)))
     return T / n_t, n_t
 

@@ -78,7 +78,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("old,new,field", [
         ("alpha_grid = 33", "alpha_gird = 5", "check.alpha_gird"),
-        ("cfl_safety = 0.8", "cfl_saftey = 0.3", "grid.cfl_saftey"),
+        ("strategy = constants", "stratgey = bang_bang", "coupling.stratgey"),
+        # the CFL safety factor is a constant of the solver, not an entry
+        ("n_space = 400", "n_space = 400\ncfl_safety = 0.8", "grid.cfl_safety"),
         ("[run]", "[runn]\nseed = 1\n\n[run]", "runn"),
         ("[model]", "[DEFAULT]\nsede = 1\n\n[model]", "DEFAULT.sede"),
     ])
@@ -121,15 +123,39 @@ class TestConfigParsing:
         assert parse_run_config(p).pde.n_space == n_space
 
     def test_grid_too_coarse_for_h_names_n_space(self, tmp_path):
-        # |h| up to 2 needs dx <= kappa1^2 / 2 = 0.405; 20 intervals give 0.8
+        # |h| up to 2 needs dx <= kappa1^2 / 2 = 0.405; 36 intervals give 0.444
         text = (CFG.read_text()
                 .replace("h_params = 0, 0.05, 1", "h_params = 0, 2, 1")
                 .replace("K = 1.1", "K = 3.1")
-                .replace("n_space = 400", "n_space = 20"))
+                .replace("n_space = 400", "n_space = 36"))
         p = tmp_path / "coarse.cfg"
         p.write_text(text)
         with pytest.raises(ConfigError, match=r"grid\.n_space.*too coarse"):
             parse_run_config(p)
+
+    def test_audit_covers_the_pde_grid(self, tmp_path, capsys):
+        # sigma = 0.95 + 0.008 x stays in [0.9, 1.0] on the default state
+        # domain around check.x, (-6.05, 6.05), but spans [0.886, 1.014] on
+        # the PDE grid [-8, 8], where the solver reads it
+        text = CFG.read_text()
+        for old, new in (("b = affine", "b = constant"),
+                         ("b_params = 0, -1", "b_params = 0"),
+                         ("h = sine", "h = constant"),
+                         ("h_params = 0, 0.05, 1", "h_params = 0"),
+                         ("sigma = tanh", "sigma = affine"),
+                         ("sigma_params = 0.95, 0.05, 1",
+                          "sigma_params = 0.95, 0.008"),
+                         ("K = 1.1", "K = 0.008"),
+                         ("sigma_upper = 1.1", "sigma_upper = 1.0")):
+            assert old in text
+            text = text.replace(old, new)
+        p = tmp_path / "wide.cfg"
+        p.write_text(text)
+        assert run(["semigroup", "--config", p, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [model.sigma] sigma dips to "
+                              "0.886"), err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("n_steps,admitted,refused", [
         (256, 1.18, 1.20),
@@ -260,7 +286,10 @@ class TestCliExitCodes:
         ("model.b", "b = affine", "b = cubic"),
         ("check.payoff", "payoff = shifted_bump", "payoff = cubic"),
         ("grid.n_steps", "n_steps = 256", "n_steps = 0"),
-        ("grid.cfl_safety", "cfl_safety = 0.8", "cfl_safety = 1.5"),
+        # below 32 the coarse grid of the two-grid tolerance is not half
+        # the fine one
+        ("grid.n_space", "n_space = 400", "n_space = 16"),
+        ("grid.n_space", "n_space = 400", "n_space = 31"),
         ("grid.x_min", "x_min = -8", "x_min = 9"),
     ])
     def test_bad_value_names_its_field(self, tmp_path, capsys, field, old,
@@ -538,6 +567,29 @@ class TestSeparation:
     def test_runs_without_those_bounds_pass_at_y_5(self, tmp_path, command):
         assert run([command, "--config", with_y(tmp_path, 5),
                     "--out", tmp_path / "o"]) == 0
+
+    def test_scenario_oracle_runs_at_check_x(self, tmp_path):
+        # on [1, 17] the point 0 lies outside the grid, where the PDE read
+        # would clamp to u(x_min): the oracle reads the PDE and starts the
+        # paths at check.x, the point the gheat run reads
+        text = CFG.read_text()
+        for old, new in (("x_min = -8", "x_min = 1"),
+                         ("x_max = 8", "x_max = 17"),
+                         ("x = 0.0", "x = 3.0"), ("\ny = 0.5", "\ny = 3.5")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path = tmp_path / "shifted.cfg"
+        path.write_text(text)
+
+        def entry(command, kind):
+            out = tmp_path / command
+            assert run([command, "--config", path, "--out", out]) == 0
+            entries = json.loads((out / "report.json").read_text())
+            return next(e for e in entries if e["kind"] == kind)
+
+        oracle = entry("scenario", "scenario_oracle")
+        assert oracle["passed"]
+        assert oracle["pde_value"] == entry("gheat", "gheat")["value"]
 
     def test_shifted_qv_tolerance_grows_with_the_shift(self, tmp_path):
         # at y = 1.5 the shift's energy is about 8.5 > T, and the Euler

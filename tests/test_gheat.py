@@ -402,15 +402,13 @@ class TestStackedSolve:
 
 
 class TestConfigRejections:
-    def test_cfl_must_be_unit_interval(self):
-        with pytest.raises(PdeError):
-            g.PdeConfig(-1, 1, 32, cfl_safety=1.5)
-        with pytest.raises(PdeError):
-            g.PdeConfig(-1, 1, 32, cfl_safety=0.0)
-
     def test_space_floor(self):
         with pytest.raises(PdeError):
             g.PdeConfig(-1, 1, 8)
+        # the coarse twin of a grid below 32 intervals is below the floor
+        assert g.PdeConfig(-1, 1, 32).coarsened().n_space == 16
+        with pytest.raises(PdeError):
+            g.PdeConfig(-1, 1, 31).coarsened()
 
     def test_unbounded_payoff_declaration_rejected(self):
         with pytest.raises(Exception):
