@@ -51,9 +51,9 @@ def solve_model(cfg: RunConfig, harnack: bool = False):
     """
     log_f = f_p = None
     if harnack:
-        log_f = hk.log_payoff(cfg.payoff)
+        log_f = cfg.payoff.log()
         if cfg.coeffs.kappa2 > cfg.coeffs.kappa1:
-            f_p = hk.power_payoff(cfg.coeffs, cfg.payoff, cfg.check_p)
+            f_p = cfg.payoff.power(cfg.check_p)
     payoffs = [q for q in (cfg.payoff, log_f, f_p) if q is not None]
     semigroups = solve_semigroups(cfg.coeffs, cfg.band, cfg.grid.horizon,
                                   cfg.pde, payoffs)

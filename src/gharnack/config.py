@@ -32,9 +32,9 @@ from .model import (
     validate_coefficients,
 )
 from .gheat import _UNIT_COEFFS, PdeConfig, PdeError, _cfl_time_step, solve_nbytes
-from .coupling import (SWEEP_FRACTIONS, CouplingSchedule, make_schedule,
-                       run_nbytes, stability_ratio)
-from .harnack import envelope_nbytes, power_threshold
+from .coupling import (SWEEP_FRACTIONS, CouplingSchedule, _clip_index,
+                       make_schedule, run_nbytes, stability_ratio)
+from .harnack import power_threshold
 
 
 class ConfigError(ValueError):
@@ -181,10 +181,10 @@ def _refuse_unread(cp: _Parser) -> None:
 
 def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     cp = _Parser()
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        cp.read_string(text, source=str(path))
-    except configparser.Error as exc:
+        cp.read_string(Path(path).read_text(encoding="utf-8"),
+                       source=str(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError("syntax", str(exc)) from exc
 
     model = _section(cp, "model")
@@ -250,6 +250,8 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     if not x_min < x_max:
         raise ConfigError("grid.x_min", f"need x_min < x_max, got "
                           f"[{x_min:g}, {x_max:g}]")
+    _in_range("grid.x_max", f"x_max - x_min = {x_max:g} - {x_min:g}",
+              lambda: x_max - x_min)
     n_space = _get(grid_sec, "n_space", int)
     if n_space < _LEAST_N_SPACE:
         raise ConfigError("grid.n_space", f"need >= {_LEAST_N_SPACE} for the "
@@ -323,6 +325,14 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
                 f"> 1 at {n_steps} steps and clip {run_epsilon:g}, where "
                 "explicit Euler no longer contracts the gap; the largest "
                 f"admitted alpha is {best:.6g} (more steps admit more)")
+        # The trend check needs each sweep epsilon on its own clip node.
+        sweep_nodes = [_clip_index(grid, frac * T) for frac in SWEEP_FRACTIONS]
+        if len(set(sweep_nodes)) < len(sweep_nodes):
+            raise ConfigError(
+                "grid.n_steps", f"{n_steps} steps put the clip sweep "
+                f"{', '.join(f'{f:g} T' for f in SWEEP_FRACTIONS)} on the "
+                f"nodes {sweep_nodes}: two sweep epsilons share a node, where "
+                "the coupling trend cannot decrease; raise grid.n_steps")
     n_paths = _get(cpl, "n_paths", int)
     if n_paths < 100:
         raise ConfigError("coupling.n_paths", f"need >= 100, got {n_paths}")
@@ -354,18 +364,22 @@ def parse_run_config(path, seed_override: int | None = None) -> RunConfig:
     if threshold is not None and not check_p > threshold:
         raise ConfigError("check.p", f"p = {check_p:g} is at or below the "
                           f"admissible threshold {threshold:.6f}")
-    # Audited where they are read: the PDE grid and the paths from x and y.
+    # Audited where they are read: the PDE grid and the paths from x and y,
+    # 6 sigma_upper sqrt(T) e^(K T) either side of each. The sampling needs
+    # the hull's ends and width in the double range.
+    at = f"K = {K:g}, T = {T:g}: the audit domain's"
+    _in_range("grid.horizon", f"{at} half-width 6 sigma_upper sqrt(T) e^(K T)",
+              lambda: default_state_domain(0.0, band, coeffs, T)[1])
     (xl, xh), (yl, yh) = (default_state_domain(v, band, coeffs, T)
                           for v in (check_x, check_y))
-    report = validate_coefficients(
-        coeffs, (min(pde.x_min, xl, yl), max(pde.x_max, xh, yh)), grid)
+    domain = (min(pde.x_min, xl, yl), max(pde.x_max, xh, yh))
+    _in_range("grid.horizon", f"{at} width", lambda: domain[1] - domain[0])
+    report = validate_coefficients(coeffs, domain, grid)
     if not report.passed:
         raise ConfigError("model.sigma", "; ".join(report.violations))
     alpha_grid_size = _get(chk, "alpha_grid", int, default=33)
-    if alpha_grid_size < 1:
-        raise ConfigError("check.alpha_grid", "need at least one alpha")
-    _fits("check.alpha_grid", f"the gradient envelope of {alpha_grid_size} "
-          "alphas", envelope_nbytes(alpha_grid_size))
+    if not 1 <= alpha_grid_size <= 2 ** 53:
+        raise ConfigError("check.alpha_grid", "need 1 to 2^53 alphas")
     payoff = _catalog(chk, "payoff", PAYOFF_NAMES, lambda name, params:
                       make_payoff(name, params, domain=(pde.x_min, pde.x_max)),
                       default="shifted_bump")

@@ -36,7 +36,7 @@ import numpy as np
 from .model import (ModelCoefficients, TimeGrid, VolatilityBand, alpha_cap,
                     initial_weight, rate_constants, within_band)
 from .scenario import (_W_BLOCK_STEPS, Control, _level_rows, _path_block,
-                       _time_major, euler_step, sup_over_controls)
+                       _time_major, euler_step, mean_and_se, sup_over_controls)
 
 # Clip sweep of the coupling-success check, as fractions of the horizon.
 SWEEP_FRACTIONS = (0.2, 0.1, 0.05, 0.025)
@@ -522,17 +522,14 @@ class SlackReport:
     stiff_excluded: int
 
 
-def _sup_stat(samples: Sequence[ClipSample], stat) -> tuple[float, float, int]:
-    return sup_over_controls(
-        stat(sample.require_included(f"control {k}"))
+def _slack_report(kind: str, bound: float, samples: Sequence[ClipSample],
+                  stat) -> SlackReport:
+    """The report of the sup over controls of the mean of `stat` of each
+    control's sample against `bound`, passed by `within_band` with the
+    winner's standard error and no deterministic tolerance."""
+    est, se, best_id = sup_over_controls(
+        mean_and_se(stat(sample.require_included(f"control {k}")))
         for k, sample in enumerate(samples))
-
-
-def _slack_report(kind: str, bound: float, est: float, se: float,
-                  best_id: int, samples: Sequence[ClipSample]) -> SlackReport:
-    """The report of a sup-over-controls estimate `est` (winner's standard
-    error `se`) against `bound`, passed by `within_band` with no
-    deterministic tolerance."""
     return SlackReport(kind=kind, bound=bound, estimate=est, std_error=se,
                        slack=bound - est,
                        passed=within_band(est, bound, 0.0, se),
@@ -549,9 +546,9 @@ def entropy_bound_check(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     `samples` holds the at-clip sample of one bundle per control, all
     started at (x0, y0) on the same increments.
     """
-    est, se, best_id = _sup_stat(samples, lambda s: np.exp(s.log_m) * s.log_m)
     bound = entropy_bound_value(schedule, coeffs.kappa1, x0, y0)
-    return _slack_report("entropy", bound, est, se, best_id, samples)
+    return _slack_report("entropy", bound, samples,
+                         lambda s: np.exp(s.log_m) * s.log_m)
 
 
 def moment_bound_check(coeffs: ModelCoefficients, schedule: CouplingSchedule,
@@ -560,9 +557,9 @@ def moment_bound_check(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     """sup over controls of mean(M^(1+a)) at the clip vs the printed bound;
     `samples` as for `entropy_bound_check`."""
     a = moment_exponent_a(schedule.alpha, coeffs.kappa1, coeffs.kappa2)
-    est, se, best_id = _sup_stat(samples, lambda s: np.exp((1.0 + a) * s.log_m))
     bound = moment_bound_value(schedule, coeffs.kappa1, coeffs.kappa2, x0, y0)
-    return _slack_report("moment", bound, est, se, best_id, samples)
+    return _slack_report("moment", bound, samples,
+                         lambda s: np.exp((1.0 + a) * s.log_m))
 
 
 @dataclass(frozen=True)
@@ -596,6 +593,16 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[np.searchsorted(cum, 0.5 * cum[-1])])
 
 
+def _weighted_mean_and_se(sample: ClipSample) -> tuple[float, float]:
+    """The M-weighted mean gap of `sample` and its standard error."""
+    m = np.exp(sample.log_m)
+    mg = m * sample.gap
+    wsum = float(np.sum(m))
+    se = float(np.std(mg, ddof=1) / math.sqrt(m.size) / (wsum / m.size)) \
+        if m.size > 1 else 0.0
+    return float(np.sum(mg) / wsum), se
+
+
 def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
                            samples: Iterable[ClipSample]) -> CouplingTrendReport:
     """Check the coupling-success proxy over a clip sweep.
@@ -608,33 +615,25 @@ def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
     (epsilon, control), each control's bundles started at (x0, y0); within
     one epsilon they come in control order, and the first control wins a tie.
     """
-    per_clip: dict[float, dict] = {}
-    theory_C = abs(float(x0) - float(y0)) / math.sqrt(schedule.lambda0)
+    by_clip: dict[float, list] = {}
     for k, sample in enumerate(samples):
-        eps = sample.epsilon
-        sample.require_included(f"bundle {k} (clip_epsilon {eps:g})")
-        m, gap = np.exp(sample.log_m), sample.gap
-        wsum = float(np.sum(m))
-        wmean = float(np.sum(m * gap) / wsum)
-        se = float(np.std(m * gap, ddof=1) / math.sqrt(m.size) / (wsum / m.size)) \
-            if m.size > 1 else 0.0
-        med = _weighted_median(gap, m)
-        cur = per_clip.get(eps)
-        # sup over controls at each clip time
-        if cur is None or wmean > cur["wmean"]:
-            per_clip[eps] = {"wmean": wmean, "med": med, "se": se,
-                             "lam": sample.lambda_at_clip,
-                             "time": sample.clip_time}
-    if not per_clip:
+        by_clip.setdefault(sample.epsilon, []).append(sample.require_included(
+            f"bundle {k} (clip_epsilon {sample.epsilon:g})"))
+    if not by_clip:
         raise CouplingError("no samples supplied")
 
+    theory_C = abs(float(x0) - float(y0)) / math.sqrt(schedule.lambda0)
     rows = []
-    for eps in sorted(per_clip, reverse=True):
-        c = per_clip[eps]
-        rows.append(TrendRow(clip_epsilon=eps, clip_time=c["time"],
-                             lambda_at_clip=c["lam"], weighted_mean=c["wmean"],
-                             weighted_median=c["med"], std_error=c["se"],
-                             bound=theory_C * math.sqrt(c["lam"])))
+    # sup over controls at each clip time
+    for eps in sorted(by_clip, reverse=True):
+        wmean, se, best_id = sup_over_controls(
+            _weighted_mean_and_se(s) for s in by_clip[eps])
+        best = by_clip[eps][best_id]
+        rows.append(TrendRow(
+            clip_epsilon=eps, clip_time=best.clip_time,
+            lambda_at_clip=best.lambda_at_clip, weighted_mean=wmean,
+            weighted_median=_weighted_median(best.gap, np.exp(best.log_m)),
+            std_error=se, bound=theory_C * math.sqrt(best.lambda_at_clip)))
     means = [r.weighted_mean for r in rows]
     # Equal starts give gaps that are exactly 0 at every clip, which the
     # trend admits: no mean increases, and a positive mean must drop.

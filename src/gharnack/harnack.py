@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .gheat import Semigroups
 from .model import (ModelCoefficients, Payoff, VolatilityBand, alpha_cap,
                     initial_weight, rate_constants, within_band)
@@ -107,16 +105,10 @@ def power_harnack_exponent_moment_route(p: float, coeffs: ModelCoefficients,
         4.0 * dk ** 2 * lambda0 * (2.0 * alpha_p * k1 + 2.0 * dk))
 
 
-def gradient_bound(sup_norm: float, kappa1: float, alpha, lambda0):
-    """2 ||f|| / (kappa1 sqrt(alpha lambda0)), for floats or arrays."""
-    return sup_norm * 2.0 / (kappa1 * np.sqrt(alpha * lambda0))
-
-
-def envelope_nbytes(n_alpha: int) -> int:
-    """Bytes `check_gradient_estimate` holds at its peak for an envelope of
-    n_alpha points: four float64 arrays of n_alpha (alpha, lambda0 and two
-    temporaries of `gradient_bound`)."""
-    return 4 * 8 * n_alpha
+def gradient_bound(sup_norm: float, kappa1: float, alpha: float,
+                   lambda0: float) -> float:
+    """2 ||f|| / (kappa1 sqrt(alpha lambda0))."""
+    return sup_norm * 2.0 / (kappa1 * math.sqrt(alpha * lambda0))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +116,8 @@ def envelope_nbytes(n_alpha: int) -> int:
 #
 # Every certificate reads P_T from a Semigroups object the caller solved once
 # for every payoff it needs; rows are looked up by the Payoff objects the
-# caller solved (f, and log f or f^p as built by `log_payoff` and
-# `power_payoff`).
+# caller solved (f, and log f or f^p as built by `Payoff.log` and
+# `Payoff.power`).
 
 def _require_floor(payoff: Payoff) -> None:
     if not payoff.strictly_positive:
@@ -135,21 +127,10 @@ def _require_floor(payoff: Payoff) -> None:
         )
 
 
-def log_payoff(payoff: Payoff) -> Payoff:
-    """log f, for a payoff with a positive lower bound."""
-    _require_floor(payoff)
-    return payoff.log()
-
-
 def _check_power_admissible(coeffs: ModelCoefficients, payoff: Payoff,
                             p: float) -> float:
     """Threshold of the power-Harnack inequality, after checking that p and
-    the payoff are admissible."""
-    if coeffs.kappa2 <= coeffs.kappa1:
-        raise HarnackError(
-            "power-Harnack needs kappa2 > kappa1 strictly; the constant's "
-            "denominator carries kappa2 - kappa1"
-        )
+    the payoff are admissible; `power_threshold` refuses kappa2 <= kappa1."""
     threshold = power_threshold(coeffs.kappa1, coeffs.kappa2)
     if p <= threshold:
         raise HarnackError(
@@ -160,12 +141,6 @@ def _check_power_admissible(coeffs: ModelCoefficients, payoff: Payoff,
     if payoff.lower_bound < 0.0:
         raise HarnackError("power-Harnack needs a nonnegative payoff")
     return threshold
-
-
-def power_payoff(coeffs: ModelCoefficients, payoff: Payoff, p: float) -> Payoff:
-    """f^p, for a power p and a payoff the power-Harnack check admits."""
-    _check_power_admissible(coeffs, payoff, p)
-    return payoff.power(p)
 
 
 def check_log_harnack(P: Semigroups, payoff: Payoff, log_f: Payoff, x: float,
@@ -223,30 +198,44 @@ def check_power_harnack(P: Semigroups, payoff: Payoff, f_p: Payoff, x: float,
     )
 
 
+def _linspace_point(start: float, stop: float, n: int, k: int) -> float:
+    """Point k of numpy's linspace(start, stop, n), placed as it places it
+    (for a step that does not underflow to 0)."""
+    if n == 1:
+        return start
+    return stop if k == n - 1 else k * ((stop - start) / (n - 1)) + start
+
+
 def check_gradient_estimate(P: Semigroups, payoff: Payoff,
                             n_alpha: int) -> HarnackReport:
     """Finite-difference sup-gradient of P_T f against the envelope over
     alpha of 2 ||f|| / (kappa1 sqrt(alpha lambda0)): its least value on
     n_alpha points spanning the admissible interval (0, alpha_cap) to 1% of
-    either end, at the first alpha that attains it."""
+    either end, at the first alpha that attains it. alpha lambda0 is
+    proportional to alpha (alpha_cap - alpha), symmetric about alpha_cap / 2
+    as the points are, so that value sits at the middle point, or at one of
+    the two middle points of an even n_alpha: the envelope is read there
+    alone."""
     coeffs, band, T = P.coeffs, P.band, P.T
     cap = alpha_cap(coeffs.kappa1, coeffs.kappa2)
-    alphas = np.linspace(0.01 * cap, 0.99 * cap, n_alpha)
 
     lhs = P.fine[payoff].max_abs_gradient()
     tolerance = abs(lhs - P.coarse[payoff].max_abs_gradient()) + 1e-12
 
-    envelope = gradient_bound(payoff.sup_norm, coeffs.kappa1, alphas,
-                              initial_weight(alphas, coeffs, band, T))
-    best = int(np.argmin(envelope))
-    best_rhs, best_alpha = float(envelope[best]), float(alphas[best])
+    middle = (_linspace_point(0.01 * cap, 0.99 * cap, n_alpha, k)
+              for k in sorted({(n_alpha - 1) // 2, n_alpha // 2}))
+    # (rhs, alpha) pairs: on a tie of rhs the lower alpha, the first point
+    best_rhs, best_alpha = min(
+        (gradient_bound(payoff.sup_norm, coeffs.kappa1, alpha,
+                        initial_weight(alpha, coeffs, band, T)), alpha)
+        for alpha in middle)
     return HarnackReport(
         kind="gradient", x=None, y=None, T=float(T), p=None, a=None, q=None,
         C=None, lhs=lhs, rhs=best_rhs, slack=best_rhs - lhs, method="pde",
         tolerance=tolerance,
         passed=within_band(lhs, best_rhs, tolerance, 0.0),
         alpha=best_alpha,
-        extras={"sup_norm": payoff.sup_norm, "n_alpha": int(alphas.size)},
+        extras={"sup_norm": payoff.sup_norm, "n_alpha": n_alpha},
     )
 
 

@@ -253,32 +253,24 @@ class PathIncrements:
                                  first)
 
 
-def sup_over_controls(samples: Iterable) -> tuple[float, float, int]:
-    """Max over controls of the sample mean.
+def mean_and_se(values) -> tuple[float, float]:
+    """The mean of per-path `values` and its standard error (0 for one
+    value); a row of a C-contiguous array gives the bits of a 1-D copy."""
+    vals = np.asarray(values, dtype=float)
+    se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) \
+        if vals.size > 1 else 0.0
+    return float(np.mean(vals)), se
 
-    `samples` yields one array of per-path values per control, such as the
-    rows of a C-contiguous (k, n_paths) array: each row is contiguous, so
-    its mean and standard deviation are those of a 1-D copy, bit for bit.
-    Returns the largest mean, the winning control's standard error and its
-    index; the first control wins a tie.
-    """
-    best_mean = -math.inf
-    best_se = 0.0
-    best_id = 0
-    k = 0
-    for vals in samples:
-        vals = np.asarray(vals, dtype=float)
-        mean = float(np.mean(vals))
-        if mean > best_mean:
-            best_mean = mean
-            best_id = k
-            best_se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) \
-                if vals.size > 1 else 0.0
-        k += 1
-        # Drop these values before the next control's are made; enumerate's
-        # reused tuple would keep them.
-        del vals
-    return best_mean, best_se, best_id
+
+def sup_over_controls(estimates: Iterable) -> tuple[float, float, int]:
+    """The one max over controls: of per-control (value, standard error)
+    pairs, such as `mean_and_se` of per-path values, the largest value, its
+    standard error and its control's index; the first control wins a tie."""
+    best = (-math.inf, 0.0, 0)
+    for k, (value, se) in enumerate(estimates):
+        if value > best[0]:
+            best = (value, se, k)
+    return best
 
 
 def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
@@ -304,9 +296,9 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
     for first in range(0, n_paths, block):
         rows = slice(first, first + block)
         terminal[:, rows] = simulate_state_batch(coeffs, controls, x0, w[rows])
-    value, se, best_id = sup_over_controls(payoff.f(terminal))
+    value, se, best = sup_over_controls(map(mean_and_se, payoff.f(terminal)))
     return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
-                             n_controls=len(controls), best_control_id=best_id)
+                             n_controls=len(controls), best_control_id=best)
 
 
 # ---------------------------------------------------------------------------

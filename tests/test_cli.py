@@ -484,45 +484,84 @@ class TestCliExitCodes:
         assert peak < 16 * 2 ** 20
         assert not (tmp_path / "o").exists()
 
-    def test_oversized_alpha_grid_is_exit_2_before_any_work(self, tmp_path,
-                                                            capsys,
-                                                            monkeypatch):
-        # 10^12 float64 alphas are 7.3 TiB; refused at parse time, before
-        # the two PDE passes of the gradient run
-        from gharnack import cli
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("PDE solve before the alpha_grid refusal")
-
-        monkeypatch.setattr(cli, "solve_semigroups", no_solve)
-        big = tmp_path / "big.cfg"
-        big.write_text(CFG.read_text().replace(
-            "alpha_grid = 33", "alpha_grid = 1000000000000"))
-        code = run(["gradient", "--config", big, "--out", tmp_path / "o"])
-        assert code == 2
+    def test_config_not_utf8_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin.cfg"
+        bad.write_bytes(b"\xff" + CFG.read_bytes())
+        assert run(["gheat", "--config", bad, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: [check.alpha_grid]"), err
-        assert "physical memory" in err
+        assert err.startswith("config error: [syntax] "), err
+        assert err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
 
+    def test_alpha_grid_past_2_53_names_the_field(self, tmp_path, capsys):
+        # the envelope holds no array, so 2^53 alphas parse; past that an
+        # index no longer fits a double, and 10^400 overflowed a float
+        text = CFG.read_text()
+        path = tmp_path / "alphas.cfg"
+        path.write_text(text.replace("alpha_grid = 33",
+                                     f"alpha_grid = {2 ** 53}"))
+        assert parse_run_config(path).alpha_grid_size == 2 ** 53
+        for n in (2 ** 53 + 1, 10 ** 400):
+            path.write_text(text.replace("alpha_grid = 33",
+                                         f"alpha_grid = {n}"))
+            assert run(["gradient", "--config", path,
+                        "--out", tmp_path / "o"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: [check.alpha_grid]"), err
+            assert not (tmp_path / "o").exists()
 
-    def test_alpha_grid_refusal_counts_the_envelope_arrays(self, tmp_path,
-                                                           monkeypatch):
-        # the envelope holds four float64 arrays of alpha_grid at its peak;
-        # parsing alone allocates none of them
-        from gharnack import config
+    @pytest.mark.parametrize("changes", [
+        # clip nodes 0.75, 0.875, 0.9375 and 0.9375
+        {"n_steps = 256": "n_steps = 16", "alpha = 0.81": "alpha = 0.3",
+         "clip_epsilon = 0.01": "clip_epsilon = 0.025"},
+        # no step before any clip node: all four sit at t = 0
+        {"n_steps = 256": "n_steps = 1"},
+    ])
+    def test_sweep_epsilons_on_one_node_name_n_steps(self, tmp_path, capsys,
+                                                     changes):
+        # two sweep epsilons on one node give equal trend means, which no
+        # inequality forbids: bad input, not a violation
+        text = CFG.read_text()
+        for old, new in changes.items():
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        bad = tmp_path / "sweep.cfg"
+        bad.write_text(text)
+        assert run(["coupling", "--config", bad, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [grid.n_steps]"), err
+        assert "share a node" in err
+        assert not (tmp_path / "o").exists()
 
-        n = 10 ** 7
-        monkeypatch.setattr(config, "_physical_memory", lambda: 4 * 8 * n)
-        for size in (n, n + 1):
-            path = tmp_path / f"alphas{size}.cfg"
-            path.write_text(CFG.read_text().replace(
-                "alpha_grid = 33", f"alpha_grid = {size}"))
-            if size == n:
-                assert parse_run_config(path).alpha_grid_size == n
-            else:
-                with pytest.raises(ConfigError, match=r"\[check\.alpha_grid\]"):
-                    parse_run_config(path)
+    @pytest.mark.parametrize("field,changes", [
+        # the PDE domain's width overflows
+        ("grid.x_max", {"x_min = -8": "x_min = -1e308",
+                        "x_max = 8": "x_max = 1e308"}),
+        # e^(K T) = e^770 overflows the audit domain's half-width
+        ("grid.horizon", {"horizon = 1.0": "horizon = 700",
+                          "n_steps = 256": "n_steps = 8000",
+                          "alpha = 0.81": "alpha = 0.1"}),
+        # a finite half-width of 8.3e307, but twice it overflows the width
+        ("grid.horizon", {"horizon = 1.0": "horizon = 640",
+                          "n_steps = 256": "n_steps = 8000",
+                          "alpha = 0.81": "alpha = 0.1"}),
+    ])
+    def test_audit_domain_overflow_names_the_field(self, tmp_path, capsys,
+                                                   field, changes):
+        text = CFG.read_text()
+        for old, new in changes.items():
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        bad = tmp_path / "wide.cfg"
+        bad.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["gheat", "--config", bad, "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{field}]"), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
 
 
 def with_y(tmp_path, y):

@@ -28,7 +28,8 @@ GARBAGE = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
 
 
 def sized(hi):
-    """Counts capped at `hi`, so no case allocates much or runs long."""
+    """Counts capped at `hi`, so no case allocates much or runs long; the
+    gradient envelope evaluates one or two alphas at any alpha_grid."""
     return st.integers(-3, hi).map(str) | st.sampled_from(["nan", "1.5"])
 
 
@@ -42,7 +43,7 @@ def one_entry(key):
 
 COUNTS = {"grid.n_space": sized(400), "grid.n_steps": sized(256),
           "coupling.n_paths": sized(1024), "coupling.n_controls": sized(12),
-          "check.alpha_grid": sized(64)}
+          "check.alpha_grid": sized(10 ** 18)}
 LISTS = ("model.b_params", "model.h_params", "model.sigma_params",
          "check.payoff_params")
 

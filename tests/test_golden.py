@@ -1,4 +1,4 @@
-"""The golden-output manifest: six CLI runs whose output files, stdout and
+"""The golden-output manifest: eight CLI runs whose output files, stdout and
 exit code must stay byte-identical.
 
 `golden.json` records, per command, its argv, the config entries it changes
@@ -31,7 +31,9 @@ from gharnack.cli import bundled_config_path, main
 MANIFEST = Path(__file__).with_name("golden.json")
 
 # (argv, entries of the bundled config to change); seed 103 exits 1 at the
-# scenario oracle and is recorded so.
+# scenario oracle and is recorded so. The gradient envelope's least value
+# sits at the upper of its two middle alphas at 30 points and at the lower
+# at 34.
 COMMANDS = [
     (["suite", "--seed", "20240811"], {}),
     (["suite", "--seed", "7"], {}),
@@ -39,7 +41,16 @@ COMMANDS = [
     (["coupling"], {}),
     (["scenario"], {"n_paths": "16384", "n_space": "800"}),
     (["harnack"], {"n_space": "800"}),
+    (["gradient"], {"alpha_grid": "30"}),
+    (["gradient"], {"alpha_grid": "34"}),
 ]
+
+
+def command_id(argv, config) -> str:
+    """The argv, and the changed entries of a command whose argv repeats."""
+    if [a for a, _ in COMMANDS].count(argv) == 1:
+        return " ".join(argv)
+    return " ".join([*argv, *(f"{k}={v}" for k, v in config.items())])
 
 
 def sha256(data: bytes) -> str:
@@ -74,7 +85,7 @@ GOLDEN = json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("index", range(len(COMMANDS)),
-                         ids=[" ".join(argv) for argv, _ in COMMANDS])
+                         ids=[command_id(*command) for command in COMMANDS])
 def test_outputs_match_the_golden_manifest(tmp_path, index):
     here, there = environment(), {k: GOLDEN[k] for k in ("numpy", "machine")}
     if here != there:
