@@ -117,9 +117,8 @@ def run_coupling(cfg: RunConfig):
         moment = cpl.moment_bound_check(cfg.coeffs, schedule, x0, y0, at_clip)
         entries.append(dataclasses.asdict(moment))
 
-    by_clip = [run.at_clip(eps) for eps in sweep]
     trend = cpl.coupling_success_check(
-        schedule, x0, y0, [s for samples in zip(*by_clip) for s in samples])
+        schedule, x0, y0, {eps: run.at_clip(eps) for eps in sweep})
     entries.append(dataclasses.asdict(trend))
 
     # The Euler cross term scales with dt times the larger of T and the
@@ -178,15 +177,22 @@ _RUNNERS = {
 # Subcommands that build the coupling schedule or a Harnack constant, both
 # 0/0 at K = 0.
 _NEED_POSITIVE_K = ("coupling", "harnack", "gradient", "suite")
-# Subcommands that compute the moment bound, and those that compute the
-# power-Harnack factor: both exp(c |x - y|^2), computed when kappa2 > kappa1.
+# Subcommands that compute the moment bound, exp(c |x - y|^2) when
+# kappa2 > kappa1, and those that solve log f, and f^p when kappa2 > kappa1
+# with its power-Harnack factor exp(c_p |x - y|^2).
 _NEED_MOMENT_BOUND = ("coupling", "suite")
-_NEED_POWER_FACTOR = ("harnack", "suite")
+_SOLVE_LOG_AND_POWER = ("harnack", "suite")
 
 
-def _check_exp_bounds(cfg: RunConfig, command: str) -> None:
-    """Refuse, naming check.y, a separation whose moment bound or
-    power-Harnack factor the run would compute beyond the double range."""
+def _check_log_and_exp_bounds(cfg: RunConfig, command: str) -> None:
+    """Refuse, naming check.payoff, a payoff without a positive floor where
+    the run solves log f, and, naming check.y, a separation whose moment
+    bound or power-Harnack factor the run would compute beyond the double
+    range."""
+    if command in _SOLVE_LOG_AND_POWER and not cfg.payoff.strictly_positive:
+        raise ConfigError("check.payoff", f"{command} solves log f, but "
+                          f"payoff {cfg.payoff.name!r} has no positive lower "
+                          "bound")
     k1, k2 = cfg.coeffs.kappa1, cfg.coeffs.kappa2
     if k2 <= k1:
         return
@@ -195,7 +201,7 @@ def _check_exp_bounds(cfg: RunConfig, command: str) -> None:
     if command in _NEED_MOMENT_BOUND:
         _in_range("check.y", f"{at}: the moment bound exp(c |x - y|^2)",
                   lambda: cpl.moment_bound_value(cfg.schedule, k1, k2, x, y))
-    if command in _NEED_POWER_FACTOR:
+    if command in _SOLVE_LOG_AND_POWER:
         _in_range("check.y", f"{at}: the power-Harnack factor "
                   "exp(c_p |x - y|^2)",
                   lambda: hk.power_harnack_factor(cfg.check_p, cfg.coeffs,
@@ -306,7 +312,7 @@ def _run(args) -> int:
             raise ConfigError("model.K", f"{args.command} needs K > 0: the "
                               "coupling schedule and the Harnack constants "
                               "are 0/0 at K = 0")
-        _check_exp_bounds(cfg, args.command)
+        _check_log_and_exp_bounds(cfg, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -316,8 +322,8 @@ def _run(args) -> int:
 
     try:
         entries, artifacts, estimates = _RUNNERS[args.command](cfg)
-    except (ModelError, PdeError, ScenarioError, CouplingError, HarnackError,
-            ConfigError) as exc:
+    except (ModelError, PdeError, ScenarioError, CouplingError,
+            HarnackError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

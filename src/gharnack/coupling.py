@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -90,22 +90,10 @@ def make_schedule(alpha: float, coeffs: ModelCoefficients, band: VolatilityBand,
         raise CouplingError(
             f"alpha must lie in the open interval (0, {cap:g}), got {alpha}"
         )
-    if coeffs.K == 0.0:
-        raise CouplingError(
-            "K = 0 collapses the schedule to a 0/0 form; the coupling needs a "
-            "positive Lipschitz constant K"
-        )
+    lambda0 = initial_weight(alpha, coeffs, band, T)
     c_K, _ = rate_constants(coeffs.K, band.sigma_lower, T)
-    schedule = CouplingSchedule(alpha=alpha, c_K=c_K,
-                                lambda0=initial_weight(alpha, coeffs, band, T),
-                                T=T, alpha_cap=cap,
-                                sigma_lower=band.sigma_lower)
-
-    ts = np.linspace(0.0, T, 1001)
-    worst = float(np.max(np.abs(schedule.identity_residual(ts))))
-    if worst > 1e-8:
-        raise CouplingError(f"schedule identity residual {worst:.3g} exceeds 1e-8")
-    return schedule
+    return CouplingSchedule(alpha=alpha, c_K=c_K, lambda0=lambda0, T=T,
+                            alpha_cap=cap, sigma_lower=band.sigma_lower)
 
 
 def moment_exponent_a(alpha: float, kappa1: float, kappa2: float) -> float:
@@ -236,10 +224,6 @@ class PathBundle:
     # Step during which the finiteness guard excluded each path, n_steps if
     # never: a path excluded during step j is still included at node j.
     stiff_step: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.x_path.shape[0]
 
     def node(self, epsilon: float | None = None) -> int:
         """Grid index of the clip node of `epsilon` (default: the bundle's
@@ -604,21 +588,17 @@ def _weighted_mean_and_se(sample: ClipSample) -> tuple[float, float]:
 
 
 def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
-                           samples: Iterable[ClipSample]) -> CouplingTrendReport:
+                           by_clip: Mapping) -> CouplingTrendReport:
     """Check the coupling-success proxy over a clip sweep.
 
     The entropy argument forces the M-weighted second moment of the gap at
     time s below |x-y|^2 lambda(s)/lambda(0), so the M-weighted mean gap must
     decrease strictly with the clip while it is positive (a gap that is
     exactly 0, as for x = y, stays 0) and stay under C sqrt(lambda) for
-    C = |x-y|/sqrt(lambda(0)). `samples` holds one clip sample per
-    (epsilon, control), each control's bundles started at (x0, y0); within
-    one epsilon they come in control order, and the first control wins a tie.
+    C = |x-y|/sqrt(lambda(0)). `by_clip` maps each clip epsilon to its
+    `CoupledRun.at_clip` samples, one per control in control order, each
+    started at (x0, y0); the first control wins a tie.
     """
-    by_clip: dict[float, list] = {}
-    for k, sample in enumerate(samples):
-        by_clip.setdefault(sample.epsilon, []).append(sample.require_included(
-            f"bundle {k} (clip_epsilon {sample.epsilon:g})"))
     if not by_clip:
         raise CouplingError("no samples supplied")
 
@@ -626,9 +606,11 @@ def coupling_success_check(schedule: CouplingSchedule, x0: float, y0: float,
     rows = []
     # sup over controls at each clip time
     for eps in sorted(by_clip, reverse=True):
+        group = [s.require_included(f"control {k} (clip_epsilon {eps:g})")
+                 for k, s in enumerate(by_clip[eps])]
         wmean, se, best_id = sup_over_controls(
-            _weighted_mean_and_se(s) for s in by_clip[eps])
-        best = by_clip[eps][best_id]
+            map(_weighted_mean_and_se, group))
+        best = group[best_id]
         rows.append(TrendRow(
             clip_epsilon=eps, clip_time=best.clip_time,
             lambda_at_clip=best.lambda_at_clip, weighted_mean=wmean,

@@ -172,8 +172,8 @@ def test_criterion_06_coupling_success_trend():
         sweep = [frac * T for frac in (0.2, 0.1, 0.05, 0.025)]
         run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls, sweep,
                                  w)
-        samples = [s for eps in sweep for s in run.at_clip(eps)]
-        trend = g.coupling_success_check(schedule, 0.0, 0.5, samples)
+        trend = g.coupling_success_check(
+            schedule, 0.0, 0.5, {eps: run.at_clip(eps) for eps in sweep})
         means = [r.weighted_mean for r in trend.rows]
         assert all(a > b for a, b in zip(means, means[1:]))
         assert trend.bounded

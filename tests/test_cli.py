@@ -411,6 +411,27 @@ class TestCliExitCodes:
             assert "limit_schedule" not in err
             assert not out.exists()
 
+    def test_payoff_without_floor_names_the_field(self, tmp_path, capsys):
+        # harnack and suite solve log f, undefined for a payoff without a
+        # positive lower bound: refused at parse time, before any work;
+        # gradient solves f alone and runs
+        text = CFG.read_text()
+        for old, new in (("payoff = shifted_bump", "payoff = gauss_bump"),
+                         ("payoff_params = 0.1", "payoff_params =")):
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        bump = tmp_path / "bump.cfg"
+        bump.write_text(text)
+        for command in ("harnack", "suite"):
+            out = tmp_path / command
+            assert run([command, "--config", bump, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: [check.payoff]"), err
+            assert err.count("\n") == 1, err
+            assert not out.exists()
+        assert run(["gradient", "--config", bump,
+                    "--out", tmp_path / "gradient"]) == 0
+
     def test_oversized_paths_are_exit_2_before_any_work(self, tmp_path,
                                                         capsys):
         big = tmp_path / "big.cfg"

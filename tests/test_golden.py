@@ -1,5 +1,5 @@
-"""The golden-output manifest: eight CLI runs whose output files, stdout and
-exit code must stay byte-identical.
+"""The golden-output manifest: thirteen CLI runs whose output files, stdout
+and exit code must stay byte-identical.
 
 `golden.json` records, per command, its argv, the config entries it changes
 in the bundled config, its exit code and the sha256 of its stdout and of each
@@ -33,7 +33,8 @@ MANIFEST = Path(__file__).with_name("golden.json")
 # (argv, entries of the bundled config to change); seed 103 exits 1 at the
 # scenario oracle and is recorded so. The gradient envelope's least value
 # sits at the upper of its two middle alphas at 30 points and at the lower
-# at 34.
+# at 34. The random strategy draws its levels from `streams.uniform_levels`;
+# the suite at kappa1 = kappa2 has no moment and no power-Harnack row.
 COMMANDS = [
     (["suite", "--seed", "20240811"], {}),
     (["suite", "--seed", "7"], {}),
@@ -43,6 +44,11 @@ COMMANDS = [
     (["harnack"], {"n_space": "800"}),
     (["gradient"], {"alpha_grid": "30"}),
     (["gradient"], {"alpha_grid": "34"}),
+    (["gheat"], {}),
+    (["semigroup"], {}),
+    (["coupling"], {"strategy": "random"}),
+    (["coupling"], {"strategy": "bang_bang"}),
+    (["suite"], {"kappa2": "0.9", "sigma": "constant", "sigma_params": "0.9"}),
 ]
 
 

@@ -43,6 +43,9 @@ ALLOWED = {
     "solve_g_heat",
     # the every-node oracle of one control, for the coupled-pass tests
     "simulate_bundle",
+    # the residual of the schedule's defining identity, read by acceptance
+    # criterion 03 and the schedule tests only
+    "identity_residual",
 }
 
 
