@@ -20,15 +20,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import coupling as cpl
-from . import harnack as hk
-from . import scenario as sc
 from .config import ConfigError, RunConfig, _in_range, parse_run_config
-from .gheat import _UNIT_COEFFS, PdeError, Semigroups, solve_semigroups
-from .model import ModelError, within_band
-from .scenario import ScenarioError
-from .coupling import CouplingError
-from .harnack import HarnackError
+# Every subcommand solves a PDE or reads its policy type, so gheat loads
+# with the command line; each runner loads the other layers it uses.
+from .gheat import Semigroups, solve_semigroups
+from .model import (CouplingError, HarnackError, ModelError, PdeError,
+                    ScenarioError, within_band)
+from .plan import _UNIT_COEFFS, SWEEP_FRACTIONS
 
 
 def run_gheat(cfg: RunConfig):
@@ -72,6 +70,8 @@ def run_semigroup(cfg: RunConfig, semigroups: Semigroups):
 
 def run_scenario(cfg: RunConfig):
     """Sup-over-controls MC against the PDE oracle, plus Young trials."""
+    from . import scenario as sc
+
     # The fine G-heat pass records the feedback policy the controls follow.
     heat = solve_semigroups(_UNIT_COEFFS, cfg.band, cfg.grid.horizon, cfg.pde,
                             [cfg.payoff], policy_grid=cfg.grid)
@@ -98,12 +98,14 @@ def run_scenario(cfg: RunConfig):
 
 
 def run_coupling(cfg: RunConfig):
+    from . import coupling as cpl, scenario as sc
+
     T = cfg.grid.horizon
     schedule = cfg.schedule
     controls = sc.sample_controls(cfg.strategy, cfg.band, cfg.grid,
                                   cfg.n_controls, cfg.seed)
     x0, y0 = cfg.check_x, cfg.check_y
-    sweep = [frac * T for frac in cpl.SWEEP_FRACTIONS]
+    sweep = [frac * T for frac in SWEEP_FRACTIONS]
     # One pass at the smallest clip serves every control and clip node; it
     # draws w one block of paths at a time, and the export paths (its first
     # rows) keep their own.
@@ -135,6 +137,8 @@ def run_coupling(cfg: RunConfig):
 def run_harnack(cfg: RunConfig, semigroups: Semigroups, log_f, f_p):
     """Log-Harnack, power-Harnack (when f_p is solved) and Lipschitz
     certificates, read from the rows of f, log f and f^p in `semigroups`."""
+    from . import harnack as hk
+
     x, y = cfg.check_x, cfg.check_y
     reports = [hk.check_log_harnack(semigroups, cfg.payoff, log_f, x, y)]
     if f_p is not None:
@@ -145,6 +149,8 @@ def run_harnack(cfg: RunConfig, semigroups: Semigroups, log_f, f_p):
 
 
 def run_gradient(cfg: RunConfig, semigroups: Semigroups):
+    from . import harnack as hk
+
     report = hk.check_gradient_estimate(semigroups, cfg.payoff,
                                         cfg.alpha_grid_size)
     return [dataclasses.asdict(report)], {}, []
@@ -199,14 +205,18 @@ def _check_log_and_exp_bounds(cfg: RunConfig, command: str) -> None:
     x, y = cfg.check_x, cfg.check_y
     at = f"|x - y| = {abs(x - y):g}"
     if command in _NEED_MOMENT_BOUND:
+        from .coupling import moment_bound_value
+
         _in_range("check.y", f"{at}: the moment bound exp(c |x - y|^2)",
-                  lambda: cpl.moment_bound_value(cfg.schedule, k1, k2, x, y))
+                  lambda: moment_bound_value(cfg.schedule, k1, k2, x, y))
     if command in _SOLVE_LOG_AND_POWER:
+        from .harnack import power_harnack_factor
+
         _in_range("check.y", f"{at}: the power-Harnack factor "
                   "exp(c_p |x - y|^2)",
-                  lambda: hk.power_harnack_factor(cfg.check_p, cfg.coeffs,
-                                                  cfg.band, cfg.grid.horizon,
-                                                  x, y))
+                  lambda: power_harnack_factor(cfg.check_p, cfg.coeffs,
+                                               cfg.band, cfg.grid.horizon,
+                                               x, y))
 
 
 _JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)

@@ -21,6 +21,7 @@ from .model import (
     ModelCoefficients,
     ModelError,
     Payoff,
+    PdeError,
     TimeGrid,
     VolatilityBand,
     alpha_cap,
@@ -31,10 +32,10 @@ from .model import (
     rate_constants,
     validate_coefficients,
 )
-from .gheat import _UNIT_COEFFS, PdeConfig, PdeError, _cfl_time_step, solve_nbytes
-from .coupling import (SWEEP_FRACTIONS, CouplingSchedule, _clip_index,
-                       make_schedule, run_nbytes, stability_ratio)
-from .harnack import power_threshold
+from .plan import (_UNIT_COEFFS, SWEEP_FRACTIONS, CouplingSchedule, PdeConfig,
+                   _cfl_time_step, _clip_index, make_schedule,
+                   power_threshold, run_nbytes, solve_nbytes,
+                   stability_ratio)
 
 
 class ConfigError(ValueError):

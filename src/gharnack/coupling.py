@@ -33,67 +33,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import (ModelCoefficients, TimeGrid, VolatilityBand, alpha_cap,
-                    initial_weight, rate_constants, within_band)
-from .scenario import (_W_BLOCK_STEPS, Control, _level_rows, _path_block,
-                       _time_major, euler_step, mean_and_se, sup_over_controls)
-
-# Clip sweep of the coupling-success check, as fractions of the horizon.
-SWEEP_FRACTIONS = (0.2, 0.1, 0.05, 0.025)
-# Paths of each control whose g and levels at every step a coupled run
-# keeps: the rows of paths.csv and of the shifted-QV check.
-EXPORT_PATHS = 128
-
-
-class CouplingError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class CouplingSchedule:
-    """Closed-form weight lambda(t) = (alpha_cap - alpha)/c_K (1 -
-    exp(sigma_lower^2 c_K (t - T))): positive on [0, T), vanishing at T, and
-    satisfying alpha_cap - c_K*lambda + lambda'/sigma_lower^2 = alpha."""
-
-    alpha: float
-    c_K: float
-    lambda0: float
-    T: float
-    alpha_cap: float          # 2*kappa1^2/kappa2^2
-    sigma_lower: float
-
-    def _terms(self, t):
-        return ((self.alpha_cap - self.alpha) / self.c_K,
-                np.exp(self.sigma_lower ** 2 * self.c_K
-                       * (np.asarray(t, dtype=float) - self.T)))
-
-    def value(self, t):
-        amp, decay = self._terms(t)
-        return amp * (1.0 - decay)
-
-    def lam_prime(self, t):
-        amp, decay = self._terms(t)
-        return -amp * self.sigma_lower ** 2 * self.c_K * decay
-
-    def identity_residual(self, ts) -> np.ndarray:
-        return (self.alpha_cap - self.c_K * self.value(ts)
-                + self.lam_prime(ts) / self.sigma_lower ** 2 - self.alpha)
-
-
-def make_schedule(alpha: float, coeffs: ModelCoefficients, band: VolatilityBand,
-                  T: float) -> CouplingSchedule:
-    """Build the coupling weight schedule for an admissible alpha and K > 0."""
-    if T <= 0.0:
-        raise CouplingError(f"horizon must be positive, got {T}")
-    cap = alpha_cap(coeffs.kappa1, coeffs.kappa2)
-    if not 0.0 < alpha < cap:
-        raise CouplingError(
-            f"alpha must lie in the open interval (0, {cap:g}), got {alpha}"
-        )
-    lambda0 = initial_weight(alpha, coeffs, band, T)
-    c_K, _ = rate_constants(coeffs.K, band.sigma_lower, T)
-    return CouplingSchedule(alpha=alpha, c_K=c_K, lambda0=lambda0, T=T,
-                            alpha_cap=cap, sigma_lower=band.sigma_lower)
+from .model import CouplingError, ModelCoefficients, TimeGrid, within_band
+from .plan import (EXPORT_PATHS, CouplingSchedule, _clip_index, _path_block,
+                   stability_ratio)
+from .scenario import (Control, _level_rows, _time_major, euler_step,
+                       mean_and_se, sup_over_controls)
 
 
 def moment_exponent_a(alpha: float, kappa1: float, kappa2: float) -> float:
@@ -125,57 +69,6 @@ def moment_bound_value(schedule: CouplingSchedule, kappa1: float, kappa2: float,
     return math.exp(exponent)
 
 
-def _clip_index(grid: TimeGrid, clip_epsilon: float) -> int:
-    """The last grid node at or before T - clip_epsilon."""
-    T = grid.horizon
-    if not 0.0 < clip_epsilon <= T / 4.0:
-        raise CouplingError(
-            f"clip_epsilon must lie in (0, T/4], got {clip_epsilon} (T={T:g})"
-        )
-    return int(np.searchsorted(grid.nodes, T - clip_epsilon, side="right")) - 1
-
-
-def stability_ratio(schedule: CouplingSchedule, sigma_upper: float,
-                    grid: TimeGrid, clip_epsilon: float) -> float:
-    """Largest r_j = (kappa2/kappa1) sigma_upper^2 dt / lambda(t_j) over the
-    steps j before the clip node of `clip_epsilon`, where g is active (0 if
-    none). Step j multiplies the gap by 1 - rho with rho <= r_j, so while
-    r <= 1 it contracts without a change of sign. r scales as
-    1/(alpha_cap - alpha), as lambda scales with alpha_cap - alpha."""
-    j = _clip_index(grid, clip_epsilon)
-    kappa_ratio = math.sqrt(2.0 / schedule.alpha_cap)  # alpha_cap = 2 k1^2/k2^2
-    lam = schedule.value(grid.nodes[:j])
-    return float(np.max(kappa_ratio * sigma_upper ** 2 * grid.dt / lam,
-                        initial=0.0))
-
-
-# (k, block) arrays alive at once in a step of the coupled pass: the two
-# (x, y, log M) state buffers, dB, g and their temporaries (at most 24).
-_STATE_ROWS = 24
-# Clip nodes of a coupled run of the CLI: `clip_epsilon` and each
-# SWEEP_FRACTIONS epsilon.
-_CLIP_NODES = 1 + len(SWEEP_FRACTIONS)
-# (k, n_paths) rows of a coupled run of the CLI: (|x - y|, log M) at each
-# clip node in the record and in the ClipSamples, and the stiff steps.
-_RECORD_ROWS = (2 + 2) * _CLIP_NODES + 1
-
-
-def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
-    """Bytes of the arrays of one coupled run of the CLI: one block of the
-    increments w, its time-major block and its state rows, the clip-node
-    record, and the export block: its w, time-major block and state rows,
-    g at every node, (x, y, log M) at the clip nodes, lambda at the nodes
-    and three tables of open-loop levels."""
-    n_head = min(n_paths, EXPORT_PATHS)
-    block = min(n_paths - n_head, _path_block(n_steps))
-    return 8 * ((block + n_head)
-                * (n_steps + _W_BLOCK_STEPS + _STATE_ROWS * n_controls)
-                + _RECORD_ROWS * n_controls * n_paths
-                + 3 * n_controls * n_steps
-                + (n_controls * n_head + 1) * (n_steps + 1)
-                + 3 * _CLIP_NODES * n_controls * n_head)
-
-
 @dataclass(frozen=True)
 class ClipSample:
     """One bundle at the clip node of `epsilon`: (|x - y|, log m) of the
@@ -194,10 +87,19 @@ class ClipSample:
         return self.log_m.size + self.n_excluded
 
     def require_included(self, label: str) -> "ClipSample":
+        """The sample, refused when no path is included or when every
+        included weight M = exp(log M) underflows to 0, where each
+        M-weighted statistic is 0/0."""
         if self.log_m.size == 0:
             raise CouplingError(
                 f"{label}: all {self.n_excluded} paths were excluded by the "
                 "finiteness guard")
+        if not np.exp(self.log_m).any():
+            raise CouplingError(
+                f"{label}: all {self.log_m.size} weights M = exp(log M) "
+                "underflow to 0 at the clip node, so the sample cannot see "
+                "the coupled measure; raise coupling.n_paths or move check.y "
+                "toward check.x")
         return self
 
 

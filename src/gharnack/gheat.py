@@ -10,43 +10,13 @@ solve; violations raise rather than return garbage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelCoefficients, Payoff, TimeGrid, VolatilityBand,
-                    g_function, make_coefficient)
-
-
-class PdeError(ValueError):
-    """Invalid solver configuration or a failed stability post-check."""
-
-
-@dataclass(frozen=True)
-class PdeConfig:
-    """Spatial grid of the explicit scheme."""
-
-    x_min: float
-    x_max: float
-    n_space: int  # number of intervals; nodes = n_space + 1
-
-    def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise PdeError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.n_space < 16:
-            raise PdeError(f"n_space must be >= 16, got {self.n_space}")
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.n_space
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_space + 1)
-
-    def coarsened(self) -> "PdeConfig":
-        """Half the spatial resolution, for two-grid Richardson tolerances."""
-        return PdeConfig(self.x_min, self.x_max, self.n_space // 2)
+from .model import (ModelCoefficients, Payoff, PdeError, TimeGrid,
+                    VolatilityBand, g_function)
+from .plan import _UNIT_COEFFS, PdeConfig, _cfl_time_step
 
 
 @dataclass(frozen=True)
@@ -102,56 +72,6 @@ def _upper_wins(a: np.ndarray, u: np.ndarray, dx: float, h_vec: np.ndarray,
         + 8.0 * float(np.max(np.abs(h_vec))) / dx
     )
     return a >= -64.0 * noise
-
-
-_UNIT_COEFFS = ModelCoefficients(
-    b=make_coefficient("constant", (0.0,)),
-    h=make_coefficient("constant", (0.0,)),
-    sigma=make_coefficient("constant", (1.0,)),
-    K=0.0, kappa1=1.0, kappa2=1.0,
-)
-
-# Arrays alive at once in a step of `solve_stack`, each of about n_space
-# doubles. Per stacked row, at most 11 1/8 while G is evaluated: the padded
-# row, the three step buffers, the stacked sigma^2, 2h and b and the upwind
-# mask, the previous step's rate and the two products and result of G (at a
-# record level, |u| and the mask of `_upper_wins` take G's place). Per node,
-# the grid and the coefficient vectors (6).
-_ROW_ARRAYS = 12
-_NODE_ARRAYS = 6
-
-
-def solve_nbytes(n_rows: int, n_space: int, n_policy_steps: int) -> int:
-    """Bytes of the working set of one stacked solve of `n_rows` payoffs: the
-    rows, the step's temporaries and the coefficient vectors, plus a policy
-    record of n_policy_steps x (n_space + 1) booleans per row."""
-    return ((n_rows * _ROW_ARRAYS + _NODE_ARRAYS) * (n_space + 3) * 8
-            + n_rows * n_policy_steps * (n_space + 1))
-
-
-# The time step's fraction of the CFL bound; past the bound itself the
-# explicit scheme is not monotone.
-_CFL_SAFETY = 0.8
-
-
-def _cfl_time_step(coeffs: ModelCoefficients, band: VolatilityBand, T: float,
-                   cfg: PdeConfig) -> tuple[float, int]:
-    xs = cfg.nodes()
-    dx = cfg.dx
-    bmax = float(np.max(np.abs(coeffs.b(xs))))
-    hmax = float(np.max(np.abs(coeffs.h(xs))))
-    sigmax = float(np.max(np.abs(coeffs.sigma(xs))))
-    if hmax > 0.0 and dx > coeffs.kappa1 ** 2 / hmax:
-        raise PdeError(
-            f"dx={dx:g} too coarse for the quadratic-variation drift: "
-            f"monotonicity needs dx <= kappa1^2/|h|max = "
-            f"{coeffs.kappa1 ** 2 / hmax:g}"
-        )
-    up2 = band.sigma_upper ** 2
-    rate = up2 * sigmax ** 2 / (dx * dx) + bmax / dx + up2 * hmax / dx
-    dt = _CFL_SAFETY / rate
-    n_t = max(1, int(math.ceil(T / dt)))
-    return T / n_t, n_t
 
 
 def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,

@@ -14,12 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 from .gheat import Semigroups
-from .model import (ModelCoefficients, Payoff, VolatilityBand, alpha_cap,
-                    initial_weight, rate_constants, within_band)
-
-
-class HarnackError(ValueError):
-    pass
+from .model import (HarnackError, ModelCoefficients, Payoff, VolatilityBand,
+                    alpha_cap, initial_weight, rate_constants, within_band)
+from .plan import power_threshold
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,6 @@ def log_harnack_constant_generic(coeffs: ModelCoefficients, band: VolatilityBand
     """Same coefficient for a free admissible alpha: 1/(2 alpha kappa1^2 lam0)."""
     lambda0 = initial_weight(alpha, coeffs, band, T)
     return 1.0 / (2.0 * alpha * coeffs.kappa1 ** 2 * lambda0)
-
-
-def power_threshold(kappa1: float, kappa2: float) -> float:
-    """Smallest admissible power (exclusive)."""
-    if kappa2 <= kappa1:
-        raise HarnackError("power-Harnack threshold needs kappa2 > kappa1")
-    return (1.0 + (kappa2 ** 3 - kappa1 * kappa2 ** 2) / kappa1 ** 3) ** 2
 
 
 def power_harnack_exponent(p: float, K: float, sigma_lower: float,

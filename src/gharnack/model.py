@@ -5,7 +5,8 @@ standing assumptions (bounded diffusion, joint Lipschitz coefficients) by
 sampling, so downstream solvers can trust the declared constants. The
 pass rule that decides every `passed` flag and the closed forms of the
 coupling weight that the schedule and the Harnack constants share live here
-too, below every module that uses them.
+too, below every module that uses them, and so do the error classes of
+every layer. This module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -21,6 +22,24 @@ Coefficient = Callable[[np.ndarray], np.ndarray]
 
 class ModelError(ValueError):
     """Invalid model data (bad band, grid, coefficient declaration...)."""
+
+
+# The refusals of the solver and checker layers live here, so that the
+# command line tells each from an internal error without loading its layer.
+class PdeError(ValueError):
+    """Invalid solver configuration or a failed stability post-check."""
+
+
+class ScenarioError(ValueError):
+    pass
+
+
+class CouplingError(ValueError):
+    pass
+
+
+class HarnackError(ValueError):
+    pass
 
 
 # Standard errors a Monte Carlo estimate may lie above its bound and pass.

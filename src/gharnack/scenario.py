@@ -25,13 +25,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import streams
-from .gheat import _UNIT_COEFFS, PolicyTable
-from .model import (ModelCoefficients, Payoff, TimeGrid, VolatilityBand,
-                    within_band)
-
-
-class ScenarioError(ValueError):
-    pass
+from .gheat import PolicyTable
+from .model import (ModelCoefficients, Payoff, ScenarioError, TimeGrid,
+                    VolatilityBand, within_band)
+from .plan import _UNIT_COEFFS, _W_BLOCK_STEPS, _path_block
 
 
 @dataclass(frozen=True)
@@ -135,11 +132,6 @@ def euler_step(coeffs: ModelCoefficients, x: np.ndarray,
     return out
 
 
-# Steps of `w` transposed into the scratch block at a time: 256 KiB for a
-# 1024-path block at 256 steps, small enough to stay in cache.
-_W_BLOCK_STEPS = 32
-
-
 def _time_major(w: np.ndarray):
     """The columns w[:, j] of the path-major increments in step order, each
     as a contiguous row of a time-major scratch block that is refilled every
@@ -210,19 +202,6 @@ def simulate_state_batch(coeffs: ModelCoefficients,
         else:
             x = euler_step(coeffs, x, coeffs.sigma(x), dt, lv * lv * dt, dB)
     return x
-
-
-# Bytes of the increments drawn at a time, 1024 paths at 256 steps: half
-# the memory of 4 MiB for a few percent of time. The scenario pass at 16384
-# x 256 took 0.26-0.29 s in-process at 2 MiB, 0.24-0.28 s at 4 MiB and
-# 0.34-0.36 s at 1 MiB (medians, 2-core Xeon, numpy 2.4.6).
-_PATH_BLOCK_BYTES = 2 * 2 ** 20
-
-
-def _path_block(n_steps: int) -> int:
-    """Paths per block of a pass over `n_steps` steps: _PATH_BLOCK_BYTES of
-    increments, at least one path."""
-    return max(1, _PATH_BLOCK_BYTES // (8 * n_steps))
 
 
 def scaled_increments(seed: int, n_paths: int, grid: TimeGrid,

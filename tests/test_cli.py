@@ -357,6 +357,29 @@ class TestCliExitCodes:
         assert trend["passed"] and trend["strictly_decreasing"]
         assert all(row["weighted_mean"] == 0.0 for row in trend["rows"])
 
+    @pytest.mark.parametrize("command", ["coupling", "suite"])
+    def test_underflowing_weights_are_exit_2(self, tmp_path, capsys,
+                                             command):
+        # |x - y| = 6 over T = 0.02 drives every log M of every control
+        # below -745 at the clip node, where each exp(log M) is 0 and the
+        # M-weighted trend statistics were 0/0 (exit 3 on a -inf in JSON)
+        text = CFG.read_text()
+        for old, new in (("horizon = 1.0", "horizon = 0.02"),
+                         ("y = 0.5", "y = 6"),
+                         ("sigma = tanh", "sigma = constant"),
+                         ("sigma_params = 0.95, 0.05, 1", "sigma_params = 0.9"),
+                         ("kappa2 = 1.0", "kappa2 = 0.9"),
+                         ("clip_epsilon = 0.01", "clip_epsilon = 0.001")):
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        far = tmp_path / "far.cfg"
+        far.write_text(text)
+        assert run([command, "--config", far, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: control 0: all 2048 weights")
+        assert "coupling.n_paths" in err and "check.y" in err
+        assert not (tmp_path / "o").exists()
+
     def test_alpha_near_cap_is_exit_2_before_any_work(self, tmp_path, capsys):
         # 0.99 cap = 1.6038 gives r = 26.6 on 256 steps at clip 0.01
         bad = tmp_path / "alpha.cfg"
@@ -763,10 +786,10 @@ class TestScheduleBuilds:
         # the gradient envelope read lambda(0) in closed form
         import sys
 
-        from gharnack import coupling
+        from gharnack import plan
 
         calls = []
-        build = coupling.make_schedule
+        build = plan.make_schedule
 
         def counted(*args, **kwargs):
             calls.append(args[0])
@@ -785,7 +808,7 @@ class TestStackedPaths:
         # one pass over all 5 controls per block of paths; the blocks cover
         # the 1920 non-export paths in order, then the 128 export paths,
         # each on its own rows of the seed's w
-        from gharnack import coupling, scenario
+        from gharnack import coupling, plan, scenario
 
         calls = []
         kernel = coupling._coupled_pass
@@ -797,7 +820,7 @@ class TestStackedPaths:
         monkeypatch.setattr(coupling, "_coupled_pass", counted)
         assert run(["coupling", "--out", tmp_path / "o"]) == 0
         cfg = parse_run_config(CFG)
-        block = scenario._PATH_BLOCK_BYTES // (8 * cfg.grid.n_steps)
+        block = plan._PATH_BLOCK_BYTES // (8 * cfg.grid.n_steps)
         n_head = coupling.EXPORT_PATHS
         assert [(k, m) for k, m, _ in calls] == \
             [(5, block), (5, cfg.n_paths - n_head - block), (5, n_head)]
@@ -810,13 +833,13 @@ class TestStackedPaths:
         # at 4096 steps 2 MiB hold 64 paths: the 172 non-export rows run in
         # blocks of 64, then the 128 export rows as one block of their own,
         # and the run writes the files of a run in larger blocks
-        from gharnack import coupling, scenario
+        from gharnack import coupling, plan
 
         cfg = tmp_path / "fine.cfg"
         cfg.write_text(CFG.read_text().replace("n_steps = 256",
                                                "n_steps = 4096")
                        .replace("n_paths = 2048", "n_paths = 300"))
-        assert scenario._PATH_BLOCK_BYTES // (8 * 4096) < \
+        assert plan._PATH_BLOCK_BYTES // (8 * 4096) < \
             coupling.EXPORT_PATHS
         sizes = []
         kernel = coupling._coupled_pass
@@ -828,7 +851,7 @@ class TestStackedPaths:
         monkeypatch.setattr(coupling, "_coupled_pass", counted)
         assert run(["coupling", "--config", cfg, "--out", tmp_path / "o"]) == 0
         assert sizes == [64, 64, 44, 128]
-        monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES", 300 * 8 * 4096)
+        monkeypatch.setattr(plan, "_PATH_BLOCK_BYTES", 300 * 8 * 4096)
         assert run(["coupling", "--config", cfg,
                     "--out", tmp_path / "one"]) == 0
         assert sizes[4:] == [172, 128]
@@ -839,7 +862,7 @@ class TestStackedPaths:
     def test_one_stacked_pass_per_scenario_run(self, tmp_path, monkeypatch):
         # one pass over all 5 controls per block of paths; the blocks cover
         # the 2048 paths in order and give the estimates of a single block
-        from gharnack import scenario
+        from gharnack import plan, scenario
 
         assert run(["scenario", "--out", tmp_path / "one"]) == 0
         calls = []
@@ -851,7 +874,7 @@ class TestStackedPaths:
 
         cfg = parse_run_config(CFG)
         block = 500
-        monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",
+        monkeypatch.setattr(plan, "_PATH_BLOCK_BYTES",
                             block * 8 * cfg.grid.n_steps)
         monkeypatch.setattr(scenario, "simulate_state_batch", counted)
         assert run(["scenario", "--out", tmp_path / "o"]) == 0
@@ -940,14 +963,14 @@ class TestStackedPaths:
         # the export rows keep their rows of w and g at every node, x, y and
         # log M at the run's clip nodes and the open-loop levels once per
         # step; every node of levels, x, y and log M would be 5.3 MB more
-        from gharnack import coupling
+        from gharnack import coupling, plan
 
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
         peak = self.coupling_run_peak(cfg)
         w_nbytes = n * s * 8
-        block = coupling._W_BLOCK_STEPS * n * 8
-        state = coupling._STATE_ROWS * k * n * 8
+        block = plan._W_BLOCK_STEPS * n * 8
+        state = plan._STATE_ROWS * k * n * 8
         export = coupling.EXPORT_PATHS * (s + (s + 1) * k) * 8
         small = 2 ** 16  # the controls, their levels, lambda at the nodes
         assert peak <= w_nbytes + block + state + export + small
@@ -955,52 +978,52 @@ class TestStackedPaths:
     def test_coupling_run_holds_one_block_of_w(self):
         # one block of w and its time-major block, never all of w: 2 MiB
         # of the 4.2 MB of w at the bundled config
-        from gharnack import coupling, scenario
+        from gharnack import coupling, plan, scenario
 
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
         block = scenario._path_block(s)
         assert block < n
         peak = self.coupling_run_peak(cfg)
-        w_block = block * (s + coupling._W_BLOCK_STEPS) * 8
+        w_block = block * (s + plan._W_BLOCK_STEPS) * 8
         # (|x - y|, log M) at the 5 clip nodes of the run, and the stiff
         # steps
-        record = (2 * (1 + len(coupling.SWEEP_FRACTIONS)) + 1) * k * n * 8
+        record = (2 * (1 + len(plan.SWEEP_FRACTIONS)) + 1) * k * n * 8
         export = coupling.EXPORT_PATHS * (s + (s + 1) * k) * 8
-        state = coupling._STATE_ROWS * k * block * 8
+        state = plan._STATE_ROWS * k * block * 8
         assert peak <= w_block + record + export + state + 2 ** 16
 
     def test_export_block_runs_apart_from_a_full_block(self):
         # the export rows run last, as their own block, so the 1.3 MB of
         # their g table never sits beside a full block of w: the peak is
         # that of one block's pass beside the clip-node record
-        from gharnack import coupling, scenario
+        from gharnack import plan, scenario
 
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
         block = scenario._path_block(s)
-        w_block = block * (s + coupling._W_BLOCK_STEPS) * 8
-        record = (2 * (1 + len(coupling.SWEEP_FRACTIONS)) + 1) * k * n * 8
-        state = coupling._STATE_ROWS * k * block * 8
+        w_block = block * (s + plan._W_BLOCK_STEPS) * 8
+        record = (2 * (1 + len(plan.SWEEP_FRACTIONS)) + 1) * k * n * 8
+        state = plan._STATE_ROWS * k * block * 8
         assert self.coupling_run_peak(cfg) <= w_block + record + state + 2 ** 16
 
     def test_run_nbytes_bounds_the_coupling_run(self):
         # the parse-time memory refusal counts what the coupled run holds:
         # one block of w, and less than the every-node export rows it
         # counted before
-        from gharnack import coupling
+        from gharnack import coupling, plan
 
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
-        need = coupling.run_nbytes(n, s, k)
+        need = plan.run_nbytes(n, s, k)
         assert self.coupling_run_peak(cfg) <= need
-        clip_rows = 3 * (1 + len(coupling.SWEEP_FRACTIONS))
-        every_node = 8 * (n * (s + coupling._W_BLOCK_STEPS)
-                          + (coupling._STATE_ROWS + clip_rows) * k * n
+        clip_rows = 3 * (1 + len(plan.SWEEP_FRACTIONS))
+        every_node = 8 * (n * (s + plan._W_BLOCK_STEPS)
+                          + (plan._STATE_ROWS + clip_rows) * k * n
                           + 5 * (s + 1) * k * coupling.EXPORT_PATHS)
         assert need < every_node - 4 * 2 ** 20
         # more paths add their clip-node rows, not their rows of w
-        assert coupling.run_nbytes(2 * n, s, k) - need < n * s * 8
+        assert plan.run_nbytes(2 * n, s, k) - need < n * s * 8
 
     def test_coupled_run_lets_its_record_go(self):
         # the export rows copy their x, y, log M and stiff steps out of the
@@ -1008,14 +1031,14 @@ class TestStackedPaths:
         # steps, so a kept run holds its clip samples, (|x - y|, log M) at
         # each clip, and the export rows, not the record beside them: 9.8 MB
         # of it at 16384 paths
-        from gharnack import coupling, scenario
+        from gharnack import coupling, plan, scenario
 
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, 16384, cfg.grid.n_steps
         controls = scenario.sample_controls(cfg.strategy, cfg.band, cfg.grid,
                                             k, cfg.seed)
         epsilons = [cfg.clip_epsilon] + [f * cfg.grid.horizon
-                                         for f in coupling.SWEEP_FRACTIONS]
+                                         for f in plan.SWEEP_FRACTIONS]
         w = scenario.PathIncrements(cfg.seed, n, cfg.grid)
         w[:1]  # a first draw imports numpy.random, which numpy loads lazily
         tracemalloc.start()
@@ -1039,7 +1062,7 @@ class TestStackedPaths:
         # samples: it holds its w, g and (x, y, log M) at every node, levels
         # and stiff steps, and its pass allocates no (|x - y|, log M) record
         # of every node beside them, 2.1 MB here
-        from gharnack import coupling, scenario
+        from gharnack import coupling, plan, scenario
 
         cfg = parse_run_config(CFG)
         n, s = 512, cfg.grid.n_steps
@@ -1058,7 +1081,7 @@ class TestStackedPaths:
         assert bundle.nodes == tuple(range(s + 1))
         kept = 8 * (n * s + 4 * (s + 1) * n + s + n)
         assert held <= kept + 2 ** 16
-        step = 8 * n * (coupling._W_BLOCK_STEPS + coupling._STATE_ROWS)
+        step = 8 * n * (plan._W_BLOCK_STEPS + plan._STATE_ROWS)
         assert peak <= kept + step + 2 ** 16
 
 

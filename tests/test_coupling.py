@@ -973,8 +973,6 @@ class TestPathBlocks:
         # control in the family, rows of the first and the export block
         # made non-finite early, and one row of the 44 excluded between the
         # clip nodes of 0.05 and 0.025
-        from gharnack import scenario
-
         coeffs = multiplicative_model
         schedule = g.make_schedule(0.81, coeffs, pinched_band, 1.0)
         grid = g.TimeGrid(1.0, 64)
@@ -998,7 +996,7 @@ class TestPathBlocks:
         monkeypatch.setattr(coupling, "_coupled_pass", counted)
         runs = {}
         for rows in (128, 300):
-            monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",
+            monkeypatch.setattr("gharnack.plan._PATH_BLOCK_BYTES",
                                 rows * 8 * grid.n_steps)
             runs[rows] = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
                                             family, (0.1, *SWEEP), w)
@@ -1013,7 +1011,7 @@ class TestPathBlocks:
         TestTimeMajorCoupledKernel.assert_run_matches(runs[128], family, refs,
                                                       grid.dt)
         # the increments drawn a block at a time are the array's rows
-        monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",
+        monkeypatch.setattr("gharnack.plan._PATH_BLOCK_BYTES",
                             128 * 8 * grid.n_steps)
         drawn = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, family, SWEEP,
                                    g.PathIncrements(97, 300, grid))

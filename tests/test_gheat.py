@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gharnack as g
-from gharnack import gheat, scenario
+from gharnack import gheat, plan, scenario
 from gharnack.cli import bundled_config_path, write_outputs
 from gharnack.gheat import _UNIT_COEFFS, PdeError
 
@@ -469,6 +469,6 @@ def test_solve_nbytes_bounds_the_traced_working_set():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    bound = gheat.solve_nbytes(len(payoffs), pde.n_space, grid.n_steps)
+    bound = plan.solve_nbytes(len(payoffs), pde.n_space, grid.n_steps)
     assert peak <= bound
     assert bound <= 1.25 * peak

@@ -9,9 +9,9 @@ import gharnack as g
 from gharnack import scenario
 from gharnack.cli import bundled_config_path
 from gharnack.gheat import _UNIT_COEFFS
+from gharnack.plan import _W_BLOCK_STEPS
 from gharnack.scenario import (
     ScenarioError,
-    _W_BLOCK_STEPS,
     scaled_increments,
     simulate_state_batch,
 )
@@ -475,7 +475,7 @@ class TestTimeMajorKernel:
             return kernel(coeffs, controls, x0, w)
 
         monkeypatch.setattr(scenario, "simulate_state_batch", counted)
-        monkeypatch.setattr(scenario, "_PATH_BLOCK_BYTES",
+        monkeypatch.setattr("gharnack.plan._PATH_BLOCK_BYTES",
                             100 * 8 * cfg.grid.n_steps)
         blocked = g.upper_semigroup_mc(coeffs, cfg.payoff, x0, controls, 350,
                                        seed=11)
@@ -498,7 +498,7 @@ class TestMemory:
         # one block of paths' increments, its time-major block and a few
         # (k, n_paths) rows, never all of w nor a control's full paths
         grid = g.TimeGrid(1.0, 256)
-        paths_per_block = scenario._PATH_BLOCK_BYTES // (8 * grid.n_steps)
+        paths_per_block = scenario._path_block(grid.n_steps)
         n_paths = 4 * paths_per_block
         w_block = paths_per_block * grid.n_steps * 8
         time_major = _W_BLOCK_STEPS * paths_per_block * 8

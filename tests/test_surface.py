@@ -1,7 +1,8 @@
-"""Six guards on the shape of the package.
+"""Eight guards on the shape of the package.
 
 Every top-level function, class and method of the package is reached from
-the package itself: a name that only tests use is a route no run takes.
+the package itself, or is public, a name of the lazy table of
+`gharnack/__init__.py`: a name that only tests use is a route no run takes.
 
 Every pass flag comes from the one pass rule, `model.within_band`, and its
 one z constant `model.Z`: no other rule decides a `passed`, and no other
@@ -17,14 +18,26 @@ arrays, and the command line formats and writes every output file.
 Only runs that draw a Monte Carlo sample load `numpy.random`: the PDE
 subcommands and the parse-time audit leave it unloaded.
 
+Each run loads only the modules its work reads: `import gharnack` loads no
+submodule, parsing and auditing a config load `config`, `plan` and `model`
+alone, each subcommand loads the command line, `gheat` and its own layers, so
+`harnack`, `gradient`, `gheat` and `semigroup` load no `scenario`,
+`coupling` or `streams`.
+
+The lazy package keeps every public name it had when it imported every
+module, each resolved on first use and listed by `dir(gharnack)`.
+
 Coefficients take x alone: time enters only through the grid and the
 coupling weight, so no coefficient is built or called with a time."""
 
 import ast
+import functools
+import importlib
 import inspect
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -38,15 +51,14 @@ SRC = Path(gharnack.__file__).parent
 
 # Names kept for the tests alone, each with the reason it stays.
 ALLOWED = {
-    # the one-row unit-coefficient case of solve_stack, the G-heat oracle
-    # of criterion 01 and of the gheat tests
-    "solve_g_heat",
-    # the every-node oracle of one control, for the coupled-pass tests
-    "simulate_bundle",
     # the residual of the schedule's defining identity, read by acceptance
     # criterion 03 and the schedule tests only
     "identity_residual",
 }
+# Names reached as `gharnack.<name>` through the package's lazy table,
+# such as `solve_g_heat`, the G-heat oracle of criterion 01, and
+# `simulate_bundle`, the every-node coupled paths of one control.
+PUBLIC = set(gharnack._HOME)
 
 
 def definitions(tree):
@@ -89,12 +101,13 @@ def test_every_definition_is_referenced_in_the_package():
             defined.add(name)
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name in ALLOWED:
+            if name in ALLOWED or name in PUBLIC:
                 continue
             if not any(referenced(t, name, node) for t in TREES.values()):
                 unreached.append(f"{module}:{name}")
     assert not unreached, f"defined but never used in src/: {unreached}"
     assert ALLOWED <= defined, f"stale allow-list: {ALLOWED - defined}"
+    assert not ALLOWED & PUBLIC, f"public names allowed: {ALLOWED & PUBLIC}"
 
 
 def is_within_band_call(node):
@@ -296,45 +309,119 @@ def test_coefficients_take_x_alone():
     assert not timed, f"coefficients called with more than x: {timed}"
 
 
-# Each probe runs in a fresh interpreter and prints whether numpy.random
-# was loaded by the end.
-AUDIT = """\
+# Each probe runs in a fresh interpreter, from the source tree, in an empty
+# directory. The audit reads the bundled config by its path in the tree, so
+# that it loads no `cli`.
+AUDIT = f"""\
 import gharnack
-from gharnack.cli import bundled_config_path
-cfg = gharnack.parse_run_config(bundled_config_path())
+cfg = gharnack.parse_run_config({str(SRC / "data" / "acceptance.cfg")!r})
 domain = gharnack.default_state_domain(cfg.check_x, cfg.band, cfg.coeffs,
                                        cfg.grid.horizon)
 assert gharnack.validate_coefficients(cfg.coeffs, domain, cfg.grid).passed
 """
 
 
-def loads_numpy_random(body, cwd):
+@functools.lru_cache(maxsize=None)
+def loaded(body):
+    """The `gharnack` modules, and `numpy.random`, loaded by the end of a
+    fresh interpreter that runs `body`."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys\n{body}\nprint('numpy.random' in sys.modules)"],
-        capture_output=True, text=True, env=env, cwd=cwd)
+    report = ("print(*sorted(m for m in sys.modules if m == 'numpy.random' "
+              "or m.partition('.')[0] == 'gharnack'))")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys\n{body}\n{report}"],
+            capture_output=True, text=True, env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return frozenset(proc.stdout.splitlines()[-1].split())
 
 
-def run_body(command, out):
+def run_body(command):
     return (f"from gharnack.cli import main\n"
-            f"assert main([{command!r}, '--out', {str(out)!r}]) == 0")
+            f"assert main([{command!r}, '--out', 'o']) == 0")
 
 
 @pytest.mark.parametrize("command", ["gheat", "semigroup", "harnack",
                                      "gradient"])
-def test_pde_runs_leave_numpy_random_unloaded(tmp_path, command):
-    assert not loads_numpy_random(run_body(command, tmp_path / "o"), tmp_path)
+def test_pde_runs_leave_numpy_random_unloaded(command):
+    assert "numpy.random" not in loaded(run_body(command))
 
 
-def test_parse_and_audit_leave_numpy_random_unloaded(tmp_path):
-    assert not loads_numpy_random(AUDIT, tmp_path)
+def test_parse_and_audit_leave_numpy_random_unloaded():
+    assert "numpy.random" not in loaded(AUDIT)
 
 
-def test_monte_carlo_run_loads_numpy_random(tmp_path):
-    assert loads_numpy_random(run_body("scenario", tmp_path / "o"), tmp_path)
+def test_monte_carlo_run_loads_numpy_random():
+    assert "numpy.random" in loaded(run_body("scenario"))
+
+
+def test_package_import_loads_no_module():
+    assert loaded("import gharnack") == {"gharnack"}
+
+
+def test_parse_and_audit_load_no_solver():
+    assert loaded(AUDIT) == {"gharnack", "gharnack.config", "gharnack.plan",
+                             "gharnack.model"}
+
+
+# Every subcommand loads the command line, the parser with the plan and
+# model layers, and gheat; each loads the other layers it runs.
+COMMAND_LINE = {"gharnack", "gharnack.cli", "gharnack.config",
+                "gharnack.plan", "gharnack.model", "gharnack.gheat"}
+MONTE_CARLO = {"gharnack.scenario", "gharnack.streams", "numpy.random"}
+RUN_LOADS = {
+    "gheat": COMMAND_LINE,
+    "semigroup": COMMAND_LINE,
+    "harnack": COMMAND_LINE | {"gharnack.harnack"},
+    "gradient": COMMAND_LINE | {"gharnack.harnack"},
+    "scenario": COMMAND_LINE | MONTE_CARLO,
+    "coupling": COMMAND_LINE | MONTE_CARLO | {"gharnack.coupling"},
+    "suite": COMMAND_LINE | MONTE_CARLO | {"gharnack.coupling",
+                                           "gharnack.harnack"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_LOADS))
+def test_each_subcommand_loads_its_own_modules(command):
+    assert loaded(run_body(command)) == RUN_LOADS[command]
+
+
+# The public names of the package when its `__init__` imported every
+# module.
+PUBLIC_AT_FIRST = (
+    "ModelCoefficients", "ModelError", "Payoff", "TimeGrid",
+    "ValidationReport", "VolatilityBand", "Z", "default_state_domain",
+    "g_function", "make_coefficient", "make_payoff", "validate_coefficients",
+    "within_band",
+    "GridFunction", "PdeConfig", "PdeError", "PolicyTable", "Semigroups",
+    "solve_g_heat", "solve_semigroups", "solve_stack",
+    "EstimateWithError", "PathIncrements", "ScenarioControl", "ScenarioError",
+    "YoungReport", "random_young_trial", "sample_controls",
+    "upper_semigroup_mc", "young_check",
+    "CouplingError", "CouplingSchedule", "ClipSample", "CoupledRun",
+    "PathBundle", "SlackReport", "coupling_success_check",
+    "entropy_bound_check", "entropy_bound_value", "make_schedule",
+    "moment_bound_check", "moment_bound_value", "moment_exponent_a",
+    "simulate_bundle", "simulate_coupled",
+    "HarnackError", "HarnackReport", "check_gradient_estimate",
+    "check_log_harnack", "check_power_harnack", "gradient_bound",
+    "lipschitz_transport_check", "log_harnack_constant",
+    "power_harnack_exponent", "power_threshold",
+    "ConfigError", "RunConfig", "parse_run_config",
+)
+
+
+def test_lazy_package_keeps_every_public_name():
+    # each name resolves to the object its table entry's module defines
+    listed = dir(gharnack)
+    assert "__version__" in listed and gharnack.__version__ == "0.1.0"
+    assert set(gharnack._HOME) == set(PUBLIC_AT_FIRST)
+    for name in PUBLIC_AT_FIRST:
+        home = importlib.import_module(f"gharnack.{gharnack._HOME[name]}")
+        assert name in listed, name
+        assert getattr(gharnack, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        gharnack.no_such_name
 
 
 def test_audit_numbers_on_the_bundled_model():
