@@ -29,7 +29,7 @@ _PUBLIC = {
     ),
     "scenario": (
         "EstimateWithError", "PathIncrements", "ScenarioControl",
-        "YoungReport", "random_young_trial", "sample_controls",
+        "YoungReport", "random_young_trials", "sample_controls",
         "upper_semigroup_mc", "young_check",
     ),
     "coupling": (

@@ -328,13 +328,15 @@ def young_check(measures: np.ndarray, g1: np.ndarray,
                        passed=within_band(lhs, rhs, 1e-12, 0.0))
 
 
-def random_young_trial(seed: int):
-    """Random normalized (measures, g1, g2) instance for randomized checks:
-    3 measures over 4 outcomes, g2 standard normal."""
-    rng = np.random.default_rng(seed)
-    P = rng.uniform(0.05, 1.0, size=(3, 4))
-    P /= P.sum(axis=1, keepdims=True)
-    g1 = rng.uniform(0.05, 3.0, size=(3, 4))
-    g1 /= np.sum(P * g1, axis=1, keepdims=True)
-    g2 = rng.normal(0.0, 1.0, size=(3, 4))
+def random_young_trials(seed: int, n: int):
+    """n random normalized (measures, g1, g2) instances for randomized
+    checks, each 3 measures over 4 outcomes with g2 standard normal, as
+    arrays with a leading trial axis; trial t draws from the stream
+    TRIAL_SPACE + t of `seed` alone."""
+    u = streams.uniforms(seed, streams.TRIAL_SPACE, n, 24).reshape(n, 2, 3, 4)
+    P = 0.05 + 0.95 * u[:, 0]
+    P /= P.sum(axis=-1, keepdims=True)
+    g1 = 0.05 + 2.95 * u[:, 1]
+    g1 /= np.sum(P * g1, axis=-1, keepdims=True)
+    g2 = streams.normals(seed, streams.TRIAL_SPACE, n, 12).reshape(n, 3, 4)
     return P, g1, g2

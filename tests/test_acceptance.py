@@ -254,8 +254,7 @@ def test_criterion_09_gradient_estimate():
 def test_criterion_10_young_inequality():
     with _Budget(10, "sublinear Young inequality", 5.0):
         worst = math.inf
-        for seed in range(1000):
-            P, g1, g2 = g.random_young_trial(seed)
+        for P, g1, g2 in zip(*g.random_young_trials(0, 1000)):
             worst = min(worst, g.young_check(P, g1, g2).slack)
         assert worst >= -1e-12
 

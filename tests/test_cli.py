@@ -948,7 +948,7 @@ class TestStackedPaths:
     @staticmethod
     def coupling_run_peak(cfg):
         """The tracemalloc peak of a coupled run after a first one, whose
-        peak also holds what loading modules such as numpy.random keeps."""
+        peak also holds what loading modules such as `streams` keeps."""
         from gharnack import cli
 
         cli.run_coupling(cfg)
@@ -1040,7 +1040,7 @@ class TestStackedPaths:
         epsilons = [cfg.clip_epsilon] + [f * cfg.grid.horizon
                                          for f in plan.SWEEP_FRACTIONS]
         w = scenario.PathIncrements(cfg.seed, n, cfg.grid)
-        w[:1]  # a first draw imports numpy.random, which numpy loads lazily
+        w[:1]  # a first draw loads `streams` and its ziggurat tables
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

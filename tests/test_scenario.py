@@ -276,15 +276,20 @@ class TestYoungInequality:
         assert report.slack > 1e-3  # Jensen gap of log E e^X vs E X
 
     def test_matches_brute_force_oracle(self):
-        P, g1, g2 = g.random_young_trial(seed=77)
+        P, g1, g2 = (a[0] for a in g.random_young_trials(77, 1))
         report = g.young_check(P, g1, g2)
         oracle = brute_force_young_slack(P.tolist(), g1.tolist(), g2.tolist())
         assert report.slack == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
+    def test_trial_depends_on_seed_and_index_alone(self):
+        few, many = g.random_young_trials(5, 3), g.random_young_trials(5, 10)
+        for a, b in zip(few, many):
+            assert a.tobytes() == b[:3].tobytes()
+        assert not np.array_equal(many[2][0], many[2][1])
+
     def test_thousand_random_trials_nonnegative(self):
         worst = math.inf
-        for seed in range(1000):
-            P, g1, g2 = g.random_young_trial(seed)
+        for P, g1, g2 in zip(*g.random_young_trials(1, 1000)):
             worst = min(worst, g.young_check(P, g1, g2).slack)
         assert worst >= -1e-12
 
@@ -505,7 +510,7 @@ class TestMemory:
         payoff = g.make_payoff("gauss_bump")
         for strategy in ("constants", "random"):
             controls = g.sample_controls(strategy, wide_band, grid, 5, seed=0)
-            # a first draw imports numpy.random, which numpy loads lazily
+            # a first draw loads `streams` and its ziggurat tables
             g.upper_semigroup_mc(_UNIT_COEFFS, payoff, 0.0, controls, 100,
                                  seed=1)
             tracemalloc.start()

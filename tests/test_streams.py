@@ -1,22 +1,109 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from gharnack import streams
 from gharnack.streams import (
-    _MASK64,
     CONTROL_SPACE,
     PATH_SPACE,
     normal_matrix,
+    philox,
     uniform_levels,
 )
 
 SEEDS = [0, 7, 2 ** 63 + 5, -1]
+M32 = 2 ** 32 - 1
+
+# Random123 known answers for Philox4x32-10 (Salmon, Moraes, Dror and Shaw,
+# SC 2011): counter, 64-bit key (low word first), output words.
+KNOWN_ANSWERS = [
+    ((0, 0, 0, 0), 0, (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((M32,) * 4, 2 ** 64 - 1, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), 0x299F31D0A4093822,
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+]
 
 
-def fresh(seed, stream):
-    """A new generator on the key (seed, stream), built the documented way."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def philox_rounds(counter, key):
+    """Philox4x32-10 on Python ints, one round at a time."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key & M32, (key >> 32) & M32
+    for _ in range(10):
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ k0, p1 & M32,
+                          (p0 >> 32) ^ c3 ^ k1, p0 & M32)
+        k0, k1 = (k0 + 0x9E3779B9) & M32, (k1 + 0xBB67AE85) & M32
+    return c0, c1, c2, c3
+
+
+def unit(word):
+    return (word + 0.5) * 2.0 ** -32
+
+
+def reference_normal(seed, stream, step):
+    """The normal at `step` of `stream`, one counter and one ziggurat draw
+    at a time, as the module docstring states it, with the branches taken."""
+    lo, hi = stream & M32, (stream >> 32) & M32
+    z = philox_rounds((step // 4, lo, hi, 0), seed)[step % 4]
+    taken, attempt = [], 0
+    while True:
+        layer, mag = z & 0xFF, z >> 9
+        sign = -1.0 if z & 0x100 else 1.0
+        if mag < streams._ACCEPT[layer]:
+            return sign * (mag * streams._WIDTH[layer]), taken + ["fast"]
+        attempt += 1
+        w = philox_rounds((step, lo, hi, attempt), seed)
+        u = unit(w[1])
+        if layer == 0:
+            xx = -math.log(u) / streams._R
+            if -2.0 * math.log(unit(w[2])) > xx * xx:
+                return sign * (streams._R + xx), taken + ["tail"]
+            taken.append("tail refused")
+            continue
+        x = mag * streams._WIDTH[layer]
+        if streams._LOWER[layer] + u * streams._RISE[layer] < \
+                math.exp(-0.5 * x * x):
+            return sign * x, taken + ["wedge"]
+        taken.append("wedge refused")
+        z = w[0]
+
+
+def fresh(seed, stream, n):
+    """The first n normals of `stream`, drawn by the reference loop."""
+    return np.array([reference_normal(seed, stream & (2 ** 64 - 1), j)[0]
+                     for j in range(n)])
+
+
+def first_words(seed, n):
+    """The attempt-0 words of steps 0 ... 4n - 1 of stream 0."""
+    return philox(np.arange(n, dtype=np.uint32), 0, 0, 0, seed).reshape(-1)
+
+
+class TestPhilox:
+    @pytest.mark.parametrize("counter, key, want", KNOWN_ANSWERS)
+    def test_known_answers(self, counter, key, want):
+        assert philox_rounds(counter, key) == want
+        got = philox(*counter, key)
+        assert got.shape == (1, 4) and got.dtype == np.uint32
+        assert tuple(int(v) for v in got[0]) == want
+
+    @pytest.mark.parametrize("key", [0, 5, 2 ** 64 - 1, 0x299F31D0A4093822])
+    def test_broadcast_counters_match_the_rounds(self, key):
+        # c0 along one axis and c1, c2 along the other, as a block of quads
+        # by streams is drawn, and every word of the counter
+        rng = np.random.default_rng(3)
+        c0 = rng.integers(0, 2 ** 32, 6, dtype=np.uint32)
+        c1, c2 = rng.integers(0, 2 ** 32, (2, 4, 1), dtype=np.uint32)
+        c3 = np.array([M32], dtype=np.uint32)
+        got = philox(c0, c1, c2, c3, key)
+        assert got.shape == (4, 6, 4)
+        for i in range(4):
+            for j in range(6):
+                counter = (int(c0[j]), int(c1[i, 0]), int(c2[i, 0]), M32)
+                assert tuple(int(v) for v in got[i, j]) == \
+                    philox_rounds(counter, key)
 
 
 class TestNormalMatrix:
@@ -25,8 +112,7 @@ class TestNormalMatrix:
         m = normal_matrix(seed, 12, 37)
         assert m.shape == (12, 37) and m.dtype == np.float64
         for p in range(12):
-            row = fresh(seed, PATH_SPACE + p).standard_normal(37)
-            assert m[p].tobytes() == row.tobytes(), p
+            assert m[p].tobytes() == fresh(seed, PATH_SPACE + p, 37).tobytes(), p
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_prefix_rows_equal_shorter_matrix(self, seed):
@@ -39,12 +125,11 @@ class TestNormalMatrix:
                 tall[first:first + k].tobytes()
 
     def test_row_longer_than_one_counter_block(self):
-        # 1001 normals consume several Philox blocks and a part-used buffer;
-        # the next row must still start from counter 0 of its own key
+        # 1001 normals take 251 quad counters, the last one part-used, and
+        # the next row still starts from quad 0 of its own stream
         m = normal_matrix(3, 3, 1001)
         for p in range(3):
-            assert m[p].tobytes() == \
-                fresh(3, PATH_SPACE + p).standard_normal(1001).tobytes()
+            assert m[p].tobytes() == fresh(3, PATH_SPACE + p, 1001).tobytes()
 
     def test_interleaved_calls_match_separate_calls(self):
         a1 = normal_matrix(11, 6, 25)
@@ -59,6 +144,9 @@ class TestNormalMatrix:
         before = normal_matrix(5, 4, 8)
         normal_matrix(5, 1000, 3)
         assert normal_matrix(5, 4, 8).tobytes() == before.tobytes()
+        # the module holds constants only: read-only tables, no generator
+        arrays = [v for v in vars(streams).values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
         assert not any(isinstance(v, (np.random.Generator,
                                       np.random.BitGenerator))
                        for v in vars(streams).values())
@@ -72,20 +160,92 @@ class TestNormalMatrix:
     @pytest.mark.parametrize("first", [0, 5, 2 ** 40])
     @pytest.mark.parametrize("shape", [(3, 1), (4, 7), (2, 256)])
     def test_same_bits_as_the_array_state_loop(self, seed, first, shape):
-        # the earlier loop: reset from the generator's own array-valued
-        # state and copy each drawn row into the matrix
+        # the reference loop: one scalar counter and one ziggurat draw per
+        # step of each row's own stream
         n_paths, n_steps = shape
-        want = np.empty(shape)
-        gen = fresh(seed, PATH_SPACE)
-        bits = gen.bit_generator
-        state = bits.state
-        key = state["state"]["key"]
-        for i in range(n_paths):
-            key[1] = PATH_SPACE + first + i
-            bits.state = state
-            want[i] = gen.standard_normal(n_steps)
+        want = np.array([fresh(seed, PATH_SPACE + first + i, n_steps)
+                         for i in range(n_paths)])
         got = normal_matrix(seed, n_paths, n_steps, first=first)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 8192])
+    def test_rows_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        want = normal_matrix(21, 150, 37)
+        monkeypatch.setattr(streams, "_CHUNK", chunk)
+        assert normal_matrix(21, 150, 37).tobytes() == want.tobytes()
+        assert normal_matrix(21, 1, 37, first=149).tobytes() == \
+            want[149:].tobytes()
+
+
+class TestZiggurat:
+    def test_layers_have_equal_area(self):
+        r, v = streams._R, 4.92867323399e-3
+        x = streams._WIDTH[1:256] * 2.0 ** 23
+        assert x[-1] == r and np.all(np.diff(x) > 0)
+        f = np.exp(-0.5 * x * x)
+        # a layer above the base: [0, x_i] between f(x_i) and f(x_{i-1})
+        assert np.allclose(x * (np.concatenate([[1.0], f[:-1]]) - f), v,
+                           rtol=1e-9, atol=0)
+        # the base: [0, r] at height f(r) and the tail beyond r
+        tail = math.sqrt(math.pi / 2) * math.erfc(r / math.sqrt(2))
+        assert r * f[-1] + tail == pytest.approx(v, rel=1e-9)
+        assert streams._WIDTH[0] * 2.0 ** 23 * f[-1] == pytest.approx(v, rel=1e-15)
+        # about 1.5 % of the words leave the fast path
+        fast = np.minimum(streams._ACCEPT[:256], 2 ** 23).mean() / 2 ** 23
+        assert 0.984 < fast < 0.986
+
+    @pytest.mark.parametrize("branches", [
+        ("wedge",), ("wedge refused", "fast"), ("wedge refused", "wedge"),
+        ("tail",), ("tail refused", "tail")])
+    def test_forced_slow_draw_matches_the_reference(self, branches):
+        # a step of stream 0 whose first word leaves the fast path and whose
+        # retries take `branches`: accepted on the wedge or the tail at the
+        # first attempt, refused there and settled at the second, by a new
+        # word that the fast path takes or by a second wedge test on it
+        seed = 31
+        words = first_words(seed, 2 ** 16)
+        slow = np.flatnonzero(words >> 9 >= streams._ACCEPT[words & 0xFF])
+        for step in slow:
+            value, taken = reference_normal(seed, 0, int(step))
+            if tuple(taken) == branches:
+                break
+        else:
+            pytest.fail(f"no draw takes {branches} in the first steps")
+        got = normal_matrix(seed, 1, int(step) + 1)[0, step]
+        assert got == value
+        if "tail" in branches:
+            assert abs(got) > streams._R
+
+    def test_slow_draws_match_the_reference(self):
+        # every refused word of the first 8192 steps of stream 0
+        seed = 32
+        words = first_words(seed, 2048)
+        steps = np.flatnonzero(words >> 9 >= streams._ACCEPT[words & 0xFF])
+        assert len(steps) > 80
+        got = normal_matrix(seed, 1, 8192)[0]
+        want = [reference_normal(seed, 0, int(j))[0] for j in steps]
+        assert got[steps].tolist() == want
+
+
+class TestDistribution:
+    N = 2 ** 18
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return normal_matrix(20240811, 1024, 256).reshape(-1)
+
+    def test_mean_and_variance(self, draws):
+        assert draws.size == self.N
+        assert abs(draws.mean()) < 5 / math.sqrt(self.N)
+        assert abs(draws.var() - 1.0) < 5 * math.sqrt(2 / self.N)
+
+    def test_kolmogorov_smirnov_against_the_normal(self, draws):
+        assert stats.kstest(draws, stats.norm.cdf).pvalue > 1e-3
+
+    def test_tail_mass_beyond_the_base(self, draws):
+        p = math.erfc(streams._R / math.sqrt(2))
+        beyond = int(np.count_nonzero(np.abs(draws) > streams._R))
+        assert abs(beyond - self.N * p) < 5 * math.sqrt(self.N * p * (1 - p))
 
 
 class TestUniformLevels:
@@ -93,9 +253,11 @@ class TestUniformLevels:
     def test_equals_fresh_control_stream(self, seed):
         for control_id in (0, 3):
             got = uniform_levels(seed, control_id, 64, 0.9, 1.1)
-            want = fresh(seed, CONTROL_SPACE + control_id).uniform(
-                0.9, 1.1, size=64)
-            assert got.tobytes() == want.tobytes()
+            stream = CONTROL_SPACE + control_id
+            words = [philox_rounds((q, stream & M32, stream >> 32, M32), seed)
+                     for q in range(16)]
+            u = np.array([unit(w) for quad in words for w in quad])
+            assert got.tobytes() == (0.9 + (1.1 - 0.9) * u).tobytes()
 
     def test_independent_of_path_draws(self):
         before = uniform_levels(20240811, 2, 32, 0.8, 1.2)

@@ -15,8 +15,9 @@ increment matrix.
 Only `cli.py` writes files: the solvers and checkers return reports and
 arrays, and the command line formats and writes every output file.
 
-Only runs that draw a Monte Carlo sample load `numpy.random`: the PDE
-subcommands and the parse-time audit leave it unloaded.
+No run loads `numpy.random`: the Monte Carlo subcommands draw from the
+package's own Philox streams, and the PDE subcommands and the parse-time
+audit draw nothing.
 
 Each run loads only the modules its work reads: `import gharnack` loads no
 submodule, parsing and auditing a config load `config`, `plan` and `model`
@@ -351,8 +352,9 @@ def test_parse_and_audit_leave_numpy_random_unloaded():
     assert "numpy.random" not in loaded(AUDIT)
 
 
-def test_monte_carlo_run_loads_numpy_random():
-    assert "numpy.random" in loaded(run_body("scenario"))
+@pytest.mark.parametrize("command", ["scenario", "coupling", "suite"])
+def test_monte_carlo_runs_leave_numpy_random_unloaded(command):
+    assert "numpy.random" not in loaded(run_body(command))
 
 
 def test_package_import_loads_no_module():
@@ -368,7 +370,7 @@ def test_parse_and_audit_load_no_solver():
 # model layers, and gheat; each loads the other layers it runs.
 COMMAND_LINE = {"gharnack", "gharnack.cli", "gharnack.config",
                 "gharnack.plan", "gharnack.model", "gharnack.gheat"}
-MONTE_CARLO = {"gharnack.scenario", "gharnack.streams", "numpy.random"}
+MONTE_CARLO = {"gharnack.scenario", "gharnack.streams"}
 RUN_LOADS = {
     "gheat": COMMAND_LINE,
     "semigroup": COMMAND_LINE,
@@ -396,7 +398,7 @@ PUBLIC_AT_FIRST = (
     "GridFunction", "PdeConfig", "PdeError", "PolicyTable", "Semigroups",
     "solve_g_heat", "solve_semigroups", "solve_stack",
     "EstimateWithError", "PathIncrements", "ScenarioControl", "ScenarioError",
-    "YoungReport", "random_young_trial", "sample_controls",
+    "YoungReport", "random_young_trials", "sample_controls",
     "upper_semigroup_mc", "young_check",
     "CouplingError", "CouplingSchedule", "ClipSample", "CoupledRun",
     "PathBundle", "SlackReport", "coupling_success_check",
