@@ -33,10 +33,9 @@ _PUBLIC = {
         "upper_semigroup_mc", "young_check",
     ),
     "coupling": (
-        "ClipSample", "CoupledRun", "PathBundle", "SlackReport",
-        "coupling_success_check", "entropy_bound_check",
-        "entropy_bound_value", "moment_bound_check", "moment_bound_value",
-        "moment_exponent_a", "simulate_bundle", "simulate_coupled",
+        "ClipSample", "CoupledRun", "SlackReport", "coupling_success_check",
+        "entropy_bound_check", "entropy_bound_value", "moment_bound_check",
+        "moment_bound_value", "moment_exponent_a", "simulate_coupled",
     ),
     "harnack": (
         "HarnackReport", "check_gradient_estimate", "check_log_harnack",

@@ -108,8 +108,7 @@ def run_coupling(cfg: RunConfig):
     x0, y0 = cfg.check_x, cfg.check_y
     sweep = [frac * T for frac in SWEEP_FRACTIONS]
     # One pass at the smallest clip serves every control and clip node; it
-    # draws w one block of paths at a time, and the export paths (its first
-    # rows) keep their own.
+    # draws w one block of paths at a time.
     run = cpl.simulate_coupled(
         cfg.coeffs, schedule, x0, y0, controls, [cfg.clip_epsilon, *sweep],
         sc.PathIncrements(cfg.seed, cfg.n_paths, cfg.grid))
@@ -126,13 +125,14 @@ def run_coupling(cfg: RunConfig):
 
     # The Euler cross term scales with dt times the larger of T and the
     # shift's energy.
-    discrepancy, energy = map(max, zip(*(
-        cpl.shifted_qv_discrepancy(b, cfg.clip_epsilon) for b in run.heads)))
+    discrepancy, energy = cpl.shifted_qv_discrepancy(run, cfg.clip_epsilon)
     tolerance = 10.0 * cfg.grid.dt * max(T, energy)
     entries.append({"kind": "shifted_qv",
                     "passed": within_band(discrepancy, 0.0, tolerance, 0.0),
                     "discrepancy": discrepancy, "tolerance": tolerance})
-    return entries, {"paths": run.heads}, []
+    # paths.csv: (t, x, y, log M) of each control's export rows at the clip
+    t, head, _ = run.head_at(cfg.clip_epsilon)
+    return entries, {"paths": [(t, *rows) for rows in zip(*head[:3])]}, []
 
 
 def run_harnack(cfg: RunConfig, semigroups: Semigroups, log_f, f_p):
@@ -249,17 +249,15 @@ def _csv(header: str, rows):
         yield ",".join(map(_cell, row)) + "\n"
 
 
-def _path_rows(heads, clip_epsilon: float | None):
-    """The rows of paths.csv: each export path of each control at the clip
-    node of `clip_epsilon`."""
-    for cid, bundle in enumerate(heads):
-        t, *at = bundle.at_node(clip_epsilon)
+def _path_rows(paths):
+    """The rows of paths.csv: each export path of each control, from the
+    control's (t, x, y, log M) at the clip node."""
+    for cid, (t, *at) in enumerate(paths):
         for p, (x, y, log_m) in enumerate(zip(*(a.tolist() for a in at))):
             yield cid, p, t, x, y, abs(x - y), math.exp(log_m), log_m
 
 
-def write_outputs(out: Path, entries, artifacts, estimates,
-                  clip_epsilon: float | None) -> None:
+def write_outputs(out: Path, entries, artifacts, estimates) -> None:
     """Write report.json and each CSV file the run has rows for into `out`.
     The rows of reports.csv are the certificates of `entries`, those that
     carry lhs and rhs."""
@@ -278,7 +276,7 @@ def write_outputs(out: Path, entries, artifacts, estimates,
     if "paths" in artifacts:
         _atomic_write(out / "paths.csv", _csv(
             "control_id,path_id,clip_time,x,y,abs_gap,m,log_m",
-            _path_rows(artifacts["paths"], clip_epsilon)))
+            _path_rows(artifacts["paths"])))
     certificates = [e for e in entries if "lhs" in e and "rhs" in e]
     if certificates:
         _atomic_write(out / "reports.csv", _csv(
@@ -338,8 +336,7 @@ def _run(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 
-    write_outputs(Path(args.out), entries, artifacts, estimates,
-                  cfg.clip_epsilon)
+    write_outputs(Path(args.out), entries, artifacts, estimates)
     failed = [e for e in entries if e.get("passed") is False]
     for e in entries:
         status = {True: "pass", False: "FAIL", None: "info"}[e.get("passed")]

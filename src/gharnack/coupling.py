@@ -16,8 +16,9 @@ smallest epsilon of the sweep; after the node of a larger epsilon, its g
 counts as zero. That pass advances every control at once, a (x, y, log M)
 by (k controls, paths) state, one block of paths at a time, and keeps
 (|x - y|, log M) only at the clip nodes it is asked for. The first
-EXPORT_PATHS paths run last, as a block of their own, which also keeps
-their (x, y, log M) there and their g and levels at every step.
+EXPORT_PATHS paths run first, as a block of their own, which also keeps
+their (x, y, log M) there, with the two shifted-QV sums that build up in
+step order inside the pass.
 
 Explicit Euler contracts the gap X - Y only while `stability_ratio` stays at
 most 1, so a larger ratio is refused, not simulated. A drift-implicit step for
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import CouplingError, ModelCoefficients, TimeGrid, within_band
+from .model import CouplingError, ModelCoefficients, within_band
 from .plan import (EXPORT_PATHS, CouplingSchedule, _clip_index, _path_block,
                    stability_ratio)
 from .scenario import (Control, _level_rows, _time_major, euler_step,
@@ -69,11 +70,16 @@ def moment_bound_value(schedule: CouplingSchedule, kappa1: float, kappa2: float,
     return math.exp(exponent)
 
 
+# Kish's effective sample size (sum M)^2 / sum M^2 below which a clip sample
+# is refused: worth fewer than the two draws a standard error needs.
+_ESS_FLOOR = 2.0
+
+
 @dataclass(frozen=True)
 class ClipSample:
-    """One bundle at the clip node of `epsilon`: (|x - y|, log m) of the
-    paths still included there, the number the finiteness guard had excluded
-    by then, and the node's time and lambda."""
+    """One control's paths at the clip node of `epsilon`: (|x - y|, log m)
+    of the paths still included there, the number the finiteness guard had
+    excluded by then, and the node's time and lambda."""
 
     epsilon: float
     clip_time: float
@@ -87,83 +93,39 @@ class ClipSample:
         return self.log_m.size + self.n_excluded
 
     def require_included(self, label: str) -> "ClipSample":
-        """The sample, refused when no path is included or when every
-        included weight M = exp(log M) underflows to 0, where each
-        M-weighted statistic is 0/0."""
+        """The sample, refused when no path is included, or when the
+        included weights M = exp(log M) are worth fewer than _ESS_FLOOR
+        independent draws: Kish's effective sample size, from
+        exp(log M - max log M), so weights that all underflow are its
+        limiting case."""
         if self.log_m.size == 0:
             raise CouplingError(
                 f"{label}: all {self.n_excluded} paths were excluded by the "
                 "finiteness guard")
-        if not np.exp(self.log_m).any():
+        m = np.exp(self.log_m - self.log_m.max())
+        ess = float(np.sum(m)) ** 2 / float(np.sum(m * m))
+        if ess < _ESS_FLOOR:
             raise CouplingError(
-                f"{label}: all {self.log_m.size} weights M = exp(log M) "
-                "underflow to 0 at the clip node, so the sample cannot see "
-                "the coupled measure; raise coupling.n_paths or move check.y "
-                "toward check.x")
+                f"{label}: all {self.log_m.size} weights M = exp(log M) at "
+                f"the clip node count as {ess:.3g} draws (Kish's effective "
+                f"sample size), below the floor of {_ESS_FLOOR:g}, so the "
+                "sample cannot see the coupled measure; raise "
+                "[coupling.n_paths] or move [check.y] toward [check.x]")
         return self
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """Coupled sample paths of one control (rows = paths): the export rows
-    of a coupled run, or all rows of a one-control run from `simulate_bundle`.
-
-    `w` is path-major: row p is path p's own stream. The rest are read-only
-    transposed views of the kernel's time-major buffers: g at every node,
-    x, y and log M at the grid nodes `nodes` (all from `simulate_bundle`),
-    and the levels, broadcast over the paths for an open-loop control."""
-
-    grid: TimeGrid
-    clip_epsilon: float
-    clip_index: int
-    w: np.ndarray          # (n_paths, n_steps) sqrt(dt)-scaled normals
-    levels: np.ndarray     # (n_paths, n_steps)
-    g_path: np.ndarray     # (n_paths, n_steps + 1)
-    nodes: tuple           # increasing
-    x_path: np.ndarray     # (n_paths, len(nodes))
-    y_path: np.ndarray     # as x_path
-    log_m_path: np.ndarray  # as x_path
-    # Step during which the finiteness guard excluded each path, n_steps if
-    # never: a path excluded during step j is still included at node j.
-    stiff_step: np.ndarray
-
-    def node(self, epsilon: float | None = None) -> int:
-        """Grid index of the clip node of `epsilon` (default: the bundle's
-        own). An epsilon below the bundle's own raises: its node may lie
-        past the bundle's clip, where g was already frozen."""
-        if epsilon is None:
-            return self.clip_index
-        if epsilon < self.clip_epsilon:
-            raise CouplingError(
-                f"clip_epsilon {epsilon:g} lies below the bundle's own "
-                f"{self.clip_epsilon:g}, where g was already frozen")
-        return _clip_index(self.grid, epsilon)
-
-    def included(self, epsilon: float | None = None) -> np.ndarray:
-        """Paths not excluded by the clip node of `epsilon`."""
-        return self.stiff_step >= self.node(epsilon)
-
-    def at_node(self, epsilon: float | None = None):
-        """The time of the clip node of `epsilon` (default: the bundle's
-        own clip), which the bundle must keep, and x, y and log M of every
-        path there."""
-        j = self.node(epsilon)
-        if j not in self.nodes:
-            raise CouplingError(f"node {j} is not kept: {self.nodes}")
-        k = self.nodes.index(j)
-        return (float(self.grid.nodes[j]), self.x_path[:, k],
-                self.y_path[:, k], self.log_m_path[:, k])
 
 
 @dataclass(frozen=True)
 class CoupledRun:
     """Coupled paths of k controls from one pass, all started at (x0, y0) on
     the same increments: each control's ClipSample at every clip epsilon of
-    the run, and a PathBundle of the first EXPORT_PATHS paths of each
-    control, with x, y and log M at the clip nodes of the run."""
+    the run, and the export record of the first EXPORT_PATHS paths of each
+    control at the clip node of each epsilon."""
 
-    samples: dict          # epsilon -> tuple of ClipSamples, control order
-    heads: tuple           # one PathBundle per control
+    samples: dict   # epsilon -> tuple of ClipSamples, control order
+    # epsilon -> the (5, k, n_export) x, y, log M and shifted-QV cross and
+    # energy sums of the export rows, and the (k, n_export) mask of those
+    # included, at its clip node
+    heads: dict
 
     def at_clip(self, epsilon: float) -> tuple:
         """One ClipSample per control, in control order, at the clip node
@@ -174,9 +136,14 @@ class CoupledRun:
                 f"{', '.join(f'{e:g}' for e in sorted(self.samples))}")
         return self.samples[epsilon]
 
+    def head_at(self, epsilon: float) -> tuple:
+        """The time of the clip node of `epsilon`, the export record there
+        and the mask of the export rows included there."""
+        return (self.at_clip(epsilon)[0].clip_time, *self.heads[epsilon])
+
 
 def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
-                  record, stiff_step, kept=(), head=None):
+                  record, stiff_step, head=None):
     """The coupled Euler loop for k controls over one block of paths, on
     their rows `w` of the shared increments, from (x, y, log M) =
     (*start, 0), g clipped at grid node `clip_index`.
@@ -190,9 +157,10 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
     `stiff_step`; each path depends on its own row of `w` alone.
 
     Writes (|x - y|, log M) at the nodes `nodes` into the block's `record`.
-    Given `head`, the export block's, also writes (x, y, log M) at the nodes
-    `kept` into it, and returns, time-major, g at every node and the levels
-    at each step (one column when open-loop).
+    Given `head`, the export block's (5, nodes, k, paths) record, also sums
+    the shifted-QV terms of each path in step order, the cross term
+    (g dqv + dB)^2 - dB^2 and the energy g^2 dqv, and writes (x, y, log M)
+    and both sums at the nodes `nodes` into it.
     """
     grid = controls[0].grid
     n_paths, n_steps = w.shape
@@ -204,21 +172,20 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
     state[...] = np.reshape((*start, 0.0), (3, 1, 1))
     new = np.empty_like(state)
     dB, gbuf = np.empty((2, len(controls), n_paths))
-    export = head is not None
-    if export:
-        g_full = np.zeros((n_steps + 1, len(controls), n_paths))
-        levels = np.empty((n_steps, len(controls),
-                           levels_at(0, state[0]).shape[1]))
+    if head is not None:
+        qv = np.zeros((2, len(controls), n_paths))
     lam_nodes = schedule.value(grid.nodes)
 
     def keep(node):
         if node in nodes:
-            gap, lm = record[:, nodes.index(node)]
+            i = nodes.index(node)
+            gap, lm = record[:, i]
             np.subtract(state[0], state[1], out=gap)
             np.abs(gap, out=gap)
             lm[...] = state[2]
-        if node in kept:
-            head[:, kept.index(node)] = state
+            if head is not None:
+                head[:3, i] = state
+                head[3:, i] = qv
 
     keep(0)
     for j, wj in enumerate(_time_major(w)):
@@ -230,11 +197,15 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
         if j < clip_index:
             g = np.subtract(x, y, out=gbuf)
             g /= float(lam_nodes[j]) * s[0]
+            if head is not None:
+                cross = g * dqv
+                cross += dB
+                cross *= cross
+                cross -= dB * dB
+                qv[0] += cross
+                qv[1] += g * g * dqv
         else:
             g = 0.0
-        if export:
-            levels[j] = lv
-            g_full[j] = g
         euler_step(coeffs, state[:2], s, dt, dqv, dB, out=new[:2])
         new[1] += s[1] * g * dqv
         np.subtract(logm, g * dB, out=new[2])
@@ -245,20 +216,26 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
             new[:, bad] = state[:, bad]  # frozen
         state, new = new, state
         keep(j + 1)
-    if export:
-        return g_full, levels
 
 
-def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
-                 epsilons, n_full) -> CoupledRun:
-    """`_coupled_pass` over the rows of `w` past the first `n_full`, in
-    blocks of `_path_block` rows in path order, then over the first
-    `n_full`, the export rows, as one block of their own; g clipped at
-    `clip_epsilon`. Raises CouplingError when `stability_ratio` exceeds 1
-    for a control's band. Keeps (|x - y|, log M) of every path at the clip
-    nodes of `epsilons`, and g and the levels of the export rows, with
-    their (x, y, log M) at those nodes (at every node if `epsilons` is
-    None)."""
+def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
+                     x0: float, y0: float, controls: Sequence[Control],
+                     clip_epsilons: Iterable[float], w) -> CoupledRun:
+    """Euler-Maruyama for the coupled pair under every control of a family
+    in one pass over blocks of paths, driven by the sqrt(dt)-scaled
+    increments `w`, one row per path: an array, or a `PathIncrements`,
+    drawn one block at a time. g is clipped at the smallest of
+    `clip_epsilons`; see `_coupled_pass` for the dynamics and finiteness
+    guard. Raises CouplingError when `stability_ratio` exceeds 1 for a
+    control's band.
+
+    The first EXPORT_PATHS paths run first, as a block of their own, then
+    the rest in blocks of `_path_block` rows in path order. Keeps
+    (|x - y|, log M) of every path at the clip nodes of `clip_epsilons`,
+    and the export record of the first block there.
+    """
+    epsilons = [float(eps) for eps in clip_epsilons]
+    clip_epsilon = min(epsilons)
     grid = controls[0].grid
     T = grid.horizon
     clip_index = _clip_index(grid, clip_epsilon)
@@ -275,121 +252,61 @@ def _coupled_run(coeffs, schedule, x0, y0, controls, clip_epsilon, w,
         raise CouplingError(f"alpha {schedule.alpha:g} gives the coupling step "
                             f"ratio r = {r:.3g} > 1 at {n_steps} steps and "
                             f"clip_epsilon {clip_epsilon:g}")
-    read = {eps: _clip_index(grid, eps) for eps in epsilons or ()}
+    read = {eps: _clip_index(grid, eps) for eps in epsilons}
     nodes = sorted({*read.values()})
-    kept = range(n_steps + 1) if epsilons is None else nodes
-    # Time-major: (|x - y|, log M) of every path at each clip node.
+    n_export = min(n_paths, EXPORT_PATHS)
+    # Time-major: (|x - y|, log M) of every path at each clip node, and the
+    # export record of the first n_export.
     record = np.empty((2, len(nodes), len(controls), n_paths))
+    head = np.empty((5, len(nodes), len(controls), n_export))
     stiff_step = np.full((len(controls), n_paths), n_steps)
-    block = _path_block(n_steps)
-    # Each block of w is dropped when its pass returns; the export rows run
-    # last, so their tables never sit beside a full block.
-    for first in range(n_full, n_paths, block):
-        rows = slice(first, first + block)
+    # Each block of w is dropped when its pass returns.
+    bounds = [0, *range(n_export, n_paths, _path_block(n_steps)), n_paths]
+    for first, stop in zip(bounds, bounds[1:]):
+        rows = slice(first, stop)
         _coupled_pass(coeffs, schedule, controls, clip_index, w[rows],
-                      (x0, y0), nodes, record[..., rows], stiff_step[:, rows])
-    rows = slice(0, n_full)
-    # The bundles keep the export rows of w as drawn, or copied out of a
-    # caller's array.
-    w_head = w[rows]
-    w_head = w_head if w_head.base is None else w_head.copy()
-    # Time-major: (x, y, log M) of the export rows at each kept node.
-    head = np.empty((3, len(kept), len(controls), n_full))
-    g_full, levels = _coupled_pass(
-        coeffs, schedule, controls, clip_index, w_head, (x0, y0), nodes,
-        record[..., rows], stiff_step[:, rows], kept, head)
+                      (x0, y0), nodes, record[..., rows], stiff_step[:, rows],
+                      head if first == 0 else None)
 
-    samples = {}
+    head.setflags(write=False)
+    samples, heads = {}, {}
     for eps, node in read.items():
+        i = nodes.index(node)
         t = float(grid.nodes[node])
         lam = float(schedule.value(t))
         samples[eps] = tuple(
             ClipSample(epsilon=eps, clip_time=t, lambda_at_clip=lam,
                        gap=gap[keep], log_m=lm[keep],
                        n_excluded=int(np.count_nonzero(~keep)))
-            for gap, lm, keep in zip(*record[:, nodes.index(node)],
-                                     stiff_step >= node))
-    stiff_step = np.ascontiguousarray(stiff_step[:, :n_full])
-    for arr in (w_head, stiff_step, levels, g_full, head):
-        arr.setflags(write=False)
-    x_at, y_at, lm_at = head
-    heads = tuple(
-        PathBundle(grid=grid, clip_epsilon=float(clip_epsilon),
-                   clip_index=clip_index, w=w_head, nodes=tuple(kept),
-                   levels=np.broadcast_to(levels[:, i], (n_steps, n_full)).T,
-                   g_path=g_full[:, i].T, x_path=x_at[:, i].T,
-                   y_path=y_at[:, i].T, log_m_path=lm_at[:, i].T,
-                   stiff_step=stiff_step[i])
-        for i in range(len(controls)))
+            for gap, lm, keep in zip(*record[:, i], stiff_step >= node))
+        heads[eps] = (head[:, i], stiff_step[:, :n_export] >= node)
     return CoupledRun(samples=samples, heads=heads)
 
 
-def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
-                     x0: float, y0: float, controls: Sequence[Control],
-                     clip_epsilons: Iterable[float], w) -> CoupledRun:
-    """Euler-Maruyama for the coupled pair under every control of a family
-    in one pass over blocks of paths, driven by the sqrt(dt)-scaled
-    increments `w`, one row per path: an array, or a `PathIncrements`,
-    drawn one block at a time. g is clipped at the smallest of
-    `clip_epsilons`.
-
-    Keeps (|x - y|, log M) of every path only at the clip nodes of
-    `clip_epsilons`; the first EXPORT_PATHS paths, which run last, also keep
-    (x, y, log M) there and g and the levels at every step. See
-    `_coupled_pass` for the dynamics and finiteness guard.
-    """
-    epsilons = [float(eps) for eps in clip_epsilons]
-    return _coupled_run(coeffs, schedule, x0, y0, controls, min(epsilons), w,
-                        epsilons, min(w.shape[0], EXPORT_PATHS))
-
-
-def simulate_bundle(coeffs: ModelCoefficients, schedule: CouplingSchedule,
-                    x0: float, y0: float, control: Control,
-                    clip_epsilon: float, w: np.ndarray) -> PathBundle:
-    """The coupled paths of one control with every node of every path kept:
-    the one-control, one-block case of the pass of `simulate_coupled`."""
-    return _coupled_run(coeffs, schedule, x0, y0, [control], clip_epsilon, w,
-                        None, w.shape[0]).heads[0]
-
-
-def shifted_qv_discrepancy(
-        bundle: PathBundle,
-        clip_epsilon: float | None = None) -> tuple[float, float]:
-    """The mean over paths of |QV(B_hat) - QV(B)| up to the horizon, and the
-    energy of the shift g d<B>, the mean of sum_j g_j^2 dqv_j, from one read
-    of the paths included at the clip node of `clip_epsilon` (default: the
-    bundle's own clip).
+def shifted_qv_discrepancy(run: CoupledRun,
+                           clip_epsilon: float) -> tuple[float, float]:
+    """The largest over controls of the mean over the export paths included
+    at the clip node of `clip_epsilon` of |QV(B_hat) - QV(B)| up to that
+    node, and of the energy of the shift g d<B>, sum_j g_j^2 dqv_j: a
+    reduction of the two sums the pass built up step by step.
 
     The shifted increments dB_hat = dB + g d<B> must accumulate the same
     quadratic variation as B; the discrete mismatch is the Euler cross term,
     which scales with dt times the energy. After the clip node g is exactly
-    zero, so every term there is exactly zero. Raises CouplingError when the
-    finiteness guard excluded every path by that clip node.
+    zero, so no term there counts. Raises CouplingError when the finiteness
+    guard excluded every export path of a control by that clip node.
     """
-    j = bundle.node(clip_epsilon)
-    keep = bundle.included(clip_epsilon)
-    if not keep.any():
-        eps = bundle.clip_epsilon if clip_epsilon is None else clip_epsilon
-        raise CouplingError(
-            f"shifted QV at clip_epsilon {eps:g}: all {keep.size} paths were "
-            "excluded by the finiteness guard")
-    dqv = bundle.levels[keep, :j]
-    dB = dqv * bundle.w[keep, :j]
-    dqv *= dqv
-    dqv *= bundle.grid.dt
-    shift = bundle.g_path[keep, :j]
-    energy = shift * shift
-    energy *= dqv
-    energy = float(np.mean(np.sum(energy, axis=1)))
-    shift *= dqv
-    shift += dB
-    # Zeros from the clip node on, where g is zero, keep each path's
-    # pairwise summation order over a C-ordered row of n_steps terms.
-    terms = np.zeros((dB.shape[0], bundle.grid.n_steps))
-    np.multiply(shift, shift, out=terms[:, :j])
-    dB *= dB
-    terms[:, :j] -= dB
-    return float(np.mean(np.abs(np.sum(terms, axis=1)))), energy
+    _, head, included = run.head_at(clip_epsilon)
+    discrepancy = energy = -math.inf
+    for k, (cross, shift, keep) in enumerate(zip(head[3], head[4], included)):
+        if not keep.any():
+            raise CouplingError(
+                f"shifted QV of control {k} at clip_epsilon "
+                f"{clip_epsilon:g}: all {keep.size} paths were excluded by "
+                "the finiteness guard")
+        discrepancy = max(discrepancy, float(np.mean(np.abs(cross[keep]))))
+        energy = max(energy, float(np.mean(shift[keep])))
+    return discrepancy, energy
 
 
 @dataclass(frozen=True)

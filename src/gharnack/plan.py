@@ -106,8 +106,9 @@ def power_threshold(kappa1: float, kappa2: float) -> float:
 
 # Clip sweep of the coupling-success check, as fractions of the horizon.
 SWEEP_FRACTIONS = (0.2, 0.1, 0.05, 0.025)
-# Paths of each control whose g and levels at every step a coupled run
-# keeps: the rows of paths.csv and of the shifted-QV check.
+# Paths of each control, the first, whose (x, y, log M) and shifted-QV sums
+# a coupled run keeps at its clip nodes: the rows of paths.csv and of the
+# shifted-QV check.
 EXPORT_PATHS = 128
 
 
@@ -206,21 +207,20 @@ _STATE_ROWS = 24
 # SWEEP_FRACTIONS epsilon.
 _CLIP_NODES = 1 + len(SWEEP_FRACTIONS)
 # (k, n_paths) rows of a coupled run of the CLI: (|x - y|, log M) at each
-# clip node in the record and in the ClipSamples, and the stiff steps.
+# clip node in the record and in the ClipSamples, and the stiff steps. The
+# export record adds (x, y, log M) and the two shifted-QV sums of the
+# export paths alone.
 _RECORD_ROWS = (2 + 2) * _CLIP_NODES + 1
 
 
 def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
-    """Bytes of the arrays of one coupled run of the CLI: one block of the
-    increments w, its time-major block and its state rows, the clip-node
-    record, and the export block: its w, time-major block and state rows,
-    g at every node, (x, y, log M) at the clip nodes, lambda at the nodes
-    and three tables of open-loop levels."""
+    """Bytes of the arrays of one coupled run of the CLI: the larger block
+    of the increments w, the export block or a later one, with its
+    time-major block and its state rows, the clip-node record, the export
+    record, lambda at the nodes and two tables of open-loop levels."""
     n_head = min(n_paths, EXPORT_PATHS)
-    block = min(n_paths - n_head, _path_block(n_steps))
-    return 8 * ((block + n_head)
-                * (n_steps + _W_BLOCK_STEPS + _STATE_ROWS * n_controls)
+    block = max(n_head, min(n_paths - n_head, _path_block(n_steps)))
+    return 8 * (block * (n_steps + _W_BLOCK_STEPS + _STATE_ROWS * n_controls)
                 + _RECORD_ROWS * n_controls * n_paths
-                + 3 * n_controls * n_steps
-                + (n_controls * n_head + 1) * (n_steps + 1)
-                + 3 * _CLIP_NODES * n_controls * n_head)
+                + 2 * n_controls * n_steps + n_steps + 1
+                + 5 * _CLIP_NODES * n_controls * n_head)

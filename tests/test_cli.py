@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -379,6 +380,52 @@ class TestCliExitCodes:
         assert err.startswith("validation error: control 0: all 2048 weights")
         assert "coupling.n_paths" in err and "check.y" in err
         assert not (tmp_path / "o").exists()
+
+    def test_degenerate_weights_are_exit_2(self, tmp_path, capsys):
+        # the degenerate row of the ROADMAP weights table: at T = 0.1 and
+        # |x - y| = 6 one path carries nearly all the weight M at every
+        # clip node, an effective sample size of about 1.0 of 2048
+        text = CFG.read_text()
+        for old, new in (("horizon = 1.0", "horizon = 0.1"),
+                         ("y = 0.5", "y = 6"),
+                         ("sigma = tanh", "sigma = constant"),
+                         ("sigma_params = 0.95, 0.05, 1", "sigma_params = 0.9"),
+                         ("kappa2 = 1.0", "kappa2 = 0.9"),
+                         ("clip_epsilon = 0.01", "clip_epsilon = 0.001")):
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        far = tmp_path / "far.cfg"
+        far.write_text(text)
+        assert run(["coupling", "--config", far, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"validation error: control 0: all 2048 weights .* "
+                        r"count as 1 draws \(Kish's effective sample size\), "
+                        r"below the floor of 2", err), err
+        assert "[coupling.n_paths]" in err and "[check.y]" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [20240811, 9])
+    def test_far_start_above_the_ess_floor_runs(self, tmp_path, monkeypatch,
+                                                seed):
+        # y = 1.5 on the bundled model: the smallest effective sample size
+        # over the clip nodes and controls is 19.9 at the bundled seed and
+        # 2.25 at seed 9, both above the floor of 2, so both runs are judged
+        # (and pass), however thin seed 9's sample is
+        from gharnack import cli, coupling
+
+        cfg = parse_run_config(with_y(tmp_path, 1.5), seed_override=seed)
+        seen = []
+        check = coupling.ClipSample.require_included
+
+        def recorded(sample, label):
+            m = np.exp(sample.log_m - sample.log_m.max())
+            seen.append(float(np.sum(m)) ** 2 / float(np.sum(m * m)))
+            return check(sample, label)
+
+        monkeypatch.setattr(coupling.ClipSample, "require_included", recorded)
+        entries, _, _ = cli.run_coupling(cfg)
+        assert all(e["passed"] for e in entries)
+        assert round(min(seen), 2) == {20240811: 19.86, 9: 2.25}[seed]
 
     def test_alpha_near_cap_is_exit_2_before_any_work(self, tmp_path, capsys):
         # 0.99 cap = 1.6038 gives r = 26.6 on 256 steps at clip 0.01
@@ -806,8 +853,8 @@ class TestScheduleBuilds:
 class TestStackedPaths:
     def test_one_coupled_pass_per_run(self, tmp_path, monkeypatch):
         # one pass over all 5 controls per block of paths; the blocks cover
-        # the 1920 non-export paths in order, then the 128 export paths,
-        # each on its own rows of the seed's w
+        # the 128 export paths, then the 1920 others in order, each on its
+        # own rows of the seed's w
         from gharnack import coupling, plan, scenario
 
         calls = []
@@ -823,16 +870,16 @@ class TestStackedPaths:
         block = plan._PATH_BLOCK_BYTES // (8 * cfg.grid.n_steps)
         n_head = coupling.EXPORT_PATHS
         assert [(k, m) for k, m, _ in calls] == \
-            [(5, block), (5, cfg.n_paths - n_head - block), (5, n_head)]
-        for first, (_, _, row) in zip((n_head, n_head + block, 0), calls):
+            [(5, n_head), (5, block), (5, cfg.n_paths - n_head - block)]
+        for first, (_, _, row) in zip((0, n_head, n_head + block), calls):
             want = scenario.scaled_increments(cfg.seed, 1, cfg.grid, first)
             assert row.tobytes() == want.tobytes(), first
 
     def test_coupled_block_holds_the_export_rows(self, tmp_path,
                                                  monkeypatch):
-        # at 4096 steps 2 MiB hold 64 paths: the 172 non-export rows run in
-        # blocks of 64, then the 128 export rows as one block of their own,
-        # and the run writes the files of a run in larger blocks
+        # at 4096 steps 2 MiB hold 64 paths: the 128 export rows run as one
+        # block of their own, then the 172 others in blocks of 64, and the
+        # run writes the files of a run in larger blocks
         from gharnack import coupling, plan
 
         cfg = tmp_path / "fine.cfg"
@@ -850,11 +897,11 @@ class TestStackedPaths:
 
         monkeypatch.setattr(coupling, "_coupled_pass", counted)
         assert run(["coupling", "--config", cfg, "--out", tmp_path / "o"]) == 0
-        assert sizes == [64, 64, 44, 128]
+        assert sizes == [128, 64, 64, 44]
         monkeypatch.setattr(plan, "_PATH_BLOCK_BYTES", 300 * 8 * 4096)
         assert run(["coupling", "--config", cfg,
                     "--out", tmp_path / "one"]) == 0
-        assert sizes[4:] == [172, 128]
+        assert sizes[4:] == [128, 172]
         for name in ("report.json", "paths.csv"):
             assert (tmp_path / "o" / name).read_bytes() == \
                 (tmp_path / "one" / name).read_bytes()
@@ -927,7 +974,7 @@ class TestStackedPaths:
     def test_coupling_run_holds_no_full_paths_of_every_control(self):
         # 5 controls x 2048 paths x 257 nodes: one (k, n_steps + 1, n_paths)
         # array is 21 MB, w 4.2 MB; export rows with every node of levels,
-        # x, y, g and log M would be 6.6 MB, their g alone is 1.3 MB
+        # x, y and log M would be 5.3 MB
         from gharnack import cli
         from gharnack.coupling import EXPORT_PATHS
 
@@ -940,7 +987,7 @@ class TestStackedPaths:
         finally:
             tracemalloc.stop()
         w_nbytes = n * s * 8
-        export = 5 * (s + 1) * k * EXPORT_PATHS * 8
+        export = 4 * (s + 1) * k * EXPORT_PATHS * 8
         assert peak < w_nbytes + export + 64 * k * n * 8
         assert peak < k * (s + 1) * n * 8
 
@@ -959,10 +1006,11 @@ class TestStackedPaths:
         finally:
             tracemalloc.stop()
 
-    def test_coupling_run_keeps_every_node_of_g_alone(self):
-        # the export rows keep their rows of w and g at every node, x, y and
-        # log M at the run's clip nodes and the open-loop levels once per
-        # step; every node of levels, x, y and log M would be 5.3 MB more
+    def test_coupling_run_keeps_no_export_table(self):
+        # the export rows keep x, y, log M and the two shifted-QV sums at
+        # the run's clip nodes, no table over the steps: their g at every
+        # node would be 1.3 MB more, every node of levels, x, y and log M
+        # 5.3 MB
         from gharnack import coupling, plan
 
         cfg = parse_run_config(CFG)
@@ -971,7 +1019,7 @@ class TestStackedPaths:
         w_nbytes = n * s * 8
         block = plan._W_BLOCK_STEPS * n * 8
         state = plan._STATE_ROWS * k * n * 8
-        export = coupling.EXPORT_PATHS * (s + (s + 1) * k) * 8
+        export = 5 * plan._CLIP_NODES * k * coupling.EXPORT_PATHS * 8
         small = 2 ** 16  # the controls, their levels, lambda at the nodes
         assert peak <= w_nbytes + block + state + export + small
 
@@ -987,16 +1035,16 @@ class TestStackedPaths:
         peak = self.coupling_run_peak(cfg)
         w_block = block * (s + plan._W_BLOCK_STEPS) * 8
         # (|x - y|, log M) at the 5 clip nodes of the run, and the stiff
-        # steps
+        # steps; the export record
         record = (2 * (1 + len(plan.SWEEP_FRACTIONS)) + 1) * k * n * 8
-        export = coupling.EXPORT_PATHS * (s + (s + 1) * k) * 8
+        export = 5 * plan._CLIP_NODES * k * coupling.EXPORT_PATHS * 8
         state = plan._STATE_ROWS * k * block * 8
         assert peak <= w_block + record + export + state + 2 ** 16
 
     def test_export_block_runs_apart_from_a_full_block(self):
-        # the export rows run last, as their own block, so the 1.3 MB of
-        # their g table never sits beside a full block of w: the peak is
-        # that of one block's pass beside the clip-node record
+        # the export rows run as their own block and keep no table over
+        # the steps: the peak is that of one block's pass beside the
+        # clip-node record
         from gharnack import plan, scenario
 
         cfg = parse_run_config(CFG)
@@ -1009,8 +1057,8 @@ class TestStackedPaths:
 
     def test_run_nbytes_bounds_the_coupling_run(self):
         # the parse-time memory refusal counts what the coupled run holds:
-        # one block of w, and less than the every-node export rows it
-        # counted before
+        # one block of w, and less than every node of the export rows' x, y,
+        # log M and levels
         from gharnack import coupling, plan
 
         cfg = parse_run_config(CFG)
@@ -1020,17 +1068,17 @@ class TestStackedPaths:
         clip_rows = 3 * (1 + len(plan.SWEEP_FRACTIONS))
         every_node = 8 * (n * (s + plan._W_BLOCK_STEPS)
                           + (plan._STATE_ROWS + clip_rows) * k * n
-                          + 5 * (s + 1) * k * coupling.EXPORT_PATHS)
+                          + 4 * (s + 1) * k * coupling.EXPORT_PATHS)
         assert need < every_node - 4 * 2 ** 20
         # more paths add their clip-node rows, not their rows of w
         assert plan.run_nbytes(2 * n, s, k) - need < n * s * 8
 
     def test_coupled_run_lets_its_record_go(self):
-        # the export rows copy their x, y, log M and stiff steps out of the
-        # pass's (3, clip nodes, k, n_paths) record and (k, n_paths) stiff
-        # steps, so a kept run holds its clip samples, (|x - y|, log M) at
-        # each clip, and the export rows, not the record beside them: 9.8 MB
-        # of it at 16384 paths
+        # the clip samples copy their rows out of the pass's
+        # (2, clip nodes, k, n_paths) record and (k, n_paths) stiff steps,
+        # so a kept run holds its clip samples, (|x - y|, log M) at each
+        # clip, and the export record with its masks, not the record beside
+        # them: 9.8 MB of it at 16384 paths
         from gharnack import coupling, plan, scenario
 
         cfg = parse_run_config(CFG)
@@ -1051,38 +1099,10 @@ class TestStackedPaths:
         finally:
             tracemalloc.stop()
         samples = 2 * len(epsilons) * k * n * 8
-        stiff = k * coupling.EXPORT_PATHS * 8
-        clip_rows = 3 * len(epsilons)
-        export = coupling.EXPORT_PATHS * (s + (s + 1 + clip_rows) * k) * 8
-        assert len(run.heads) == k
-        assert held <= samples + stiff + export + 2 ** 16
-
-    def test_bundle_holds_no_gap_record(self):
-        # a one-control bundle keeps every node of its paths and has no clip
-        # samples: it holds its w, g and (x, y, log M) at every node, levels
-        # and stiff steps, and its pass allocates no (|x - y|, log M) record
-        # of every node beside them, 2.1 MB here
-        from gharnack import coupling, plan, scenario
-
-        cfg = parse_run_config(CFG)
-        n, s = 512, cfg.grid.n_steps
-        (control,) = scenario.sample_controls(cfg.strategy, cfg.band,
-                                              cfg.grid, 1, cfg.seed)
-        w = scenario.scaled_increments(cfg.seed, n, cfg.grid)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            bundle = coupling.simulate_bundle(cfg.coeffs, cfg.schedule,
-                                              cfg.check_x, cfg.check_y,
-                                              control, cfg.clip_epsilon, w)
-            held, peak = (m - base for m in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        assert bundle.nodes == tuple(range(s + 1))
-        kept = 8 * (n * s + 4 * (s + 1) * n + s + n)
-        assert held <= kept + 2 ** 16
-        step = 8 * n * (plan._W_BLOCK_STEPS + plan._STATE_ROWS)
-        assert peak <= kept + step + 2 ** 16
+        # the export record and its masks of included rows
+        export = (5 * 8 + 1) * len(epsilons) * k * coupling.EXPORT_PATHS
+        assert run.heads.keys() == set(epsilons)
+        assert held <= samples + export + 2 ** 16
 
 
 class TestSubcommands:

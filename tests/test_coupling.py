@@ -142,9 +142,18 @@ class TestMomentExponent:
 
 
 def coupled(coeffs, schedule, x0, y0, control, seed, clip_epsilon, n_paths):
-    """One bundle on the first n_paths rows of the seed's increments."""
+    """The path-major reference on the first n_paths rows of the seed's
+    increments: every node of every path, g at every step included."""
     w = scaled_increments(seed, n_paths, control.grid)
-    return g.simulate_bundle(coeffs, schedule, x0, y0, control, clip_epsilon,
+    return reference_coupled(coeffs, schedule, x0, y0, control, clip_epsilon,
+                             w)
+
+
+def one_control(coeffs, schedule, x0, y0, control, seed, epsilons, n_paths):
+    """The coupled run of one control on the first n_paths rows of the
+    seed's increments."""
+    w = scaled_increments(seed, n_paths, control.grid)
+    return g.simulate_coupled(coeffs, schedule, x0, y0, [control], epsilons,
                               w)
 
 
@@ -173,34 +182,39 @@ def acc_setup(multiplicative_model, pinched_band):
 
 
 class TestSimulateCoupled:
+    """Statistics at every node and step read off the path-major reference,
+    which TestTimeMajorCoupledKernel pins to the kernel; those at a clip
+    node read off the kernel itself."""
+
     def test_equal_starts_stay_coupled(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = coupled(coeffs, schedule, 0.4, 0.4, controls[2],
-                         seed=21, clip_epsilon=0.01, n_paths=64)
-        assert np.array_equal(bundle.x_path, bundle.y_path)
-        assert np.all(bundle.g_path == 0.0)
-        assert np.all(bundle.log_m_path == 0.0)
-        assert np.all(np.exp(bundle.log_m_path) == 1.0)
+        ref = coupled(coeffs, schedule, 0.4, 0.4, controls[2],
+                      seed=21, clip_epsilon=0.01, n_paths=64)
+        assert np.array_equal(ref["x_path"], ref["y_path"])
+        assert np.all(ref["g_path"] == 0.0)
+        assert np.all(ref["log_m_path"] == 0.0)
+        assert np.all(np.exp(ref["log_m_path"]) == 1.0)
+        (sample,) = at_clip(coeffs, schedule, 0.4, 0.4, controls[2:3], 64,
+                            seed=21, clip_epsilon=0.01)
+        assert np.all(sample.gap == 0.0) and np.all(sample.log_m == 0.0)
 
     def test_g_bound_every_step(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[4],
-                         seed=22, clip_epsilon=0.01, n_paths=256)
+        ref = coupled(coeffs, schedule, 0.0, 0.5, controls[4],
+                      seed=22, clip_epsilon=0.01, n_paths=256)
         lam = schedule.value(grid.nodes)
-        for j in range(bundle.clip_index):
-            gap = np.abs(bundle.x_path[:, j] - bundle.y_path[:, j])
+        for j in range(coupling._clip_index(grid, 0.01)):
+            gap = np.abs(ref["x_path"][:, j] - ref["y_path"][:, j])
             bound = gap / (lam[j] * coeffs.kappa1)
-            assert np.all(np.abs(bundle.g_path[:, j]) <= bound * (1 + 1e-12))
+            assert np.all(np.abs(ref["g_path"][:, j]) <= bound * (1 + 1e-12))
 
     def test_gap_median_decreases_with_clip(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
         medians = []
         for eps in (0.2, 0.1, 0.05):
-            bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[2],
-                             seed=23, clip_epsilon=eps, n_paths=1024)
-            j = bundle.clip_index
-            medians.append(float(np.median(
-                np.abs(bundle.x_path[:, j] - bundle.y_path[:, j]))))
+            (sample,) = at_clip(coeffs, schedule, 0.0, 0.5, controls[2:3],
+                                1024, seed=23, clip_epsilon=eps)
+            medians.append(float(np.median(sample.gap)))
         assert medians[0] > medians[1] > medians[2]
 
     def test_fine_reference_confirms_trend(self, acc_setup):
@@ -210,39 +224,44 @@ class TestSimulateCoupled:
         fine_controls = g.sample_controls("constants", band, fine_grid, 5, seed=3)
         medians = []
         for eps in (0.2, 0.05):
-            bundle = coupled(coeffs, schedule, 0.0, 0.5,
-                             fine_controls[2], seed=23,
-                             clip_epsilon=eps, n_paths=512)
-            j = bundle.clip_index
-            medians.append(float(np.median(
-                np.abs(bundle.x_path[:, j] - bundle.y_path[:, j]))))
+            (sample,) = at_clip(coeffs, schedule, 0.0, 0.5,
+                                fine_controls[2:3], 512, seed=23,
+                                clip_epsilon=eps)
+            medians.append(float(np.median(sample.gap)))
         assert medians[0] > medians[1]
 
     def test_clip_epsilon_validated(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
         for eps in (0.0, -0.1, 0.3):
             with pytest.raises(CouplingError):
-                coupled(coeffs, schedule, 0.0, 0.5, controls[0],
-                        seed=1, clip_epsilon=eps, n_paths=1)
+                one_control(coeffs, schedule, 0.0, 0.5, controls[0],
+                            seed=1, epsilons=[eps], n_paths=1)
 
     def test_bit_reproducible(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        b1 = coupled(coeffs, schedule, 0.0, 0.5, controls[1],
-                     seed=31, clip_epsilon=0.01, n_paths=32)
-        b2 = coupled(coeffs, schedule, 0.0, 0.5, controls[1],
-                     seed=31, clip_epsilon=0.01, n_paths=32)
-        assert np.array_equal(b1.x_path, b2.x_path)
-        assert np.array_equal(b1.log_m_path, b2.log_m_path)
+        r1, r2 = (one_control(coeffs, schedule, 0.0, 0.5, controls[1],
+                              seed=31, epsilons=[0.01, 0.1], n_paths=32)
+                  for _ in range(2))
+        for eps in (0.01, 0.1):
+            (a,), (b,) = r1.at_clip(eps), r2.at_clip(eps)
+            assert a.log_m.tobytes() == b.log_m.tobytes()
+            assert a.gap.tobytes() == b.gap.tobytes()
+            assert r1.heads[eps][0].tobytes() == r2.heads[eps][0].tobytes()
 
     def test_density_positive_and_martingale_proxy(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[3],
-                         seed=33, clip_epsilon=0.01, n_paths=8192)
-        assert np.all(np.exp(bundle.log_m_path) > 0.0)
-        assert np.all(bundle.log_m_path[:, 0] == 0.0)
+        # the reference on blocks of 2048 rows: each path reads its own row
+        w = scaled_increments(33, 8192, grid)
+        log_m = np.concatenate([
+            reference_coupled(coeffs, schedule, 0.0, 0.5, controls[3], 0.01,
+                              w[first:first + 2048])["log_m_path"]
+            for first in range(0, 8192, 2048)])
+        assert np.all(np.exp(log_m) > 0.0)
+        assert np.all(log_m[:, 0] == 0.0)
         quarter = grid.n_steps // 4
-        for j in (quarter, 2 * quarter, 3 * quarter, bundle.clip_index):
-            m = np.exp(bundle.log_m_path[:, j])
+        for j in (quarter, 2 * quarter, 3 * quarter,
+                  coupling._clip_index(grid, 0.01)):
+            m = np.exp(log_m[:, j])
             se = float(np.std(m, ddof=1) / math.sqrt(m.size))
             assert abs(float(np.mean(m)) - 1.0) <= 3.0 * se
 
@@ -250,29 +269,31 @@ class TestSimulateCoupled:
 class TestShiftedQv:
     def test_zero_shift_exact(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = coupled(coeffs, schedule, 0.2, 0.2, controls[0],
-                         seed=41, clip_epsilon=0.01, n_paths=64)
+        run = one_control(coeffs, schedule, 0.2, 0.2, controls[0],
+                          seed=41, epsilons=[0.01], n_paths=64)
         # x = y: g, and so the shift and its energy, are exactly zero
-        assert shifted_qv_discrepancy(bundle) == (0.0, 0.0)
+        assert shifted_qv_discrepancy(run, 0.01) == (0.0, 0.0)
 
     def test_bounded_shift_within_tolerance(self, acc_setup):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[-1],
-                         seed=42, clip_epsilon=0.01, n_paths=512)
-        assert shifted_qv_discrepancy(bundle)[0] <= \
-            10.0 * bundle.grid.dt * bundle.grid.horizon
+        run = one_control(coeffs, schedule, 0.0, 0.5, controls[-1],
+                          seed=42, epsilons=[0.01], n_paths=512)
+        assert shifted_qv_discrepancy(run, 0.01)[0] <= \
+            10.0 * grid.dt * grid.horizon
 
-    def test_refinement_halves_discrepancy(self, acc_setup):
+    def test_refinement_halves_discrepancy(self, acc_setup, monkeypatch):
+        # all 512 paths are export rows
+        monkeypatch.setattr(coupling, "EXPORT_PATHS", 512)
         coeffs, band, schedule, grid, controls = acc_setup
         fine_grid = g.TimeGrid(1.0, 1024)
         fine_control = g.sample_controls("constants", band, fine_grid, 5,
                                          seed=3)[-1]
-        coarse = coupled(coeffs, schedule, 0.0, 0.5, controls[-1],
-                         seed=43, clip_epsilon=0.01, n_paths=512)
-        fine = coupled(coeffs, schedule, 0.0, 0.5, fine_control,
-                       seed=43, clip_epsilon=0.01, n_paths=512)
-        ratio = shifted_qv_discrepancy(coarse)[0] / \
-            shifted_qv_discrepancy(fine)[0]
+        coarse = one_control(coeffs, schedule, 0.0, 0.5, controls[-1],
+                             seed=43, epsilons=[0.01], n_paths=512)
+        fine = one_control(coeffs, schedule, 0.0, 0.5, fine_control,
+                           seed=43, epsilons=[0.01], n_paths=512)
+        ratio = shifted_qv_discrepancy(coarse, 0.01)[0] / \
+            shifted_qv_discrepancy(fine, 0.01)[0]
         assert 1.5 <= ratio <= 2.7
 
 
@@ -490,6 +511,9 @@ def poisoned(w, rows, step=61):
 
 
 class TestAllPathsExcluded:
+    # inf - inf in the shifted-QV terms of an export row made non-finite:
+    # the guard's event, not an error
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_error_names_the_control_and_count(self, multiplicative_model,
                                                 pinched_band):
         coeffs = multiplicative_model
@@ -500,8 +524,8 @@ class TestAllPathsExcluded:
         w = poisoned(scaled_increments(5, 4, grid), slice(None), step=10)
         run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls, [0.25],
                                  w)
-        assert [np.count_nonzero(b.stiff_step < grid.n_steps)
-                for b in run.heads] == [4, 4]
+        assert [np.count_nonzero(~included)
+                for included in run.head_at(0.25)[2]] == [4, 4]
         samples = run.at_clip(0.25)
         with pytest.raises(CouplingError, match="control 0: all 4 paths"):
             g.entropy_bound_check(coeffs, schedule, 0.0, 0.5, samples)
@@ -549,13 +573,13 @@ class TestStabilityBound:
         # the band's upper level sets r, whatever levels the control uses
         for control in (controls[0], policy):
             with pytest.raises(CouplingError, match=r"r = 8\.86"):
-                g.simulate_bundle(coeffs, schedule, 0.0, 0.5, control, 0.025,
-                                   w)
+                g.simulate_coupled(coeffs, schedule, 0.0, 0.5, [control],
+                                   [0.025], w)
 
 
 class TestOnePassSweep:
-    """A bundle simulated at the smallest clip holds every larger clip's
-    node exactly as a bundle simulated at that clip does."""
+    """A run simulated at the smallest clip holds every larger clip's node
+    exactly as a run simulated at that clip does."""
 
     @staticmethod
     def make_case(coeffs, band, alpha):
@@ -572,6 +596,13 @@ class TestOnePassSweep:
         for name in ("epsilon", "clip_time", "lambda_at_clip", "n_excluded"):
             assert getattr(one_pass, name) == getattr(separate, name), name
 
+    @staticmethod
+    def assert_same_head(one_pass, separate, eps):
+        t, head, included = one_pass.head_at(eps)
+        assert t == separate.head_at(eps)[0]
+        assert head.tobytes() == separate.head_at(eps)[1].tobytes()
+        assert np.array_equal(included, separate.head_at(eps)[2])
+
     # 0 * inf where g is frozen to zero: the guard's event, not an error
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("poison", [False, True],
@@ -583,48 +614,52 @@ class TestOnePassSweep:
         if poison:
             w = poisoned(w, LATE_ROWS)
         for c in controls:
-            run = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, c,
-                                     min(SWEEP), w)
             swept = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, [c], SWEEP,
                                        w)
             for eps in SWEEP:
-                alone = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, c, eps,
-                                           w)
-                (sample,) = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, [c],
-                                               [eps], w).at_clip(eps)
-                self.assert_same(swept.at_clip(eps)[0], sample)
-                assert shifted_qv_discrepancy(run, eps) == \
-                    shifted_qv_discrepancy(alone)
+                alone = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, [c],
+                                           [eps], w)
+                self.assert_same(swept.at_clip(eps)[0], alone.at_clip(eps)[0])
+                self.assert_same_head(swept, alone, eps)
+                assert shifted_qv_discrepancy(swept, eps) == \
+                    shifted_qv_discrepancy(alone, eps)
 
+    # 0 * inf where g is frozen to zero: the guard's event, not an error
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_path_excluded_between_nodes(self, multiplicative_model,
                                          pinched_band):
         coeffs = multiplicative_model
         schedule, controls, w = self.make_case(coeffs, pinched_band, 0.81)
         w = poisoned(w, LATE_ROWS)
-        run = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, controls[1],
-                                 0.025, w)
-        late = np.nonzero(run.stiff_step == 61)[0]
+        ref = reference_coupled(coeffs, schedule, 0.0, 0.5, controls[1],
+                                0.025, w)
+        late = np.nonzero(ref["stiff_step"] == 61)[0]
         assert np.array_equal(late, LATE_ROWS)
-        assert np.count_nonzero(run.stiff_step < run.grid.n_steps) == late.size
-        assert np.all(run.included(0.05)[late])
-        assert not np.any(run.included(0.025)[late])
+        assert np.count_nonzero(ref["stiff_step"] < 64) == late.size
         swept = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, [controls[1]],
                                    [0.05, 0.025], w)
         assert swept.at_clip(0.05)[0].n_excluded == 0
         assert swept.at_clip(0.025)[0].n_excluded == late.size
         assert swept.at_clip(0.025)[0].log_m.size == 256 - late.size
-        assert np.all(np.isfinite(run.x_path)) and \
-            np.all(np.isfinite(run.log_m_path))
+        n_head = coupling.EXPORT_PATHS
+        assert np.all(swept.head_at(0.05)[2])
+        _, head, included = swept.head_at(0.025)
+        assert np.array_equal(np.nonzero(~included[0])[0],
+                              late[late < n_head])
+        assert np.all(np.isfinite(head[:3]))
 
+    # 0 * inf where g is frozen to zero: the guard's event, not an error
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_shifted_qv_with_every_path_excluded(self, multiplicative_model,
                                                  pinched_band):
-        # a bundle of only the rows excluded in step 61 keeps every path at
+        # a run of only the rows excluded in step 61 keeps every path at
         # the node of 0.05 and none at the node of 0.025
         coeffs = multiplicative_model
         schedule, controls, w = self.make_case(coeffs, pinched_band, 0.81)
-        alone = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, controls[1],
-                                   0.025, poisoned(w, LATE_ROWS)[LATE_ROWS])
-        assert np.all(alone.stiff_step == 61)
+        alone = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, [controls[1]],
+                                   [0.05, 0.025],
+                                   poisoned(w, LATE_ROWS)[LATE_ROWS])
+        assert not np.any(alone.head_at(0.025)[2])
         assert all(map(math.isfinite, shifted_qv_discrepancy(alone, 0.05)))
         with pytest.raises(CouplingError,
                            match=f"clip_epsilon 0.025: all {LATE_ROWS.size} "
@@ -632,92 +667,99 @@ class TestOnePassSweep:
             shifted_qv_discrepancy(alone, 0.025)
 
     def test_clip_below_the_bundles_own_rejected(self, acc_setup):
+        # a run holds the clip nodes it recorded and no other, also none
+        # past its own clip, where g was already frozen
         coeffs, band, schedule, grid, controls = acc_setup
-        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[0], seed=92,
-                         clip_epsilon=0.05, n_paths=8)
-        bundle.node(0.1)
-        for eps in (0.025, 0.049):
-            with pytest.raises(CouplingError, match="below the bundle"):
-                bundle.node(eps)
-            with pytest.raises(CouplingError, match="below the bundle"):
-                shifted_qv_discrepancy(bundle, eps)
+        run = one_control(coeffs, schedule, 0.0, 0.5, controls[0], seed=92,
+                          epsilons=[0.05, 0.1], n_paths=8)
+        run.head_at(0.1)
+        shifted_qv_discrepancy(run, 0.1)
+        for eps in (0.025, 0.049, 0.2):
+            for read in (run.at_clip, run.head_at,
+                         lambda e: shifted_qv_discrepancy(run, e)):
+                with pytest.raises(CouplingError,
+                                   match="was not recorded; the run holds "
+                                         "0.05, 0.1"):
+                    read(eps)
 
+    # 0 * inf where g is frozen to zero: the guard's event, not an error
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_head_is_a_copy_of_a_smaller_bundle(self, acc_setup):
         # each path reads only its own row of w, also when rows past the
-        # head are excluded: the export rows of a stacked run are a
-        # one-control bundle on those rows of w alone, at every node the
-        # head keeps (its clip node for x, y and log M)
+        # export rows are excluded: the export record of a 2048-path run is
+        # bit for bit that of a run on the first EXPORT_PATHS rows alone,
+        # (x, y, log M) and both shifted-QV sums at every clip node
         coeffs, band, schedule, grid, controls = acc_setup
-        clip_node = coupling._clip_index(grid, 0.025)
-        clean = scaled_increments(93, 256, grid)
-        for w in (clean, poisoned(clean, LATE_ROWS)):
+        n_head = coupling.EXPORT_PATHS
+        clean = scaled_increments(93, 2048, grid)
+        for w in (clean, poisoned(clean, LATE_ROWS * 7, step=470)):
             run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls,
-                                     [0.025], w)
+                                     [0.025, 0.1], w)
+            small = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls,
+                                       [0.025, 0.1], w[:n_head])
             assert [s.n_excluded for s in run.at_clip(0.025)] == \
                 [0 if w is clean else LATE_ROWS.size] * len(controls)
-            for control, head in zip(controls, run.heads):
-                small = g.simulate_bundle(coeffs, schedule, 0.0, 0.5,
-                                          control, 0.025,
-                                          w[:coupling.EXPORT_PATHS])
-                assert head.stiff_step.shape == (coupling.EXPORT_PATHS,)
-                assert head.nodes == (clip_node,)
-                for name in ("w", "levels", "x_path", "y_path", "g_path",
-                             "log_m_path", "stiff_step"):
-                    want = getattr(small, name)
-                    if name in ("x_path", "y_path", "log_m_path"):
-                        want = want[:, list(head.nodes)]
-                    assert getattr(head, name).tobytes() == want.tobytes(), \
-                        name
-                    assert not getattr(head, name).flags.writeable, name
+            for eps in (0.025, 0.1):
+                t, head, included = run.head_at(eps)
+                assert head.shape == (5, len(controls), n_head)
+                assert included.shape == (len(controls), n_head)
+                assert not head.flags.writeable
+                self.assert_same_head(run, small, eps)
+
+
+def export_paths(run, eps):
+    """The paths.csv artifact of a run: each control's (t, x, y, log M) of
+    its export rows at the clip node of `eps`."""
+    t, head, _ = run.head_at(eps)
+    return [(t, *rows) for rows in zip(*head[:3])]
 
 
 class TestBundleExport:
     def test_csv_columns(self, acc_setup, tmp_path):
         coeffs, band, schedule, grid, controls = acc_setup
-        bundles = [
-            coupled(coeffs, schedule, 0.0, 0.5, c, seed=81,
-                    clip_epsilon=0.01, n_paths=4)
-            for c in controls[:2]
-        ]
-        write_outputs(tmp_path, [], {"paths": bundles}, [], None)
+        w = scaled_increments(81, 4, grid)
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[:2],
+                                 [0.01], w)
+        write_outputs(tmp_path, [], {"paths": export_paths(run, 0.01)}, [])
         lines = (tmp_path / "paths.csv").read_text().splitlines()
         assert lines[0] == "control_id,path_id,clip_time,x,y,abs_gap,m,log_m"
         assert len(lines) == 1 + 2 * 4
         cells = lines[1].split(",")
         assert cells[0] == "0" and cells[1] == "0"
-        t, x, y, log_m = bundles[0].at_node()
-        assert cells[2:6] == [repr(t), repr(float(x[0])), repr(float(y[0])),
-                              repr(abs(float(x[0]) - float(y[0])))]
+        t, (x, y, log_m, *_), _ = run.head_at(0.01)
+        x, y, log_m = float(x[0, 0]), float(y[0, 0]), float(log_m[0, 0])
+        assert cells[2:6] == [repr(t), repr(x), repr(y), repr(abs(x - y))]
         assert float(cells[6]) == pytest.approx(math.exp(float(cells[7])))
-        assert cells[7] == repr(float(log_m[0]))
+        assert cells[7] == repr(log_m)
+        assert lines[5].split(",")[:2] == ["1", "0"]
 
     def test_export_reads_a_node_the_rows_kept(self, acc_setup, tmp_path):
-        # a stacked run's export rows keep x, y and log M at its clip nodes
-        # only: paths.csv reads one of them, and refuses any other node,
-        # leaving no paths.csv
+        # a run's export rows keep x, y and log M at its clip nodes only:
+        # paths.csv reads one of them, as a run at that clip alone writes
+        # it, and any other clip is refused
         coeffs, band, schedule, grid, controls = acc_setup
         w = scaled_increments(82, 8, grid)
         run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[:2],
                                  [0.01, 0.1], w)
-        assert [head.nodes for head in run.heads] == [(460, 506)] * 2
-        bundles = [coupled(coeffs, schedule, 0.0, 0.5, c, seed=82,
-                           clip_epsilon=0.01, n_paths=8) for c in controls[:2]]
         for eps in (0.1, 0.01):
-            write_outputs(tmp_path / "run", [], {"paths": run.heads}, [], eps)
-            write_outputs(tmp_path / "alone", [], {"paths": bundles}, [], eps)
+            alone = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
+                                       controls[:2], [eps], w)
+            write_outputs(tmp_path / "run", [],
+                          {"paths": export_paths(run, eps)}, [])
+            write_outputs(tmp_path / "alone", [],
+                          {"paths": export_paths(alone, eps)}, [])
             assert (tmp_path / "run" / "paths.csv").read_bytes() == \
                 (tmp_path / "alone" / "paths.csv").read_bytes()
         with pytest.raises(CouplingError,
-                           match=r"node 486 is not kept: \(460, 506\)"):
-            write_outputs(tmp_path / "refused", [], {"paths": run.heads}, [],
-                          0.05)
-        assert not (tmp_path / "refused" / "paths.csv").exists()
+                           match="clip_epsilon 0.05 was not recorded"):
+            export_paths(run, 0.05)
 
 
 def reference_coupled(coeffs, schedule, x0, y0, control, clip_epsilon, w):
     """The coupled Euler loop written path-major, one strided column per
-    step, with the finiteness guard applied path by path. Returns the
-    arrays by PathBundle field name."""
+    step, with the finiteness guard applied path by path: w, the levels and
+    g at every step, and x, y and log M at every node of every path, with
+    the step each path was excluded in (n_steps if never)."""
     grid = control.grid
     n_paths, n_steps = w.shape
     dt = grid.dt
@@ -752,11 +794,9 @@ def reference_coupled(coeffs, schedule, x0, y0, control, clip_epsilon, w):
             xn = euler(x, sx, dqv, dB)
             yn = euler(y, sy, dqv, dB) + sy * g * dqv
             lmn = logm - g * dB - 0.5 * g * g * dqv
-        for p in range(n_paths):
-            if not (math.isfinite(xn[p]) and math.isfinite(yn[p])
-                    and math.isfinite(lmn[p])):
-                stiff_step[p] = min(stiff_step[p], j)
-                xn[p], yn[p], lmn[p] = x[p], y[p], logm[p]
+        bad = ~(np.isfinite(xn) & np.isfinite(yn) & np.isfinite(lmn))
+        stiff_step[bad] = np.minimum(stiff_step[bad], j)
+        xn[bad], yn[bad], lmn[bad] = x[bad], y[bad], logm[bad]
         x, y, logm = xn, yn, lmn
         x_path[:, j + 1] = x
         y_path[:, j + 1] = y
@@ -766,18 +806,21 @@ def reference_coupled(coeffs, schedule, x0, y0, control, clip_epsilon, w):
             "stiff_step": stiff_step}
 
 
-def reference_shifted_qv(arrays, dt, j, keep):
-    """shifted_qv_discrepancy on path-major arrays: every term from the clip
-    node on is zero; the energy sums the terms before the clip node."""
-    dB = arrays["levels"] * arrays["w"]
-    dqv = arrays["levels"] ** 2 * dt
-    g = arrays["g_path"][:, :-1]
-    with np.errstate(invalid="ignore"):
-        terms = (dB + g * dqv) ** 2 - dB ** 2
-    terms[:, j:] = 0.0
-    disc = np.abs(np.sum(terms, axis=1))
-    energy = np.sum((g * g * dqv)[:, :j], axis=1)
-    return float(np.mean(disc[keep])), float(np.mean(energy[keep]))
+def reference_shifted_qv(arrays, dt, j):
+    """Per path, the shifted-QV cross term (g dqv + dB)^2 - dB^2 and the
+    energy g^2 dqv, each summed in step order over the steps before node
+    j."""
+    cross = np.zeros(arrays["w"].shape[0])
+    energy = np.zeros_like(cross)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(j):
+            lv, g = arrays["levels"][:, i], arrays["g_path"][:, i]
+            dB = lv * arrays["w"][:, i]
+            dqv = lv * lv * dt
+            shift = g * dqv + dB
+            cross += shift * shift - dB * dB
+            energy += g * g * dqv
+    return cross, energy
 
 
 class TestTimeMajorCoupledKernel:
@@ -785,40 +828,37 @@ class TestTimeMajorCoupledKernel:
     path-major loop gives one control at a time, with and without excluded
     paths."""
 
-    FIELDS = ("w", "levels", "x_path", "y_path", "g_path", "log_m_path",
-              "stiff_step")
-    # Kept by an export row at the run's clip nodes only.
-    NODE_FIELDS = ("x_path", "y_path", "log_m_path")
-
     @staticmethod
     def assert_run_matches(run, controls, refs, dt):
-        """Every clip sample and every export row of a stacked run, at every
-        node the row keeps, against the path-major loop of each control."""
+        """Every clip sample and the export record of a stacked run, at
+        every clip node, against the path-major loop of each control."""
         n_head = coupling.EXPORT_PATHS
-        clip_nodes = sorted({coupling._clip_index(controls[0].grid, eps)
-                             for eps in run.samples})
         for eps in run.samples:
+            j = coupling._clip_index(controls[0].grid, eps)
             for sample, ref in zip(run.at_clip(eps), refs):
-                j = coupling._clip_index(controls[0].grid, eps)
                 keep = ref["stiff_step"] >= j
                 logm = ref["log_m_path"][keep, j]
                 gap = np.abs(ref["x_path"][keep, j] - ref["y_path"][keep, j])
                 assert sample.log_m.tobytes() == logm.tobytes()
                 assert sample.gap.tobytes() == gap.tobytes()
                 assert sample.n_excluded == keep.size - np.count_nonzero(keep)
-        for head, ref in zip(run.heads, refs):
-            assert head.nodes == tuple(clip_nodes)
-            for name in TestTimeMajorCoupledKernel.FIELDS:
-                want = ref[name][:n_head]
-                if name in TestTimeMajorCoupledKernel.NODE_FIELDS:
-                    want = want[:, clip_nodes]
-                assert getattr(head, name).tobytes() == want.tobytes(), name
-            head_ref = {k: v[:n_head] for k, v in ref.items()}
-            for eps in SWEEP:
-                j = head.node(eps)
-                assert shifted_qv_discrepancy(head, eps) == \
-                    reference_shifted_qv(head_ref, dt, j,
-                                         head_ref["stiff_step"] >= j)
+            _, head, included = run.head_at(eps)
+            means = []
+            for x, y, logm, cross, energy, inc, ref in zip(*head, included,
+                                                            refs):
+                want = {k: v[:n_head] for k, v in ref.items()}
+                keep = want["stiff_step"] >= j
+                assert np.array_equal(inc, keep)
+                for got, name in ((x, "x_path"), (y, "y_path"),
+                                  (logm, "log_m_path")):
+                    assert got.tobytes() == want[name][:, j].tobytes(), name
+                sums = reference_shifted_qv(want, dt, j)
+                assert cross[keep].tobytes() == sums[0][keep].tobytes()
+                assert energy[keep].tobytes() == sums[1][keep].tobytes()
+                means.append((float(np.mean(np.abs(sums[0][keep]))),
+                              float(np.mean(sums[1][keep]))))
+            assert shifted_qv_discrepancy(run, eps) == \
+                tuple(map(max, zip(*means)))
 
     # 0 * inf where g is frozen to zero: the guard's event, not an error
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -827,29 +867,41 @@ class TestTimeMajorCoupledKernel:
     def test_every_array_equals_path_major_loop(self, multiplicative_model,
                                                  pinched_band, guard,
                                                  control_id):
+        # the kernel's pass asked for every node: (|x - y|, log M) of every
+        # path, and the export record of every path, x, y, log M and both
+        # shifted-QV sums, at every node
         coeffs = multiplicative_model
         schedule, controls, w = TestOnePassSweep.make_case(
             coeffs, pinched_band, 0.81)
         if guard == "late_exclusion":
             w = poisoned(w, LATE_ROWS)
         control = controls[control_id]
-        bundle = g.simulate_bundle(coeffs, schedule, 0.0, 0.5, control,
-                                   0.025, w)
+        n_paths, n_steps = w.shape
+        nodes = list(range(n_steps + 1))
+        record = np.empty((2, n_steps + 1, 1, n_paths))
+        head = np.empty((5, n_steps + 1, 1, n_paths))
+        stiff_step = np.full((1, n_paths), n_steps)
+        clip_index = coupling._clip_index(control.grid, 0.025)
+        coupling._coupled_pass(coeffs, schedule, [control], clip_index, w,
+                               (0.0, 0.5), nodes, record, stiff_step, head)
         refs = [reference_coupled(coeffs, schedule, 0.0, 0.5, c, 0.025, w)
                 for c in controls]
         ref = refs[control_id]
-        for name in self.FIELDS:
-            got = getattr(bundle, name)
-            assert got.shape == ref[name].shape, name
+        assert stiff_step[0].tobytes() == ref["stiff_step"].tobytes()
+        x, y, logm, cross, energy = head[:, :, 0].transpose(0, 2, 1)
+        for got, name in ((x, "x_path"), (y, "y_path"),
+                          (logm, "log_m_path")):
             assert got.tobytes() == ref[name].tobytes(), name
-            assert not got.flags.writeable, name
+        gap = np.abs(ref["x_path"] - ref["y_path"])
+        assert record[0, :, 0].T.tobytes() == gap.tobytes()
+        assert record[1, :, 0].T.tobytes() == ref["log_m_path"].tobytes()
         dt = control.grid.dt
-        for eps in SWEEP:
-            j = bundle.node(eps)
+        for j in nodes:
             keep = ref["stiff_step"] >= j
-            assert shifted_qv_discrepancy(bundle, eps) == \
-                reference_shifted_qv(ref, dt, j, keep)
-        assert np.count_nonzero(bundle.stiff_step < bundle.grid.n_steps) == \
+            sums = reference_shifted_qv(ref, dt, min(j, clip_index))
+            assert cross[keep, j].tobytes() == sums[0][keep].tobytes(), j
+            assert energy[keep, j].tobytes() == sums[1][keep].tobytes(), j
+        assert np.count_nonzero(ref["stiff_step"] < n_steps) == \
             (0 if guard is None else LATE_ROWS.size)
         # the stacked run of the whole family, from control_id on
         run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
@@ -898,6 +950,8 @@ class TestTimeMajorCoupledKernel:
             assert (a.epsilon, b.epsilon) == (0.01, 0.0101)
             assert a.clip_time == b.clip_time
             assert a.log_m.tobytes() == b.log_m.tobytes()
+        assert run.head_at(0.01)[1].tobytes() == \
+            run.head_at(0.0101)[1].tobytes()
 
     def test_first_rows_are_a_run_on_those_rows(self, acc_setup):
         # the per-path stream promise: every statistic of a stacked run on
@@ -913,39 +967,7 @@ class TestTimeMajorCoupledKernel:
                 for name in ("gap", "log_m"):
                     assert getattr(a, name)[:200].tobytes() == \
                         getattr(b, name).tobytes(), name
-        for a, b in zip(tall.heads, short.heads):
-            assert a.x_path.tobytes() == b.x_path.tobytes()
-
-    def test_time_nodes_are_contiguous_rows(self, acc_setup):
-        coeffs, band, schedule, grid, controls = acc_setup
-        bundle = coupled(coeffs, schedule, 0.0, 0.5, controls[2], seed=94,
-                         clip_epsilon=0.01, n_paths=32)
-        for name in ("x_path", "y_path", "g_path", "log_m_path"):
-            assert getattr(bundle, name).T.flags.c_contiguous, name
-        assert bundle.w.flags.c_contiguous
-        # an open-loop control's level at a step is one value for all paths
-        assert bundle.levels.strides[0] == 0
-
-    def test_export_rows_keep_w_as_drawn(self, acc_setup):
-        # the export block keeps the rows PathIncrements drew for it, not a
-        # copy of them; rows of a caller's array are copied out of it
-        coeffs, band, schedule, grid, controls = acc_setup
-        drawn = []
-
-        class Recording(g.PathIncrements):
-            def __getitem__(self, rows):
-                drawn.append(super().__getitem__(rows))
-                return drawn[-1]
-
-        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[:2],
-                                 [0.01], Recording(97, 200, grid))
-        assert all(head.w is drawn[-1] for head in run.heads)
-        w = scaled_increments(97, 200, grid)
-        kept = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls[:2],
-                                  [0.01], w).heads[0].w
-        assert not np.shares_memory(kept, w)
-        assert kept.tobytes() == w[:coupling.EXPORT_PATHS].tobytes() == \
-            drawn[-1].tobytes()
+            TestOnePassSweep.assert_same_head(tall, short, eps)
 
 
 class TestPathBlocks:
@@ -958,21 +980,17 @@ class TestPathBlocks:
         for eps in one.samples:
             for a, b in zip(blocked.at_clip(eps), one.at_clip(eps)):
                 TestOnePassSweep.assert_same(a, b)
-        for a, b in zip(blocked.heads, one.heads):
-            assert (a.nodes, a.clip_index) == (b.nodes, b.clip_index)
-            for name in TestTimeMajorCoupledKernel.FIELDS:
-                assert getattr(a, name).tobytes() == \
-                    getattr(b, name).tobytes(), name
+            TestOnePassSweep.assert_same_head(blocked, one, eps)
 
     # 0 * inf where g is frozen to zero: the guard's event, not an error
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_blocked_equals_one_block(self, multiplicative_model,
                                       pinched_band, monkeypatch):
-        # 300 paths: the non-export rows in blocks of 128 and 44, in path
-        # order, then the 128 export rows as their own block; a feedback
-        # control in the family, rows of the first and the export block
-        # made non-finite early, and one row of the 44 excluded between the
-        # clip nodes of 0.05 and 0.025
+        # 300 paths: the 128 export rows as their own block, then the rest
+        # in blocks of 128 and 44, in path order; a feedback control in the
+        # family, rows of the export block and of the next made non-finite
+        # early, and one row of the 44 excluded between the clip nodes of
+        # 0.05 and 0.025
         coeffs = multiplicative_model
         schedule = g.make_schedule(0.81, coeffs, pinched_band, 1.0)
         grid = g.TimeGrid(1.0, 64)
@@ -1000,12 +1018,12 @@ class TestPathBlocks:
                                 rows * 8 * grid.n_steps)
             runs[rows] = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
                                             family, (0.1, *SWEEP), w)
-        assert sizes == [128, 44, 128, 172, 128]
+        assert sizes == [128, 128, 44, 128, 172]
         self.assert_same_run(runs[128], runs[300])
         assert [s.n_excluded for s in runs[128].at_clip(0.05)] == [4] * 3
         assert [s.n_excluded for s in runs[128].at_clip(0.025)] == [5] * 3
-        assert [np.count_nonzero(h.stiff_step < grid.n_steps)
-                for h in runs[128].heads] == [1] * 3
+        assert [np.count_nonzero(~included)
+                for included in runs[128].head_at(0.025)[2]] == [1] * 3
         refs = [reference_coupled(coeffs, schedule, 0.0, 0.5, c, 0.025, w)
                 for c in family]
         TestTimeMajorCoupledKernel.assert_run_matches(runs[128], family, refs,
@@ -1017,3 +1035,22 @@ class TestPathBlocks:
                                    g.PathIncrements(97, 300, grid))
         self.assert_same_run(drawn, g.simulate_coupled(
             coeffs, schedule, 0.0, 0.5, family, SWEEP, clean))
+
+
+class TestEssFloor:
+    """A clip sample is refused when its weights M are worth fewer than two
+    draws (Kish's effective sample size), whatever their scale."""
+
+    @pytest.mark.parametrize("shift", [0.0, -1000.0])
+    def test_two_equal_weights_pass(self, shift):
+        sample = clip_sample(np.full(2, shift))
+        assert sample.require_included("control 0") is sample
+
+    @pytest.mark.parametrize("shift", [0.0, -1000.0])
+    def test_one_dominant_weight_is_refused(self, shift):
+        # exp(-1000) underflows: the refusal reads exp(log M - max log M)
+        sample = clip_sample(shift + np.array([0.0, -5.0, -6.0, -50.0]))
+        with pytest.raises(CouplingError,
+                           match=r"control 3: all 4 weights M = exp\(log M\) "
+                                 r"at the clip node count as 1\.02 draws"):
+            sample.require_included("control 3")

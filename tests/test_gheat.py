@@ -435,7 +435,7 @@ class TestGridFunctionExport:
     def test_csv_roundtrip(self, tmp_path, unit_band):
         u = g.solve_g_heat(g.make_payoff("gauss_bump"), unit_band, 0.5,
                            g.PdeConfig(-2, 2, 32))
-        write_outputs(tmp_path, [], {"grid_u": u}, [], None)
+        write_outputs(tmp_path, [], {"grid_u": u}, [])
         lines = (tmp_path / "grid_u.csv").read_text().splitlines()
         assert lines[0] == "x,u"
         assert len(lines) == 34

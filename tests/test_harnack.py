@@ -296,7 +296,7 @@ def written(tmp_path, *reports):
     """report.json and the lines of reports.csv that the CLI writes for
     `reports`."""
     entries = [dataclasses.asdict(r) for r in reports]
-    write_outputs(tmp_path, entries, {}, [], None)
+    write_outputs(tmp_path, entries, {}, [])
     return ((tmp_path / "report.json").read_text(),
             (tmp_path / "reports.csv").read_text().splitlines())
 

@@ -57,8 +57,7 @@ ALLOWED = {
     "identity_residual",
 }
 # Names reached as `gharnack.<name>` through the package's lazy table,
-# such as `solve_g_heat`, the G-heat oracle of criterion 01, and
-# `simulate_bundle`, the every-node coupled paths of one control.
+# such as `solve_g_heat`, the G-heat oracle of criterion 01.
 PUBLIC = set(gharnack._HOME)
 
 
@@ -401,10 +400,9 @@ PUBLIC_AT_FIRST = (
     "YoungReport", "random_young_trials", "sample_controls",
     "upper_semigroup_mc", "young_check",
     "CouplingError", "CouplingSchedule", "ClipSample", "CoupledRun",
-    "PathBundle", "SlackReport", "coupling_success_check",
-    "entropy_bound_check", "entropy_bound_value", "make_schedule",
-    "moment_bound_check", "moment_bound_value", "moment_exponent_a",
-    "simulate_bundle", "simulate_coupled",
+    "SlackReport", "coupling_success_check", "entropy_bound_check",
+    "entropy_bound_value", "make_schedule", "moment_bound_check",
+    "moment_bound_value", "moment_exponent_a", "simulate_coupled",
     "HarnackError", "HarnackReport", "check_gradient_estimate",
     "check_log_harnack", "check_power_harnack", "gradient_bound",
     "lipschitz_transport_check", "log_harnack_constant",
