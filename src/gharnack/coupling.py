@@ -14,10 +14,11 @@ clip, so a run simulated at a smaller epsilon holds the same (x, y, log M)
 there, bit for bit. A clip sweep therefore needs one pass, simulated at the
 smallest epsilon of the sweep; after the node of a larger epsilon, its g
 counts as zero. That pass advances every control at once, a (x, y, log M)
-by (k controls, paths) state, one block of paths at a time, and keeps
-(|x - y|, log M) only at the clip nodes it is asked for. The first
-EXPORT_PATHS paths run first, as a block of their own, which also keeps
-their (x, y, log M) there, with the two shifted-QV sums that build up in
+by (k controls, paths) state, one block of paths at a time, whose
+increments come a time-major window of steps at a time, and keeps
+(|x - y|, log M) only at the clip nodes it is asked for. The first block
+holds the first EXPORT_PATHS paths, the export rows, and keeps their
+(x, y, log M) there too, with the two shifted-QV sums that build up in
 step order inside the pass.
 
 Explicit Euler contracts the gap X - Y only while `stability_ratio` stays at
@@ -35,9 +36,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import CouplingError, ModelCoefficients, within_band
-from .plan import (EXPORT_PATHS, CouplingSchedule, _clip_index, _path_block,
-                   stability_ratio)
-from .scenario import (Control, _level_rows, _time_major, euler_step,
+from . import plan
+from .plan import EXPORT_PATHS, CouplingSchedule, _clip_index, stability_ratio
+from .scenario import (Control, _level_rows, _step_rows, euler_step,
                        mean_and_se, sup_over_controls)
 
 
@@ -145,8 +146,9 @@ class CoupledRun:
 def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
                   record, stiff_step, head=None):
     """The coupled Euler loop for k controls over one block of paths, on
-    their rows `w` of the shared increments, from (x, y, log M) =
-    (*start, 0), g clipped at grid node `clip_index`.
+    their rows `w` of the shared increments, read a time-major window at a
+    time, from (x, y, log M) = (*start, 0), g clipped at grid node
+    `clip_index`.
 
     X follows the base dynamics; Y carries the attracting drift
     sigma(Y) g d<B> with g = (X - Y)/(lambda sigma(X)); the density is
@@ -157,10 +159,11 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
     `stiff_step`; each path depends on its own row of `w` alone.
 
     Writes (|x - y|, log M) at the nodes `nodes` into the block's `record`.
-    Given `head`, the export block's (5, nodes, k, paths) record, also sums
-    the shifted-QV terms of each path in step order, the cross term
-    (g dqv + dB)^2 - dB^2 and the energy g^2 dqv, and writes (x, y, log M)
-    and both sums at the nodes `nodes` into it.
+    Given `head`, the (5, nodes, k, n_export) export record of the first
+    n_export paths of the block, also sums the shifted-QV terms of those
+    paths in step order, the cross term (g dqv + dB)^2 - dB^2 and the
+    energy g^2 dqv, and writes their (x, y, log M) and both sums at the
+    nodes `nodes` into it.
     """
     grid = controls[0].grid
     n_paths, n_steps = w.shape
@@ -173,7 +176,8 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
     new = np.empty_like(state)
     dB, gbuf = np.empty((2, len(controls), n_paths))
     if head is not None:
-        qv = np.zeros((2, len(controls), n_paths))
+        n_export = head.shape[-1]
+        qv = np.zeros((2, len(controls), n_export))
     lam_nodes = schedule.value(grid.nodes)
 
     def keep(node):
@@ -184,11 +188,11 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
             np.abs(gap, out=gap)
             lm[...] = state[2]
             if head is not None:
-                head[:3, i] = state
+                head[:3, i] = state[..., :n_export]
                 head[3:, i] = qv
 
     keep(0)
-    for j, wj in enumerate(_time_major(w)):
+    for j, wj in enumerate(_step_rows(w)):
         x, y, logm = state
         lv = levels_at(j, x)
         np.multiply(lv, wj, out=dB)
@@ -198,12 +202,14 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
             g = np.subtract(x, y, out=gbuf)
             g /= float(lam_nodes[j]) * s[0]
             if head is not None:
-                cross = g * dqv
-                cross += dB
+                g_head, dqv_head = g[:, :n_export], dqv[:, :n_export]
+                dB_head = dB[:, :n_export]
+                cross = g_head * dqv_head
+                cross += dB_head
                 cross *= cross
-                cross -= dB * dB
+                cross -= dB_head * dB_head
                 qv[0] += cross
-                qv[1] += g * g * dqv
+                qv[1] += g_head * g_head * dqv_head
         else:
             g = 0.0
         euler_step(coeffs, state[:2], s, dt, dqv, dB, out=new[:2])
@@ -224,15 +230,15 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     """Euler-Maruyama for the coupled pair under every control of a family
     in one pass over blocks of paths, driven by the sqrt(dt)-scaled
     increments `w`, one row per path: an array, or a `PathIncrements`,
-    drawn one block at a time. g is clipped at the smallest of
-    `clip_epsilons`; see `_coupled_pass` for the dynamics and finiteness
-    guard. Raises CouplingError when `stability_ratio` exceeds 1 for a
-    control's band.
+    whose blocks are drawn a time-major window at a time. g is clipped at
+    the smallest of `clip_epsilons`; see `_coupled_pass` for the dynamics
+    and finiteness guard. Raises CouplingError when `stability_ratio`
+    exceeds 1 for a control's band.
 
-    The first EXPORT_PATHS paths run first, as a block of their own, then
-    the rest in blocks of `_path_block` rows in path order. Keeps
-    (|x - y|, log M) of every path at the clip nodes of `clip_epsilons`,
-    and the export record of the first block there.
+    The paths run in blocks of `plan._PATH_BLOCK` rows in path order, the
+    first widened to hold the first EXPORT_PATHS paths, the export rows.
+    Keeps (|x - y|, log M) of every path at the clip nodes of
+    `clip_epsilons`, and the export record of the export rows there.
     """
     epsilons = [float(eps) for eps in clip_epsilons]
     clip_epsilon = min(epsilons)
@@ -260,8 +266,8 @@ def simulate_coupled(coeffs: ModelCoefficients, schedule: CouplingSchedule,
     record = np.empty((2, len(nodes), len(controls), n_paths))
     head = np.empty((5, len(nodes), len(controls), n_export))
     stiff_step = np.full((len(controls), n_paths), n_steps)
-    # Each block of w is dropped when its pass returns.
-    bounds = [0, *range(n_export, n_paths, _path_block(n_steps)), n_paths]
+    block = plan._PATH_BLOCK
+    bounds = [0, *range(max(block, n_export), n_paths, block), n_paths]
     for first, stop in zip(bounds, bounds[1:]):
         rows = slice(first, stop)
         _coupled_pass(coeffs, schedule, controls, clip_index, w[rows],

@@ -1,7 +1,7 @@
 """The plan of a run, fixed before any work: the PDE grid and its CFL step,
 the coupling schedule with its clip nodes and stability ratio, the
 power-Harnack threshold, and the bytes of a stacked solve and of a coupled
-run with the block sizes of the path passes.
+run with the block and window sizes of the path passes.
 
 `config` checks a run against these closed forms and sizes at parse time,
 and the solvers and the coupled pass use the same ones. This module imports
@@ -183,21 +183,21 @@ def stability_ratio(schedule: CouplingSchedule, sigma_upper: float,
                         initial=0.0))
 
 
-# Steps of `w` transposed into the scratch block at a time: 256 KiB for a
-# 1024-path block at 256 steps, small enough to stay in cache.
+# Steps of a time-major window of increments, drawn straight from the
+# streams: 256 KiB for a block of 1024 paths, small enough to stay in cache.
 _W_BLOCK_STEPS = 32
+# Doubles per path and step of a window: the window, and the scratch of its
+# draws that a block's pass keeps, the words, counter pairs and products
+# (about 14 bytes a normal).
+_WINDOW_DOUBLES = 3
 
-# Bytes of the increments drawn at a time, 1024 paths at 256 steps: half
-# the memory of 4 MiB for a few percent of time. The scenario pass at 16384
-# x 256 took 0.26-0.29 s in-process at 2 MiB, 0.24-0.28 s at 4 MiB and
-# 0.34-0.36 s at 1 MiB (medians, 2-core Xeon, numpy 2.4.6).
-_PATH_BLOCK_BYTES = 2 * 2 ** 20
-
-
-def _path_block(n_steps: int) -> int:
-    """Paths per block of a pass over `n_steps` steps: _PATH_BLOCK_BYTES of
-    increments, at least one path."""
-    return max(1, _PATH_BLOCK_BYTES // (8 * n_steps))
+# Paths per block of a pass, whatever its steps: no array of a block spans
+# its steps, so the block bounds only the (k, block) state rows and the
+# window. The scenario pass at 16384 x 256 took 0.126-0.143 s in-process at
+# 1024 paths, 0.109-0.118 s at 2048, which holds twice the window and the
+# state rows, and 0.173-0.186 s at 512 (quartiles of 15, 2-core Xeon,
+# numpy 2.4.6).
+_PATH_BLOCK = 1024
 
 
 # (k, block) arrays alive at once in a step of the coupled pass: the two
@@ -214,13 +214,15 @@ _RECORD_ROWS = (2 + 2) * _CLIP_NODES + 1
 
 
 def run_nbytes(n_paths: int, n_steps: int, n_controls: int) -> int:
-    """Bytes of the arrays of one coupled run of the CLI: the larger block
-    of the increments w, the export block or a later one, with its
-    time-major block and its state rows, the clip-node record, the export
-    record, lambda at the nodes and two tables of open-loop levels."""
+    """Bytes of the arrays of one coupled run of the CLI: the first block,
+    which holds the export rows, with the window of its increments, the
+    scratch of the window's draw and its state rows, the clip-node record,
+    the export record, lambda at the nodes and two tables of open-loop
+    levels."""
     n_head = min(n_paths, EXPORT_PATHS)
-    block = max(n_head, min(n_paths - n_head, _path_block(n_steps)))
-    return 8 * (block * (n_steps + _W_BLOCK_STEPS + _STATE_ROWS * n_controls)
+    block = min(n_paths, max(EXPORT_PATHS, _PATH_BLOCK))
+    window = min(n_steps, _W_BLOCK_STEPS)
+    return 8 * (block * (_WINDOW_DOUBLES * window + _STATE_ROWS * n_controls)
                 + _RECORD_ROWS * n_controls * n_paths
                 + 2 * n_controls * n_steps + n_steps + 1
                 + 5 * _CLIP_NODES * n_controls * n_head)

@@ -11,9 +11,11 @@ One Euler pass advances every control of a family at once: the state is a
 controls, the idea of `gheat.solve_stack` applied to paths. The pass keeps
 only the last node of that state, all the semigroup estimator reads.
 
-Each path depends on its own stream alone, so the estimator draws and
-advances the paths in blocks of rows: it holds the terminal (k, n_paths)
-rows and one block's increments, never the full increment matrix.
+Each path depends on its own stream alone, so the estimator advances the
+paths in blocks of rows, and each step of a block reads its increments
+from a time-major window of _W_BLOCK_STEPS steps drawn straight from the
+streams: it holds the terminal (k, n_paths) rows and one window, never a
+block of rows of the increment matrix.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import streams
+from . import plan, streams
 from .gheat import PolicyTable
 from .model import (ModelCoefficients, Payoff, ScenarioError, TimeGrid,
                     VolatilityBand, within_band)
-from .plan import _UNIT_COEFFS, _W_BLOCK_STEPS, _path_block
+from .plan import _UNIT_COEFFS, _W_BLOCK_STEPS
 
 
 @dataclass(frozen=True)
@@ -132,14 +134,19 @@ def euler_step(coeffs: ModelCoefficients, x: np.ndarray,
     return out
 
 
-def _time_major(w: np.ndarray):
-    """The columns w[:, j] of the path-major increments in step order, each
-    as a contiguous row of a time-major scratch block that is refilled every
-    _W_BLOCK_STEPS steps; a row is valid until the block is refilled."""
+def _step_rows(w):
+    """The increments of the paths of `w` in step order, one row per step:
+    each a row of a time-major window of _W_BLOCK_STEPS steps, drawn from
+    the streams for a PathIncrements and copied out of an array. The
+    windows share one buffer, so a row is valid until the next window."""
     n_paths, n_steps = w.shape
-    block = np.empty((min(_W_BLOCK_STEPS, n_steps), n_paths))
+    window = np.empty((min(_W_BLOCK_STEPS, n_steps), n_paths))
+    if isinstance(w, PathIncrements):
+        for rows in w.windows(window):
+            yield from rows
+        return
     for j0 in range(0, n_steps, _W_BLOCK_STEPS):
-        rows = block[:min(_W_BLOCK_STEPS, n_steps - j0)]
+        rows = window[:min(_W_BLOCK_STEPS, n_steps - j0)]
         np.copyto(rows, w[:, j0:j0 + len(rows)].T)
         yield from rows
 
@@ -183,17 +190,19 @@ def _level_rows(controls: Sequence[Control], n_paths: int):
 
 def simulate_state_batch(coeffs: ModelCoefficients,
                          controls: Sequence[Control], x0: float,
-                         w: np.ndarray) -> np.ndarray:
+                         w) -> np.ndarray:
     """Terminal states X_T of the controlled state equation from x0, one
     (n_paths,) row per control of a C-contiguous (k, n_paths) array, from
     one Euler pass that advances every control on the shared increments `w`
-    and keeps no earlier node; feedback levels read the simulated state."""
+    (an (n_paths, n_steps) array or a `PathIncrements`, read a window at a
+    time) and keeps no earlier node; feedback levels read the simulated
+    state."""
     dt = controls[0].grid.dt
     n_paths = w.shape[0]
     levels_at = _level_rows(controls, n_paths)
     x = np.full((len(controls), n_paths), float(x0))
     dB = np.empty_like(x)
-    for j, wj in enumerate(_time_major(w)):
+    for j, wj in enumerate(_step_rows(w)):
         lv = levels_at(j, x)
         np.multiply(lv, wj, out=dB)
         if coeffs is _UNIT_COEFFS:
@@ -214,22 +223,36 @@ def scaled_increments(seed: int, n_paths: int, grid: TimeGrid,
 
 
 class PathIncrements:
-    """The (n_paths, n_steps) increments of `seed`, drawn when sliced:
-    `[first:stop]` is `scaled_increments` of those paths, the rows the
-    array would give, so a pass over blocks never holds the full matrix.
-    Any other index is refused."""
+    """The sqrt(dt)-scaled increments of the paths first ... first +
+    n_paths - 1 of `seed`, the rows of `scaled_increments`, never held as
+    a matrix: `[a:b]` is the increments of rows a ... b - 1 alone, and
+    `windows` draws them a time-major window at a time. Any other index is
+    refused."""
 
-    def __init__(self, seed: int, n_paths: int, grid: TimeGrid):
-        self.seed, self.grid = seed, grid
+    def __init__(self, seed: int, n_paths: int, grid: TimeGrid,
+                 first: int = 0):
+        self.seed, self.grid, self.first = seed, grid, first
         self.shape = (n_paths, grid.n_steps)
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
+    def __getitem__(self, rows: slice) -> "PathIncrements":
         if not isinstance(rows, slice) or rows.step not in (None, 1):
             raise ScenarioError(
                 f"PathIncrements takes a slice of rows with step 1, got {rows!r}")
         first, stop, _ = rows.indices(self.shape[0])
-        return scaled_increments(self.seed, max(stop - first, 0), self.grid,
-                                 first)
+        return PathIncrements(self.seed, max(stop - first, 0), self.grid,
+                              self.first + first)
+
+    def windows(self, out: np.ndarray):
+        """The increments of every path in step order, as time-major
+        windows of len(out) steps (a multiple of 4 past one window), each
+        the rows of the C-contiguous `out` that it fills, valid until the
+        next."""
+        scale = math.sqrt(self.grid.dt)
+        for window in streams.normal_windows(
+                self.seed, streams.PATH_SPACE + self.first, self.shape[0], 0,
+                self.shape[1], out):
+            window *= scale
+            yield window
 
 
 def mean_and_se(values) -> tuple[float, float]:
@@ -269,7 +292,7 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
     if not controls:
         raise ScenarioError("need at least one control")
     grid = controls[0].grid
-    block = _path_block(grid.n_steps)
+    block = plan._PATH_BLOCK
     w = PathIncrements(seed, n_paths, grid)
     terminal = np.empty((len(controls), n_paths))
     for first in range(0, n_paths, block):

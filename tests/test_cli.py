@@ -853,41 +853,42 @@ class TestScheduleBuilds:
 class TestStackedPaths:
     def test_one_coupled_pass_per_run(self, tmp_path, monkeypatch):
         # one pass over all 5 controls per block of paths; the blocks cover
-        # the 128 export paths, then the 1920 others in order, each on its
-        # own rows of the seed's w
+        # the 2048 paths in order, the first holding the 128 export paths,
+        # each on its own rows of the seed's w
         from gharnack import coupling, plan, scenario
 
         calls = []
         kernel = coupling._coupled_pass
 
         def counted(coeffs, schedule, controls, clip_index, w, *args):
-            calls.append((len(controls), w.shape[0], w[0].copy()))
+            window = next(w[:1].windows(np.empty((plan._W_BLOCK_STEPS, 1))))
+            calls.append((len(controls), w.shape[0], window[:, 0]))
             return kernel(coeffs, schedule, controls, clip_index, w, *args)
 
         monkeypatch.setattr(coupling, "_coupled_pass", counted)
         assert run(["coupling", "--out", tmp_path / "o"]) == 0
         cfg = parse_run_config(CFG)
-        block = plan._PATH_BLOCK_BYTES // (8 * cfg.grid.n_steps)
-        n_head = coupling.EXPORT_PATHS
+        block = plan._PATH_BLOCK
+        assert coupling.EXPORT_PATHS < block < cfg.n_paths
         assert [(k, m) for k, m, _ in calls] == \
-            [(5, n_head), (5, block), (5, cfg.n_paths - n_head - block)]
-        for first, (_, _, row) in zip((0, n_head, n_head + block), calls):
+            [(5, block), (5, cfg.n_paths - block)]
+        for first, (_, _, column) in zip((0, block), calls):
             want = scenario.scaled_increments(cfg.seed, 1, cfg.grid, first)
-            assert row.tobytes() == want.tobytes(), first
+            assert column.tobytes() == \
+                want[0, :plan._W_BLOCK_STEPS].tobytes(), first
 
     def test_coupled_block_holds_the_export_rows(self, tmp_path,
                                                  monkeypatch):
-        # at 4096 steps 2 MiB hold 64 paths: the 128 export rows run as one
-        # block of their own, then the 172 others in blocks of 64, and the
-        # run writes the files of a run in larger blocks
+        # a block does not shrink with the steps: at 4096 steps the 300
+        # paths run as one block; a block of 64 paths is widened to hold
+        # the 128 export rows, then the 172 others run in blocks of 64, and
+        # the run writes the files of the one-block run
         from gharnack import coupling, plan
 
         cfg = tmp_path / "fine.cfg"
         cfg.write_text(CFG.read_text().replace("n_steps = 256",
                                                "n_steps = 4096")
                        .replace("n_paths = 2048", "n_paths = 300"))
-        assert plan._PATH_BLOCK_BYTES // (8 * 4096) < \
-            coupling.EXPORT_PATHS
         sizes = []
         kernel = coupling._coupled_pass
 
@@ -896,12 +897,13 @@ class TestStackedPaths:
             return kernel(coeffs, schedule, controls, clip_index, w, *args)
 
         monkeypatch.setattr(coupling, "_coupled_pass", counted)
-        assert run(["coupling", "--config", cfg, "--out", tmp_path / "o"]) == 0
-        assert sizes == [128, 64, 64, 44]
-        monkeypatch.setattr(plan, "_PATH_BLOCK_BYTES", 300 * 8 * 4096)
         assert run(["coupling", "--config", cfg,
                     "--out", tmp_path / "one"]) == 0
-        assert sizes[4:] == [128, 172]
+        assert sizes == [300]
+        monkeypatch.setattr(plan, "_PATH_BLOCK", 64)
+        assert 64 < coupling.EXPORT_PATHS
+        assert run(["coupling", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert sizes[1:] == [128, 64, 64, 44]
         for name in ("report.json", "paths.csv"):
             assert (tmp_path / "o" / name).read_bytes() == \
                 (tmp_path / "one" / name).read_bytes()
@@ -921,8 +923,7 @@ class TestStackedPaths:
 
         cfg = parse_run_config(CFG)
         block = 500
-        monkeypatch.setattr(plan, "_PATH_BLOCK_BYTES",
-                            block * 8 * cfg.grid.n_steps)
+        monkeypatch.setattr(plan, "_PATH_BLOCK", block)
         monkeypatch.setattr(scenario, "simulate_state_batch", counted)
         assert run(["scenario", "--out", tmp_path / "o"]) == 0
         assert all(k == 5 for k, _ in calls)
@@ -986,9 +987,8 @@ class TestStackedPaths:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        w_nbytes = n * s * 8
         export = 4 * (s + 1) * k * EXPORT_PATHS * 8
-        assert peak < w_nbytes + export + 64 * k * n * 8
+        assert peak < export + 64 * k * n * 8
         assert peak < k * (s + 1) * n * 8
 
 
@@ -1016,49 +1016,57 @@ class TestStackedPaths:
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
         peak = self.coupling_run_peak(cfg)
-        w_nbytes = n * s * 8
         block = plan._W_BLOCK_STEPS * n * 8
         state = plan._STATE_ROWS * k * n * 8
         export = 5 * plan._CLIP_NODES * k * coupling.EXPORT_PATHS * 8
         small = 2 ** 16  # the controls, their levels, lambda at the nodes
-        assert peak <= w_nbytes + block + state + export + small
+        assert peak <= block + state + export + small
 
-    def test_coupling_run_holds_one_block_of_w(self):
-        # one block of w and its time-major block, never all of w: 2 MiB
-        # of the 4.2 MB of w at the bundled config
-        from gharnack import coupling, plan, scenario
+    @staticmethod
+    def window_nbytes(block):
+        """A window of _W_BLOCK_STEPS steps of `block` paths' increments
+        with the scratch of its draw."""
+        from gharnack import plan
+
+        return plan._WINDOW_DOUBLES * plan._W_BLOCK_STEPS * block * 8
+
+    def test_coupling_run_holds_one_window_of_w(self):
+        # one window of w, _W_BLOCK_STEPS steps of a block, never a block
+        # of w nor all of w: a block of w would be 2 MiB and w 4.2 MB at
+        # the bundled config
+        from gharnack import coupling, plan
 
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
-        block = scenario._path_block(s)
+        block = plan._PATH_BLOCK
         assert block < n
         peak = self.coupling_run_peak(cfg)
-        w_block = block * (s + plan._W_BLOCK_STEPS) * 8
         # (|x - y|, log M) at the 5 clip nodes of the run, and the stiff
         # steps; the export record
         record = (2 * (1 + len(plan.SWEEP_FRACTIONS)) + 1) * k * n * 8
         export = 5 * plan._CLIP_NODES * k * coupling.EXPORT_PATHS * 8
         state = plan._STATE_ROWS * k * block * 8
-        assert peak <= w_block + record + export + state + 2 ** 16
+        assert peak <= self.window_nbytes(block) + record + export + state \
+            + 2 ** 16
 
-    def test_export_block_runs_apart_from_a_full_block(self):
-        # the export rows run as their own block and keep no table over
-        # the steps: the peak is that of one block's pass beside the
-        # clip-node record
-        from gharnack import plan, scenario
+    def test_export_rows_run_inside_the_first_block(self):
+        # the export rows run inside the first block and keep no table
+        # over the steps: the peak is that of one block's pass, with one
+        # window of its increments, beside the clip-node record
+        from gharnack import plan
 
         cfg = parse_run_config(CFG)
         k, n, s = cfg.n_controls, cfg.n_paths, cfg.grid.n_steps
-        block = scenario._path_block(s)
-        w_block = block * (s + plan._W_BLOCK_STEPS) * 8
+        block = plan._PATH_BLOCK
         record = (2 * (1 + len(plan.SWEEP_FRACTIONS)) + 1) * k * n * 8
         state = plan._STATE_ROWS * k * block * 8
-        assert self.coupling_run_peak(cfg) <= w_block + record + state + 2 ** 16
+        assert self.coupling_run_peak(cfg) <= self.window_nbytes(block) \
+            + record + state + 2 ** 16
 
     def test_run_nbytes_bounds_the_coupling_run(self):
         # the parse-time memory refusal counts what the coupled run holds:
-        # one block of w, and less than every node of the export rows' x, y,
-        # log M and levels
+        # one window of w, and less than every node of the export rows' x,
+        # y, log M and levels
         from gharnack import coupling, plan
 
         cfg = parse_run_config(CFG)
@@ -1072,6 +1080,10 @@ class TestStackedPaths:
         assert need < every_node - 4 * 2 ** 20
         # more paths add their clip-node rows, not their rows of w
         assert plan.run_nbytes(2 * n, s, k) - need < n * s * 8
+        # more steps add their rows of the level tables and lambda alone,
+        # no block of w: the window keeps _W_BLOCK_STEPS steps
+        assert plan.run_nbytes(n, 16 * s, k) - need == \
+            8 * (2 * k + 1) * 15 * s
 
     def test_coupled_run_lets_its_record_go(self):
         # the clip samples copy their rows out of the pass's
@@ -1088,7 +1100,8 @@ class TestStackedPaths:
         epsilons = [cfg.clip_epsilon] + [f * cfg.grid.horizon
                                          for f in plan.SWEEP_FRACTIONS]
         w = scenario.PathIncrements(cfg.seed, n, cfg.grid)
-        w[:1]  # a first draw loads `streams` and its ziggurat tables
+        # a first draw loads `streams` and its ziggurat tables
+        next(w[:1].windows(np.empty((plan._W_BLOCK_STEPS, 1))))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

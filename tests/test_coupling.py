@@ -986,9 +986,10 @@ class TestPathBlocks:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_blocked_equals_one_block(self, multiplicative_model,
                                       pinched_band, monkeypatch):
-        # 300 paths: the 128 export rows as their own block, then the rest
-        # in blocks of 128 and 44, in path order; a feedback control in the
-        # family, rows of the export block and of the next made non-finite
+        # 300 paths in blocks of 128, 128 and 44 in path order, the first
+        # holding the 128 export rows, and in blocks of 50 after a first
+        # one widened to the export rows; a feedback control in the family,
+        # rows of the export rows and of the next block made non-finite
         # early, and one row of the 44 excluded between the clip nodes of
         # 0.05 and 0.025
         coeffs = multiplicative_model
@@ -1013,12 +1014,12 @@ class TestPathBlocks:
 
         monkeypatch.setattr(coupling, "_coupled_pass", counted)
         runs = {}
-        for rows in (128, 300):
-            monkeypatch.setattr("gharnack.plan._PATH_BLOCK_BYTES",
-                                rows * 8 * grid.n_steps)
+        for rows in (50, 128, 300):
+            monkeypatch.setattr("gharnack.plan._PATH_BLOCK", rows)
             runs[rows] = g.simulate_coupled(coeffs, schedule, 0.0, 0.5,
                                             family, (0.1, *SWEEP), w)
-        assert sizes == [128, 128, 44, 128, 172]
+        assert sizes == [128, 50, 50, 50, 22, 128, 128, 44, 300]
+        self.assert_same_run(runs[50], runs[300])
         self.assert_same_run(runs[128], runs[300])
         assert [s.n_excluded for s in runs[128].at_clip(0.05)] == [4] * 3
         assert [s.n_excluded for s in runs[128].at_clip(0.025)] == [5] * 3
@@ -1028,9 +1029,8 @@ class TestPathBlocks:
                 for c in family]
         TestTimeMajorCoupledKernel.assert_run_matches(runs[128], family, refs,
                                                       grid.dt)
-        # the increments drawn a block at a time are the array's rows
-        monkeypatch.setattr("gharnack.plan._PATH_BLOCK_BYTES",
-                            128 * 8 * grid.n_steps)
+        # the increments drawn a window at a time are the array's rows
+        monkeypatch.setattr("gharnack.plan._PATH_BLOCK", 128)
         drawn = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, family, SWEEP,
                                    g.PathIncrements(97, 300, grid))
         self.assert_same_run(drawn, g.simulate_coupled(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gharnack as g
-from gharnack import scenario
+from gharnack import plan, scenario
 from gharnack.cli import bundled_config_path
 from gharnack.gheat import _UNIT_COEFFS
 from gharnack.plan import _W_BLOCK_STEPS
@@ -327,11 +327,15 @@ class TestCounterBasedStreams:
         slice(None), slice(3, 9), slice(-4, None), slice(5, 2),
         slice(7, 100), slice(2, 6, 1)])
     def test_path_increments_slice_as_the_array(self, grid, rows):
+        # a slice draws the rows the array would give, window by window
         w = scenario.PathIncrements(99, 10, grid)
         want = scaled_increments(99, 10, grid)[rows]
         got = w[rows]
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        windows = got.windows(np.empty((8, got.shape[0])))
+        drawn = np.concatenate([window.copy() for window in windows])
+        assert drawn.shape == (grid.n_steps, got.shape[0])
+        assert drawn.T.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", [
         slice(0, 10, 2), slice(None, None, -1), 3, (slice(0, 2), 0)])
@@ -480,8 +484,7 @@ class TestTimeMajorKernel:
             return kernel(coeffs, controls, x0, w)
 
         monkeypatch.setattr(scenario, "simulate_state_batch", counted)
-        monkeypatch.setattr("gharnack.plan._PATH_BLOCK_BYTES",
-                            100 * 8 * cfg.grid.n_steps)
+        monkeypatch.setattr("gharnack.plan._PATH_BLOCK", 100)
         blocked = g.upper_semigroup_mc(coeffs, cfg.payoff, x0, controls, 350,
                                        seed=11)
         assert sizes == [100, 100, 100, 50]
@@ -500,13 +503,13 @@ class TestTimeMajorKernel:
 
 class TestMemory:
     def test_terminal_functional_keeps_only_terminal_rows(self, wide_band):
-        # one block of paths' increments, its time-major block and a few
-        # (k, n_paths) rows, never all of w nor a control's full paths
+        # one time-major window of a block's increments with the scratch of
+        # its draw, and a few (k, n_paths) rows, never a block of w, all of
+        # w nor a control's full paths
         grid = g.TimeGrid(1.0, 256)
-        paths_per_block = scenario._path_block(grid.n_steps)
+        paths_per_block = plan._PATH_BLOCK
         n_paths = 4 * paths_per_block
-        w_block = paths_per_block * grid.n_steps * 8
-        time_major = _W_BLOCK_STEPS * paths_per_block * 8
+        window = plan._WINDOW_DOUBLES * _W_BLOCK_STEPS * paths_per_block * 8
         payoff = g.make_payoff("gauss_bump")
         for strategy in ("constants", "random"):
             controls = g.sample_controls(strategy, wide_band, grid, 5, seed=0)
@@ -521,5 +524,5 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             rows = len(controls) * n_paths * 8
-            assert peak <= w_block + time_major + 4 * rows + 2 ** 16, \
-                (strategy, (peak - w_block - time_major) / rows)
+            assert peak <= window + 4 * rows + 2 ** 16, \
+                (strategy, (peak - window) / rows)

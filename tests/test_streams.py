@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from gharnack import streams
@@ -175,6 +176,74 @@ class TestNormalMatrix:
         assert normal_matrix(21, 150, 37).tobytes() == want.tobytes()
         assert normal_matrix(21, 1, 37, first=149).tobytes() == \
             want[149:].tobytes()
+
+
+def window(seed, stream, n, j0, m):
+    """Steps j0 ... j0 + m - 1 of n streams from `stream`, as one window."""
+    out = np.full((m, n), np.nan)
+    for got in streams.normal_windows(seed, stream, n, j0, j0 + m, out):
+        assert got.base is out or got is out
+    return out
+
+
+class TestNormalWindows:
+    """A window, steps j0 ... j0 + m - 1 of n streams one row per step, is
+    the transpose of those columns of the path-major matrix, bit for bit,
+    alone or as one of a run of windows through one buffer."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 64 - 1), first=st.integers(0, 2 ** 64 - 1),
+           n=st.integers(0, 40), quad=st.integers(0, 40),
+           m=st.integers(0, 70), width=st.integers(1, 6))
+    def test_windows_are_the_matrix_columns(self, seed, first, n, quad, m,
+                                            width):
+        j0 = 4 * quad
+        want = normal_matrix(seed, n, j0 + m, first=first)[:, j0:].T
+        got = window(seed, PATH_SPACE + first, n, j0, m)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        # windows of 4 width steps, the last one short, share one buffer
+        steps = [w.copy() for w in streams.normal_windows(
+            seed, PATH_SPACE + first, n, j0, j0 + m, np.empty((4 * width, n)))]
+        assert [len(w) for w in steps] == \
+            [min(4 * width, m - a) for a in range(0, m, 4 * width)]
+        if steps:
+            assert np.concatenate(steps).tobytes() == got.tobytes()
+
+    def test_windows_start_on_a_quad(self):
+        for j0, m in ((6, 4), (0, 6)):
+            with pytest.raises(ValueError, match="multiple of 4"):
+                next(streams.normal_windows(1, 0, 3, j0, 12, np.empty((m, 3))))
+
+    # (stream, step) under the bundled seed of draws found by scanning the
+    # streams from 5 * 2^32 + 17 on: a tail draw, a word settled at the
+    # second attempt by the fast path, a tail refused once, and a tail
+    # refused twice, settled at the third attempt, past the retries' first
+    # philox call
+    @pytest.mark.parametrize("stream, step, branches", [
+        (5 * 2 ** 32 + 35, 193, ("tail",)),
+        (5 * 2 ** 32 + 115, 100, ("wedge refused", "wedge refused", "fast")),
+        (5 * 2 ** 32 + 566, 119, ("tail refused", "tail")),
+        (5 * 2 ** 32 + 6376, 46, ("tail refused", "tail refused", "tail")),
+    ])
+    def test_pinned_slow_draws(self, stream, step, branches):
+        seed = 20240811
+        value, taken = reference_normal(seed, stream, step)
+        assert tuple(taken) == branches
+        if "tail" in branches:
+            assert abs(value) > streams._R
+        # a window from the quad before the step's, among the neighbouring
+        # streams
+        j0 = step // 4 * 4 - 4
+        steps = window(seed, stream - 3, 7, j0, step - j0 + 5)
+        assert steps[step - j0, 3] == value
+
+    @pytest.mark.parametrize("attempts", [1, 3])
+    def test_retries_do_not_depend_on_the_batch(self, monkeypatch, attempts):
+        # one attempt per philox call sends every word refused twice to a
+        # second call of the retries
+        want = normal_matrix(32, 64, 256)
+        monkeypatch.setattr(streams, "_ATTEMPTS", attempts)
+        assert normal_matrix(32, 64, 256).tobytes() == want.tobytes()
 
 
 class TestZiggurat:

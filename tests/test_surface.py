@@ -55,6 +55,9 @@ ALLOWED = {
     # the residual of the schedule's defining identity, read by acceptance
     # criterion 03 and the schedule tests only
     "identity_residual",
+    # the increments of a PathIncrements as one path-major array, which
+    # the kernel tests and the acceptance criteria pass in its place
+    "scaled_increments",
 }
 # Names reached as `gharnack.<name>` through the package's lazy table,
 # such as `solve_g_heat`, the G-heat oracle of criterion 01.
@@ -227,10 +230,20 @@ def call_name(call):
 
 
 def test_increments_are_drawn_only_by_the_block_drivers():
-    # scaled_increments is called only by PathIncrements, which draws the
-    # block it is sliced by, and a PathIncrements is made only in a block
-    # driver or as the increments handed to one
-    drawn, made, stray = [], [], []
+    # the increments of a run have one draw route: streams.normal_windows
+    # is called outside `streams` only by PathIncrements.windows, which
+    # draws time-major windows; windows is called only by _step_rows, which
+    # steps a kernel through them; and a PathIncrements is made only in a
+    # block driver, as the increments handed to one, or as a slice of one.
+    # A path-major matrix is drawn only down the chain scaled_increments ->
+    # normal_matrix -> normals, whose head no function of the package
+    # calls, and by the trials of the Young check.
+    sites = {"normal_windows": [], "windows": [], "_step_rows": [],
+             "PathIncrements": []}
+    path_major = {"scaled_increments": (),
+                  "normal_matrix": ("scaled_increments",),
+                  "normals": ("normal_matrix", "random_young_trials")}
+    stray = []
     for module, tree in TREES.items():
         for name, function in functions(tree):
             calls = [n for n in ast.walk(function) if isinstance(n, ast.Call)]
@@ -239,17 +252,23 @@ def test_increments_are_drawn_only_by_the_block_drivers():
                       for arg in [*call.args,
                                   *(kw.value for kw in call.keywords)]}
             for call in calls:
+                called = call_name(call)
                 site = f"{module}:{call.lineno}: {name}"
-                if call_name(call) == "scaled_increments":
-                    drawn.append(site)
-                    if name != "PathIncrements.__getitem__":
-                        stray.append(site)
-                if call_name(call) == "PathIncrements":
-                    made.append(site)
-                    if name not in BLOCK_DRIVERS and id(call) not in handed:
-                        stray.append(site)
+                if called in sites and module != "streams.py":
+                    sites[called].append(name)
+                if name not in path_major.get(called, (name,)):
+                    stray.append(site)
+                if called == "PathIncrements" and \
+                        name not in (*BLOCK_DRIVERS,
+                                     "PathIncrements.__getitem__") and \
+                        id(call) not in handed:
+                    stray.append(site)
     assert not stray, f"increments drawn outside the block drivers: {stray}"
-    assert len(drawn) == 1 and len(made) == 2, (drawn, made)
+    assert sites["normal_windows"] == ["PathIncrements.windows"], sites
+    assert sites["windows"] == ["_step_rows"], sites
+    assert sorted(sites["_step_rows"]) == \
+        ["_coupled_pass", "simulate_state_batch"], sites
+    assert len(sites["PathIncrements"]) == 3, sites
 
 
 # Calls that write a file whatever their arguments; `os.replace` and `open`
