@@ -16,10 +16,10 @@ smallest epsilon of the sweep; after the node of a larger epsilon, its g
 counts as zero. That pass advances every control at once, a (x, y, log M)
 by (k controls, paths) state, one block of paths at a time, whose
 increments come a time-major window of steps at a time, and keeps
-(|x - y|, log M) only at the clip nodes it is asked for. The first block
-holds the first EXPORT_PATHS paths, the export rows, and keeps their
-(x, y, log M) there too, with the two shifted-QV sums that build up in
-step order inside the pass.
+(|x - y|, log M) only at the clip nodes it is asked for, stopping at the
+last of them. The first block holds the first EXPORT_PATHS paths, the
+export rows, and keeps their (x, y, log M) there too, with the two
+shifted-QV sums that build up in step order inside the pass.
 
 Explicit Euler contracts the gap X - Y only while `stability_ratio` stays at
 most 1, so a larger ratio is refused, not simulated. A drift-implicit step for
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -158,7 +159,9 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
     its values from node j and is excluded, j written into its
     `stiff_step`; each path depends on its own row of `w` alone.
 
-    Writes (|x - y|, log M) at the nodes `nodes` into the block's `record`.
+    Writes (|x - y|, log M) at the nodes `nodes`, in increasing order,
+    into the block's `record`, and stops at the last of them: a path that
+    turns non-finite after it is not excluded.
     Given `head`, the (5, nodes, k, n_export) export record of the first
     n_export paths of the block, also sums the shifted-QV terms of those
     paths in step order, the cross term (g dqv + dB)^2 - dB^2 and the
@@ -192,7 +195,8 @@ def _coupled_pass(coeffs, schedule, controls, clip_index, w, start, nodes,
                 head[3:, i] = qv
 
     keep(0)
-    for j, wj in enumerate(_step_rows(w)):
+    # no step past the last node is read, so none is simulated
+    for j, wj in enumerate(islice(_step_rows(w), nodes[-1])):
         x, y, logm = state
         lv = levels_at(j, x)
         np.multiply(lv, wj, out=dB)

@@ -14,7 +14,9 @@ only the last node of that state, all the semigroup estimator reads.
 Each path depends on its own stream alone, so the estimator advances the
 paths in blocks of rows, and each step of a block reads its increments
 from a time-major window of _W_BLOCK_STEPS steps drawn straight from the
-streams: it holds the terminal (k, n_paths) rows and one window, never a
+streams. Each block's terminal rows go through the payoff as soon as the
+block ends: the estimator holds the (k, n_paths) rows of f(X_T) and one
+block's state and window, never the terminal states of every path nor a
 block of rows of the increment matrix.
 """
 
@@ -280,8 +282,12 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
                        seed: int) -> EstimateWithError:
     """Monte Carlo estimate of the semigroup value at x0: max over controls
     of the mean of f(X_T), common random numbers, from Euler passes that
-    advance every control on one block of paths at a time and keep only the
-    terminal rows.
+    advance every control on one block of paths at a time. Each block's
+    terminal rows go through `payoff.f` as soon as the block ends, so only
+    the (k, n_paths) payoff values are kept, never the terminal states;
+    `payoff.f` must act elementwise, as every catalog payoff and its
+    `log()` and `power(p)` do, so the values are those of f on all the
+    terminal states at once.
 
     Biased low for a finite family; the reported std_error is the winning
     control's. A feedback control on the PDE's recorded policy
@@ -294,11 +300,12 @@ def upper_semigroup_mc(coeffs: ModelCoefficients, payoff: Payoff, x0: float,
     grid = controls[0].grid
     block = plan._PATH_BLOCK
     w = PathIncrements(seed, n_paths, grid)
-    terminal = np.empty((len(controls), n_paths))
+    values = np.empty((len(controls), n_paths))
     for first in range(0, n_paths, block):
         rows = slice(first, first + block)
-        terminal[:, rows] = simulate_state_batch(coeffs, controls, x0, w[rows])
-    value, se, best = sup_over_controls(map(mean_and_se, payoff.f(terminal)))
+        values[:, rows] = payoff.f(
+            simulate_state_batch(coeffs, controls, x0, w[rows]))
+    value, se, best = sup_over_controls(map(mean_and_se, values))
     return EstimateWithError(value=value, std_error=se, n_paths=n_paths,
                              n_controls=len(controls), best_control_id=best)
 

@@ -1036,6 +1036,40 @@ class TestPathBlocks:
         self.assert_same_run(drawn, g.simulate_coupled(
             coeffs, schedule, 0.0, 0.5, family, SWEEP, clean))
 
+    # 0 * inf where g is frozen to zero: the guard's event, not an error
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_pass_stops_at_the_last_node(self, multiplicative_model,
+                                         pinched_band, monkeypatch):
+        # the last clip node of SWEEP is node 62 of 64: each block of 128
+        # takes 62 rows of its increments, and two rows made non-finite in
+        # step 63, past that node, exclude no path
+        coeffs = multiplicative_model
+        schedule, controls, w = TestOnePassSweep.make_case(
+            coeffs, pinched_band, 0.81)
+        w = poisoned(poisoned(w, LATE_ROWS), [7, 200], step=63)
+        taken = []
+        step_rows = coupling._step_rows
+
+        def counted(w):
+            taken.append(0)
+            for row in step_rows(w):
+                taken[-1] += 1
+                yield row
+
+        monkeypatch.setattr(coupling, "_step_rows", counted)
+        monkeypatch.setattr("gharnack.plan._PATH_BLOCK", 128)
+        run = g.simulate_coupled(coeffs, schedule, 0.0, 0.5, controls, SWEEP,
+                                 w)
+        assert taken == [62, 62]
+        refs = [reference_coupled(coeffs, schedule, 0.0, 0.5, c, 0.025, w)
+                for c in controls]
+        assert all(np.count_nonzero(ref["stiff_step"] == 63) == 2
+                   for ref in refs)
+        TestTimeMajorCoupledKernel.assert_run_matches(run, controls, refs,
+                                                      controls[0].grid.dt)
+        assert [s.n_excluded for s in run.at_clip(0.025)] == \
+            [LATE_ROWS.size] * 2
+
 
 class TestEssFloor:
     """A clip sample is refused when its weights M are worth fewer than two

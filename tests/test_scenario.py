@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gharnack as g
 from gharnack import plan, scenario
 from gharnack.cli import bundled_config_path
 from gharnack.gheat import _UNIT_COEFFS
+from gharnack.model import PAYOFF_NAMES
 from gharnack.plan import _W_BLOCK_STEPS
 from gharnack.scenario import (
     ScenarioError,
@@ -501,14 +504,70 @@ class TestTimeMajorKernel:
             (alone[best].value, alone[best].std_error, best)
 
 
+def catalog_payoffs(p):
+    """Every catalog payoff, and the log and p-th power of a positive one."""
+    bump = g.make_payoff("shifted_bump")
+    return [*map(g.make_payoff, PAYOFF_NAMES), bump.log(), bump.power(p)]
+
+
+class TestPayoffByBlocks:
+    """The estimator applies the payoff to one block's terminal rows at a
+    time, which gives the bits of one call on all of them because every
+    payoff acts elementwise."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(x=hnp.arrays(np.float64,
+                        st.tuples(st.integers(1, 6), st.integers(1, 70)),
+                        elements=st.floats(-1e3, 1e3)),
+           cuts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           p=st.floats(1.0, 4.0))
+    def test_catalog_payoffs_act_elementwise(self, x, cuts, p):
+        n = x.shape[1]
+        a, b = sorted(int(cut * n) for cut in cuts)
+        for payoff in catalog_payoffs(p):
+            want = payoff.f(x)[:, a:b].tobytes()
+            for part in (x[:, a:b], np.ascontiguousarray(x[:, a:b])):
+                assert payoff.f(part).tobytes() == want, payoff.name
+
+    def test_blocked_estimate_equals_one_call_on_all_terminal_rows(
+            self, multiplicative_model, wide_band, grid, monkeypatch):
+        # 300 paths in blocks of 128, 128 and 44, against each payoff
+        # applied once to the terminal states of all of them
+        coeffs = multiplicative_model
+        controls = g.sample_controls("random", wide_band, grid, 4, seed=5)
+        terminal = simulate_state_batch(coeffs, controls, 0.2,
+                                        scaled_increments(23, 300, grid))
+        sizes = []
+        kernel = scenario.simulate_state_batch
+
+        def counted(coeffs, controls, x0, w):
+            sizes.append(w.shape[0])
+            return kernel(coeffs, controls, x0, w)
+
+        monkeypatch.setattr(scenario, "simulate_state_batch", counted)
+        monkeypatch.setattr("gharnack.plan._PATH_BLOCK", 128)
+        for payoff in catalog_payoffs(2.5):
+            sizes.clear()
+            est = g.upper_semigroup_mc(coeffs, payoff, 0.2, controls, 300,
+                                       seed=23)
+            assert sizes == [128, 128, 44]
+            stats = [(float(np.mean(v)),
+                      float(np.std(v, ddof=1) / math.sqrt(300)))
+                     for v in payoff.f(terminal)]
+            best = max(range(len(stats)), key=lambda k: (stats[k][0], -k))
+            assert (est.value, est.std_error, est.best_control_id) == \
+                (*stats[best], best), payoff.name
+
+
 class TestMemory:
-    def test_terminal_functional_keeps_only_terminal_rows(self, wide_band):
+    def test_terminal_functional_keeps_only_payoff_rows(self, wide_band):
         # one time-major window of a block's increments with the scratch of
-        # its draw, and a few (k, n_paths) rows, never a block of w, all of
-        # w nor a control's full paths
+        # its draw, the (k, n_paths) rows of payoff values and a few rows of
+        # one block, never the terminal states of every path, a block of w,
+        # all of w nor a control's full paths
         grid = g.TimeGrid(1.0, 256)
         paths_per_block = plan._PATH_BLOCK
-        n_paths = 4 * paths_per_block
+        n_paths = 16 * paths_per_block
         window = plan._WINDOW_DOUBLES * _W_BLOCK_STEPS * paths_per_block * 8
         payoff = g.make_payoff("gauss_bump")
         for strategy in ("constants", "random"):
@@ -524,5 +583,6 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             rows = len(controls) * n_paths * 8
-            assert peak <= window + 4 * rows + 2 ** 16, \
-                (strategy, (peak - window) / rows)
+            block_rows = len(controls) * paths_per_block * 8
+            assert peak <= window + rows + 4 * block_rows + 2 ** 16, \
+                (strategy, (peak - window - rows) / block_rows)
