@@ -2,10 +2,12 @@
 
 Backward time-stepping of u_t + b u_x + G(2h u_x + sigma^2 u_xx) = 0 with the
 sublinear generator applied nodewise. The scheme is kept monotone (correctness
-over cleverness): central differences feed G, the b-term is upwinded, the time
-step obeys an explicit CFL bound, and boundary nodes use linear extrapolation
-(vanishing second difference). A discrete comparison check runs after every
-solve; violations raise rather than return garbage.
+over cleverness): central differences feed G, the b-term is upwinded and the
+time step obeys an explicit CFL bound. The coefficients take x alone, so each
+solve folds the operator into fixed three-point weights per node, scaled by
+the time step; a boundary node's weights carry the linear-extrapolation
+closure (vanishing second difference). A discrete comparison check runs after
+every solve; violations raise rather than return garbage.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelCoefficients, Payoff, PdeError, TimeGrid,
-                    VolatilityBand, g_function)
+                    VolatilityBand)
 from .plan import _UNIT_COEFFS, PdeConfig, _cfl_time_step
 
 
@@ -59,19 +61,36 @@ class PolicyTable:
 
 
 def _upper_wins(a: np.ndarray, u: np.ndarray, dx: float, h_vec: np.ndarray,
-                sig2_vec: np.ndarray) -> np.ndarray:
-    """Tie-tolerant maximizer mask: ties at zero curvature break high.
-
-    The finite differences carry rounding noise of order eps * |u| / dx^2, so
-    the zero test uses that scale, taken per row of `u`; either choice leaves
-    the solution unchanged where G vanishes.
+                sig2_vec: np.ndarray, dt: float) -> np.ndarray:
+    """Tie-tolerant maximizer mask of `a`, the argument of G times `dt`: ties
+    at zero curvature break high. The differences carry rounding noise of
+    order eps * |u| / dx^2, so the zero test uses that scale times `dt`, per
+    row of `u`; either choice leaves the solution unchanged where G vanishes.
     """
     umax = np.max(np.abs(u), axis=-1, keepdims=True)
-    noise = np.finfo(float).eps * umax * (
+    noise = dt * np.finfo(float).eps * umax * (
         8.0 * float(np.max(sig2_vec)) / (dx * dx)
         + 8.0 * float(np.max(np.abs(h_vec))) / dx
     )
     return a >= -64.0 * noise
+
+
+def _stencil_weights(b_vec: np.ndarray, h_vec: np.ndarray, sig2_vec: np.ndarray,
+                     dx: float, dt: float) -> np.ndarray:
+    """The explicit step's weights on the nodes, rows (a_L, a_M, a_R, e_L,
+    e_C, e_R): a_L u_{i-1} + a_M u_i + a_R u_{i+1} is dt (sigma^2 u_xx +
+    2h u_x) by central differences, and e_L u_{i-1} + e_C u_i + e_R u_{i+1} is
+    u + dt b u_x, upwinded. A boundary node's weights hold the closure u_xx =
+    0: both first differences become its one-sided difference inward."""
+    s, k = sig2_vec / (dx * dx), h_vec / dx
+    fwd, bwd = np.maximum(b_vec, 0.0) / dx, np.maximum(-b_vec, 0.0) / dx
+    w = dt * np.stack([s - k, -2.0 * s, s + k, bwd, -(fwd + bwd), fwd])
+    w[:, 0] = dt * np.array([0.0, -2.0 * k[0], 2.0 * k[0],
+                             0.0, -b_vec[0] / dx, b_vec[0] / dx])
+    w[:, -1] = dt * np.array([-2.0 * k[-1], 2.0 * k[-1], 0.0,
+                              -b_vec[-1] / dx, b_vec[-1] / dx, 0.0])
+    w[4] += 1.0
+    return w
 
 
 def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
@@ -94,22 +113,19 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
         payoff.check_bounds_on(xs)
     dx = cfg.dx
     dt, n_t = _cfl_time_step(coeffs, band, T, cfg)
-    # The coefficients take x alone, so one evaluation on the nodes serves
-    # every time level.
     b_vec = np.asarray(coeffs.b(xs), dtype=float)
     h_vec = np.asarray(coeffs.h(xs), dtype=float)
     sig2 = np.asarray(coeffs.sigma(xs), dtype=float) ** 2
 
-    # Rows live in one buffer with a ghost node at each end; u is a view.
+    # Rows live in one buffer with a zero pad at each end; u is a view.
     n_rows, L = len(payoffs), len(xs) + 2
-    up = np.empty((n_rows, L))
+    up = np.zeros((n_rows, L))
     for row, payoff in zip(up, payoffs):
         row[1:-1] = payoff.f(xs)
     u = up[:, 1:-1]
     lo_bound, hi_bound = u.min(axis=1), u.max(axis=1)
 
-    record = None
-    hits_at = {}
+    record, hits_at = None, {}
     if policy_grid is not None:
         step_times = policy_grid.nodes[:-1]
         # control on [t_{i-1}, t_i) is derived from u at level i
@@ -118,63 +134,50 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
         for k, level in enumerate(level_of_time.tolist()):
             hits_at.setdefault(level, []).append(k)
 
-    # The step runs on the flattened buffer, where each difference is one
-    # contiguous slice: the neighbours of a node sit in its own row, and only
-    # ghost positions read across rows. Their coefficients are zero and the
-    # next step overwrites them, so nothing leaks between rows.
+    # The coefficients take x alone, so one set of weights serves every time
+    # level. The step runs on the flattened buffer, where each neighbour is
+    # one contiguous slice: the neighbours of a node sit in its own row, and
+    # only pads read across rows. Every weight is zero on the pads and at the
+    # pads' side of a boundary node, so the pads stay 0 and nothing leaks
+    # between rows.
     flat = up.reshape(-1)
     mid, right, left = flat[1:-1], flat[2:], flat[:-2]
-
-    def stacked(vec):
-        rows = np.zeros((n_rows, L), dtype=vec.dtype)
-        rows[:, 1:-1] = vec
-        return rows.reshape(-1)[1:-1]
-
-    # A term whose coefficient is zero on every node is skipped: adding a
-    # zero changes no finite nonzero value.
-    sig2_s = stacked(sig2)
-    two_h = b_s = upwind = None
-    if h_vec.any():
-        two_h = stacked(2.0 * h_vec)
-    if b_vec.any():
-        b_s, upwind = stacked(b_vec), stacked(b_vec >= 0.0)
-    # Step buffers in the layout of `up`; a_rows is the Hamiltonian argument
-    # of each row's nodes.
+    weights = np.pad(np.broadcast_to(
+        _stencil_weights(b_vec, h_vec, sig2, dx, dt)[:, None],
+        (6, n_rows, len(xs))), ((0, 0), (0, 0), (1, 1)))
+    a_l, a_m, a_r, e_l, e_c, e_r = weights.reshape(6, -1)[:, 1:-1]
+    # G's two level factors as `g_function` forms them; dt G(a) = G(dt a).
+    g_up = np.array(0.5 * band.sigma_upper ** 2)
+    g_lo = np.array(0.5 * band.sigma_lower ** 2)
+    advects = bool(b_vec.any())
+    # A step forms a = dt (sigma^2 u_xx + 2h u_x), takes G(a) in place and
+    # sets u to e_C u + e_L u_{i-1} + e_R u_{i+1} + G(a), skipping the b-term
+    # where b is zero on every node; a_rows holds a at each row's nodes. The
+    # step is bound by call overhead, so its ufunc calls take the cheapest
+    # form: a local name, the output by position, 0-d factors.
     a_buf = np.empty((n_rows, L))
     a, a_rows = a_buf.reshape(-1)[1:-1], a_buf[:, 1:-1]
-    tmp = np.empty_like(a)
-    d = np.empty((n_rows, L)).reshape(-1)[1:]
+    tmp, mul = np.empty_like(a), np.multiply
 
     for i in range(n_t, 0, -1):
-        # Ghost nodes by linear extrapolation, forcing u_xx = 0 at the
-        # boundary: columns (0, L-1) from (1, L-2) and (2, L-3). L >= 19, so
-        # each strided view holds exactly those two columns.
-        np.subtract(2.0 * up[:, 1::L - 3], up[:, 2::L - 5], out=up[:, ::L - 1])
-        # a = 2 h u_x + sigma^2 u_xx by central differences
-        np.multiply(mid, 2.0, out=a)
-        np.subtract(right, a, out=a)
-        a += left
-        a /= dx * dx
-        a *= sig2_s
-        if two_h is not None:
-            np.subtract(right, left, out=tmp)
-            tmp /= 2.0 * dx
-            tmp *= two_h
+        mul(a_l, left, a)
+        mul(a_m, mid, tmp)
+        a += tmp
+        mul(a_r, right, tmp)
+        a += tmp
+        if i in hits_at:
+            record[:, hits_at[i]] = _upper_wins(a_rows, u, dx, h_vec, sig2,
+                                                dt)[:, None]
+        mul(a, g_lo, tmp)
+        a *= g_up
+        np.maximum(a, tmp, out=a)
+        if advects:
+            mul(e_l, left, tmp)
             a += tmp
-        hits = hits_at.get(i)
-        if hits:
-            record[:, hits] = _upper_wins(a_rows, u, dx, h_vec, sig2)[:, None]
-        rate = g_function(a, band)
-        if b_s is not None:
-            # b u_x upwinded: forward differences where b >= 0, else backward
-            np.subtract(flat[1:], flat[:-1], out=d)
-            d /= dx
-            np.copyto(tmp, d[:-1])
-            np.copyto(tmp, d[1:], where=upwind)
-            tmp *= b_s
-            rate += tmp
-        rate *= dt
-        mid += rate
+            mul(e_r, right, tmp)
+            a += tmp
+            mid *= e_c
+        mid += a
 
     tol = 1e-8 * (1.0 + np.abs(lo_bound) + np.abs(hi_bound))
     for payoff, row, lo, hi, eps in zip(payoffs, u, lo_bound, hi_bound, tol):
@@ -183,15 +186,12 @@ def solve_stack(coeffs: ModelCoefficients, band: VolatilityBand, payoffs,
                 f"comparison post-check failed (scheme instability) for "
                 f"payoff {payoff.name!r}: solution range "
                 f"[{row.min():.6g}, {row.max():.6g}] leaves payoff range "
-                f"[{lo:.6g}, {hi:.6g}]"
-            )
+                f"[{lo:.6g}, {hi:.6g}]")
 
-    results = [GridFunction(x_nodes=xs, values=row.copy())
-               for row in u]
-    if record is None:
-        return results, None
-    return results, [PolicyTable(grid=policy_grid, x_nodes=xs, hi_mask=mask,
-                                 band=band) for mask in record]
+    results = [GridFunction(x_nodes=xs, values=row.copy()) for row in u]
+    return results, None if record is None else [
+        PolicyTable(grid=policy_grid, x_nodes=xs, hi_mask=mask, band=band)
+        for mask in record]
 
 
 def solve_g_heat(payoff: Payoff, band: VolatilityBand, T: float, cfg: PdeConfig,

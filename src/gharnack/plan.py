@@ -54,14 +54,14 @@ _UNIT_COEFFS = ModelCoefficients(
     K=0.0, kappa1=1.0, kappa2=1.0,
 )
 
-# Arrays alive at once in a step of `gheat.solve_stack`, each of about
-# n_space doubles. Per stacked row, at most 11 1/8 while G is evaluated: the
-# padded row, the three step buffers, the stacked sigma^2, 2h and b and the
-# upwind mask, the previous step's rate and the two products and result of G
-# (at a record level, |u| and the mask of `gheat._upper_wins` take G's
-# place). Per node, the grid and the coefficient vectors (6).
-_ROW_ARRAYS = 12
-_NODE_ARRAYS = 6
+# Arrays alive at once in `gheat.solve_stack`, each of about n_space
+# doubles. Per stacked row, at most 10 1/8 in a step: the padded row, its six
+# weights and the two step buffers (at a record level, |u| and the mask of
+# `gheat._upper_wins` beside them); per node, the grid and the three
+# coefficient vectors. While the weights are built, one padded row per stacked
+# row and 18 node arrays are alive, which the 9 per node cover from one row up.
+_ROW_ARRAYS = 11
+_NODE_ARRAYS = 9
 
 
 def solve_nbytes(n_rows: int, n_space: int, n_policy_steps: int) -> int:

@@ -3,11 +3,12 @@ and exit code must stay byte-identical.
 
 `golden.json` records, per command, its argv, the config entries it changes
 in the bundled config, its exit code and the sha256 of its stdout and of each
-file it writes, together with the numpy version and machine it was recorded
-on. The random streams are the package's own and do not change with numpy,
-but the coefficients and payoffs call numpy's sin, tanh and exp, whose last
-bits may differ across numpy builds and machines, so on another numpy
-version or machine the test skips and names both.
+file it writes, together with the numpy version, the machine and the kernels
+numpy dispatches for exp, log, sin and tanh on float64 where it was recorded.
+The random streams are the package's own and do not change with numpy, but
+the coefficients and payoffs call those functions, whose last bits differ
+across numpy builds, machines and the CPU features numpy picks its kernels
+for at run time, so where any of these differs the test skips and names both.
 
 A change that alters an output on purpose regenerates the manifest and
 names each changed file, with the reason, in CHANGES.md:
@@ -19,14 +20,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from gharnack.cli import bundled_config_path, main
 
@@ -86,25 +90,58 @@ def record(argv, config, work: Path) -> dict:
                       for p in sorted(out.iterdir())}}
 
 
+# The numpy functions the outputs' bits depend on through their dispatched
+# float64 kernels.
+DISPATCHED = ("exp", "log", "sin", "tanh")
+
+
 def environment() -> dict:
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    """What the recorded bits depend on beside the package: numpy's version,
+    the machine and the `current` dispatch target of each DISPATCHED
+    function on float64."""
+    info = opt_func_info(func_name=f"^({'|'.join(DISPATCHED)})$",
+                         signature="float64")
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "dispatch": {name: info[name]["dd"]["current"]
+                         for name in DISPATCHED}}
 
 
 GOLDEN = json.loads(MANIFEST.read_text(encoding="utf-8"))
+RECORDED = {key: GOLDEN.get(key) for key in environment()}
 
 
 @pytest.mark.parametrize("index", range(len(COMMANDS)),
                          ids=[command_id(*command) for command in COMMANDS])
 def test_outputs_match_the_golden_manifest(tmp_path, index):
-    here, there = environment(), {k: GOLDEN[k] for k in ("numpy", "machine")}
-    if here != there:
-        pytest.skip(f"manifest recorded on numpy {there['numpy']} "
-                    f"({there['machine']}); this is numpy {here['numpy']} "
-                    f"({here['machine']})")
+    here = environment()
+    if here != RECORDED:
+        pytest.skip(f"manifest recorded on {RECORDED}; this is {here}")
     argv, config = COMMANDS[index]
     expected = GOLDEN["commands"][index]
     assert (expected["argv"], expected["config"]) == (argv, config)
     assert record(argv, config, tmp_path) == expected
+
+
+@pytest.mark.skipif(environment()["dispatch"]["exp"] != "X86_V4",
+                    reason="numpy's exp does not run its X86_V4 kernel here")
+def test_other_dispatched_kernels_skip_the_manifest():
+    # numpy with its AVX-512 kernels switched off runs other kernels for the
+    # same functions, whose last bits differ: the environment it reports
+    # differs from the recorded one in the kernels alone, so the manifest
+    # test skips there rather than failing on hashes
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; "
+            "from test_golden import environment; "
+            "print(json.dumps(environment()))")
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    paths = [str(Path(__file__).parent),
+             str(bundled_config_path().parents[2])]
+    done = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                          capture_output=True, text=True, check=True)
+    here, there = environment(), json.loads(done.stdout)
+    assert there["dispatch"]["exp"] != "X86_V4"
+    assert there != RECORDED
+    assert {**there, "dispatch": here["dispatch"]} == here
 
 
 if __name__ == "__main__":
